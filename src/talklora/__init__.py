@@ -57,8 +57,6 @@ from .geometry import ModelGeometry, bundled_geometry, load_geometry
 from .linalg import (
     RngState,
     kaiming_init,
-    matmul,
-    operator_norm_bound_check,
     softmax,
     spectral_norm,
     zero_init,
@@ -114,11 +112,9 @@ __all__ = [
     "load_geometry",
     "lora_forward",
     "lora_merge",
-    "matmul",
     "model_forward",
     "moelora_forward",
     "nonexpansive_audit",
-    "operator_norm_bound_check",
     "read_header",
     "routing_balance_experiment",
     "routing_load",

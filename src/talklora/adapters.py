@@ -12,6 +12,16 @@ Expert outputs always use the uncommunicated h_i; the communicated
 representations feed only the router.  All math is float64 and every
 random draw comes from a named :class:`~talklora.linalg.RngState` stream,
 so construction is bit-reproducible.
+
+Expert layout: MoELoRA and TalkLoRA layers stack their experts along a
+leading axis, one C-contiguous float64 array per role: A (n, r_e, d),
+E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the backward in
+:mod:`talklora.autodiff`) batch over that axis with ``np.matmul`` and
+reduce along it, so neither loops over experts.  A shared B is one
+stacked array per projection tag, held by every layer of that tag.
+Per-expert parameter handles (``L00.Q.A1``, ``shared.Q.B0``) name views
+``a[j]`` of the stacked arrays, so in-place updates through a handle land
+in the stack.
 """
 
 from __future__ import annotations
@@ -114,16 +124,16 @@ class LoRAAdapter:
 
 @dataclass
 class MoELoRALayer:
-    a: list  # n matrices (r_e, d)
-    b: list  # n matrices (k, r_e)
+    a: np.ndarray  # (n, r_e, d) stacked expert down-projections
+    b: np.ndarray  # (n, k, r_e) stacked expert up-projections
     router_wg: np.ndarray  # (n, d)
 
 
 @dataclass
 class TalkLoRALayer:
-    a: list  # n matrices (r_e, d)
-    e: list  # n matrices (r_e, r_e)
-    b: list  # n matrices (k, r_e); aliases into a shared store when b_shared
+    a: np.ndarray  # (n, r_e, d)
+    e: np.ndarray  # (n, r_e, r_e)
+    b: np.ndarray  # (n, k, r_e); the shared store's array when b_shared
     c: np.ndarray  # (n, n) communication matrix
     router_wg: np.ndarray  # (n, r)
     b_shared: bool = False
@@ -133,14 +143,11 @@ class TalkLoRALayer:
 class SharedProjectionStore:
     """Cross-layer shared up-projections, keyed by projection tag.
 
-    Every layer built with sharing enabled holds references to the same
-    underlying arrays, so one gradient update is visible to all of them.
+    Every layer built with sharing enabled holds the same stacked array,
+    so one gradient update is visible to all of them.
     """
 
-    entries: dict = field(default_factory=dict)  # tag -> list of (k, r_e) arrays
-
-    def get(self, tag: str) -> list:
-        return self.entries[tag]
+    entries: dict = field(default_factory=dict)  # tag -> (n, k, r_e) array
 
     @property
     def tags(self) -> tuple:
@@ -155,31 +162,32 @@ def init_lora(cfg: AdapterConfig, rng: RngState) -> LoRAAdapter:
     )
 
 
+def _stacked_kaiming(role: str, n: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
+    """n Kaiming draws, expert i from stream ``<role><i>``, stacked to (n, rows, cols)."""
+    return np.stack([kaiming_init(rows, cols, rng.split(f"{role}{i}")) for i in range(n)])
+
+
 def init_moelora(cfg: AdapterConfig, rng: RngState) -> MoELoRALayer:
     d, k = cfg.require_dims()
     r_e, n = cfg.expert_rank, cfg.experts
     return MoELoRALayer(
-        a=[kaiming_init(r_e, d, rng.split(f"A{i}")) for i in range(n)],
-        b=[zero_init(k, r_e) for _ in range(n)],
+        a=_stacked_kaiming("A", n, r_e, d, rng),
+        b=np.zeros((n, k, r_e)),
         router_wg=kaiming_init(n, d, rng.split("Wg")),
     )
 
 
 def init_talklora(
-    cfg: AdapterConfig, rng: RngState, shared_b: Optional[list] = None
+    cfg: AdapterConfig, rng: RngState, shared_b: Optional[np.ndarray] = None
 ) -> TalkLoRALayer:
     d, k = cfg.require_dims()
     r_e, n = cfg.expert_rank, cfg.experts
-    if shared_b is not None:
-        if len(shared_b) != n or any(m.shape != (k, r_e) for m in shared_b):
-            raise ValueError("shared B store entries do not match this layer's shapes")
-        b = list(shared_b)
-    else:
-        b = [zero_init(k, r_e) for _ in range(n)]
+    if shared_b is not None and shared_b.shape != (n, k, r_e):
+        raise ValueError("shared B store entry does not match this layer's shapes")
     return TalkLoRALayer(
-        a=[kaiming_init(r_e, d, rng.split(f"A{i}")) for i in range(n)],
-        e=[kaiming_init(r_e, r_e, rng.split(f"E{i}")) for i in range(n)],
-        b=b,
+        a=_stacked_kaiming("A", n, r_e, d, rng),
+        e=_stacked_kaiming("E", n, r_e, r_e, rng),
+        b=np.zeros((n, k, r_e)) if shared_b is None else shared_b,
         c=kaiming_init(n, n, rng.split("C")),
         router_wg=kaiming_init(n, cfg.total_rank, rng.split("Wg")),
         b_shared=shared_b is not None,
@@ -198,8 +206,9 @@ class ForwardTrace:
     delta: np.ndarray  # (k,) adapter contribution, y - w0 @ x computed exactly
 
     def __post_init__(self):
-        if not (self.gates > 0).all():
-            raise ValueError("gate vector must be entrywise positive")
+        # softmax may underflow to exact zeros, so only nonnegativity holds
+        if not (self.gates >= 0).all():
+            raise ValueError("gate vector must be entrywise nonnegative")
         if abs(self.gates.sum() - 1.0) > 1e-12:
             raise ValueError("gate vector must sum to 1 within 1e-12")
 
@@ -211,21 +220,19 @@ class LayerCache:
     x: np.ndarray  # (B, d) clean layer input
     xa: np.ndarray  # (B, d) adapter-path input (after dropout, == x otherwise)
     drop_scale: Optional[np.ndarray]  # (B, d) mask/(1-p), None without dropout
-    h: Optional[list]  # per-expert (B, r_e)
+    h: np.ndarray  # (n, B, r_e) per-expert representations; (B, r) for LoRA
     router_in: Optional[np.ndarray]  # what router_wg multiplied: (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n)
-    p: Optional[list]  # talklora only: per-expert E_i h_i, (B, r_e)
-    yexp: Optional[list]  # per-expert outputs (B, k)
+    p: Optional[np.ndarray]  # talklora only: (n, B, r_e) E_i h_i
+    yexp: Optional[np.ndarray]  # (n, B, k) unweighted expert outputs; None for LoRA
     delta: np.ndarray  # (B, k)
     z: np.ndarray  # (B, k) = x @ w0.T + delta
 
 
-def _mix_representations(c: np.ndarray, h: list) -> list:
-    """Apply the communication matrix across the expert axis."""
-    n = len(h)
-    stacked = np.stack(h, axis=0)  # (n, B, r_e)
-    mixed = (c @ stacked.reshape(n, -1)).reshape(stacked.shape)
-    return [mixed[i] for i in range(n)]
+def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
+    """sum_i g_i y_i for (B, n) gates and (n, B, k) expert outputs."""
+    # added along the expert axis in expert order, as a loop over experts would
+    return (gates.T[:, :, None] * yexp).sum(axis=0)
 
 
 def lora_batch_forward(
@@ -238,11 +245,10 @@ def lora_batch_forward(
 ) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ ad.a.T
-    yexp = h @ ad.b.T
-    delta = cfg.scaling * yexp
+    delta = cfg.scaling * (h @ ad.b.T)
     return LayerCache(
         x=x, xa=xa, drop_scale=drop_scale,
-        h=[h], router_in=None, gates=None, p=None, yexp=[yexp],
+        h=h, router_in=None, gates=None, p=None, yexp=None,
         delta=delta, z=x @ w0.T + delta,
     )
 
@@ -256,13 +262,10 @@ def moelora_batch_forward(
     drop_scale: Optional[np.ndarray] = None,
 ) -> LayerCache:
     xa = x if xa is None else xa
-    h = [xa @ a_i.T for a_i in ml.a]
+    h = xa @ ml.a.transpose(0, 2, 1)  # (n, B, r_e)
     gates = softmax_rows(xa @ ml.router_wg.T)  # router reads the raw input
-    yexp = [h_i @ b_i.T for h_i, b_i in zip(h, ml.b)]
-    mix = gates[:, 0:1] * yexp[0]
-    for i in range(1, cfg.experts):
-        mix = mix + gates[:, i : i + 1] * yexp[i]
-    delta = cfg.scaling * mix
+    yexp = h @ ml.b.transpose(0, 2, 1)  # (n, B, k)
+    delta = cfg.scaling * _gate_mix(gates, yexp)
     return LayerCache(
         x=x, xa=xa, drop_scale=drop_scale,
         h=h, router_in=xa, gates=gates, p=None, yexp=yexp,
@@ -279,17 +282,11 @@ def talklora_batch_forward(
     drop_scale: Optional[np.ndarray] = None,
 ) -> LayerCache:
     xa = x if xa is None else xa
-    n = cfg.experts
-    h = [xa @ a_i.T for a_i in tl.a]
-    h_tilde = _mix_representations(tl.c, h) if cfg.talking_enabled else h
-    router_in = np.concatenate(h_tilde, axis=1)  # (B, r) = [h~_1, ..., h~_n]
-    gates = softmax_rows(router_in @ tl.router_wg.T)
-    p = [h_i @ e_i.T for h_i, e_i in zip(h, tl.e)]  # experts use uncommunicated h
-    yexp = [p_i @ b_i.T for p_i, b_i in zip(p, tl.b)]
-    mix = gates[:, 0:1] * yexp[0]
-    for i in range(1, n):
-        mix = mix + gates[:, i : i + 1] * yexp[i]
-    delta = cfg.scaling * mix
+    h = xa @ tl.a.transpose(0, 2, 1)  # (n, B, r_e)
+    router_in, gates = _route(tl, h, cfg.talking_enabled)
+    p = h @ tl.e.transpose(0, 2, 1)  # experts use the uncommunicated h
+    yexp = p @ tl.b.transpose(0, 2, 1)  # (n, B, k)
+    delta = cfg.scaling * _gate_mix(gates, yexp)
     return LayerCache(
         x=x, xa=xa, drop_scale=drop_scale,
         h=h, router_in=router_in, gates=gates, p=p, yexp=yexp,
@@ -346,7 +343,7 @@ def lora_merge(layer: FrozenLinear, ad: LoRAAdapter, cfg: AdapterConfig) -> np.n
 
 
 def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
-    h = np.stack([h_i[0] for h_i in cache.h], axis=0)
+    h = cache.h[:, 0]
     if cache.p is not None:
         # talklora: router input is the concatenated communicated h~
         h_tilde = cache.router_in[0].reshape(h.shape)
@@ -356,7 +353,7 @@ def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
         h=h,
         h_tilde=h_tilde,
         gates=cache.gates[0].copy(),
-        expert_outputs=np.stack([y_i[0] for y_i in cache.yexp], axis=0),
+        expert_outputs=cache.yexp[:, 0],
         y=cache.z[0],
         delta=cache.delta[0],
     )
@@ -374,12 +371,13 @@ def moelora_forward(
 def talking_mix(c, h) -> np.ndarray:
     """Communicated representations h~_i = sum_j C_ij h_j.
 
-    ``h`` is a sequence of n equal-length vectors (or an (n, r_e) array);
-    the result has the same shape.  Equivalent to (C kron I) applied to the
-    stacked representation.
+    ``h`` carries the n expert representations along its leading axis: an
+    (n, r_e) array, a batched (n, B, r_e) array, or a sequence of n
+    equal-length vectors.  The result has the array's shape.  Equivalent
+    to (C kron I) applied to the stacked representation.
     """
     c = as_matrix(c, "c")
-    if isinstance(h, np.ndarray) and h.ndim == 2:
+    if isinstance(h, np.ndarray) and h.ndim >= 2:
         stacked = h.astype(np.float64, copy=False)
     else:
         rows = [as_vector(h_j, f"h[{j}]") for j, h_j in enumerate(h)]
@@ -390,7 +388,7 @@ def talking_mix(c, h) -> np.ndarray:
     n = stacked.shape[0]
     if c.shape != (n, n):
         raise ValueError(f"communication matrix is {c.shape}, expected ({n}, {n})")
-    return c @ stacked
+    return (c @ stacked.reshape(n, -1)).reshape(stacked.shape)
 
 
 def talklora_forward(
@@ -407,11 +405,19 @@ def talklora_forward(
     return cache.z[0], _trace_from_cache(cache)
 
 
+def _route(tl: TalkLoRALayer, h: np.ndarray, talking_enabled: bool) -> tuple:
+    """TalkLoRA routing of stacked h (n, B, r_e): C-mix, concatenate, softmax.
+
+    Returns the router input [h~_1, ..., h~_n] (B, r) and the gates (B, n).
+    """
+    h_tilde = talking_mix(tl.c, h) if talking_enabled else h
+    router_in = h_tilde.transpose(1, 0, 2).reshape(h.shape[1], -1)
+    return router_in, softmax_rows(router_in @ tl.router_wg.T)
+
+
 def router_gates(tl: TalkLoRALayer, x: np.ndarray, talking_enabled: bool = True) -> np.ndarray:
     """Routing function alone: gates for a batch of inputs (B, d) -> (B, n)."""
-    h = [x @ a_i.T for a_i in tl.a]
-    h_tilde = _mix_representations(tl.c, h) if talking_enabled else h
-    return softmax_rows(np.concatenate(h_tilde, axis=1) @ tl.router_wg.T)
+    return _route(tl, x @ tl.a.transpose(0, 2, 1), talking_enabled)[1]
 
 
 @dataclass(frozen=True)
@@ -428,11 +434,17 @@ class LayerSlot:
         return f"L{self.layer:02d}.{self.tag}"
 
 
+def _experts(role: str, stacked: np.ndarray) -> list:
+    """(role<j>, view of expert j) pairs of a stacked (n, ...) array."""
+    return [(f"{role}{j}", view) for j, view in enumerate(stacked)]
+
+
 class AdapterStack:
     """All adapters of one method over a list of slots, plus the shared store.
 
     Parameter arrays are reachable through stable string handles; shared B
     matrices appear exactly once, under ``shared.<tag>.B<i>`` handles.
+    A per-expert handle names a view ``a[j]`` of its layer's stacked array.
     Forward passes never mutate parameters; optimizer steps mutate them in
     place through :meth:`named_parameters`.
     """
@@ -444,51 +456,32 @@ class AdapterStack:
         self.slots = slots
         self.adapters = adapters
         self.shared = shared
-        self._params = self._collect_parameters()
-        self._by_handle = dict(self._params)
+        self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
+        self._by_handle = {}
+        for i in range(len(slots)):
+            for _, handle, arr in self._slot_roles(i):
+                self._by_handle.setdefault(handle, arr)  # shared B recorded once
+        self._params = list(self._by_handle.items())
 
     def slot_cfg(self, i: int) -> AdapterConfig:
-        slot = self.slots[i]
-        return self.cfg.with_dims(slot.d_in, slot.d_out)
+        return self._slot_cfgs[i]
 
     def _slot_roles(self, i: int) -> list:
         """(role, handle, array) triples for slot i, sharing-resolved."""
         slot, ad = self.slots[i], self.adapters[i]
-        n = self.cfg.experts
-        out = []
         if isinstance(ad, LoRAAdapter):
-            out.append(("A0", f"{slot.name}.A0", ad.a))
-            out.append(("B0", f"{slot.name}.B0", ad.b))
+            tensors = [("A0", ad.a), ("B0", ad.b)]
         elif isinstance(ad, MoELoRALayer):
-            for j in range(n):
-                out.append((f"A{j}", f"{slot.name}.A{j}", ad.a[j]))
-            for j in range(n):
-                out.append((f"B{j}", f"{slot.name}.B{j}", ad.b[j]))
-            out.append(("Wg", f"{slot.name}.Wg", ad.router_wg))
+            tensors = _experts("A", ad.a) + _experts("B", ad.b) + [("Wg", ad.router_wg)]
         else:
-            for j in range(n):
-                out.append((f"A{j}", f"{slot.name}.A{j}", ad.a[j]))
-            for j in range(n):
-                out.append((f"E{j}", f"{slot.name}.E{j}", ad.e[j]))
-            out.append(("C", f"{slot.name}.C", ad.c))
-            out.append(("Wg", f"{slot.name}.Wg", ad.router_wg))
-            for j in range(n):
-                handle = (
-                    f"shared.{slot.tag}.B{j}" if ad.b_shared else f"{slot.name}.B{j}"
-                )
-                out.append((f"B{j}", handle, ad.b[j]))
+            tensors = (_experts("A", ad.a) + _experts("E", ad.e)
+                       + [("C", ad.c), ("Wg", ad.router_wg)] + _experts("B", ad.b))
+        shared_b = getattr(ad, "b_shared", False)
+        out = []
+        for role, arr in tensors:
+            owner = f"shared.{slot.tag}" if shared_b and role[0] == "B" else slot.name
+            out.append((role, f"{owner}.{role}", arr))
         return out
-
-    def _collect_parameters(self) -> list:
-        seen = set()
-        params = []
-        for i in range(len(self.slots)):
-            for _, handle, arr in self._slot_roles(i):
-                if handle in seen:
-                    continue  # shared B already recorded
-                seen.add(handle)
-                params.append((handle, arr))
-        return params
 
     def named_parameters(self) -> list:
         """(handle, array) pairs in a fixed order; shared tensors once."""
@@ -520,18 +513,15 @@ def build_stack_from_slots(
     shared = None
     if method == "talklora" and cfg.share_b:
         shared = SharedProjectionStore()
-        out_dims: dict = {}
         for slot in slots:
-            if slot.tag in out_dims and out_dims[slot.tag] != slot.d_out:
+            entry = shared.entries.setdefault(
+                slot.tag, np.zeros((cfg.experts, slot.d_out, cfg.expert_rank))
+            )
+            if entry.shape[1] != slot.d_out:
                 raise ValueError(
                     f"cannot share B across tag {slot.tag!r}: output dims differ "
-                    f"({out_dims[slot.tag]} vs {slot.d_out})"
+                    f"({entry.shape[1]} vs {slot.d_out})"
                 )
-            out_dims[slot.tag] = slot.d_out
-            if slot.tag not in shared.entries:
-                shared.entries[slot.tag] = [
-                    zero_init(slot.d_out, cfg.expert_rank) for _ in range(cfg.experts)
-                ]
     adapters = []
     for slot in slots:
         slot_cfg = cfg.with_dims(slot.d_in, slot.d_out)

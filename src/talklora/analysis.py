@@ -131,11 +131,11 @@ def stability_certificate(
         raise ValueError("trials must be at least 1")
     if delta_scale < 0:
         raise ValueError("delta_scale must be nonnegative")
-    alpha = spectral_norm(np.vstack(tl.a))
+    d = tl.a.shape[2]
+    alpha = spectral_norm(tl.a.reshape(-1, d))
     beta = spectral_norm(tl.router_wg)
     c_norm = spectral_norm(tl.c) if talking_enabled else 1.0
     bound = alpha * beta
-    d = tl.a[0].shape[1]
     gen = rng.generator()
     x = gen.normal(size=(trials, d))
     dx = delta_scale * gen.normal(size=(trials, d))
@@ -285,10 +285,9 @@ def degeneracy_check(
 ) -> DegeneracyReport:
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n = len(tl.a)
+    n, _, d = tl.a.shape
     if n < 2:
         raise ValueError("degeneracy probes need at least 2 experts")
-    d = tl.a[0].shape[1]
     gen = rng.generator()
     identity_max = 0.0
     isolation_max = 0.0
@@ -302,14 +301,14 @@ def degeneracy_check(
 
     for _ in range(trials):
         x = gen.normal(size=d)
-        h = np.stack([a_i @ x for a_i in tl.a], axis=0)
+        h = tl.a @ x  # (n, r_e)
         # (a) identity communication is an exact pass-through
         identity_max = max(identity_max, float(np.abs(talking_mix(eye, h) - h).max()))
         # (b) diagonal C: perturbing A_j cannot reach h~_i for i != j
         j = int(gen.integers(0, n))
-        perturbed = [a_i.copy() for a_i in tl.a]
-        perturbed[j] = perturbed[j] + gen.normal(size=perturbed[j].shape)
-        h_pert = np.stack([a_i @ x for a_i in perturbed], axis=0)
+        perturbed = tl.a.copy()
+        perturbed[j] += gen.normal(size=perturbed[j].shape)
+        h_pert = perturbed @ x
         before = talking_mix(diagonal_c, h)
         after = talking_mix(diagonal_c, h_pert)
         others = [i for i in range(n) if i != j]

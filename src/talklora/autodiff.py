@@ -27,6 +27,7 @@ from .adapters import (
     MoELoRALayer,
     TalkLoRALayer,
     batch_forward,
+    talking_mix,
 )
 from .linalg import softmax_rows, spectral_norm
 
@@ -124,57 +125,57 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
 
 def _lora_backward(ad: LoRAAdapter, cfg: AdapterConfig, cache, gz):
     gd = cfg.scaling * gz
-    gb = gd.T @ cache.h[0]
+    gb = gd.T @ cache.h
     gh = gd @ ad.b
     ga = gh.T @ cache.xa
     gxa = gh @ ad.a
     return gxa, {"A0": ga, "B0": gb}
 
 
-def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz):
-    n = cfg.experts
-    gd = cfg.scaling * gz
-    grads = {}
-    g_gates = np.stack([(gd * y_i).sum(axis=1) for y_i in cache.yexp], axis=1)
+def _gate_backward(cache, gd):
+    """Gradients at the gate logits (B, n) and at each expert's output (n, B, k)."""
+    g_gates = (gd * cache.yexp).sum(axis=2).T  # (B, n)
     g_logits = _softmax_backward(cache.gates, g_gates)
-    grads["Wg"] = g_logits.T @ cache.router_in
-    gxa = g_logits @ ml.router_wg
-    for i in range(n):
-        gy = cache.gates[:, i : i + 1] * gd
-        grads[f"B{i}"] = gy.T @ cache.h[i]
-        gh = gy @ ml.b[i]
-        grads[f"A{i}"] = gh.T @ cache.xa
-        gxa = gxa + gh @ ml.a[i]
-    return gxa, grads
+    return g_logits, cache.gates.T[:, :, None] * gd
+
+
+def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz):
+    g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
+    gh = gy @ ml.b  # (n, B, r_e)
+    # router term first, then each expert's in order: a fixed float summation order
+    gxa = np.concatenate(((g_logits @ ml.router_wg)[None], gh @ ml.a)).sum(axis=0)
+    return gxa, {
+        "Wg": g_logits.T @ cache.router_in,
+        "B": gy.transpose(0, 2, 1) @ cache.h,
+        "A": gh.transpose(0, 2, 1) @ cache.xa,
+    }
 
 
 def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz):
-    n, r_e = cfg.experts, cfg.expert_rank
-    batch = gz.shape[0]
-    gd = cfg.scaling * gz
-    grads = {}
-    g_gates = np.stack([(gd * y_i).sum(axis=1) for y_i in cache.yexp], axis=1)
-    g_logits = _softmax_backward(cache.gates, g_gates)
-    grads["Wg"] = g_logits.T @ cache.router_in
-    ght_flat = g_logits @ tl.router_wg  # (B, r) gradient at the router input
-    ght = ght_flat.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
-    h_st = np.stack(cache.h, axis=0)
+    n, batch, r_e = cache.h.shape
+    g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
+    ght = g_logits @ tl.router_wg  # (B, r) gradient at the router input
+    ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
+    grads = {"Wg": g_logits.T @ cache.router_in}
     if cfg.talking_enabled:
-        grads["C"] = ght.reshape(n, -1) @ h_st.reshape(n, -1).T
-        gh_router = (tl.c.T @ ght.reshape(n, -1)).reshape(n, batch, r_e)
+        grads["C"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
+        gh_router = talking_mix(tl.c.T, ght)
     else:
         grads["C"] = np.zeros_like(tl.c)  # communication unused in this ablation
         gh_router = ght
-    gxa = np.zeros_like(cache.xa)
-    for i in range(n):
-        gy = cache.gates[:, i : i + 1] * gd
-        grads[f"B{i}"] = gy.T @ cache.p[i]
-        gp = gy @ tl.b[i]
-        grads[f"E{i}"] = gp.T @ cache.h[i]
-        gh = gh_router[i] + gp @ tl.e[i]
-        grads[f"A{i}"] = gh.T @ cache.xa
-        gxa = gxa + gh @ tl.a[i]
-    return gxa, grads
+    gp = gy @ tl.b  # (n, B, r_e)
+    gh = gh_router + gp @ tl.e
+    grads["B"] = gy.transpose(0, 2, 1) @ cache.p
+    grads["E"] = gp.transpose(0, 2, 1) @ cache.h
+    grads["A"] = gh.transpose(0, 2, 1) @ cache.xa
+    return (gh @ tl.a).sum(axis=0), grads
+
+
+def _role_grad(layer_grads: dict, role: str) -> np.ndarray:
+    """One slot role's gradient; expert role ``A1`` is row 1 of the stacked ``A``."""
+    if role in layer_grads:
+        return layer_grads[role]
+    return layer_grads[role[0]][int(role[1:])]
 
 
 def _layer_backward(adapter, cfg, cache, gz):
@@ -218,7 +219,7 @@ def backward(
             stack.adapters[i], stack.slot_cfg(i), caches[i], gx
         )
         for role, handle, _ in stack.slot_handles(i):
-            grads[handle] += layer_grads[role]
+            grads[handle] += _role_grad(layer_grads, role)
         gx = gx @ frozen_layers[i].w0 + gxa
     return value, grads
 

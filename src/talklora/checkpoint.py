@@ -27,6 +27,11 @@ from .linalg import RngState
 
 MAGIC = b"TLKL"
 FORMAT_VERSION = 1
+_PREFIX = struct.Struct("<4sII")  # magic, format version, header length
+_HEADER_KEYS = (
+    "adapter_config", "alias_table", "format_version", "method", "run_config",
+    "slots", "tensors",
+)
 
 
 class CorruptCheckpointError(Exception):
@@ -89,40 +94,48 @@ def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for payload in payloads:
             fh.write(payload)
 
 
+def _read_header(fh) -> dict:
+    """Read the fixed prefix and the JSON header, leaving ``fh`` at the payloads."""
+    prefix = fh.read(_PREFIX.size)
+    if prefix[:4] != MAGIC:
+        raise CorruptCheckpointError(
+            f"bad magic bytes {prefix[:4]!r} in {Path(fh.name).name}"
+        )
+    if len(prefix) != _PREFIX.size:
+        raise CorruptCheckpointError("truncated file: incomplete fixed-size prefix")
+    _, version, header_len = _PREFIX.unpack(prefix)
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(version, FORMAT_VERSION)
+    raw = fh.read(header_len)
+    if len(raw) != header_len:
+        raise CorruptCheckpointError("truncated header")
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or any(key not in header for key in _HEADER_KEYS):
+        raise CorruptCheckpointError(f"header lacks one of the fields {_HEADER_KEYS}")
+    return header
+
+
 def read_header(path) -> dict:
     """Parse and return the JSON header without loading tensor payloads."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CorruptCheckpointError(
-                f"bad magic bytes {magic!r} in {Path(path).name}"
-            )
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(version, FORMAT_VERSION)
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        try:
-            return json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
+        return _read_header(fh)
 
 
-def load_checkpoint(path) -> tuple[AdapterStack, dict]:
-    """Rebuild the stack and overwrite every tensor from the payloads.
+def _rebuild(header: dict) -> tuple[AdapterStack, list]:
+    """Fresh stack with the header's structure, and its (handle, shape, crc) records.
 
-    Structure (slots, sharing) is reconstructed first, which restores the
-    aliasing; payload bytes then replace the fresh initialization, so the
-    roundtrip is bit-identical.  Every payload is checksum-validated.
+    Structure (slots, sharing) is reconstructed from the header, which
+    restores the aliasing; the records must name exactly the stack's handles.
     """
-    header = read_header(path)
     cfg = AdapterConfig(input_dim=None, output_dim=None, **header["adapter_config"])
     slots = [
         LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"])
@@ -131,7 +144,11 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
     stack = build_stack_from_slots(header["method"], cfg, slots, RngState(0))
     if _alias_table(stack) != header["alias_table"]:
         raise CorruptCheckpointError("alias table does not match the rebuilt stack")
-    recorded = {rec["handle"] for rec in header["tensors"]}
+    records = [
+        (rec["handle"], (rec["rows"], rec["cols"]), rec["crc32"])
+        for rec in header["tensors"]
+    ]
+    recorded = {handle for handle, _, _ in records}
     expected = set(stack.handles)
     if recorded != expected:
         raise CorruptCheckpointError(
@@ -139,24 +156,30 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
             f"missing {sorted(expected - recorded)[:3]}, "
             f"unexpected {sorted(recorded - expected)[:3]}"
         )
-    offset = 4 + 4 + 4 + len(json.dumps(header, sort_keys=True).encode("utf-8"))
+    return stack, records
+
+
+def load_checkpoint(path) -> tuple[AdapterStack, dict]:
+    """Rebuild the stack and overwrite every tensor from the payloads.
+
+    Payload bytes replace the fresh initialization of the rebuilt stack,
+    so the roundtrip is bit-identical.  Every payload is checksum-validated;
+    a header with missing or ill-typed fields is reported as corrupt.
+    """
     with open(path, "rb") as fh:
-        fh.seek(offset)
-        for rec in header["tensors"]:
-            nbytes = rec["rows"] * rec["cols"] * 8
-            payload = fh.read(nbytes)
-            if len(payload) != nbytes:
-                raise CorruptCheckpointError(
-                    f"truncated payload for tensor {rec['handle']!r}"
-                )
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != rec["crc32"]:
-                raise CorruptCheckpointError(
-                    f"checksum mismatch for tensor {rec['handle']!r}"
-                )
-            arr = stack.parameter(rec["handle"])
-            if arr.shape != (rec["rows"], rec["cols"]):
-                raise CorruptCheckpointError(
-                    f"shape mismatch for tensor {rec['handle']!r}"
-                )
-            arr[:] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
+        header = _read_header(fh)
+        try:
+            stack, records = _rebuild(header)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptCheckpointError(f"malformed header: {exc!r}") from exc
+        for handle, shape, crc in records:
+            arr = stack.parameter(handle)
+            if arr.shape != shape:
+                raise CorruptCheckpointError(f"shape mismatch for tensor {handle!r}")
+            payload = fh.read(arr.nbytes)
+            if len(payload) != arr.nbytes:
+                raise CorruptCheckpointError(f"truncated payload for tensor {handle!r}")
+            if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+                raise CorruptCheckpointError(f"checksum mismatch for tensor {handle!r}")
+            arr[:] = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return stack, header["run_config"]

@@ -1,8 +1,8 @@
 """Deterministic dense linear algebra substrate.
 
 Everything downstream (adapter forwards, gradients, certificates) runs on
-plain float64 numpy arrays.  This module owns the contract-checked matrix
-operations, the numerically stable softmax, the two initializers, the
+plain float64 numpy arrays.  This module owns the matrix and vector
+contract checks, the numerically stable softmax, the two initializers, the
 power-iteration spectral norm, and the reproducible RNG streams.
 
 All functions are pure: arrays are treated as immutable values and results
@@ -84,25 +84,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    Raises ``ValueError`` naming both operand shapes on an inner-dimension
-    mismatch, and rejects non-finite results so overflow never propagates
-    silently.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: a has shape {a.shape}, b has shape {b.shape}"
-        )
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise ValueError("matmul produced non-finite entries (overflow?)")
-    return out
 
 
 def softmax(v) -> np.ndarray:
@@ -192,10 +173,3 @@ def spectral_norm(m, tol: float = 1e-10, max_iters: int = 10_000) -> float:
             if result is not None:
                 break
     return 0.0 if result is None else result
-
-
-def operator_norm_bound_check(m, bound: float) -> bool:
-    """True iff the spectral norm of ``m`` is at most ``bound`` + 1e-9."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    return spectral_norm(m) <= bound + 1e-9

@@ -15,7 +15,9 @@ from talklora.adapters import (
     lora_forward,
     lora_merge,
     moelora_forward,
+    router_gates,
     talking_mix,
+    talklora_batch_forward,
     talklora_forward,
 )
 from talklora.geometry import bundled_geometry
@@ -210,6 +212,26 @@ class TestTalkLoRAForward:
             assert (trace.gates > 0).all()
             assert abs(trace.gates.sum() - 1.0) <= 1e-12
 
+    def test_saturated_router_keeps_gate_invariant(self):
+        # float64 softmax underflows to exact zero gates on a large input
+        cfg = small_cfg()
+        layer = FrozenLinear(RngState(14).generator().normal(size=(8, 8)))
+        tl = init_talklora(cfg, RngState(14))
+        _, trace = talklora_forward(layer, tl, 1e3 * np.ones(8), cfg)
+        assert (trace.gates >= 0).all()
+        assert (trace.gates == 0).any()
+        assert abs(trace.gates.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("talking", [True, False])
+    def test_router_gates_match_batch_forward_bitwise(self, talking):
+        cfg = small_cfg(talking_enabled=talking)
+        gen = RngState(26).generator()
+        tl = init_talklora(cfg, RngState(26))
+        tl.b[:] = gen.normal(size=tl.b.shape)
+        x = gen.normal(size=(16, 8))
+        cache = talklora_batch_forward(gen.normal(size=(8, 8)), tl, x, cfg)
+        assert np.array_equal(router_gates(tl, x, talking), cache.gates)
+
     def test_identity_c_equals_talking_disabled_bitwise(self):
         cfg_on = small_cfg(talking_enabled=True)
         cfg_off = small_cfg(talking_enabled=False)
@@ -301,9 +323,8 @@ class TestBuildAdapterStack:
         slots = [LayerSlot(0, "Q", 8, 8), LayerSlot(1, "Q", 8, 8)]
         stack = build_stack_from_slots("talklora", cfg, slots, RngState(23))
         first, second = stack.adapters
-        for j in range(2):
-            assert first.b[j] is second.b[j]
-            assert first.b[j] is stack.shared.entries["Q"][j]
+        assert first.b is second.b
+        assert first.b is stack.shared.entries["Q"]
         # one gradient update is visible everywhere
         first.b[0][0, 0] = 42.0
         assert second.b[0][0, 0] == 42.0

@@ -255,3 +255,24 @@ class TestAdamW:
         adamw_step(stack, grads, state, AdamWHyper(lr=0.1))
         # one update of ~lr, not one per aliasing layer
         assert np.allclose(before - arr, 0.1, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "method,share_b", [("moelora", True), ("talklora", True), ("talklora", False)]
+    )
+    def test_expert_handles_are_views_of_stacked_tensors(self, method, share_b):
+        frozen, stack, x, t = make_setup(method, share_b=share_b, depth=3, seed=20)
+        stacked = []
+        for i, ad in enumerate(stack.adapters):
+            for role, handle, _ in stack.slot_handles(i):
+                if role[0] not in "AEB":
+                    continue
+                whole = getattr(ad, role[0].lower())
+                assert whole.flags.c_contiguous and whole.ndim == 3
+                view = stack.parameter(handle)
+                assert np.shares_memory(view, whole[int(role[1:])])
+                stacked.append(whole)
+        before = [whole.copy() for whole in stacked]
+        _, grads = backward(stack, frozen, (x, t), MSE)
+        stack_adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
+        for whole, old in zip(stacked, before):
+            assert not np.array_equal(whole, old)

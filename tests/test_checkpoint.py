@@ -1,4 +1,6 @@
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,31 @@ from talklora.checkpoint import (
 from talklora.linalg import RngState
 
 RUN_CONFIG = {"method": "talklora", "seed": 7, "note": "fixture"}
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _trained_stack(method):
+    """Three clipped AdamW steps from ``make_setup``: the stack of the v1 fixtures."""
+    frozen, stack, x, t = make_setup(method, depth=2, seed=12, spectral_clip_c=1.0)
+    state = AdamWState(stack)
+    for _ in range(3):
+        _, grads = backward(stack, frozen, (x, t), LossSpec())
+        stack_adamw_step(stack, grads, state, AdamWHyper(lr=1e-2))
+    return stack
+
+
+def _split(path):
+    """(header dict, payload bytes) of a checkpoint file."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + header_len]), raw[12 + header_len :]
+
+
+def _write(path, header, payload, **dumps_kw):
+    header_bytes = json.dumps(header, **dumps_kw).encode("utf-8")
+    path.write_bytes(
+        MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
+    )
 
 
 def _assert_stacks_equal(a, b):
@@ -63,15 +90,15 @@ class TestRoundtrip:
         save_checkpoint(path, stack, RUN_CONFIG)
         loaded, _ = load_checkpoint(path)
         first, second, third = loaded.adapters
-        assert first.b[0] is second.b[0]
-        assert second.b[1] is third.b[1]
+        assert first.b is second.b
+        assert second.b is third.b
 
     def test_unshared_not_aliased_after_load(self, tmp_path):
         _, stack, _, _ = make_setup("talklora", depth=3, share_b=False, seed=6)
         path = tmp_path / "unshared.tlkl"
         save_checkpoint(path, stack, RUN_CONFIG)
         loaded, _ = load_checkpoint(path)
-        assert loaded.adapters[0].b[0] is not loaded.adapters[1].b[0]
+        assert not np.shares_memory(loaded.adapters[0].b, loaded.adapters[1].b)
 
 
 class TestCorruptionDetection:
@@ -113,6 +140,56 @@ class TestCorruptionDetection:
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(CorruptCheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_truncated_inside_fixed_prefix(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:6])
+        with pytest.raises(CorruptCheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_header_missing_field(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, payload = _split(path)
+        del header["slots"]
+        _write(path, header, payload, sort_keys=True)
+        with pytest.raises(CorruptCheckpointError, match="slots"):
+            load_checkpoint(path)
+
+    def test_tensor_record_missing_field(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, payload = _split(path)
+        del header["tensors"][0]["crc32"]
+        _write(path, header, payload, sort_keys=True)
+        with pytest.raises(CorruptCheckpointError, match="crc32"):
+            load_checkpoint(path)
+
+    def test_payload_found_by_stored_header_length(self, tmp_path):
+        _, stack, _, _ = make_setup("talklora", depth=2, seed=9)
+        path = tmp_path / "indented.tlkl"
+        save_checkpoint(path, stack, RUN_CONFIG)
+        header, payload = _split(path)
+        _write(path, header, payload, indent=1)  # valid JSON, another layout
+        _assert_stacks_equal(stack, load_checkpoint(path)[0])
+
+
+class TestFormatV1Fixtures:
+    """Checkpoints written before experts were stored as stacked arrays.
+
+    Each ``tests/fixtures/<method>-v1.tlkl`` is ``save_checkpoint(path,
+    _trained_stack(method), RUN_CONFIG)`` from the code that kept every
+    expert in its own array.  Loading one must give today's
+    ``_trained_stack`` bit for bit, and re-saving must give the same file.
+    """
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_fixture_loads_bit_identically(self, tmp_path, method):
+        path = FIXTURES / f"{method}-v1.tlkl"
+        loaded, run_config = load_checkpoint(path)
+        assert run_config == RUN_CONFIG
+        _assert_stacks_equal(_trained_stack(method), loaded)
+        resaved = tmp_path / "resaved.tlkl"
+        save_checkpoint(resaved, loaded, run_config)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 class TestHeader:

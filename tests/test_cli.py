@@ -229,3 +229,12 @@ class TestCkptCommand:
         doc = json.loads(out)
         assert doc["method"] == "talklora"
         assert doc["shared_tensors"] == 2
+
+    def test_inspect_truncated_prefix_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        ckpt = tmp_path / "out" / "checkpoint.tlkl"
+        ckpt.write_bytes(ckpt.read_bytes()[:6])
+        code, _, err = run(capsys, "ckpt", "inspect", "--checkpoint", str(ckpt))
+        assert code == 4
+        assert "truncated" in err

@@ -5,57 +5,11 @@ from talklora.linalg import (
     NonConvergenceWarning,
     RngState,
     kaiming_init,
-    matmul,
-    operator_norm_bound_check,
     softmax,
     softmax_rows,
     spectral_norm,
     zero_init,
 )
-
-
-def triple_loop_matmul(a, b):
-    """Independent reference product: explicit element-by-element loops."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_annihilating_product(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(matmul(a, b), np.zeros((2, 2)))
-
-    def test_against_triple_loop_oracle(self):
-        gen = RngState(11).generator()
-        a = gen.normal(size=(3, 4))
-        b = gen.normal(size=(4, 2))
-        assert np.max(np.abs(matmul(a, b) - triple_loop_matmul(a, b))) < 1e-12
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_associativity(self, seed):
-        gen = RngState(seed).generator()
-        a = gen.normal(size=(4, 5))
-        b = gen.normal(size=(5, 3))
-        c = gen.normal(size=(3, 6))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = np.max(np.abs(left)) + np.max(np.abs(right))
-        assert np.max(np.abs(left - right)) / scale < 1e-10
 
 
 class TestSoftmax:
@@ -209,15 +163,3 @@ class TestSpectralNorm:
             est = spectral_norm(m, tol=1e-16, max_iters=2)
         assert est > 0
 
-
-class TestOperatorNormBoundCheck:
-    def test_identity_within_one(self):
-        assert operator_norm_bound_check(np.eye(4), 1.0)
-
-    def test_scaled_identity_exceeds_one(self):
-        assert not operator_norm_bound_check(2.0 * np.eye(4), 1.0)
-
-    def test_matches_svd_verdict_on_kaiming_sample(self):
-        m = kaiming_init(4, 4, RngState(4))
-        oracle = np.linalg.svd(m, compute_uv=False)[0] <= 1.0 + 1e-9
-        assert operator_norm_bound_check(m, 1.0) == oracle
