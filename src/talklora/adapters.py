@@ -459,14 +459,14 @@ class AdapterStack:
         self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
         self._by_handle = {}
         for i in range(len(slots)):
-            for _, handle, arr in self._slot_roles(i):
+            for _, handle, arr in self.slot_handles(i):
                 self._by_handle.setdefault(handle, arr)  # shared B recorded once
         self._params = list(self._by_handle.items())
 
     def slot_cfg(self, i: int) -> AdapterConfig:
         return self._slot_cfgs[i]
 
-    def _slot_roles(self, i: int) -> list:
+    def slot_handles(self, i: int) -> list:
         """(role, handle, array) triples for slot i, sharing-resolved."""
         slot, ad = self.slots[i], self.adapters[i]
         if isinstance(ad, LoRAAdapter):
@@ -493,10 +493,6 @@ class AdapterStack:
     @property
     def handles(self) -> list:
         return [h for h, _ in self._params]
-
-    def slot_handles(self, i: int) -> list:
-        """(role, handle, array) for backward-pass gradient accumulation."""
-        return self._slot_roles(i)
 
     def trainable_count(self) -> int:
         return sum(arr.size for _, arr in self._params)

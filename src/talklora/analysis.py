@@ -10,7 +10,6 @@ degeneracy / expressive-power probes, and routing-load balance reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

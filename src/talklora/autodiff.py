@@ -352,9 +352,6 @@ class GradcheckReport:
     worst_handle: str
     per_handle: dict
 
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.max_relative_error < tol
-
 
 def gradcheck(
     stack: AdapterStack,
@@ -427,8 +424,9 @@ def apply_spectral_clip(stack: AdapterStack) -> None:
     """Project every communication matrix onto the spectral-norm ball.
 
     No-op unless the stack is TalkLoRA with ``spectral_clip_c`` set; when a
-    C matrix exceeds the clip, it is rescaled by clip / sigma_max, which
-    enforces the non-expansiveness assumption by construction.
+    C matrix exceeds the clip, it is rescaled by clip / sigma_max, with
+    sigma_max the exact spectral norm (LAPACK SVD), which enforces the
+    non-expansiveness assumption by construction.
     """
     clip = stack.cfg.spectral_clip_c
     if clip is None or stack.method != "talklora":

@@ -32,6 +32,7 @@ _HEADER_KEYS = (
     "adapter_config", "alias_table", "format_version", "method", "run_config",
     "slots", "tensors",
 )
+_RECORD_FIELDS = (("handle", str), ("rows", int), ("cols", int), ("crc32", int))
 
 
 class CorruptCheckpointError(Exception):
@@ -101,7 +102,11 @@ def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
 
 
 def _read_header(fh) -> dict:
-    """Read the fixed prefix and the JSON header, leaving ``fh`` at the payloads."""
+    """Read the fixed prefix and the JSON header, leaving ``fh`` at the payloads.
+
+    Checks the header's fields down to the tensor records, so every reader
+    of a header can index them without further checks.
+    """
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != MAGIC:
         raise CorruptCheckpointError(
@@ -121,6 +126,16 @@ def _read_header(fh) -> dict:
         raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or any(key not in header for key in _HEADER_KEYS):
         raise CorruptCheckpointError(f"header lacks one of the fields {_HEADER_KEYS}")
+    if not isinstance(header["slots"], list) or not isinstance(header["tensors"], list):
+        raise CorruptCheckpointError("malformed header: slots and tensors must be lists")
+    for i, rec in enumerate(header["tensors"]):
+        if not isinstance(rec, dict) or any(
+            type(rec.get(key)) is not kind for key, kind in _RECORD_FIELDS
+        ):
+            raise CorruptCheckpointError(
+                f"malformed header: tensor record {i} needs a string handle "
+                f"and integer rows, cols and crc32"
+            )
     return header
 
 

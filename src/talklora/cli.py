@@ -31,8 +31,6 @@ import numpy as np
 from . import analysis
 from .adapters import (
     AdapterConfig,
-    AdapterStack,
-    build_adapter_stack,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -82,19 +80,61 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_JSON_KINDS = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list of strings",
+    dict: "an object",
+}
 
 
-def _take(doc: dict, key: str, default=_REQUIRED, section: str = "config"):
-    if key in doc:
-        return doc.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required field {section}.{key}")
-    return default
+def _take(doc: dict, key: str, kind: type, default=_REQUIRED, section: str = "config"):
+    """Pop ``doc[key]``, which must have the JSON type ``kind``, or the default.
+
+    Bools are never numbers, ints are never floats, and a float field takes
+    any JSON number and stores it as a float.  Lists and objects come back
+    as copies.  A field whose default is None also accepts null.
+    """
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {section}.{key}")
+        return default
+    value = doc.pop(key)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind) and (
+            kind is not list or all(isinstance(item, str) for item in value)
+        )
+    if not ok:
+        raise ConfigError(
+            f"{section}.{key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        )
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{section}.{key} is out of float range") from exc
+    return kind(value) if kind in (list, dict) else value
 
 
 def _reject_unknown(doc: dict, section: str) -> None:
     if doc:
         raise ConfigError(f"unknown field {section}.{sorted(doc)[0]}")
+
+
+def _build(cls, section: str, **fields):
+    """``cls(**fields)``, reporting a rejected value as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"config.{section}: {exc}") from exc
 
 
 @dataclass
@@ -163,77 +203,63 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     ``task.seed`` and ``train.seed`` default to the top-level seed.
     """
     doc = dict(doc)
-    method = _take(doc, "method")
+    method = _take(doc, "method", str)
     if method not in ("lora", "moelora", "talklora"):
         raise ConfigError(f"config.method must be lora|moelora|talklora, got {method!r}")
-    seed = int(_take(doc, "seed", 0))
+    seed = _take(doc, "seed", int, 0)
     if seed_override is not None:
         seed = seed_override
-    output_dir = str(_take(doc, "output_dir", "out"))
+    output_dir = _take(doc, "output_dir", str, "out")
 
-    adapter_doc = dict(_take(doc, "adapter", {}))
-    try:
-        adapter = AdapterConfig(
-            total_rank=int(_take(adapter_doc, "total_rank", 16, "adapter")),
-            experts=int(_take(adapter_doc, "experts", 4, "adapter")),
-            lora_alpha=float(_take(adapter_doc, "lora_alpha", 16.0, "adapter")),
-            share_b=bool(_take(adapter_doc, "share_b", True, "adapter")),
-            talking_enabled=bool(_take(adapter_doc, "talking_enabled", True, "adapter")),
-            spectral_clip_c=_take(adapter_doc, "spectral_clip_c", None, "adapter"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.adapter: {exc}") from exc
+    adapter_doc = _take(doc, "adapter", dict, {})
+    adapter = _build(
+        AdapterConfig, "adapter",
+        total_rank=_take(adapter_doc, "total_rank", int, 16, "adapter"),
+        experts=_take(adapter_doc, "experts", int, 4, "adapter"),
+        lora_alpha=_take(adapter_doc, "lora_alpha", float, 16.0, "adapter"),
+        share_b=_take(adapter_doc, "share_b", bool, True, "adapter"),
+        talking_enabled=_take(adapter_doc, "talking_enabled", bool, True, "adapter"),
+        spectral_clip_c=_take(adapter_doc, "spectral_clip_c", float, None, "adapter"),
+    )
     _reject_unknown(adapter_doc, "adapter")
 
-    targets = _take(doc, "targets", None)
-    if targets is not None:
-        targets = [str(t) for t in targets]
-    geometry = _take(doc, "geometry", None)
+    targets = _take(doc, "targets", list, None)
+    geometry = _take(doc, "geometry", str, None)
 
     task = None
-    task_doc = _take(doc, "task", None)
+    task_doc = _take(doc, "task", dict, None)
     if task_doc is not None:
-        task_doc = dict(task_doc)
-        try:
-            task = ClusterTaskSpec(
-                clusters=int(_take(task_doc, "clusters", 4, "task")),
-                input_dim=int(_take(task_doc, "input_dim", 16, "task")),
-                output_dim=int(_take(task_doc, "output_dim", 16, "task")),
-                samples_per_cluster=int(
-                    _take(task_doc, "samples_per_cluster", 250, "task")
-                ),
-                noise_std=float(_take(task_doc, "noise_std", 0.3, "task")),
-                seed=int(_take(task_doc, "seed", seed, "task")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.task: {exc}") from exc
+        task = _build(
+            ClusterTaskSpec, "task",
+            clusters=_take(task_doc, "clusters", int, 4, "task"),
+            input_dim=_take(task_doc, "input_dim", int, 16, "task"),
+            output_dim=_take(task_doc, "output_dim", int, 16, "task"),
+            samples_per_cluster=_take(task_doc, "samples_per_cluster", int, 250, "task"),
+            noise_std=_take(task_doc, "noise_std", float, 0.3, "task"),
+            seed=_take(task_doc, "seed", int, seed, "task"),
+        )
         _reject_unknown(task_doc, "task")
 
-    model_depth = int(_take(doc, "model_depth", 4))
+    model_depth = _take(doc, "model_depth", int, 4)
     if model_depth < 1:
         raise ConfigError("config.model_depth must be positive")
 
-    train_doc = dict(_take(doc, "train", {}))
-    try:
-        train_cfg = TrainConfig(
-            epochs=int(_take(train_doc, "epochs", 2, "train")),
-            batch_size=int(_take(train_doc, "batch_size", 32, "train")),
-            lr=float(_take(train_doc, "lr", 3e-4, "train")),
-            warmup_steps=int(_take(train_doc, "warmup_steps", 100, "train")),
-            eval_every=int(_take(train_doc, "eval_every", 50, "train")),
-            seed=int(_take(train_doc, "seed", seed, "train")),
-            lr_schedule=str(_take(train_doc, "lr_schedule", "linear", "train")),
-            weight_decay=float(_take(train_doc, "weight_decay", 0.0, "train")),
-            dropout=float(_take(train_doc, "dropout", 0.05, "train")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.train: {exc}") from exc
+    train_doc = _take(doc, "train", dict, {})
+    train_cfg = _build(
+        TrainConfig, "train",
+        epochs=_take(train_doc, "epochs", int, 2, "train"),
+        batch_size=_take(train_doc, "batch_size", int, 32, "train"),
+        lr=_take(train_doc, "lr", float, 3e-4, "train"),
+        warmup_steps=_take(train_doc, "warmup_steps", int, 100, "train"),
+        eval_every=_take(train_doc, "eval_every", int, 50, "train"),
+        seed=_take(train_doc, "seed", int, seed, "train"),
+        lr_schedule=_take(train_doc, "lr_schedule", str, "linear", "train"),
+        weight_decay=_take(train_doc, "weight_decay", float, 0.0, "train"),
+        dropout=_take(train_doc, "dropout", float, 0.05, "train"),
+    )
     _reject_unknown(train_doc, "train")
 
-    try:
-        loss = LossSpec(str(_take(doc, "loss", "mean-squared-error")))
-    except ValueError as exc:
-        raise ConfigError(f"config.loss: {exc}") from exc
+    loss = _build(LossSpec, "loss", kind=_take(doc, "loss", str, "mean-squared-error"))
     _reject_unknown(doc, "config")
     return RunConfig(
         method=method,

@@ -3,7 +3,7 @@
 Everything downstream (adapter forwards, gradients, certificates) runs on
 plain float64 numpy arrays.  This module owns the matrix and vector
 contract checks, the numerically stable softmax, the two initializers, the
-power-iteration spectral norm, and the reproducible RNG streams.
+exact spectral norm (LAPACK SVD), and the reproducible RNG streams.
 
 All functions are pure: arrays are treated as immutable values and results
 are freshly allocated, so concurrent callers can share inputs freely.
@@ -12,7 +12,6 @@ are freshly allocated, so concurrent callers can share inputs freely.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +19,6 @@ import numpy as np
 RNG_ALGORITHM = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
-
-
-class NonConvergenceWarning(UserWarning):
-    """Power iteration hit its iteration cap before the tolerance was met."""
 
 
 @dataclass(frozen=True)
@@ -126,50 +121,11 @@ def zero_init(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.float64)
 
 
-def spectral_norm(m, tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Largest singular value via power iteration on m^T m.
+def spectral_norm(m) -> float:
+    """Largest singular value of ``m``, exactly, from LAPACK's SVD.
 
-    The start vector is the normalized all-ones vector, which keeps the
-    estimate deterministic without any random draws.  If that vector lands
-    exactly in the nullspace of m^T m the iteration deterministically falls
-    back to standard basis vectors e_1, e_2, ... until one escapes.
-    Convergence is declared when successive sigma estimates differ by less
-    than ``tol``; running out of iterations emits
-    :class:`NonConvergenceWarning` and returns the last estimate.
+    The SVD is deterministic and has no iteration cap or tolerance, so a
+    clip that divides by this value lands on the spectral-norm ball up to
+    rounding.
     """
-    m = as_matrix(m, "m")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    cols = m.shape[1]
-
-    def _iterate(v0: np.ndarray) -> float | None:
-        v = v0
-        sigma = float(np.linalg.norm(m @ v))
-        for _ in range(max_iters):
-            w = m.T @ (m @ v)
-            wn = float(np.linalg.norm(w))
-            if wn == 0.0:
-                # start vector annihilated by m^T m; caller retries
-                return None if sigma == 0.0 else sigma
-            v = w / wn
-            new_sigma = float(np.linalg.norm(m @ v))
-            if abs(new_sigma - sigma) < tol:
-                return new_sigma
-            sigma = new_sigma
-        warnings.warn(
-            f"spectral_norm did not converge within {max_iters} iterations; "
-            f"last estimate {sigma!r}",
-            NonConvergenceWarning,
-        )
-        return sigma
-
-    ones = np.ones(cols) / np.sqrt(cols)
-    result = _iterate(ones)
-    if result is None:
-        for j in range(cols):
-            basis = np.zeros(cols)
-            basis[j] = 1.0
-            result = _iterate(basis)
-            if result is not None:
-                break
-    return 0.0 if result is None else result
+    return float(np.linalg.norm(as_matrix(m, "m"), 2))

@@ -51,3 +51,15 @@ def make_setup(
     x = gen.normal(size=(batch, d))
     t = gen.normal(size=(batch, k))
     return frozen, stack, x, t
+
+
+def near_degenerate_c(seed=0):
+    """4x4 C = 1.5 * Q1 diag(1, 1 - 1e-3, 0.5, 0.1) Q2^T, top gap 1.5e-3.
+
+    Power iteration converges slowly from below on such a matrix, so it is
+    the case that separates an exact spectral norm from an estimate.
+    """
+    gen = RngState(seed).generator()
+    q1, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+    q2, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+    return 1.5 * (q1 * np.array([1.0, 1.0 - 1e-3, 0.5, 0.1])) @ q2.T

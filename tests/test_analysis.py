@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _setup import make_setup
+from _setup import make_setup, near_degenerate_c
 from talklora.adapters import (
     AdapterConfig,
     LayerSlot,
@@ -188,6 +188,16 @@ class TestNonexpansiveAudit:
         stack = build_stack_from_slots("talklora", cfg, slots, RngState(2))
         apply_spectral_clip(stack)
         assert nonexpansive_audit(stack).fraction_within == 1.0
+
+    def test_audit_matches_svd_after_clip_of_near_degenerate_c(self):
+        cfg = AdapterConfig(total_rank=4, experts=4, lora_alpha=8.0, spectral_clip_c=1.0)
+        stack = build_stack_from_slots(
+            "talklora", cfg, [LayerSlot(0, "8x8", 8, 8)], RngState(3)
+        )
+        stack.adapters[0].c[:] = near_degenerate_c()
+        apply_spectral_clip(stack)
+        oracle = np.linalg.svd(stack.adapters[0].c, compute_uv=False)[0]
+        assert abs(nonexpansive_audit(stack).rows[0][2] - oracle) <= 1e-12
 
     def test_lora_stack_rejected(self):
         cfg = AdapterConfig(total_rank=4, experts=1)

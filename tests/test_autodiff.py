@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _setup import make_setup
+from _setup import make_setup, near_degenerate_c
 from talklora.adapters import (
     AdapterConfig,
     FrozenLinear,
@@ -243,6 +243,15 @@ class TestAdamW:
         apply_spectral_clip(stack)
         for adapter in stack.adapters:
             assert spectral_norm(adapter.c) <= 1.0 + 1e-9
+
+    def test_spectral_clip_bound_holds_on_near_degenerate_c(self):
+        # an estimate of sigma_max from below would leave C outside the ball
+        _, stack, _, _ = make_setup("talklora", n=4, r=4, seed=21, spectral_clip_c=1.0)
+        for adapter in stack.adapters:
+            adapter.c[:] = near_degenerate_c()
+        apply_spectral_clip(stack)
+        for adapter in stack.adapters:
+            assert np.linalg.svd(adapter.c, compute_uv=False)[0] <= 1.0 + 1e-12
 
     def test_shared_parameters_updated_once(self):
         frozen, stack, x, t = make_setup("talklora", share_b=True, depth=3, seed=19)

@@ -173,12 +173,16 @@ class TestCorruptionDetection:
 
 
 class TestFormatV1Fixtures:
-    """Checkpoints written before experts were stored as stacked arrays.
+    """Format v1 checkpoints written by earlier code.
 
     Each ``tests/fixtures/<method>-v1.tlkl`` is ``save_checkpoint(path,
-    _trained_stack(method), RUN_CONFIG)`` from the code that kept every
-    expert in its own array.  Loading one must give today's
-    ``_trained_stack`` bit for bit, and re-saving must give the same file.
+    _trained_stack(method), RUN_CONFIG)``.  The lora and moelora files come
+    from the code that kept every expert in its own array.  The talklora
+    file was rewritten when the C clip moved from power iteration to the
+    exact spectral norm, which moves every clipped tensor by up to 2e-13
+    relative; the old file still loaded and re-saved byte for byte.
+    Loading one must give today's ``_trained_stack`` bit for bit, and
+    re-saving must give the same file.
     """
 
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])

@@ -1,7 +1,9 @@
 import json
+import struct
 
 import pytest
 
+from talklora.checkpoint import read_header
 from talklora.cli import main
 
 
@@ -26,6 +28,19 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of a checkpoint, keeping its payloads."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
+        + raw[12 + header_len :]
+    )
 
 
 def run(capsys, *argv):
@@ -96,6 +111,38 @@ class TestParams:
         code, out, _ = run(capsys, "params", "--config", str(cfg), "--seed", "99")
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 99
+
+
+class TestConfigTypes:
+    ADAPTER = {"total_rank": 4, "experts": 2, "lora_alpha": 8.0}
+    TASK = {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 60}
+    WRONG_TYPES = {  # field -> config overrides giving it a value of the wrong JSON type
+        "spectral_clip_c": {"adapter": {**ADAPTER, "spectral_clip_c": "1.0"}},
+        "share_b": {"adapter": {**ADAPTER, "share_b": "false"}},
+        "samples_per_cluster": {"task": {**TASK, "samples_per_cluster": 2.9}},
+        "adapter": {"adapter": [1, 2]},
+        "targets": {"targets": "QKV"},
+        "seed": {"seed": "abc"},
+    }
+
+    @pytest.mark.parametrize("field", list(WRONG_TYPES))
+    def test_wrong_json_type_exits_2_naming_field(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, **self.WRONG_TYPES[field])
+        code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert f"{field} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_in_float_field_is_echoed_as_float(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, adapter={
+            "total_rank": 4, "experts": 2, "lora_alpha": 8, "share_b": False,
+            "spectral_clip_c": 1,
+        })
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        echoed = read_header(tmp_path / "out" / "checkpoint.tlkl")["run_config"]
+        assert repr(echoed["adapter"]["lora_alpha"]) == "8.0"
+        assert repr(echoed["adapter"]["spectral_clip_c"]) == "1.0"
+        assert echoed["adapter"]["share_b"] is False
 
 
 class TestTrain:
@@ -238,3 +285,21 @@ class TestCkptCommand:
         code, _, err = run(capsys, "ckpt", "inspect", "--checkpoint", str(ckpt))
         assert code == 4
         assert "truncated" in err
+
+    @pytest.mark.parametrize("action", ["inspect", "roundtrip"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header["tensors"][0].pop("handle"),
+            lambda header: header.update(tensors=5),
+        ],
+        ids=["record_without_handle", "tensors_not_a_list"],
+    )
+    def test_malformed_tensor_records_exit_4(self, tmp_path, capsys, action, edit):
+        cfg = write_config(tmp_path)
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        ckpt = tmp_path / "out" / "checkpoint.tlkl"
+        rewrite_header(ckpt, edit)
+        code, _, err = run(capsys, "ckpt", action, "--checkpoint", str(ckpt))
+        assert code == 4
+        assert "malformed header" in err

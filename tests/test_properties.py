@@ -1,0 +1,117 @@
+"""Property tests: malformed artifacts and configs fail only in the documented way.
+
+Every example set is derandomized and uses no example database, so the
+suite stays reproducible from run to run.
+"""
+
+import contextlib
+import copy
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _setup import make_setup
+from talklora.checkpoint import (
+    CorruptCheckpointError,
+    VersionMismatchError,
+    load_checkpoint,
+    read_header,
+    save_checkpoint,
+)
+from talklora.cli import ConfigError, main, parse_run_config
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+VALID_CONFIG = {
+    "method": "talklora",
+    "seed": 3,
+    "output_dir": "out",
+    "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "share_b": True,
+                "talking_enabled": True, "spectral_clip_c": 1.0},
+    "targets": ["Q", "V"],
+    "geometry": "llama3-8b",
+    "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 10,
+             "noise_std": 0.2, "seed": 5},
+    "model_depth": 2,
+    "train": {"epochs": 1, "batch_size": 4, "lr": 1e-3, "warmup_steps": 2,
+              "eval_every": 2, "seed": 6, "lr_schedule": "linear",
+              "weight_decay": 0.0, "dropout": 0.0},
+    "loss": "mean-squared-error",
+}
+FIELD_PATHS = [(key,) for key in VALID_CONFIG] + [
+    (section, key)
+    for section, fields in VALID_CONFIG.items() if isinstance(fields, dict)
+    for key in fields
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    _, stack, _, _ = make_setup("talklora", depth=2, seed=4)
+    path = tmp_path_factory.mktemp("valid") / "valid.tlkl"
+    save_checkpoint(path, stack, {"method": "talklora", "seed": 4})
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def victim(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "victim.tlkl"
+
+
+# bytes that keep a JSON header parseable more often than a uniform byte does
+_JSONISH = st.sampled_from(b'0123456789-.e"{}[],: tfn')
+
+
+def _mutated(raw: bytes, data) -> bytes:
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    at = data.draw(st.integers(0, len(raw) - 1), label="position")
+    byte = data.draw(_JSONISH | st.integers(0, 255), label="byte")
+    return raw[:at] + bytes([byte]) + raw[at + 1 :]
+
+
+class TestCheckpointMutations:
+    @PROPERTY
+    @given(data=st.data())
+    def test_readers_raise_only_artifact_errors(self, checkpoint_bytes, victim, data):
+        victim.write_bytes(_mutated(checkpoint_bytes, data))
+        for reader in (load_checkpoint, read_header):
+            try:
+                reader(victim)
+            except (CorruptCheckpointError, VersionMismatchError):
+                pass
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_ckpt_inspect_exits_0_or_4(self, checkpoint_bytes, victim, data):
+        victim.write_bytes(_mutated(checkpoint_bytes, data))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["ckpt", "inspect", "--checkpoint", str(victim)])
+        assert code in (0, 4)
+
+
+class TestConfigValues:
+    def test_valid_config_parses(self):
+        assert parse_run_config(VALID_CONFIG).effective_dict() == VALID_CONFIG
+
+    @PROPERTY
+    @given(path=st.sampled_from(FIELD_PATHS), value=json_values)
+    def test_any_value_in_any_field_parses_or_raises_config_error(self, path, value):
+        doc = copy.deepcopy(VALID_CONFIG)
+        holder = doc if len(path) == 1 else doc[path[0]]
+        holder[path[-1]] = value
+        try:
+            parse_run_config(doc)
+        except ConfigError:
+            pass
