@@ -14,7 +14,6 @@ from .adapters import (
     FrozenLinear,
     LoRAAdapter,
     MoELoRALayer,
-    SharedProjectionStore,
     TalkLoRALayer,
     build_adapter_stack,
     build_frozen_stack,
@@ -85,7 +84,6 @@ __all__ = [
     "ParamBudget",
     "RngState",
     "RoutingLoadReport",
-    "SharedProjectionStore",
     "StabilityCertificate",
     "TalkLoRALayer",
     "TrainConfig",

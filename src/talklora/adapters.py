@@ -14,19 +14,18 @@ random draw comes from a named :class:`~talklora.linalg.RngState` stream,
 so construction is bit-reproducible.
 
 Expert layout: MoELoRA and TalkLoRA layers stack their experts along a
-leading axis, one C-contiguous float64 array per role: A (n, r_e, d),
-E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the backward in
-:mod:`talklora.autodiff`) batch over that axis with ``np.matmul`` and
-reduce along it, so neither loops over experts.  A shared B is one
-stacked array per projection tag, held by every layer of that tag.
-Per-expert parameter handles (``L00.Q.A1``, ``shared.Q.B0``) name views
-``a[j]`` of the stacked arrays, so in-place updates through a handle land
-in the stack.
+leading axis, one array per role: A (n, r_e, d), E (n, r_e, r_e) and
+B (n, k, r_e).  Forwards (and the backward in :mod:`talklora.autodiff`)
+batch over that axis with ``np.matmul``, so neither loops over experts.
+An :class:`AdapterStack` keeps every trainable scalar in one float64
+buffer ``flat``; layer arrays are views of it, a shared B is stored once,
+and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,25 +132,10 @@ class MoELoRALayer:
 class TalkLoRALayer:
     a: np.ndarray  # (n, r_e, d)
     e: np.ndarray  # (n, r_e, r_e)
-    b: np.ndarray  # (n, k, r_e); the shared store's array when b_shared
+    b: np.ndarray  # (n, k, r_e); one array for all layers of a tag when b_shared
     c: np.ndarray  # (n, n) communication matrix
     router_wg: np.ndarray  # (n, r)
     b_shared: bool = False
-
-
-@dataclass
-class SharedProjectionStore:
-    """Cross-layer shared up-projections, keyed by projection tag.
-
-    Every layer built with sharing enabled holds the same stacked array,
-    so one gradient update is visible to all of them.
-    """
-
-    entries: dict = field(default_factory=dict)  # tag -> (n, k, r_e) array
-
-    @property
-    def tags(self) -> tuple:
-        return tuple(self.entries.keys())
 
 
 def init_lora(cfg: AdapterConfig, rng: RngState) -> LoRAAdapter:
@@ -434,34 +418,53 @@ class LayerSlot:
         return f"L{self.layer:02d}.{self.tag}"
 
 
-def _experts(role: str, stacked: np.ndarray) -> list:
-    """(role<j>, view of expert j) pairs of a stacked (n, ...) array."""
-    return [(f"{role}{j}", view) for j, view in enumerate(stacked)]
+# Trainable arrays of each layer type as (field, handle role), in buffer and
+# handle order.  A stacked (n, ...) field has one handle per expert, role<j>.
+_LAYOUT = {
+    LoRAAdapter: (("a", "A0"), ("b", "B0")),
+    MoELoRALayer: (("a", "A"), ("b", "B"), ("router_wg", "Wg")),
+    TalkLoRALayer: (("a", "A"), ("e", "E"), ("c", "C"), ("router_wg", "Wg"), ("b", "B")),
+}
 
 
 class AdapterStack:
-    """All adapters of one method over a list of slots, plus the shared store.
+    """All adapters of one method over a list of slots, in one parameter buffer.
 
-    Parameter arrays are reachable through stable string handles; shared B
-    matrices appear exactly once, under ``shared.<tag>.B<i>`` handles.
-    A per-expert handle names a view ``a[j]`` of its layer's stacked array.
-    Forward passes never mutate parameters; optimizer steps mutate them in
-    place through :meth:`named_parameters`.
+    ``flat`` (C-contiguous float64) holds every trainable scalar in handle
+    order; layer arrays are rebound to views of it, and ``ranges[i]`` maps
+    slot i's field names to their slices.  Layers holding one B array (a
+    shared B) share its slice and view, and its handles ``shared.<tag>.B<i>``
+    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
     """
 
-    def __init__(self, method: str, cfg: AdapterConfig, slots: list, adapters: list,
-                 shared: Optional[SharedProjectionStore]):
+    def __init__(self, method: str, cfg: AdapterConfig, slots: list, adapters: list):
         self.method = method
         self.cfg = cfg
         self.slots = slots
         self.adapters = adapters
-        self.shared = shared
         self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
+        first = {}  # id of each distinct array -> (its range, the array)
+        self.ranges = []
+        offset = 0
+        for ad in adapters:
+            spans = {}
+            for name, _ in _LAYOUT[type(ad)]:
+                arr = getattr(ad, name)
+                if id(arr) not in first:
+                    first[id(arr)] = (slice(offset, offset + arr.size), arr)
+                    offset += arr.size
+                spans[name] = first[id(arr)][0]
+            self.ranges.append(spans)
+        self.flat = np.concatenate([arr.reshape(-1) for _, arr in first.values()])
+        views = {key: self.flat[span].reshape(arr.shape)
+                 for key, (span, arr) in first.items()}
+        for ad in adapters:
+            for name, _ in _LAYOUT[type(ad)]:
+                setattr(ad, name, views[id(getattr(ad, name))])
         self._by_handle = {}
         for i in range(len(slots)):
             for _, handle, arr in self.slot_handles(i):
                 self._by_handle.setdefault(handle, arr)  # shared B recorded once
-        self._params = list(self._by_handle.items())
 
     def slot_cfg(self, i: int) -> AdapterConfig:
         return self._slot_cfgs[i]
@@ -469,33 +472,39 @@ class AdapterStack:
     def slot_handles(self, i: int) -> list:
         """(role, handle, array) triples for slot i, sharing-resolved."""
         slot, ad = self.slots[i], self.adapters[i]
-        if isinstance(ad, LoRAAdapter):
-            tensors = [("A0", ad.a), ("B0", ad.b)]
-        elif isinstance(ad, MoELoRALayer):
-            tensors = _experts("A", ad.a) + _experts("B", ad.b) + [("Wg", ad.router_wg)]
-        else:
-            tensors = (_experts("A", ad.a) + _experts("E", ad.e)
-                       + [("C", ad.c), ("Wg", ad.router_wg)] + _experts("B", ad.b))
-        shared_b = getattr(ad, "b_shared", False)
         out = []
-        for role, arr in tensors:
-            owner = f"shared.{slot.tag}" if shared_b and role[0] == "B" else slot.name
-            out.append((role, f"{owner}.{role}", arr))
+        for name, role in _LAYOUT[type(ad)]:
+            arr = getattr(ad, name)
+            shared = name == "b" and getattr(ad, "b_shared", False)
+            owner = f"shared.{slot.tag}" if shared else slot.name
+            experts = enumerate(arr) if arr.ndim == 3 else [("", arr)]  # A0, A1, ... or C
+            out += [(f"{role}{j}", f"{owner}.{role}{j}", view) for j, view in experts]
         return out
 
     def named_parameters(self) -> list:
-        """(handle, array) pairs in a fixed order; shared tensors once."""
-        return list(self._params)
+        """(handle, array) pairs in buffer order; shared tensors once."""
+        return list(self._by_handle.items())
 
     def parameter(self, handle: str) -> np.ndarray:
         return self._by_handle[handle]
 
     @property
     def handles(self) -> list:
-        return [h for h, _ in self._params]
+        return list(self._by_handle)
 
     def trainable_count(self) -> int:
-        return sum(arr.size for _, arr in self._params)
+        return self.flat.size
+
+    def views(self, buf: np.ndarray) -> dict:
+        """handle -> view of ``buf``, an array laid out like :attr:`flat`."""
+        params = self._by_handle.items()
+        ends = accumulate(arr.size for arr in self._by_handle.values())
+        return {handle: buf[end - arr.size:end].reshape(arr.shape)
+                for (handle, arr), end in zip(params, ends)}
+
+    def flatten(self, arrays: dict) -> np.ndarray:
+        """``arrays`` (handle -> array) gathered into one array laid out like :attr:`flat`."""
+        return np.concatenate([arrays[handle].reshape(-1) for handle in self._by_handle])
 
 
 def build_stack_from_slots(
@@ -506,11 +515,10 @@ def build_stack_from_slots(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not slots:
         raise ValueError("at least one slot is required")
-    shared = None
+    shared = {}  # tag -> the (n, k, r_e) B every layer of that tag holds
     if method == "talklora" and cfg.share_b:
-        shared = SharedProjectionStore()
         for slot in slots:
-            entry = shared.entries.setdefault(
+            entry = shared.setdefault(
                 slot.tag, np.zeros((cfg.experts, slot.d_out, cfg.expert_rank))
             )
             if entry.shape[1] != slot.d_out:
@@ -527,9 +535,9 @@ def build_stack_from_slots(
         elif method == "moelora":
             adapters.append(init_moelora(slot_cfg, slot_rng))
         else:
-            shared_b = shared.entries[slot.tag] if shared is not None else None
+            shared_b = shared.get(slot.tag)
             adapters.append(init_talklora(slot_cfg, slot_rng, shared_b=shared_b))
-    return AdapterStack(method, cfg, list(slots), adapters, shared)
+    return AdapterStack(method, cfg, list(slots), adapters)
 
 
 def build_frozen_stack(

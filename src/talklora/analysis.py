@@ -26,7 +26,7 @@ from .adapters import (
 from .autodiff import LossSpec, model_forward
 from .geometry import ModelGeometry
 from .linalg import RngState, spectral_norm
-from .tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
+from .tasks import ClusterTaskSpec, TrainConfig, _mean_gates, generate_cluster_task, train
 
 NONEXPANSIVE_SLACK = 1e-9
 
@@ -231,8 +231,7 @@ def routing_load(stack: AdapterStack, frozen_layers: list, data) -> RoutingLoadR
     x = data.x_eval if hasattr(data, "x_eval") else np.asarray(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("data must be a nonempty (N, d) array")
-    _, caches = model_forward(frozen_layers, stack, x)
-    mean_gates = np.stack([cache.gates.mean(axis=0) for cache in caches], axis=0)
+    mean_gates = _mean_gates(model_forward(frozen_layers, stack, x)[1])
     entropy = np.array([shannon_entropy(row) for row in mean_gates])
     max_share = mean_gates.max(axis=1)
     loads = mean_gates.mean(axis=0)

@@ -10,7 +10,7 @@ layers' contributions under a single handle.
 ``finite_difference_oracle`` recomputes the same gradients scalar by
 scalar with central differences and is kept deliberately independent of
 the analytic path; ``gradcheck`` compares the two.  ``adamw_step`` is the
-standard decoupled-weight-decay update used by the training loop.
+decoupled-weight-decay update of the training loop, applied to ``flat``.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _lora_backward(ad: LoRAAdapter, cfg: AdapterConfig, cache, gz):
     gh = gd @ ad.b
     ga = gh.T @ cache.xa
     gxa = gh @ ad.a
-    return gxa, {"A0": ga, "B0": gb}
+    return gxa, {"a": ga, "b": gb}
 
 
 def _gate_backward(cache, gd):
@@ -145,9 +145,9 @@ def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz):
     # router term first, then each expert's in order: a fixed float summation order
     gxa = np.concatenate(((g_logits @ ml.router_wg)[None], gh @ ml.a)).sum(axis=0)
     return gxa, {
-        "Wg": g_logits.T @ cache.router_in,
-        "B": gy.transpose(0, 2, 1) @ cache.h,
-        "A": gh.transpose(0, 2, 1) @ cache.xa,
+        "router_wg": g_logits.T @ cache.router_in,
+        "b": gy.transpose(0, 2, 1) @ cache.h,
+        "a": gh.transpose(0, 2, 1) @ cache.xa,
     }
 
 
@@ -156,26 +156,17 @@ def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz):
     g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
     ght = g_logits @ tl.router_wg  # (B, r) gradient at the router input
     ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
-    grads = {"Wg": g_logits.T @ cache.router_in}
+    grads = {"router_wg": g_logits.T @ cache.router_in}
+    gh_router = ght  # without talking, C gets no gradient and keeps its zero
     if cfg.talking_enabled:
-        grads["C"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
+        grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
         gh_router = talking_mix(tl.c.T, ght)
-    else:
-        grads["C"] = np.zeros_like(tl.c)  # communication unused in this ablation
-        gh_router = ght
     gp = gy @ tl.b  # (n, B, r_e)
     gh = gh_router + gp @ tl.e
-    grads["B"] = gy.transpose(0, 2, 1) @ cache.p
-    grads["E"] = gp.transpose(0, 2, 1) @ cache.h
-    grads["A"] = gh.transpose(0, 2, 1) @ cache.xa
+    grads["b"] = gy.transpose(0, 2, 1) @ cache.p
+    grads["e"] = gp.transpose(0, 2, 1) @ cache.h
+    grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
     return (gh @ tl.a).sum(axis=0), grads
-
-
-def _role_grad(layer_grads: dict, role: str) -> np.ndarray:
-    """One slot role's gradient; expert role ``A1`` is row 1 of the stacked ``A``."""
-    if role in layer_grads:
-        return layer_grads[role]
-    return layer_grads[role[0]][int(role[1:])]
 
 
 def _layer_backward(adapter, cfg, cache, gz):
@@ -199,8 +190,8 @@ def backward(
 ) -> tuple[float, dict]:
     """Loss value and exact analytic gradients for every trainable tensor.
 
-    The returned dict has exactly one entry per handle of
-    ``stack.named_parameters()``; shared B entries hold the sum of all
+    The returned dict has one entry per handle, each a view of one buffer
+    laid out like ``stack.flat``; shared B entries hold the sum of all
     aliasing layers' contributions, accumulated in fixed layer order.
     """
     inputs, targets = batch
@@ -209,7 +200,7 @@ def backward(
         raise ValueError("batch inputs must be a nonempty (batch, d) array")
     z, caches = model_forward(frozen_layers, stack, inputs, dropout_scales)
     value, gz = loss_and_grad(z, np.asarray(targets), loss)
-    grads = {handle: np.zeros_like(arr) for handle, arr in stack.named_parameters()}
+    grad = np.zeros_like(stack.flat)
     gx = gz
     for i in reversed(range(len(frozen_layers))):
         if i < len(frozen_layers) - 1:
@@ -218,10 +209,10 @@ def backward(
         gxa, layer_grads = _layer_backward(
             stack.adapters[i], stack.slot_cfg(i), caches[i], gx
         )
-        for role, handle, _ in stack.slot_handles(i):
-            grads[handle] += _role_grad(layer_grads, role)
+        for name, g in layer_grads.items():
+            grad[stack.ranges[i][name]] += g.reshape(-1)
         gx = gx @ frozen_layers[i].w0 + gxa
-    return value, grads
+    return value, stack.views(grad)
 
 
 def _reference_loss(
@@ -384,40 +375,32 @@ class AdamWHyper:
 
 
 class AdamWState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moments of a stack's parameter buffer plus the step counter."""
 
-    def __init__(self, params):
-        items = params.named_parameters() if hasattr(params, "named_parameters") else params
+    def __init__(self, stack: AdapterStack):
         self.step = 0
-        self.m = {handle: np.zeros_like(arr) for handle, arr in items}
-        self.v = {handle: np.zeros_like(arr) for handle, arr in items}
+        self.m = np.zeros_like(stack.flat)
+        self.v = np.zeros_like(stack.flat)
 
 
-def adamw_step(params, grads: dict, state: AdamWState, hyper: AdamWHyper) -> None:
-    """One decoupled-weight-decay Adam update, in place on the parameters.
+def adamw_step(stack, grads: dict, state: AdamWState, hyper: AdamWHyper) -> None:
+    """One decoupled-weight-decay Adam update, in place on ``stack.flat``.
 
-    ``params`` is a sequence of (handle, array) pairs (or an object with
-    ``named_parameters()``); every handle must appear in ``grads`` and in
-    the state.  Weight decay multiplies parameters by (1 - lr * wd) after
-    the gradient step, independent of the adaptive scaling.
+    ``grads`` maps every handle of the stack to its gradient.  Weight
+    decay multiplies parameters by (1 - lr * wd) after the gradient step,
+    independent of the adaptive scaling.
     """
-    items = params.named_parameters() if hasattr(params, "named_parameters") else params
+    g = stack.flatten(grads)
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - hyper.beta1**t
-    bc2 = 1.0 - hyper.beta2**t
-    for handle, arr in items:
-        g = grads[handle]
-        m = state.m[handle]
-        v = state.v[handle]
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
-        arr -= hyper.lr * update
-        if hyper.weight_decay != 0.0:
-            arr -= hyper.lr * hyper.weight_decay * arr
+    bc1 = 1.0 - hyper.beta1**state.step
+    bc2 = 1.0 - hyper.beta2**state.step
+    state.m *= hyper.beta1
+    state.m += (1.0 - hyper.beta1) * g
+    state.v *= hyper.beta2
+    state.v += (1.0 - hyper.beta2) * (g * g)
+    stack.flat -= hyper.lr * ((state.m / bc1) / (np.sqrt(state.v / bc2) + hyper.eps))
+    if hyper.weight_decay != 0.0:
+        stack.flat -= hyper.lr * hyper.weight_decay * stack.flat
 
 
 def apply_spectral_clip(stack: AdapterStack) -> None:

@@ -49,11 +49,13 @@ class VersionMismatchError(Exception):
         )
 
 
-def _config_to_dict(cfg: AdapterConfig) -> dict:
-    doc = asdict(cfg)
-    doc.pop("input_dim")  # per-slot dims are recorded on the slots
-    doc.pop("output_dim")
-    return doc
+def config_to_dict(cfg, drop=("input_dim", "output_dim")) -> dict:
+    """``asdict(cfg)`` without the fields in ``drop``.
+
+    The default drops an adapter config's dims: they are per slot, and
+    checkpoints record them on the slots.
+    """
+    return {key: value for key, value in asdict(cfg).items() if key not in drop}
 
 
 def _alias_table(stack: AdapterStack) -> dict:
@@ -85,7 +87,7 @@ def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "method": stack.method,
-        "adapter_config": _config_to_dict(stack.cfg),
+        "adapter_config": config_to_dict(stack.cfg),
         "slots": [
             {"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
             for s in stack.slots

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,7 @@ from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
 from .checkpoint import (
     CorruptCheckpointError,
     VersionMismatchError,
+    config_to_dict,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -94,8 +96,8 @@ def _take(doc: dict, key: str, kind: type, default=_REQUIRED, section: str = "co
     """Pop ``doc[key]``, which must have the JSON type ``kind``, or the default.
 
     Bools are never numbers, ints are never floats, and a float field takes
-    any JSON number and stores it as a float.  Lists and objects come back
-    as copies.  A field whose default is None also accepts null.
+    any finite JSON number and stores it as a float.  Lists and objects come
+    back as copies.  A field whose default is None also accepts null.
     """
     if key not in doc:
         if default is _REQUIRED:
@@ -118,10 +120,22 @@ def _take(doc: dict, key: str, kind: type, default=_REQUIRED, section: str = "co
         )
     if kind is float:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError as exc:
             raise ConfigError(f"{section}.{key} is out of float range") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be a finite number, got {value}")
+        return value
     return kind(value) if kind in (list, dict) else value
+
+
+def _seed(seed: int, name: str) -> int:
+    """``seed``, which must be a valid RngState seed."""
+    try:
+        RngState(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be a valid seed: {exc}") from None
+    return seed
 
 
 def _reject_unknown(doc: dict, section: str) -> None:
@@ -156,26 +170,9 @@ class RunConfig:
             "method": self.method,
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "adapter": {
-                "total_rank": self.adapter.total_rank,
-                "experts": self.adapter.experts,
-                "lora_alpha": self.adapter.lora_alpha,
-                "share_b": self.adapter.share_b,
-                "talking_enabled": self.adapter.talking_enabled,
-                "spectral_clip_c": self.adapter.spectral_clip_c,
-            },
+            "adapter": config_to_dict(self.adapter),
             "model_depth": self.model_depth,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "lr": self.train.lr,
-                "warmup_steps": self.train.warmup_steps,
-                "eval_every": self.train.eval_every,
-                "seed": self.train.seed,
-                "lr_schedule": self.train.lr_schedule,
-                "weight_decay": self.train.weight_decay,
-                "dropout": self.train.dropout,
-            },
+            "train": config_to_dict(self.train, drop=()),
             "loss": self.loss.kind,
         }
         if self.targets is not None:
@@ -183,14 +180,7 @@ class RunConfig:
         if self.geometry is not None:
             doc["geometry"] = self.geometry
         if self.task is not None:
-            doc["task"] = {
-                "clusters": self.task.clusters,
-                "input_dim": self.task.input_dim,
-                "output_dim": self.task.output_dim,
-                "samples_per_cluster": self.task.samples_per_cluster,
-                "noise_std": self.task.noise_std,
-                "seed": self.task.seed,
-            }
+            doc["task"] = config_to_dict(self.task, drop=("centers", "maps"))
         return doc
 
 
@@ -206,9 +196,9 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     method = _take(doc, "method", str)
     if method not in ("lora", "moelora", "talklora"):
         raise ConfigError(f"config.method must be lora|moelora|talklora, got {method!r}")
-    seed = _take(doc, "seed", int, 0)
+    seed = _seed(_take(doc, "seed", int, 0), "config.seed")
     if seed_override is not None:
-        seed = seed_override
+        seed = _seed(seed_override, "--seed")
     output_dir = _take(doc, "output_dir", str, "out")
 
     adapter_doc = _take(doc, "adapter", dict, {})
@@ -236,7 +226,7 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
             output_dim=_take(task_doc, "output_dim", int, 16, "task"),
             samples_per_cluster=_take(task_doc, "samples_per_cluster", int, 250, "task"),
             noise_std=_take(task_doc, "noise_std", float, 0.3, "task"),
-            seed=_take(task_doc, "seed", int, seed, "task"),
+            seed=_seed(_take(task_doc, "seed", int, seed, "task"), "task.seed"),
         )
         _reject_unknown(task_doc, "task")
 
@@ -252,7 +242,7 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
         lr=_take(train_doc, "lr", float, 3e-4, "train"),
         warmup_steps=_take(train_doc, "warmup_steps", int, 100, "train"),
         eval_every=_take(train_doc, "eval_every", int, 50, "train"),
-        seed=_take(train_doc, "seed", int, seed, "train"),
+        seed=_seed(_take(train_doc, "seed", int, seed, "train"), "train.seed"),
         lr_schedule=_take(train_doc, "lr_schedule", str, "linear", "train"),
         weight_decay=_take(train_doc, "weight_decay", float, 0.0, "train"),
         dropout=_take(train_doc, "dropout", float, 0.05, "train"),

@@ -183,8 +183,8 @@ def _schedule_lr(step: int, total: int, tc: TrainConfig) -> float:
     return tc.lr * (total - step) / (total - tc.warmup_steps)
 
 
-def _mean_gates(stack: AdapterStack, frozen_layers, x: np.ndarray):
-    _, caches = model_forward(frozen_layers, stack, x)
+def _mean_gates(caches: list) -> Optional[np.ndarray]:
+    """(layers, experts) mean gate vectors of a forward's caches; None for LoRA."""
     if caches[0].gates is None:
         return None
     return np.stack([cache.gates.mean(axis=0) for cache in caches], axis=0)
@@ -237,25 +237,28 @@ def train(
             stack_adamw_step(stack, grads, state, hyper)
             log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
             if step % tc.eval_every == 0 or step == total_steps:
-                eval_loss = evaluate(stack, frozen_layers, data, loss)
+                eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
                 log.snapshots.append(
                     RoutingSnapshot(
-                        step=step,
-                        eval_loss=eval_loss,
-                        mean_gates=_mean_gates(stack, frozen_layers, data.x_eval),
+                        step=step, eval_loss=eval_loss, mean_gates=_mean_gates(caches)
                     )
                 )
     return log
+
+
+def _eval_forward(stack, frozen_layers, data, loss) -> tuple[float, list]:
+    """Eval-split loss and the forward caches it came from."""
+    if data.x_eval.shape[0] == 0:
+        raise ValueError("eval split is empty")
+    z, caches = model_forward(frozen_layers, stack, data.x_eval)
+    return loss_value(z, data.y_eval, loss), caches
 
 
 def evaluate(
     stack: AdapterStack, frozen_layers: list, data: ClusterDataset, loss: LossSpec
 ) -> float:
     """Mean loss over the eval split; pure, no dropout, no mutation."""
-    if data.x_eval.shape[0] == 0:
-        raise ValueError("eval split is empty")
-    z, _ = model_forward(frozen_layers, stack, data.x_eval)
-    return loss_value(z, data.y_eval, loss)
+    return _eval_forward(stack, frozen_layers, data, loss)[0]
 
 
 def trainlog_to_dict(log: TrainLog) -> dict:

@@ -324,10 +324,28 @@ class TestBuildAdapterStack:
         stack = build_stack_from_slots("talklora", cfg, slots, RngState(23))
         first, second = stack.adapters
         assert first.b is second.b
-        assert first.b is stack.shared.entries["Q"]
         # one gradient update is visible everywhere
         first.b[0][0, 0] = 42.0
         assert second.b[0][0, 0] == 42.0
+
+    @pytest.mark.parametrize(
+        "method,share_b",
+        [("lora", True), ("moelora", True), ("talklora", True), ("talklora", False)],
+    )
+    def test_every_parameter_is_a_view_of_the_buffer(self, method, share_b):
+        cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=share_b)
+        slots = [LayerSlot(0, "Q", 8, 8), LayerSlot(0, "V", 8, 4), LayerSlot(1, "Q", 8, 8)]
+        stack = build_stack_from_slots(method, cfg, slots, RngState(25))
+        for handle, arr in stack.named_parameters():
+            assert np.shares_memory(arr, stack.flat), handle
+        for ad, ranges in zip(stack.adapters, stack.ranges):
+            for name, span in ranges.items():
+                assert np.shares_memory(getattr(ad, name), stack.flat[span]), name
+        # handle order is buffer order
+        params = np.concatenate([a.ravel() for _, a in stack.named_parameters()])
+        assert params.tobytes() == stack.flat.tobytes()
+        assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
+        assert stack.trainable_count() == stack.flat.size
 
     def test_unshared_b_stays_private(self):
         cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=False)

@@ -86,6 +86,15 @@ class TestBackwardStructure:
             np.abs(grads[h]).max() > 0 for h in grads if h.endswith(".C")
         )
 
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_gradients_are_views_of_one_buffer(self, method):
+        frozen, stack, x, t = make_setup(method, share_b=True, depth=3)
+        _, grads = backward(stack, frozen, (x, t), MSE)
+        buf = grads[stack.handles[0]].base
+        assert buf is not None and buf.shape == stack.flat.shape
+        assert all(g.base is buf for g in grads.values())
+        assert np.array_equal(buf, np.concatenate([g.ravel() for g in grads.values()]))
+
     def test_determinism(self):
         g1 = backward(*_fresh())[1]
         g2 = backward(*_fresh())[1]
@@ -146,7 +155,7 @@ class TestSharedBGradients:
         loss_s, grads_s = backward(shared_stack, frozen, (x, t), MSE)
         loss_u, grads_u = backward(unshared_stack, frozen2, (x, t), MSE)
         assert loss_s == pytest.approx(loss_u, rel=1e-15)
-        for tag in shared_stack.shared.tags:
+        for tag in {slot.tag for slot in shared_stack.slots}:
             for j in range(n):
                 summed = sum(
                     grads_u[f"{slot.name}.B{j}"]
@@ -200,29 +209,38 @@ class TestGradcheck:
         assert errs[handle] > 1e-3
 
 
+def _scalar_stack(a, b):
+    """One-slot 1x1 LoRA stack: two trainable scalars, A0 = a and B0 = b."""
+    cfg = AdapterConfig(total_rank=1, lora_alpha=1.0, share_b=False)
+    stack = build_stack_from_slots("lora", cfg, [LayerSlot(0, "1x1", 1, 1)], RngState(0))
+    stack.parameter("L00.1x1.A0")[:] = a
+    stack.parameter("L00.1x1.B0")[:] = b
+    return stack
+
+
+def _scalar_grads(a, b):
+    return {"L00.1x1.A0": np.array([[a]]), "L00.1x1.B0": np.array([[b]])}
+
+
 class TestAdamW:
     def test_zero_gradient_no_decay_is_identity(self):
-        w = np.array([[1.0, -2.0], [3.0, 4.0]])
-        params = [("w", w)]
-        state = AdamWState(params)
-        adamw_step(params, {"w": np.zeros_like(w)}, state, AdamWHyper(lr=0.1))
-        assert np.array_equal(w, [[1.0, -2.0], [3.0, 4.0]])
+        stack = _scalar_stack(1.0, -2.0)
+        adamw_step(stack, _scalar_grads(0.0, 0.0), AdamWState(stack), AdamWHyper(lr=0.1))
+        assert np.array_equal(stack.flat, [1.0, -2.0])
 
     def test_unit_gradient_first_step(self):
-        w = np.array([[5.0]])
-        params = [("w", w)]
-        state = AdamWState(params)
-        adamw_step(params, {"w": np.array([[1.0]])}, state, AdamWHyper(lr=0.1))
+        stack = _scalar_stack(5.0, 0.0)
+        adamw_step(stack, _scalar_grads(1.0, 0.0), AdamWState(stack), AdamWHyper(lr=0.1))
         # bias-corrected m_hat / sqrt(v_hat) = 1 on the first step
-        assert w[0, 0] == pytest.approx(5.0 - 0.1, abs=1e-8)
+        assert stack.parameter("L00.1x1.A0")[0, 0] == pytest.approx(5.0 - 0.1, abs=1e-8)
 
     def test_decoupled_decay_alone(self):
-        w = np.array([[2.0]])
-        params = [("w", w)]
-        state = AdamWState(params)
+        stack = _scalar_stack(2.0, 0.0)
         hyper = AdamWHyper(lr=0.1, weight_decay=0.01)
-        adamw_step(params, {"w": np.zeros((1, 1))}, state, hyper)
-        assert w[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.01), rel=1e-12)
+        adamw_step(stack, _scalar_grads(0.0, 0.0), AdamWState(stack), hyper)
+        assert stack.parameter("L00.1x1.A0")[0, 0] == pytest.approx(
+            2.0 * (1.0 - 0.1 * 0.01), rel=1e-12
+        )
 
     def test_frozen_weights_never_move(self):
         frozen, stack, x, t = make_setup("talklora", seed=17)
@@ -285,3 +303,48 @@ class TestAdamW:
         stack_adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
         for whole, old in zip(stacked, before):
             assert not np.array_equal(whole, old)
+
+    def test_buffer_update_matches_per_handle_loop_bitwise(self):
+        # the per-tensor AdamW the buffer update replaced, with weight decay
+        frozen, stack, x, t = make_setup("talklora", share_b=True, depth=3, seed=22)
+        _, loop_stack, _, _ = make_setup("talklora", share_b=True, depth=3, seed=22)
+        state = AdamWState(stack)
+        m = {h: np.zeros_like(a) for h, a in loop_stack.named_parameters()}
+        v = {h: np.zeros_like(a) for h, a in loop_stack.named_parameters()}
+        for step in range(1, 6):
+            hyper = AdamWHyper(lr=1e-2 * step, weight_decay=0.01)
+            _, grads = backward(stack, frozen, (x, t), MSE)
+            adamw_step(stack, grads, state, hyper)
+            _, loop_grads = backward(loop_stack, frozen, (x, t), MSE)
+            bc1, bc2 = 1.0 - hyper.beta1**step, 1.0 - hyper.beta2**step
+            for handle, arr in loop_stack.named_parameters():
+                g = loop_grads[handle]
+                m[handle] *= hyper.beta1
+                m[handle] += (1.0 - hyper.beta1) * g
+                v[handle] *= hyper.beta2
+                v[handle] += (1.0 - hyper.beta2) * (g * g)
+                arr -= hyper.lr * ((m[handle] / bc1) / (np.sqrt(v[handle] / bc2) + hyper.eps))
+                arr -= hyper.lr * hyper.weight_decay * arr
+            assert np.array_equal(stack.flat, loop_stack.flat), step
+
+    def test_replaced_gradient_entry_is_used(self):
+        frozen, stack, x, t = make_setup("moelora", seed=23)
+        _, twin, _, _ = make_setup("moelora", seed=23)
+        _, grads = backward(stack, frozen, (x, t), MSE)
+        handle = next(h for h in grads if h.endswith(".Wg"))
+        grads[handle] = 2.0 * grads[handle]  # a new array, not a view of the buffer
+        copied = {h: g.copy() for h, g in grads.items()}
+        adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
+        adamw_step(twin, copied, AdamWState(twin), AdamWHyper(lr=1e-2))
+        assert np.array_equal(stack.flat, twin.flat)
+
+    def test_entry_replaced_by_another_view_of_the_buffer_is_used(self):
+        frozen, stack, x, t = make_setup("talklora", seed=24)
+        _, twin, _, _ = make_setup("talklora", seed=24)
+        _, grads = backward(stack, frozen, (x, t), MSE)
+        grads["L00.8x8.A1"] = grads["L00.8x8.A0"]
+        grads["L01.8x8.C"] = grads["L01.8x8.C"].T
+        gathered = np.concatenate([grads[h].ravel() for h, _ in twin.named_parameters()])
+        adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
+        adamw_step(twin, twin.views(gathered), AdamWState(twin), AdamWHyper(lr=1e-2))
+        assert np.array_equal(stack.flat, twin.flat)

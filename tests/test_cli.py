@@ -145,6 +145,36 @@ class TestConfigTypes:
         assert echoed["adapter"]["share_b"] is False
 
 
+class TestConfigValues:
+    ADAPTER = TestConfigTypes.ADAPTER
+    TASK = TestConfigTypes.TASK
+    TRAIN = {"epochs": 1, "batch_size": 16}
+    UNUSABLE = {  # field -> config overrides giving it a value that parses but cannot run
+        "train.lr": {"train": {**TRAIN, "lr": float("nan")}},
+        "task.noise_std": {"task": {**TASK, "noise_std": float("nan")}},
+        "adapter.spectral_clip_c": {"adapter": {**ADAPTER, "spectral_clip_c": float("nan")}},
+        "adapter.lora_alpha": {"adapter": {**ADAPTER, "lora_alpha": float("inf")}},
+        "train.weight_decay": {"train": {**TRAIN, "weight_decay": -float("inf")}},
+        "config.seed": {"seed": -1},
+        "task.seed": {"task": {**TASK, "seed": 2**64}},
+        "train.seed": {"train": {**TRAIN, "seed": -5}},
+    }
+
+    @pytest.mark.parametrize("field", list(UNUSABLE))
+    def test_unusable_value_exits_2_naming_field(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, **self.UNUSABLE[field])
+        code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert f"{field} must" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--seed", str(2**64))
+        assert code == 2
+        assert "--seed must" in err
+
+
 class TestTrain:
     def test_outputs_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a"

@@ -7,9 +7,10 @@ suite stays reproducible from run to run.
 import contextlib
 import copy
 import io
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _setup import make_setup
@@ -21,6 +22,7 @@ from talklora.checkpoint import (
     save_checkpoint,
 )
 from talklora.cli import ConfigError, main, parse_run_config
+from talklora.linalg import RngState
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -48,7 +50,7 @@ FIELD_PATHS = [(key,) for key in VALID_CONFIG] + [
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
@@ -107,11 +109,20 @@ class TestConfigValues:
 
     @PROPERTY
     @given(path=st.sampled_from(FIELD_PATHS), value=json_values)
+    @example(path=("train", "lr"), value=float("nan"))
+    @example(path=("adapter", "spectral_clip_c"), value=float("inf"))
+    @example(path=("seed",), value=-1)
+    @example(path=("task", "seed"), value=2**64)
     def test_any_value_in_any_field_parses_or_raises_config_error(self, path, value):
         doc = copy.deepcopy(VALID_CONFIG)
         holder = doc if len(path) == 1 else doc[path[0]]
         holder[path[-1]] = value
         try:
-            parse_run_config(doc)
+            config = parse_run_config(doc)
         except ConfigError:
-            pass
+            return
+        # what parses is usable: the echo is strict JSON and every seed seeds a stream
+        json.dumps(config.effective_dict(), allow_nan=False)
+        tasks = [config.task] if config.task is not None else []
+        for seed in [config.seed, config.train.seed] + [task.seed for task in tasks]:
+            RngState(seed)

@@ -9,6 +9,7 @@ from talklora.adapters import (
     frozen_stack_slots,
 )
 from talklora.autodiff import LossSpec, model_forward
+from talklora import tasks
 from talklora.linalg import RngState
 from talklora.tasks import (
     ClusterDataset,
@@ -150,6 +151,19 @@ class TestTrain:
         losses = np.array([s.loss for s in log.steps])
         windows = losses[: len(losses) // 50 * 50].reshape(-1, 50).mean(axis=1)
         assert np.all(np.diff(windows) <= 1e-12)
+
+    def test_one_eval_forward_per_snapshot(self, monkeypatch):
+        data, frozen, stack, tc = _noiseless_setup(epochs=10)  # snapshots at 100, 110
+        forwards = []
+
+        def counted(*args, **kwargs):
+            forwards.append(args)
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr(tasks, "model_forward", counted)
+        log = train(stack, frozen, data, tc, MSE)
+        assert [snap.step for snap in log.snapshots] == [100, 110]
+        assert len(forwards) == 2
 
     def test_divergence_aborts_with_step_index(self):
         data, frozen, stack, tc = _noiseless_setup(epochs=1)
