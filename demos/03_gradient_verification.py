@@ -57,8 +57,8 @@ for j in range(2):
 
 gen = rng.split("batch").generator()
 batch = (gen.normal(size=(6, 8)), gen.normal(size=(6, 8)))
-_, g_shared = backward(shared, frozen, batch, LossSpec())
-_, g_private = backward(private, frozen, batch, LossSpec())
+g_shared = shared.views(backward(shared, frozen, batch, LossSpec())[1])
+g_private = private.views(backward(private, frozen, batch, LossSpec())[1])
 
 summed = sum(g_private[f"{slot.name}.B0"] for slot in private.slots)
 gap = float(np.abs(g_shared["shared.8x8.B0"] - summed).max())

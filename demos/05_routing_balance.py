@@ -39,9 +39,24 @@ print(f"\nmean entropy with talking : {result.mean_talking:.4f}  "
 print(f"mean entropy without      : {result.mean_ablated:.4f}  "
       f"[{bar(result.mean_ablated)}]")
 print(f"uniform-routing ceiling   : {np.log(4):.4f}  (ln 4)")
-print(f"\ndirection holds on these seeds: "
-      f"{result.mean_talking >= result.mean_ablated}")
-print("\nCommunication runs under a spectral clip of 1.0 here, which is the")
-print("non-expansive regime the stability analysis assumes; in that regime")
-print("the router sees globally mixed, non-amplified expert signals and")
-print("spreads its mass more evenly across the experts.")
+
+margins = [on - off for on, off in zip(result.entropy_talking, result.entropy_ablated)]
+print("\nmargin, talking minus ablated (positive: talking routes more evenly):")
+for seed, margin in zip(result.seeds, margins):
+    print(f"{seed:4d}  {margin:+8.4f}")
+mean_margin = result.mean_talking - result.mean_ablated
+print(f"mean  {mean_margin:+8.4f}")
+
+holds = result.direction_holds
+print(f"\ndirection holds on these seeds: {holds}")
+ahead = sum(margin >= 0 for margin in margins)
+print("\nCommunication runs under a spectral clip of 1.0 here, the")
+print("non-expansive regime the stability analysis assumes.")
+if holds:
+    print("On these seeds the router spreads its mass at least as evenly")
+    print("across the experts with talking on as with it ablated.")
+else:
+    print("On these seeds the router does NOT spread its mass more evenly with")
+    print("talking on: the ablated arm's mean entropy is the higher one.")
+print(f"Talking is ahead on {ahead} of {len(margins)} seeds. Two seeds do not settle")
+print("the direction; the acceptance suite compares the means over five.")

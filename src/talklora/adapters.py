@@ -167,7 +167,9 @@ def init_talklora(
     d, k = cfg.require_dims()
     r_e, n = cfg.expert_rank, cfg.experts
     if shared_b is not None and shared_b.shape != (n, k, r_e):
-        raise ValueError("shared B store entry does not match this layer's shapes")
+        raise ValueError(
+            f"shared B array has shape {shared_b.shape}, expected (n, k, r_e) = {(n, k, r_e)}"
+        )
     return TalkLoRALayer(
         a=_stacked_kaiming("A", n, r_e, d, rng),
         e=_stacked_kaiming("E", n, r_e, r_e, rng),
@@ -355,24 +357,20 @@ def moelora_forward(
 def talking_mix(c, h) -> np.ndarray:
     """Communicated representations h~_i = sum_j C_ij h_j.
 
-    ``h`` carries the n expert representations along its leading axis: an
-    (n, r_e) array, a batched (n, B, r_e) array, or a sequence of n
-    equal-length vectors.  The result has the array's shape.  Equivalent
-    to (C kron I) applied to the stacked representation.
+    ``h`` is an array carrying the n expert representations along its
+    leading axis, (n, r_e) or batched (n, B, r_e); the result has its
+    shape.  Equivalent to (C kron I) applied to the stacked representation.
     """
     c = as_matrix(c, "c")
-    if isinstance(h, np.ndarray) and h.ndim >= 2:
-        stacked = h.astype(np.float64, copy=False)
-    else:
-        rows = [as_vector(h_j, f"h[{j}]") for j, h_j in enumerate(h)]
-        lengths = {r.shape[0] for r in rows}
-        if len(lengths) != 1:
-            raise ValueError(f"expert representations differ in length: {sorted(lengths)}")
-        stacked = np.stack(rows, axis=0)
-    n = stacked.shape[0]
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim < 2:
+        raise ValueError(
+            f"h must stack the expert representations on axis 0, got shape {h.shape}"
+        )
+    n = h.shape[0]
     if c.shape != (n, n):
         raise ValueError(f"communication matrix is {c.shape}, expected ({n}, {n})")
-    return (c @ stacked.reshape(n, -1)).reshape(stacked.shape)
+    return (c @ h.reshape(n, -1)).reshape(h.shape)
 
 
 def talklora_forward(
@@ -501,10 +499,6 @@ class AdapterStack:
         ends = accumulate(arr.size for arr in self._by_handle.values())
         return {handle: buf[end - arr.size:end].reshape(arr.shape)
                 for (handle, arr), end in zip(params, ends)}
-
-    def flatten(self, arrays: dict) -> np.ndarray:
-        """``arrays`` (handle -> array) gathered into one array laid out like :attr:`flat`."""
-        return np.concatenate([arrays[handle].reshape(-1) for handle in self._by_handle])
 
 
 def build_stack_from_slots(

@@ -25,7 +25,7 @@ from .adapters import (
 )
 from .autodiff import LossSpec, model_forward
 from .geometry import ModelGeometry
-from .linalg import RngState, spectral_norm
+from .linalg import RngState, spectral_norm, spectral_norms
 from .tasks import ClusterTaskSpec, TrainConfig, _mean_gates, generate_cluster_task, train
 
 NONEXPANSIVE_SLACK = 1e-9
@@ -182,13 +182,9 @@ class NonexpansiveAudit:
 def nonexpansive_audit(stack: AdapterStack) -> NonexpansiveAudit:
     if stack.method != "talklora":
         raise ValueError("non-expansive audit applies to TalkLoRA stacks only")
-    rows = []
-    within = 0
-    for slot, adapter in zip(stack.slots, stack.adapters):
-        sigma = spectral_norm(adapter.c)
-        rows.append((slot.layer, slot.tag, sigma))
-        if sigma <= 1.0 + NONEXPANSIVE_SLACK:
-            within += 1
+    sigmas = spectral_norms(np.stack([adapter.c for adapter in stack.adapters])).tolist()
+    rows = [(slot.layer, slot.tag, sigma) for slot, sigma in zip(stack.slots, sigmas)]
+    within = sum(sigma <= 1.0 + NONEXPANSIVE_SLACK for sigma in sigmas)
     return NonexpansiveAudit(rows=rows, fraction_within=within / len(rows))
 
 

@@ -5,12 +5,17 @@ whichever adapter family is attached: gate gradients pass through the full
 softmax Jacobian diag(g) - g g^T, the communication matrix receives
 gradient through the router path only (experts consume the uncommunicated
 representations), and shared B matrices accumulate the sum of all aliasing
-layers' contributions under a single handle.
+layers' contributions in their one slice.  The gradient is one float64
+vector laid out like ``stack.flat``; callers that read it by handle build
+``stack.views(grad)``.
 
 ``finite_difference_oracle`` recomputes the same gradients scalar by
 scalar with central differences and is kept deliberately independent of
 the analytic path; ``gradcheck`` compares the two.  ``adamw_step`` is the
-decoupled-weight-decay update of the training loop, applied to ``flat``.
+decoupled-weight-decay update of the training loop: one vector update of
+``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
+communication matrix, with the spectral norms of all of them taken in one
+batched SVD.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .adapters import (
     batch_forward,
     talking_mix,
 )
-from .linalg import softmax_rows, spectral_norm
+from .linalg import softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
 
@@ -187,12 +192,13 @@ def backward(
     batch: tuple,
     loss: LossSpec,
     dropout_scales: Optional[list] = None,
-) -> tuple[float, dict]:
-    """Loss value and exact analytic gradients for every trainable tensor.
+) -> tuple[float, np.ndarray]:
+    """Loss value and the exact analytic gradient of every trainable scalar.
 
-    The returned dict has one entry per handle, each a view of one buffer
-    laid out like ``stack.flat``; shared B entries hold the sum of all
-    aliasing layers' contributions, accumulated in fixed layer order.
+    The gradient is a fresh float64 vector laid out like ``stack.flat``
+    (``stack.views(grad)`` names its slices by handle); a shared B slice
+    holds the sum of all aliasing layers' contributions, accumulated in
+    fixed layer order.
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -212,7 +218,7 @@ def backward(
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)
         gx = gx @ frozen_layers[i].w0 + gxa
-    return value, stack.views(grad)
+    return value, grad
 
 
 def _reference_loss(
@@ -354,7 +360,8 @@ def gradcheck(
     dtype=np.float64,
 ) -> GradcheckReport:
     """Compare analytic gradients against the central-difference oracle."""
-    _, analytic = backward(stack, frozen_layers, batch, loss, dropout_scales)
+    _, grad = backward(stack, frozen_layers, batch, loss, dropout_scales)
+    analytic = stack.views(grad)
     numeric = finite_difference_oracle(
         stack, frozen_layers, batch, loss, epsilon, dropout_scales, dtype
     )
@@ -383,21 +390,25 @@ class AdamWState:
         self.v = np.zeros_like(stack.flat)
 
 
-def adamw_step(stack, grads: dict, state: AdamWState, hyper: AdamWHyper) -> None:
+def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) -> None:
     """One decoupled-weight-decay Adam update, in place on ``stack.flat``.
 
-    ``grads`` maps every handle of the stack to its gradient.  Weight
-    decay multiplies parameters by (1 - lr * wd) after the gradient step,
-    independent of the adaptive scaling.
+    ``grad`` is the gradient vector laid out like ``stack.flat``, as
+    :func:`backward` returns it.  Weight decay multiplies parameters by
+    (1 - lr * wd) after the gradient step, independent of the adaptive
+    scaling.
     """
-    g = stack.flatten(grads)
+    if grad.shape != stack.flat.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match the buffer's {stack.flat.shape}"
+        )
     state.step += 1
     bc1 = 1.0 - hyper.beta1**state.step
     bc2 = 1.0 - hyper.beta2**state.step
     state.m *= hyper.beta1
-    state.m += (1.0 - hyper.beta1) * g
+    state.m += (1.0 - hyper.beta1) * grad
     state.v *= hyper.beta2
-    state.v += (1.0 - hyper.beta2) * (g * g)
+    state.v += (1.0 - hyper.beta2) * (grad * grad)
     stack.flat -= hyper.lr * ((state.m / bc1) / (np.sqrt(state.v / bc2) + hyper.eps))
     if hyper.weight_decay != 0.0:
         stack.flat -= hyper.lr * hyper.weight_decay * stack.flat
@@ -407,22 +418,24 @@ def apply_spectral_clip(stack: AdapterStack) -> None:
     """Project every communication matrix onto the spectral-norm ball.
 
     No-op unless the stack is TalkLoRA with ``spectral_clip_c`` set; when a
-    C matrix exceeds the clip, it is rescaled by clip / sigma_max, with
-    sigma_max the exact spectral norm (LAPACK SVD), which enforces the
-    non-expansiveness assumption by construction.
+    C matrix exceeds the clip, it is rescaled by clip / sigma_max, which
+    enforces the non-expansiveness assumption by construction.  The exact
+    sigma_max of every C comes from one batched LAPACK SVD
+    (:func:`~talklora.linalg.spectral_norms`), equal bit for bit to one
+    SVD per matrix.
     """
     clip = stack.cfg.spectral_clip_c
     if clip is None or stack.method != "talklora":
         return
-    for adapter in stack.adapters:
-        sigma = spectral_norm(adapter.c)
+    cs = [adapter.c for adapter in stack.adapters]
+    for c, sigma in zip(cs, spectral_norms(np.stack(cs))):
         if sigma > clip:
-            adapter.c *= clip / sigma
+            c *= clip / sigma
 
 
 def stack_adamw_step(
-    stack: AdapterStack, grads: dict, state: AdamWState, hyper: AdamWHyper
+    stack: AdapterStack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper
 ) -> None:
     """AdamW over a whole stack, then the configured C projection."""
-    adamw_step(stack, grads, state, hyper)
+    adamw_step(stack, grad, state, hyper)
     apply_spectral_clip(stack)

@@ -3,7 +3,8 @@
 Everything downstream (adapter forwards, gradients, certificates) runs on
 plain float64 numpy arrays.  This module owns the matrix and vector
 contract checks, the numerically stable softmax, the two initializers, the
-exact spectral norm (LAPACK SVD), and the reproducible RNG streams.
+exact spectral norm of one matrix or of a stack of them (one LAPACK SVD
+call), and the reproducible RNG streams.
 
 All functions are pure: arrays are treated as immutable values and results
 are freshly allocated, so concurrent callers can share inputs freely.
@@ -121,11 +122,25 @@ def zero_init(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.float64)
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of ``m``, exactly, from LAPACK's SVD.
+def spectral_norms(ms) -> np.ndarray:
+    """Largest singular value of each matrix of an (m, rows, cols) stack.
 
-    The SVD is deterministic and has no iteration cap or tolerance, so a
-    clip that divides by this value lands on the spectral-norm ball up to
-    rounding.
+    One call of LAPACK's SVD covers the whole stack.  The SVD is
+    deterministic and has no iteration cap or tolerance, so a clip that
+    divides by these values lands on the spectral-norm ball up to
+    rounding, and each value equals the SVD of its matrix alone bit for
+    bit.
     """
-    return float(np.linalg.norm(as_matrix(m, "m"), 2))
+    arr = np.asarray(ms, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"ms must be a 3-d stack of matrices, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"ms must be nonempty, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("ms contains non-finite entries")
+    return np.linalg.svd(arr, compute_uv=False)[:, 0]  # descending: [0] is the max
+
+
+def spectral_norm(m) -> float:
+    """Largest singular value of ``m``: :func:`spectral_norms` of a one-matrix stack."""
+    return float(spectral_norms(as_matrix(m, "m")[None])[0])

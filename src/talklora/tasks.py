@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -191,11 +192,20 @@ def _mean_gates(caches: list) -> Optional[np.ndarray]:
 
 
 def _dropout_scales(frozen_layers, batch: int, p: float, rng: RngState, step: int):
+    """Per-layer (batch, d_in) mask/(1-p) factors for one step; None at p = 0.
+
+    One uniform draw covers every layer.  Philox fills doubles in order,
+    so layer i's slice equals a separate (batch, d_in) draw made after
+    those of the layers before it.
+    """
     if p == 0.0:
         return None
+    sizes = [batch * fl.d_in for fl in frozen_layers]
     gen = rng.split(f"dropout.step{step}").generator()
+    scales = (gen.uniform(size=sum(sizes)) >= p) / (1.0 - p)
     return [
-        (gen.uniform(size=(batch, fl.d_in)) >= p) / (1.0 - p) for fl in frozen_layers
+        scales[end - size:end].reshape(batch, fl.d_in)
+        for fl, size, end in zip(frozen_layers, sizes, accumulate(sizes))
     ]
 
 
@@ -230,11 +240,11 @@ def train(
             lr_t = _schedule_lr(step, total_steps, tc)
             scales = _dropout_scales(frozen_layers, xb.shape[0], tc.dropout, rng, step)
             try:
-                loss_val, grads = backward(stack, frozen_layers, (xb, yb), loss, scales)
+                loss_val, grad = backward(stack, frozen_layers, (xb, yb), loss, scales)
             except NonFiniteLossError as exc:
                 raise DivergenceError(step) from exc
             hyper = AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay)
-            stack_adamw_step(stack, grads, state, hyper)
+            stack_adamw_step(stack, grad, state, hyper)
             log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
             if step % tc.eval_every == 0 or step == total_steps:
                 eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)

@@ -8,6 +8,7 @@ from talklora.adapters import (
     build_stack_from_slots,
     frozen_stack_slots,
 )
+from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK
 from talklora.linalg import RngState
 
 
@@ -51,6 +52,16 @@ def make_setup(
     x = gen.normal(size=(batch, d))
     t = gen.normal(size=(batch, k))
     return frozen, stack, x, t
+
+
+def balance_setup(seed):
+    """Frozen host and talking TalkLoRA stack as the routing-balance experiment builds them."""
+    rng = RngState(1000 + seed)
+    frozen = build_frozen_stack(
+        BALANCE_TASK["input_dim"], BALANCE_TASK["output_dim"], BALANCE_DEPTH, rng
+    )
+    cfg = AdapterConfig(**BALANCE_ADAPTER)
+    return frozen, build_stack_from_slots("talklora", cfg, frozen_stack_slots(frozen), rng)
 
 
 def near_degenerate_c(seed=0):

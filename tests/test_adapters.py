@@ -190,9 +190,9 @@ class TestTalkingMix:
         oracle = (np.kron(c, np.eye(4)) @ h.reshape(-1)).reshape(3, 4)
         assert np.max(np.abs(talking_mix(c, h) - oracle)) < 1e-12
 
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            talking_mix(np.eye(2), [np.ones(3), np.ones(4)])
+    def test_unstacked_h_rejected(self):
+        with pytest.raises(ValueError, match="axis 0"):
+            talking_mix(np.eye(2), np.ones(2))
 
     def test_wrong_c_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -346,6 +346,14 @@ class TestBuildAdapterStack:
         assert params.tobytes() == stack.flat.tobytes()
         assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
         assert stack.trainable_count() == stack.flat.size
+
+    def test_shared_b_of_wrong_shape_named_in_error(self):
+        expected = (
+            r"shared B array has shape \(2, 8, 3\), "
+            r"expected \(n, k, r_e\) = \(2, 8, 2\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            init_talklora(small_cfg(), RngState(26), shared_b=np.zeros((2, 8, 3)))
 
     def test_unshared_b_stays_private(self):
         cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=False)

@@ -45,20 +45,21 @@ class TestBackwardStructure:
     def test_zero_residual_gives_zero_gradients(self):
         frozen, stack, x, _ = make_setup("talklora", randomize_b=False)
         z, _ = model_forward(frozen, stack, x)
-        loss, grads = backward(stack, frozen, (x, z), MSE)
+        loss, grad = backward(stack, frozen, (x, z), MSE)
         assert loss == 0.0
-        for handle, g in grads.items():
+        for handle, g in stack.views(grad).items():
             assert np.array_equal(g, np.zeros_like(g)), handle
 
     def test_gradient_keys_match_trainable_set(self):
         frozen, stack, x, t = make_setup("talklora", share_b=True, depth=3)
-        _, grads = backward(stack, frozen, (x, t), MSE)
+        grads = stack.views(backward(stack, frozen, (x, t), MSE)[1])
         assert set(grads) == set(stack.handles)
         assert not any("w0" in h.lower() for h in grads)
 
     def test_first_order_taylor_expansion(self):
         frozen, stack, x, t = make_setup("talklora", seed=3)
-        loss0, grads = backward(stack, frozen, (x, t), MSE)
+        loss0, grad = backward(stack, frozen, (x, t), MSE)
+        grads = stack.views(grad)
         gen = RngState(99).generator()
         eps = 1e-4
         for handle, arr in stack.named_parameters():
@@ -73,7 +74,7 @@ class TestBackwardStructure:
 
     def test_c_gradient_zero_when_talking_disabled(self):
         frozen, stack, x, t = make_setup("talklora", talking=False)
-        _, grads = backward(stack, frozen, (x, t), MSE)
+        grads = stack.views(backward(stack, frozen, (x, t), MSE)[1])
         c_handles = [h for h in grads if h.endswith(".C")]
         assert c_handles
         for h in c_handles:
@@ -81,25 +82,24 @@ class TestBackwardStructure:
 
     def test_c_gradient_nonzero_when_talking_enabled(self):
         frozen, stack, x, t = make_setup("talklora", talking=True)
-        _, grads = backward(stack, frozen, (x, t), MSE)
+        grads = stack.views(backward(stack, frozen, (x, t), MSE)[1])
         assert any(
             np.abs(grads[h]).max() > 0 for h in grads if h.endswith(".C")
         )
 
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
-    def test_gradients_are_views_of_one_buffer(self, method):
+    def test_gradient_is_one_vector_laid_out_like_flat(self, method):
         frozen, stack, x, t = make_setup(method, share_b=True, depth=3)
-        _, grads = backward(stack, frozen, (x, t), MSE)
-        buf = grads[stack.handles[0]].base
-        assert buf is not None and buf.shape == stack.flat.shape
-        assert all(g.base is buf for g in grads.values())
-        assert np.array_equal(buf, np.concatenate([g.ravel() for g in grads.values()]))
+        _, grad = backward(stack, frozen, (x, t), MSE)
+        assert isinstance(grad, np.ndarray) and grad.dtype == np.float64
+        assert grad.shape == (stack.flat.size,)
+        assert not np.shares_memory(grad, stack.flat)
+        assert list(stack.views(grad)) == stack.handles
 
     def test_determinism(self):
         g1 = backward(*_fresh())[1]
         g2 = backward(*_fresh())[1]
-        for h in g1:
-            assert np.array_equal(g1[h], g2[h])
+        assert np.array_equal(g1, g2)
 
 
 def _fresh():
@@ -152,8 +152,9 @@ class TestSharedBGradients:
                 unshared_stack.parameter(f"{slot.name}.B{j}")[:] = (
                     shared_stack.parameter(f"shared.{slot.tag}.B{j}")
                 )
-        loss_s, grads_s = backward(shared_stack, frozen, (x, t), MSE)
-        loss_u, grads_u = backward(unshared_stack, frozen2, (x, t), MSE)
+        loss_s, grad_s = backward(shared_stack, frozen, (x, t), MSE)
+        loss_u, grad_u = backward(unshared_stack, frozen2, (x, t), MSE)
+        grads_s, grads_u = shared_stack.views(grad_s), unshared_stack.views(grad_u)
         assert loss_s == pytest.approx(loss_u, rel=1e-15)
         for tag in {slot.tag for slot in shared_stack.slots}:
             for j in range(n):
@@ -198,7 +199,7 @@ class TestGradcheck:
 
     def test_detects_injected_sign_flip(self):
         frozen, stack, x, t = make_setup("talklora", seed=16)
-        _, analytic = backward(stack, frozen, (x, t), MSE)
+        analytic = stack.views(backward(stack, frozen, (x, t), MSE)[1])
         numeric = finite_difference_oracle(stack, frozen, (x, t), MSE)
         handle = next(h for h in analytic if h.endswith(".Wg"))
         analytic[handle] = -analytic[handle]  # negative control
@@ -219,7 +220,8 @@ def _scalar_stack(a, b):
 
 
 def _scalar_grads(a, b):
-    return {"L00.1x1.A0": np.array([[a]]), "L00.1x1.B0": np.array([[b]])}
+    """Gradient vector of ``_scalar_stack``: A0 = a, then B0 = b."""
+    return np.array([a, b])
 
 
 class TestAdamW:
@@ -271,15 +273,28 @@ class TestAdamW:
         for adapter in stack.adapters:
             assert np.linalg.svd(adapter.c, compute_uv=False)[0] <= 1.0 + 1e-12
 
+    def test_spectral_clip_takes_one_svd_for_every_c(self, monkeypatch):
+        _, stack, _, _ = make_setup("talklora", depth=3, seed=25, spectral_clip_c=1.0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        apply_spectral_clip(stack)
+        assert calls == [(3, 2, 2)]
+
     def test_shared_parameters_updated_once(self):
         frozen, stack, x, t = make_setup("talklora", share_b=True, depth=3, seed=19)
         state = AdamWState(stack)
         handle = "shared.8x8.B0"
         arr = stack.parameter(handle)
         before = arr.copy()
-        grads = {h: np.zeros_like(a) for h, a in stack.named_parameters()}
-        grads[handle] = np.ones_like(arr)
-        adamw_step(stack, grads, state, AdamWHyper(lr=0.1))
+        grad = np.zeros_like(stack.flat)
+        stack.views(grad)[handle][:] = 1.0
+        adamw_step(stack, grad, state, AdamWHyper(lr=0.1))
         # one update of ~lr, not one per aliasing layer
         assert np.allclose(before - arr, 0.1, atol=1e-7)
 
@@ -315,7 +330,7 @@ class TestAdamW:
             hyper = AdamWHyper(lr=1e-2 * step, weight_decay=0.01)
             _, grads = backward(stack, frozen, (x, t), MSE)
             adamw_step(stack, grads, state, hyper)
-            _, loop_grads = backward(loop_stack, frozen, (x, t), MSE)
+            loop_grads = loop_stack.views(backward(loop_stack, frozen, (x, t), MSE)[1])
             bc1, bc2 = 1.0 - hyper.beta1**step, 1.0 - hyper.beta2**step
             for handle, arr in loop_stack.named_parameters():
                 g = loop_grads[handle]
@@ -327,24 +342,8 @@ class TestAdamW:
                 arr -= hyper.lr * hyper.weight_decay * arr
             assert np.array_equal(stack.flat, loop_stack.flat), step
 
-    def test_replaced_gradient_entry_is_used(self):
-        frozen, stack, x, t = make_setup("moelora", seed=23)
-        _, twin, _, _ = make_setup("moelora", seed=23)
-        _, grads = backward(stack, frozen, (x, t), MSE)
-        handle = next(h for h in grads if h.endswith(".Wg"))
-        grads[handle] = 2.0 * grads[handle]  # a new array, not a view of the buffer
-        copied = {h: g.copy() for h, g in grads.items()}
-        adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
-        adamw_step(twin, copied, AdamWState(twin), AdamWHyper(lr=1e-2))
-        assert np.array_equal(stack.flat, twin.flat)
-
-    def test_entry_replaced_by_another_view_of_the_buffer_is_used(self):
-        frozen, stack, x, t = make_setup("talklora", seed=24)
-        _, twin, _, _ = make_setup("talklora", seed=24)
-        _, grads = backward(stack, frozen, (x, t), MSE)
-        grads["L00.8x8.A1"] = grads["L00.8x8.A0"]
-        grads["L01.8x8.C"] = grads["L01.8x8.C"].T
-        gathered = np.concatenate([grads[h].ravel() for h, _ in twin.named_parameters()])
-        adamw_step(stack, grads, AdamWState(stack), AdamWHyper(lr=1e-2))
-        adamw_step(twin, twin.views(gathered), AdamWState(twin), AdamWHyper(lr=1e-2))
-        assert np.array_equal(stack.flat, twin.flat)
+    def test_gradient_of_another_shape_rejected(self):
+        stack = _scalar_stack(1.0, 2.0)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adamw_step(stack, np.zeros(3), AdamWState(stack), AdamWHyper(lr=0.1))
+        assert np.array_equal(stack.flat, [1.0, 2.0])

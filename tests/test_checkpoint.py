@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import make_setup
+from _setup import balance_setup, make_setup
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
+from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
 from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
 from talklora.checkpoint import (
     CorruptCheckpointError,
@@ -18,6 +19,7 @@ from talklora.checkpoint import (
     save_checkpoint,
 )
 from talklora.linalg import RngState
+from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
 RUN_CONFIG = {"method": "talklora", "seed": 7, "note": "fixture"}
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,6 +196,37 @@ class TestFormatV1Fixtures:
         resaved = tmp_path / "resaved.tlkl"
         save_checkpoint(resaved, loaded, run_config)
         assert resaved.read_bytes() == path.read_bytes()
+
+
+TRAIN_RUN_CONFIG = {"method": "talklora", "seed": 3, "note": "train fixture"}
+
+
+def _train_fixture_stack():
+    """Two epochs of ``train`` at the balance dims, with dropout, clip and decay."""
+    seed = TRAIN_RUN_CONFIG["seed"]
+    data = generate_cluster_task(ClusterTaskSpec(seed=seed, **BALANCE_TASK))
+    frozen, stack = balance_setup(seed)
+    tc = TrainConfig(
+        seed=seed, **{**BALANCE_TRAIN, "epochs": 2, "dropout": 0.05}, weight_decay=0.01
+    )
+    train(stack, frozen, data, tc, LossSpec())
+    return stack
+
+
+class TestTrainFixture:
+    """``tests/fixtures/talklora-train-v1.tlkl`` pins what ``train`` computes.
+
+    The file is ``save_checkpoint(path, _train_fixture_stack(),
+    TRAIN_RUN_CONFIG)``, written by the code that still drew one dropout
+    mask per layer, clipped each C with its own SVD and gathered a
+    handle-keyed gradient dict for AdamW.  It covers the dropout draw,
+    AdamW with weight decay and the C clip through the training loop.
+    """
+
+    def test_train_reproduces_fixture_bit_for_bit(self, tmp_path):
+        path = tmp_path / "train.tlkl"
+        save_checkpoint(path, _train_fixture_stack(), TRAIN_RUN_CONFIG)
+        assert path.read_bytes() == (FIXTURES / "talklora-train-v1.tlkl").read_bytes()
 
 
 class TestHeader:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from _setup import balance_setup, near_degenerate_c
 from talklora.linalg import (
     RngState,
     kaiming_init,
     softmax,
     softmax_rows,
     spectral_norm,
+    spectral_norms,
     zero_init,
 )
 
@@ -155,3 +157,40 @@ class TestSpectralNorm:
         m = np.array([[1.0, -1.0]])
         assert spectral_norm(m) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
+
+
+class TestSpectralNorms:
+    """One batched SVD must give each matrix's own SVD value bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(ms):
+        got = spectral_norms(np.stack(ms))
+        assert got.shape == (len(ms),) and got.dtype == np.float64
+        for sigma, m in zip(got, ms):
+            assert sigma == spectral_norm(m)
+            assert sigma == np.linalg.svd(m, compute_uv=False)[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_balance_stack_cs(self, seed):
+        self._assert_bitwise([ad.c for ad in balance_setup(seed)[1].adapters])
+
+    def test_near_degenerate_and_zero_cs(self):
+        self._assert_bitwise([near_degenerate_c(s) for s in range(4)] + [np.zeros((4, 4))])
+
+    def test_non_square_a_reshapes(self):
+        _, stack = balance_setup(0)
+        self._assert_bitwise([ad.a.reshape(-1, ad.a.shape[-1]) for ad in stack.adapters])
+
+    def test_non_finite_entry_rejected(self):
+        ms = np.zeros((2, 3, 3))
+        ms[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norms(ms)
+
+    def test_two_d_input_rejected(self):
+        with pytest.raises(ValueError, match="3-d"):
+            spectral_norms(np.eye(3))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            spectral_norms(np.zeros((0, 4, 4)))

@@ -4,6 +4,7 @@ import pytest
 from _setup import make_setup
 from talklora.adapters import (
     AdapterConfig,
+    FrozenLinear,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -192,6 +193,32 @@ class TestTrain:
                     stack_l.parameter(f"{slot.name}.{role}"),
                     stack_m.parameter(f"{slot.name}.{role}"),
                 )
+
+
+def _per_layer_dropout_draws(frozen_layers, batch, p, rng, step):
+    """One (batch, d_in) draw per layer, in layer order: the draw pattern one draw replaced."""
+    gen = rng.split(f"dropout.step{step}").generator()
+    return [
+        (gen.uniform(size=(batch, fl.d_in)) >= p) / (1.0 - p) for fl in frozen_layers
+    ]
+
+
+class TestDropoutScales:
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    def test_one_draw_equals_per_layer_draws_bitwise(self, p):
+        frozen = [FrozenLinear(np.zeros((k, d))) for d, k in ((3, 5), (5, 2), (2, 7), (7, 4))]
+        rng = RngState(31)
+        for step in (1, 2, 57):
+            for batch in (1, 6, 32):
+                got = tasks._dropout_scales(frozen, batch, p, rng, step)
+                want = _per_layer_dropout_draws(frozen, batch, p, rng, step)
+                assert [g.shape for g in got] == [(batch, fl.d_in) for fl in frozen]
+                for g, w in zip(got, want):
+                    assert g.dtype == np.float64 and np.array_equal(g, w)
+
+    def test_zero_p_returns_none(self):
+        frozen = build_frozen_stack(4, 4, 3, RngState(32))
+        assert tasks._dropout_scales(frozen, 8, 0.0, RngState(33), 1) is None
 
 
 class TestEvaluate:
