@@ -108,12 +108,25 @@ class StabilityCertificate:
     the effective communication operator (1.0 when talking is disabled,
     i.e. identity).  The verdict asserts the bound only in the regime the
     theory covers: it requires c_norm <= 1 and no observed violation.
+
+    ``bound_any_c = 1/2 * alpha * beta * c_norm`` holds for every C, so an
+    unclipped layer is bounded too and c_norm > 1 reads directly as
+    amplification.  Proof: the gates are g = softmax(W_g (C kron I) A x),
+    and (C kron I) has spectral norm c_norm, so by the chain rule and the
+    mean-value inequality it suffices that the softmax Jacobian
+    J = diag(g) - g g^T has spectral norm at most 1/2.  J is symmetric,
+    and for any v, v^T J v = sum_i g_i v_i^2 - (sum_i g_i v_i)^2 is the
+    variance of v under the distribution g, hence nonnegative.  By
+    Popoviciu's inequality that variance is at most
+    (max_i v_i - min_i v_i)^2 / 4 <= 2 |v|^2 / 4 = |v|^2 / 2, because
+    (v_i - v_j)^2 <= 2 (v_i^2 + v_j^2).  So 0 <= J <= I/2 and |J| <= 1/2.
     """
 
     alpha: float
     beta: float
     c_norm: float
     bound: float
+    bound_any_c: float
     trials: int
     max_observed_ratio: float
     verdict: bool
@@ -152,6 +165,7 @@ def stability_certificate(
         beta=beta,
         c_norm=c_norm,
         bound=bound,
+        bound_any_c=0.5 * bound * c_norm,
         trials=trials,
         max_observed_ratio=max_ratio,
         verdict=verdict,
@@ -165,6 +179,7 @@ def certificate_to_dict(cert: StabilityCertificate) -> dict:
         "beta": cert.beta,
         "c_norm": cert.c_norm,
         "bound": cert.bound,
+        "bound_any_c": cert.bound_any_c,
         "trials": cert.trials,
         "max_observed_ratio": cert.max_observed_ratio,
         "verdict": cert.verdict,

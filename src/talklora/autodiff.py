@@ -5,9 +5,10 @@ whichever adapter family is attached: gate gradients pass through the full
 softmax Jacobian diag(g) - g g^T, the communication matrix receives
 gradient through the router path only (experts consume the uncommunicated
 representations), and shared B matrices accumulate the sum of all aliasing
-layers' contributions in their one slice.  The gradient is one float64
-vector laid out like ``stack.flat``; callers that read it by handle build
-``stack.views(grad)``.
+layers' contributions in their one slice.  Only adapter parameters train,
+so the sweep stops at layer 0 and forms no gradient with respect to the
+model input.  The gradient is one float64 vector laid out like
+``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
 ``finite_difference_oracle`` recomputes the same gradients scalar by
 scalar with central differences and is kept deliberately independent of
@@ -128,12 +129,12 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
     return gates * (g_gates - inner)
 
 
-def _lora_backward(ad: LoRAAdapter, cfg: AdapterConfig, cache, gz):
+def _lora_backward(ad: LoRAAdapter, cfg: AdapterConfig, cache, gz, want_gx):
     gd = cfg.scaling * gz
     gb = gd.T @ cache.h
     gh = gd @ ad.b
     ga = gh.T @ cache.xa
-    gxa = gh @ ad.a
+    gxa = gh @ ad.a if want_gx else None
     return gxa, {"a": ga, "b": gb}
 
 
@@ -144,11 +145,13 @@ def _gate_backward(cache, gd):
     return g_logits, cache.gates.T[:, :, None] * gd
 
 
-def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz):
+def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz, want_gx):
     g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
     gh = gy @ ml.b  # (n, B, r_e)
-    # router term first, then each expert's in order: a fixed float summation order
-    gxa = np.concatenate(((g_logits @ ml.router_wg)[None], gh @ ml.a)).sum(axis=0)
+    gxa = None
+    if want_gx:
+        # router term first, then each expert's in order: a fixed float summation order
+        gxa = np.concatenate(((g_logits @ ml.router_wg)[None], gh @ ml.a)).sum(axis=0)
     return gxa, {
         "router_wg": g_logits.T @ cache.router_in,
         "b": gy.transpose(0, 2, 1) @ cache.h,
@@ -156,7 +159,7 @@ def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz):
     }
 
 
-def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz):
+def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz, want_gx):
     n, batch, r_e = cache.h.shape
     g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
     ght = g_logits @ tl.router_wg  # (B, r) gradient at the router input
@@ -171,17 +174,20 @@ def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz):
     grads["b"] = gy.transpose(0, 2, 1) @ cache.p
     grads["e"] = gp.transpose(0, 2, 1) @ cache.h
     grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
-    return (gh @ tl.a).sum(axis=0), grads
+    gxa = (gh @ tl.a).sum(axis=0) if want_gx else None
+    return gxa, grads
 
 
-def _layer_backward(adapter, cfg, cache, gz):
+def _layer_backward(adapter, cfg, cache, gz, want_gx):
+    """Parameter gradients of one layer and, if ``want_gx``, the adapter
+    path's gradient at the layer input (``None`` otherwise)."""
     if isinstance(adapter, LoRAAdapter):
-        gxa, grads = _lora_backward(adapter, cfg, cache, gz)
+        gxa, grads = _lora_backward(adapter, cfg, cache, gz, want_gx)
     elif isinstance(adapter, MoELoRALayer):
-        gxa, grads = _moelora_backward(adapter, cfg, cache, gz)
+        gxa, grads = _moelora_backward(adapter, cfg, cache, gz, want_gx)
     else:
-        gxa, grads = _talklora_backward(adapter, cfg, cache, gz)
-    if cache.drop_scale is not None:
+        gxa, grads = _talklora_backward(adapter, cfg, cache, gz, want_gx)
+    if gxa is not None and cache.drop_scale is not None:
         gxa = gxa * cache.drop_scale
     return gxa, grads
 
@@ -199,6 +205,10 @@ def backward(
     (``stack.views(grad)`` names its slices by handle); a shared B slice
     holds the sum of all aliasing layers' contributions, accumulated in
     fixed layer order.
+
+    Only the adapters train, so the sweep stops at layer 0: it forms no
+    gradient with respect to the model input (neither the frozen
+    ``gx @ w0`` product nor the adapter path's input gradient there).
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -213,11 +223,12 @@ def backward(
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
             gx = gx * (1.0 - act * act)
         gxa, layer_grads = _layer_backward(
-            stack.adapters[i], stack.slot_cfg(i), caches[i], gx
+            stack.adapters[i], stack.slot_cfg(i), caches[i], gx, want_gx=i > 0
         )
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)
-        gx = gx @ frozen_layers[i].w0 + gxa
+        if i > 0:
+            gx = gx @ frozen_layers[i].w0 + gxa
     return value, grad
 
 

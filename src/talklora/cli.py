@@ -590,6 +590,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"input not found: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
+        print(f"path error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DivergenceError, NonFiniteLossError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -10,6 +10,7 @@ from talklora.adapters import (
     init_talklora,
 )
 from talklora.analysis import (
+    certificate_to_dict,
     communication_heatmap,
     count_params,
     degeneracy_check,
@@ -148,6 +149,33 @@ class TestStabilityCertificate:
         cert = stability_certificate(tl, trials=16, delta_scale=0.1, rng=RngState(4))
         assert cert.c_norm > 1.0
         assert not cert.verdict
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_bound_any_c_holds_on_unclipped_layer(self, seed):
+        tl, _ = _layer(seed=seed)
+        tl.c[:] = 2.5 * RngState(seed).generator().normal(size=tl.c.shape)
+        tl.router_wg *= 5.0  # sharper gates probe the softmax Jacobian harder
+        cert = stability_certificate(tl, trials=2000, delta_scale=0.05, rng=RngState(seed))
+        assert cert.c_norm > 1.0
+        assert not cert.verdict
+        assert cert.bound_any_c == 0.5 * cert.alpha * cert.beta * cert.c_norm
+        assert 0.0 < cert.max_observed_ratio <= cert.bound_any_c * (1 + 1e-9)
+
+    def test_bound_any_c_with_talking_off(self):
+        tl, _ = _layer(seed=8)
+        tl.c *= 10.0  # ignored: without talking the operator is the identity
+        tl.router_wg *= 5.0
+        cert = stability_certificate(
+            tl, trials=2000, delta_scale=0.05, rng=RngState(8), talking_enabled=False
+        )
+        assert cert.c_norm == 1.0
+        assert cert.bound_any_c == 0.5 * cert.bound
+        assert 0.0 < cert.max_observed_ratio <= cert.bound_any_c * (1 + 1e-9)
+
+    def test_bound_any_c_is_emitted(self):
+        tl, _ = _layer(seed=9)
+        cert = stability_certificate(tl, trials=4, delta_scale=0.1, rng=RngState(9))
+        assert certificate_to_dict(cert)["bound_any_c"] == cert.bound_any_c
 
     def test_alpha_is_norm_of_stacked_projection(self):
         tl, _ = _layer(seed=5)

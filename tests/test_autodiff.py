@@ -101,6 +101,38 @@ class TestBackwardStructure:
         g2 = backward(*_fresh())[1]
         assert np.array_equal(g1, g2)
 
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_sweep_forms_no_gradient_for_the_model_input(self, method):
+        # the forward reads each w0 once; the backward reads it again only
+        # to pass the gradient below a layer, which layer 0 never needs
+        frozen, stack, x, t = make_setup(method, seed=17, depth=3)
+        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=18)
+        expected = backward(stack, frozen, (x, t), MSE, scales)
+        counting = [_CountingFrozen(fl) for fl in frozen]
+        got = backward(stack, counting, (x, t), MSE, scales)
+        assert [fl.reads for fl in counting] == [1, 2, 2]
+        assert got[0] == expected[0]
+        assert np.array_equal(got[1], expected[1])
+
+
+class _CountingFrozen:
+    """Stand-in for a ``FrozenLinear`` that counts reads of ``w0``."""
+
+    def __init__(self, fl):
+        self._w0 = fl.w0
+        self.reads = 0
+
+    @property
+    def w0(self):
+        self.reads += 1
+        return self._w0
+
+
+def _fixed_dropout_scales(frozen, batch, seed, p=0.25):
+    """Fixed inverted-dropout factors, one (batch, d_in) array per layer."""
+    gen = RngState(seed).generator()
+    return [(gen.uniform(size=(batch, fl.d_in)) >= p) / (1.0 - p) for fl in frozen]
+
 
 def _fresh():
     frozen, stack, x, t = make_setup("moelora", seed=7)
@@ -188,12 +220,15 @@ class TestGradcheck:
 
     def test_fixed_dropout_masks(self):
         frozen, stack, x, t = make_setup("talklora", seed=14)
-        gen = RngState(15).generator()
-        p = 0.25
-        scales = [
-            (gen.uniform(size=(x.shape[0], fl.d_in)) >= p) / (1.0 - p)
-            for fl in frozen
-        ]
+        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=15)
+        report = gradcheck(stack, frozen, (x, t), MSE, dropout_scales=scales)
+        assert report.max_relative_error < 1e-6, report.worst_handle
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_depth_one_with_dropout(self, method):
+        # the only layer is layer 0, where the sweep stops
+        frozen, stack, x, t = make_setup(method, seed=19, depth=1)
+        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=20)
         report = gradcheck(stack, frozen, (x, t), MSE, dropout_scales=scales)
         assert report.max_relative_error < 1e-6, report.worst_handle
 

@@ -333,3 +333,46 @@ class TestCkptCommand:
         code, _, err = run(capsys, "ckpt", action, "--checkpoint", str(ckpt))
         assert code == 4
         assert "malformed header" in err
+
+
+class TestPathErrors:
+    """An unusable path exits 2 with a message naming it, never a traceback."""
+
+    def _config(self, tmp_path, output_dir):
+        return write_config(
+            tmp_path, output_dir=str(output_dir), geometry="llama3-8b",
+            targets=["Q"], train={"epochs": 1, "batch_size": 16, "lr": 1e-3,
+                                  "warmup_steps": 2, "eval_every": 4},
+        )
+
+    @pytest.mark.parametrize("command", ["train", "params", "gradcheck"])
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        cfg = self._config(tmp_path, target)
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert str(target) in err
+
+    @pytest.mark.parametrize("command", ["train", "params", "gradcheck"])
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        cfg = self._config(tmp_path, blocker / "out")
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert str(blocker) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ckpt", "inspect"),
+            ("ckpt", "roundtrip"),
+            ("analyze", "--report", "nonexpansive"),
+        ],
+        ids=["ckpt_inspect", "ckpt_roundtrip", "analyze"],
+    )
+    def test_checkpoint_naming_a_directory_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--checkpoint", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
