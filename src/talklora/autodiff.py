@@ -10,9 +10,12 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
-``finite_difference_oracle`` recomputes the same gradients scalar by
-scalar with central differences and is kept deliberately independent of
-the analytic path; ``gradcheck`` compares the two.  ``adamw_step`` is the
+``finite_difference_oracle`` recomputes the same gradients with central
+differences through ``_reference_loss``, a naive forward kept
+deliberately independent of the production path; it evaluates each
+handle's +/-epsilon copies in fixed-size blocks, one call per block, and
+its numbers equal a one-scalar-at-a-time loop bit for bit.  ``gradcheck``
+compares the two.  ``adamw_step`` is the
 decoupled-weight-decay update of the training loop: one vector update of
 ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
@@ -232,6 +235,11 @@ def backward(
     return value, grad
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (a leading perturbation axis stays put)."""
+    return np.swapaxes(m, -1, -2)
+
+
 def _reference_loss(
     stack: AdapterStack,
     frozen_layers: list,
@@ -247,6 +255,11 @@ def _reference_loss(
     explicit softmax, and whatever dtype the supplied arrays carry (the
     verification suite passes extended precision).  Parameters are looked
     up by handle in ``params`` so shared tensors alias automatically.
+
+    Any entry of ``params`` may carry a leading perturbation axis,
+    ``(P, *shape)`` instead of ``shape``; every operation broadcasts over
+    it and the result is the ``(P,)`` losses, one per perturbed copy.
+    With plain parameters the result is one 0-d loss.
     """
     h = x
     last = len(frozen_layers) - 1
@@ -258,39 +271,48 @@ def _reference_loss(
         xa = h * dropout_scales[i].astype(x.dtype) if dropout_scales else h
         n = cfg.experts
         if stack.method == "lora":
-            delta = scale * ((xa @ roles["A0"].T) @ roles["B0"].T)
+            delta = scale * ((xa @ _t(roles["A0"])) @ _t(roles["B0"]))
         else:
-            hs = [xa @ roles[f"A{j}"].T for j in range(n)]
+            hs = [xa @ _t(roles[f"A{j}"]) for j in range(n)]
             if stack.method == "moelora":
-                logits = xa @ roles["Wg"].T
-                outs = [hs[j] @ roles[f"B{j}"].T for j in range(n)]
+                logits = xa @ _t(roles["Wg"])
+                outs = [hs[j] @ _t(roles[f"B{j}"]) for j in range(n)]
             else:
                 if cfg.talking_enabled:
                     c = roles["C"]
                     mixed = [
-                        sum(c[a, b] * hs[b] for b in range(n)) for a in range(n)
+                        sum(c[..., a, b, None, None] * hs[b] for b in range(n))
+                        for a in range(n)
                     ]
                 else:
                     mixed = hs
-                logits = np.concatenate(mixed, axis=1) @ roles["Wg"].T
+                router_in = np.concatenate(np.broadcast_arrays(*mixed), axis=-1)
+                logits = router_in @ _t(roles["Wg"])
                 outs = [
-                    (hs[j] @ roles[f"E{j}"].T) @ roles[f"B{j}"].T for j in range(n)
+                    (hs[j] @ _t(roles[f"E{j}"])) @ _t(roles[f"B{j}"]) for j in range(n)
                 ]
-            shifted = logits - logits.max(axis=1, keepdims=True)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
-            gates = e / e.sum(axis=1, keepdims=True)
+            gates = e / e.sum(axis=-1, keepdims=True)
             delta = scale * sum(
-                gates[:, j : j + 1] * outs[j] for j in range(n)
+                gates[..., j : j + 1] * outs[j] for j in range(n)
             )
         z = h @ w0.T + delta
         h = np.tanh(z) if i < last else z
     if loss.kind == "mean-squared-error":
-        return np.mean((h - targets.astype(x.dtype)) ** 2)
-    shifted = h - h.max(axis=1, keepdims=True)
+        return np.mean((h - targets.astype(x.dtype)) ** 2, axis=(-2, -1))
+    shifted = h - h.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    idx = np.arange(h.shape[0])
-    return np.mean(-np.log(probs[idx, targets.astype(int)]))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    idx = np.arange(h.shape[-2])
+    return np.mean(-np.log(probs[..., idx, targets.astype(int)]), axis=-1)
+
+
+# Perturbed copies per reference-loss call in the oracle: each block holds
+# ORACLE_BLOCK // 2 scalars of one handle, their +epsilon copies then their
+# -epsilon copies, so the working set of one call is bounded by this
+# constant times one forward's activations, whatever the handle's size.
+ORACLE_BLOCK = 128
 
 
 def finite_difference_oracle(
@@ -302,15 +324,25 @@ def finite_difference_oracle(
     dropout_scales: Optional[list] = None,
     dtype=np.float64,
 ) -> dict:
-    """Central-difference gradients, one scalar parameter at a time.
+    """Central-difference gradients of every trainable scalar.
 
     Evaluates a naive reference forward (independent of both the
     production forward and the analytic backward) at theta +/- epsilon for
-    every trainable scalar.  Shared parameters are perturbed once; the
-    handle-keyed lookup aliases their effect into every layer, which is
-    exactly the summed gradient the analytic side must reproduce.
-    ``dtype`` selects the evaluation precision; ``np.longdouble`` pushes
-    the roundoff floor of the differences far below float64 levels.
+    every trainable scalar, g = (f(theta + eps) - f(theta - eps)) / (2 eps).
+    The scalars of one handle go through ``_reference_loss`` in blocks of
+    ``ORACLE_BLOCK`` perturbed copies of that handle (the +epsilon copies,
+    then the -epsilon copies, one scalar moved in each), so one call
+    serves up to ``ORACLE_BLOCK // 2`` scalars and memory stays bounded by
+    the block, not the handle's size.  Each copy's loss equals the
+    one-scalar-at-a-time evaluation bit for bit.  A handle the forward
+    never reads (C with talking off) yields one scalar loss for the whole
+    block and so an exact zero gradient.
+
+    Shared parameters are perturbed once; the handle-keyed lookup aliases
+    their effect into every layer, which is exactly the summed gradient
+    the analytic side must reproduce.  ``dtype`` selects the evaluation
+    precision; ``np.longdouble`` pushes the roundoff floor of the
+    differences far below float64 levels.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
@@ -319,26 +351,28 @@ def finite_difference_oracle(
     targets = np.asarray(targets)
     params = {h: arr.astype(dtype) for h, arr in stack.named_parameters()}
     eps = dtype(epsilon)
+    half = ORACLE_BLOCK // 2
 
     grads = {}
     for handle, arr in stack.named_parameters():
-        work = params[handle]
-        g = np.zeros_like(arr)
-        flat = work.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + eps
-            f_plus = _reference_loss(
+        original = params[handle]
+        flat = original.reshape(-1)
+        gflat = np.zeros(flat.size)
+        for start in range(0, flat.size, half):
+            idx = np.arange(start, min(start + half, flat.size))
+            m = idx.size
+            copies = np.repeat(flat[None], 2 * m, axis=0)
+            rows = np.arange(m)
+            copies[rows, idx] = flat[idx] + eps
+            copies[m + rows, idx] = flat[idx] - eps
+            params[handle] = copies.reshape(2 * m, *original.shape)
+            f = _reference_loss(
                 stack, frozen_layers, params, x, targets, loss, dropout_scales
             )
-            flat[j] = original - eps
-            f_minus = _reference_loss(
-                stack, frozen_layers, params, x, targets, loss, dropout_scales
-            )
-            flat[j] = original
-            gflat[j] = float((f_plus - f_minus) / (2.0 * eps))
-        grads[handle] = g
+            f = np.broadcast_to(f, (2 * m,))
+            gflat[idx] = (f[:m] - f[m:]) / (2.0 * eps)
+        params[handle] = original
+        grads[handle] = gflat.reshape(arr.shape)
     return grads
 
 

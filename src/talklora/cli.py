@@ -335,9 +335,10 @@ def _build_training_pieces(config: RunConfig):
 
 def cmd_train(config: RunConfig) -> int:
     data, frozen, stack = _build_training_pieces(config)
-    log = train(stack, frozen, data, config.train, config.loss)
+    # an unusable output_dir fails here, before any training
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    log = train(stack, frozen, data, config.train, config.loss)
     ckpt_path = out / "checkpoint.tlkl"
     save_checkpoint(ckpt_path, stack, config.effective_dict())
     log.checkpoint = str(ckpt_path)
@@ -437,12 +438,8 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
     return EXIT_OK
 
 
-def run_gradcheck_suite(config: RunConfig) -> dict:
-    """Gradcheck every family x sharing x talking combination.
-
-    Uses the config's task dims, rank/expert counts and model depth on a
-    small random batch; returns per-combination max relative errors.
-    """
+def _gradcheck_dims(config: RunConfig) -> tuple:
+    """The task's (input_dim, output_dim), checked against the gradcheck cap."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
     d, k = config.task.input_dim, config.task.output_dim
@@ -451,6 +448,16 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
             f"gradcheck dims capped at {GRADCHECK_DIM_CAP} "
             f"(got input_dim={d}, output_dim={k})"
         )
+    return d, k
+
+
+def run_gradcheck_suite(config: RunConfig) -> dict:
+    """Gradcheck every family x sharing x talking combination.
+
+    Uses the config's task dims, rank/expert counts and model depth on a
+    small random batch; returns per-combination max relative errors.
+    """
+    d, k = _gradcheck_dims(config)
     rng = RngState(config.seed)
     gen = rng.split("gradcheck.data").generator()
     x = gen.normal(size=(4, d))
@@ -507,9 +514,11 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
 
 
 def cmd_gradcheck(config: RunConfig) -> int:
-    result = run_gradcheck_suite(config)
+    _gradcheck_dims(config)
+    # an unusable output_dir fails here, before the suite runs
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = run_gradcheck_suite(config)
     _write_json(out / "gradcheck.json", result)
     print(json.dumps(
         {k: result[k] for k in ("tolerance", "max_relative_error", "passed")},

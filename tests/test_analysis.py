@@ -8,8 +8,10 @@ from talklora.adapters import (
     build_adapter_stack,
     build_stack_from_slots,
     init_talklora,
+    router_gates,
 )
 from talklora.analysis import (
+    STABILITY_BLOCK,
     certificate_to_dict,
     communication_heatmap,
     count_params,
@@ -149,6 +151,26 @@ class TestStabilityCertificate:
         cert = stability_certificate(tl, trials=16, delta_scale=0.1, rng=RngState(4))
         assert cert.c_norm > 1.0
         assert not cert.verdict
+
+    @pytest.mark.parametrize("talking", [True, False], ids=["talking", "ablated"])
+    @pytest.mark.parametrize(
+        "trials", [1, STABILITY_BLOCK - 1, STABILITY_BLOCK, STABILITY_BLOCK + 1, 10_000]
+    )
+    def test_blocked_trials_equal_one_shot_evaluation(self, trials, talking):
+        tl, _ = _layer(seed=8)
+        tl.c[:] = 1.5 * RngState(9).generator().normal(size=tl.c.shape)
+        tl.router_wg *= 3.0
+        cert = stability_certificate(tl, trials, 0.1, RngState(10), talking)
+        # every trial row through the router at once, from the same draws
+        gen = RngState(10).generator()
+        x = gen.normal(size=(trials, tl.a.shape[2]))
+        dx = 0.1 * gen.normal(size=(trials, tl.a.shape[2]))
+        g0 = router_gates(tl, x, talking)
+        g1 = router_gates(tl, x + dx, talking)
+        ratios = np.linalg.norm(g1 - g0, axis=1) / np.linalg.norm(dx, axis=1)
+        assert cert.trials == trials
+        assert cert.max_observed_ratio == float(ratios.max())
+        assert cert.max_observed_ratio > 0.0
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_bound_any_c_holds_on_unclipped_layer(self, seed):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import itertools
+
 from _setup import make_setup, near_degenerate_c
+from talklora import autodiff
 from talklora.adapters import (
     AdapterConfig,
     FrozenLinear,
@@ -12,6 +15,8 @@ from talklora.autodiff import (
     AdamWHyper,
     AdamWState,
     LossSpec,
+    ORACLE_BLOCK,
+    _reference_loss,
     NonFiniteLossError,
     adamw_step,
     apply_spectral_clip,
@@ -166,6 +171,133 @@ class TestFiniteDifferenceOracle:
         finite_difference_oracle(stack, frozen, (x, t), MSE)
         for h, arr in stack.named_parameters():
             assert np.array_equal(arr, before[h])
+
+
+def _per_scalar_oracle(stack, frozen, batch, loss, epsilon, scales, dtype):
+    """Central differences one scalar at a time: the oracle's reference.
+
+    Two ``_reference_loss`` calls on plain parameters per scalar, with
+    g = (f+ - f-) / (2 eps) formed in the evaluation dtype and rounded to
+    float64, exactly as the blocked oracle must reproduce.
+    """
+    x = np.asarray(batch[0], dtype=dtype)
+    targets = np.asarray(batch[1])
+    params = {h: arr.astype(dtype) for h, arr in stack.named_parameters()}
+    eps = dtype(epsilon)
+    grads = {}
+    for handle, arr in stack.named_parameters():
+        flat = params[handle].reshape(-1)
+        g = np.zeros(arr.size)
+        for j in range(flat.size):
+            original = flat[j]
+            flat[j] = original + eps
+            f_plus = _reference_loss(stack, frozen, params, x, targets, loss, scales)
+            flat[j] = original - eps
+            f_minus = _reference_loss(stack, frozen, params, x, targets, loss, scales)
+            flat[j] = original
+            g[j] = float((f_plus - f_minus) / (2.0 * eps))
+        grads[handle] = g.reshape(arr.shape)
+    return grads
+
+
+def _assert_bitwise_equal(got, expected):
+    assert list(got) == list(expected)
+    for handle in expected:
+        assert got[handle].dtype == np.float64, handle
+        assert got[handle].tobytes() == expected[handle].tobytes(), handle
+
+
+def _grid_case(method, depth, share_b, talking, dropout, kind, d=4, k=4, r=2):
+    frozen, stack, x, t = make_setup(
+        method, share_b=share_b, talking=talking, seed=depth, d=d, k=k, r=r, depth=depth
+    )
+    if kind == CE.kind:
+        t = RngState(5).generator().integers(0, k, size=x.shape[0])
+    scales = (
+        _fixed_dropout_scales(frozen, x.shape[0], seed=7, p=dropout) if dropout else None
+    )
+    return stack, frozen, (x, t), LossSpec(kind), scales
+
+
+class TestBlockedOracle:
+    """The oracle batches each handle's +/-eps copies; its numbers must not move."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "f128"])
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_equals_per_scalar_loop_bitwise(self, method, dtype):
+        grid = itertools.product(
+            (1, 2, 3), (False, True), (False, True), (0.0, 0.3), (MSE.kind, CE.kind)
+        )
+        for depth, share_b, talking, dropout, kind in grid:
+            stack, frozen, batch, loss, scales = _grid_case(
+                method, depth, share_b, talking, dropout, kind
+            )
+            expected = _per_scalar_oracle(stack, frozen, batch, loss, 1e-5, scales, dtype)
+            got = finite_difference_oracle(stack, frozen, batch, loss, 1e-5, scales, dtype)
+            _assert_bitwise_equal(got, expected)
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_handle_larger_than_one_block(self, method):
+        stack, frozen, batch, loss, scales = _grid_case(
+            method, 2, True, True, 0.3, MSE.kind, d=24, k=40, r=8
+        )
+        sizes = {h: arr.size for h, arr in stack.named_parameters()}
+        assert max(sizes.values()) > ORACLE_BLOCK // 2
+        expected = _per_scalar_oracle(stack, frozen, batch, loss, 1e-5, scales, np.float64)
+        got = finite_difference_oracle(stack, frozen, batch, loss, 1e-5, scales)
+        _assert_bitwise_equal(got, expected)
+
+    @pytest.mark.parametrize("block", [2, 6, 7])
+    def test_partial_blocks_and_call_count(self, monkeypatch, block):
+        # tiny blocks split every handle, most with a short last block
+        stack, frozen, batch, loss, scales = _grid_case("talklora", 2, False, True, 0.3, MSE.kind)
+        expected = _per_scalar_oracle(stack, frozen, batch, loss, 1e-5, scales, np.float64)
+        calls = []
+        real = autodiff._reference_loss
+
+        def counting(stack, frozen, params, *rest):
+            calls.append(max(np.ndim(p) for p in params.values()))
+            return real(stack, frozen, params, *rest)
+
+        monkeypatch.setattr(autodiff, "ORACLE_BLOCK", block)
+        monkeypatch.setattr(autodiff, "_reference_loss", counting)
+        got = finite_difference_oracle(stack, frozen, batch, loss, 1e-5, scales)
+        _assert_bitwise_equal(got, expected)
+        half = block // 2
+        blocks = sum(-(-arr.size // half) for _, arr in stack.named_parameters())
+        assert len(calls) == blocks
+        assert set(calls) == {3}  # every call carries one stacked (P, ...) handle
+
+    def test_unused_c_gives_exact_zeros(self):
+        stack, frozen, batch, loss, _ = _grid_case("talklora", 2, True, False, 0.0, MSE.kind)
+        params = {h: arr.copy() for h, arr in stack.named_parameters()}
+        c_handles = [h for h in params if h.endswith(".C")]
+        assert c_handles
+        for h in c_handles:
+            params[h] = np.stack([params[h]] * 4)
+        # the forward never reads C with talking off: one loss for the block
+        assert np.ndim(_reference_loss(stack, frozen, params, *batch, loss, None)) == 0
+        got = finite_difference_oracle(stack, frozen, batch, loss)
+        for h in c_handles:
+            assert np.array_equal(got[h], np.zeros_like(got[h])), h
+            assert not np.signbit(got[h]).any(), h
+
+    @pytest.mark.parametrize("kind", [MSE.kind, CE.kind])
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_reference_loss_shapes(self, method, kind):
+        stack, frozen, batch, loss, scales = _grid_case(method, 2, True, True, 0.3, kind)
+        params = dict(stack.named_parameters())
+        plain = _reference_loss(stack, frozen, params, *batch, loss, scales)
+        assert np.ndim(plain) == 0
+        assert float(plain) == pytest.approx(backward(stack, frozen, batch, loss, scales)[0])
+        handle = stack.handles[0]
+        shifts = np.arange(3.0)[:, None, None] * 1e-3
+        stacked = dict(params, **{handle: params[handle][None] + shifts})
+        losses = _reference_loss(stack, frozen, stacked, *batch, loss, scales)
+        assert losses.shape == (3,)
+        for p in range(3):
+            one = dict(params, **{handle: stacked[handle][p]})
+            assert losses[p] == _reference_loss(stack, frozen, one, *batch, loss, scales)
 
 
 class TestSharedBGradients:

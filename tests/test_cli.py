@@ -291,6 +291,7 @@ class TestGradcheckCommand:
         code, _, err = run(capsys, "gradcheck", "--config", str(cfg))
         assert code == 2
         assert "32" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCkptCommand:
@@ -362,6 +363,23 @@ class TestPathErrors:
         code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert str(blocker) in err
+
+    @pytest.mark.parametrize(
+        "command, work", [("train", "train"), ("gradcheck", "run_gradcheck_suite")]
+    )
+    def test_unusable_output_dir_fails_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, work
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output_dir check")
+
+        monkeypatch.setattr(f"talklora.cli.{work}", must_not_run)
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        cfg = self._config(tmp_path, target)
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert str(target) in err
 
     @pytest.mark.parametrize(
         "argv",
