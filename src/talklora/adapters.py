@@ -98,13 +98,24 @@ class AdapterConfig:
 
 @dataclass
 class FrozenLinear:
-    """Pretrained weight w0 (k x d); never mutated by training."""
+    """Pretrained weight w0 (k x d); never mutated by training.
+
+    A float64, C-contiguous array that owns its data and is already
+    read-only is adopted as is, so a host weight handed over by its maker
+    is held once.  Any other input (a list, another dtype, a view, or a
+    writable array the caller may still change) is copied.  Either way
+    ``w0`` ends up read-only and validated by :func:`as_matrix`.
+    """
 
     w0: np.ndarray
 
     def __post_init__(self):
-        self.w0 = np.array(as_matrix(self.w0, "w0"), dtype=np.float64)
-        self.w0.setflags(write=False)
+        w0 = as_matrix(self.w0, "w0")
+        flags = w0.flags
+        if not (flags.owndata and flags.c_contiguous and not flags.writeable):
+            w0 = np.array(w0)
+            w0.setflags(write=False)
+        self.w0 = w0
 
     @property
     def d_in(self) -> int:
@@ -542,16 +553,17 @@ def build_frozen_stack(
     Hidden layers are square (input_dim x input_dim); the last layer maps
     to output_dim and has no activation after it.  Weights are Kaiming
     draws from named streams, so the host is bit-reproducible from the
-    seed and is never trained.
+    seed and is never trained.  Each draw is made read-only and adopted
+    by its :class:`FrozenLinear`, so every host weight is held once.
     """
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     layers = []
     for i in range(depth):
         d_out = output_dim if i == depth - 1 else input_dim
-        layers.append(
-            FrozenLinear(kaiming_init(d_out, input_dim, rng.split(f"frozen.L{i:02d}")))
-        )
+        w0 = kaiming_init(d_out, input_dim, rng.split(f"frozen.L{i:02d}"))
+        w0.setflags(write=False)
+        layers.append(FrozenLinear(w0))
     return layers
 
 

@@ -266,7 +266,7 @@ def _reference_loss(
     for i in range(last + 1):
         cfg = stack.slot_cfg(i)
         roles = {role: params[handle] for role, handle, _ in stack.slot_handles(i)}
-        w0 = frozen_layers[i].w0.astype(x.dtype)
+        w0 = frozen_layers[i].w0.astype(x.dtype, copy=False)
         scale = cfg.scaling
         xa = h * dropout_scales[i].astype(x.dtype) if dropout_scales else h
         n = cfg.experts

@@ -364,14 +364,24 @@ def _restore(checkpoint: str):
 
 def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 trials: int = 1000) -> int:
+    if report not in ANALYZE_REPORTS:
+        raise ConfigError(
+            f"unknown report {report!r}; expected one of {ANALYZE_REPORTS}"
+        )
     stack, config = _restore(checkpoint)
-    out = Path(out_dir) if out_dir else Path(checkpoint).parent
-    out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"report": report, "checkpoint": checkpoint}
-
     if report in ("stability", "nonexpansive", "heatmap", "degeneracy"):
         if stack.method != "talklora":
             raise ConfigError(f"report {report!r} needs a talklora checkpoint")
+    if report == "routing":
+        if stack.method == "lora":
+            raise ConfigError("report 'routing' needs a moelora or talklora checkpoint")
+        if config.task is None:
+            raise ConfigError("checkpoint config carries no task; cannot rebuild data")
+    if report == "stability" and trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
+    out = Path(out_dir) if out_dir else Path(checkpoint).parent
+    out.mkdir(parents=True, exist_ok=True)
+    summary: dict = {"report": report, "checkpoint": checkpoint}
 
     if report == "stability":
         certs = []
@@ -396,8 +406,6 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
         summary["fraction_within"] = audit.fraction_within
         summary["max_sigma"] = max(sigma for _, _, sigma in audit.rows)
     elif report == "routing":
-        if config.task is None:
-            raise ConfigError("checkpoint config carries no task; cannot rebuild data")
         data = generate_cluster_task(config.task)
         frozen = build_frozen_stack(
             config.task.input_dim, config.task.output_dim,
@@ -411,7 +419,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
         heat = analysis.communication_heatmap(stack)
         _write_csv(out / "heatmap.csv", analysis.heatmap_csv_lines(heat))
         summary["layers"] = len(heat)
-    elif report == "degeneracy":
+    else:  # degeneracy
         reports = []
         for i, adapter in enumerate(stack.adapters):
             rep = analysis.degeneracy_check(
@@ -430,10 +438,6 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
             )
         _write_json(out / "degeneracy.json", {"layers": reports})
         summary["all_passed"] = all(r["passed"] for r in reports)
-    else:
-        raise ConfigError(
-            f"unknown report {report!r}; expected one of {ANALYZE_REPORTS}"
-        )
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from talklora.adapters import (
     LoRAAdapter,
     TalkLoRALayer,
     build_adapter_stack,
+    build_frozen_stack,
     build_stack_from_slots,
     init_lora,
     init_moelora,
@@ -21,7 +24,7 @@ from talklora.adapters import (
     talklora_forward,
 )
 from talklora.geometry import bundled_geometry
-from talklora.linalg import RngState, softmax
+from talklora.linalg import RngState, kaiming_init, softmax
 
 
 def small_cfg(**kw):
@@ -54,6 +57,63 @@ class TestFrozenLinear:
         layer = FrozenLinear(np.eye(3))
         with pytest.raises(ValueError):
             layer.w0[0, 0] = 5.0
+
+    def test_read_only_owned_array_is_adopted(self):
+        w = np.eye(3)
+        w.setflags(write=False)
+        assert FrozenLinear(w).w0 is w
+
+    def test_writable_array_is_copied(self):
+        w = np.eye(3)
+        layer = FrozenLinear(w)
+        w[0, 0] = 5.0
+        assert layer.w0[0, 0] == 1.0
+        assert w.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda base: base[1:],
+            lambda base: np.asfortranarray(base),
+            lambda base: base.astype(np.float32),
+        ],
+        ids=["view", "fortran_order", "float32"],
+    )
+    def test_read_only_array_not_adoptable_is_copied(self, make):
+        w = make(np.arange(12.0).reshape(4, 3))
+        w.setflags(write=False)
+        layer = FrozenLinear(w)
+        assert layer.w0.flags.owndata and not layer.w0.flags.writeable
+        assert not np.shares_memory(layer.w0, w)
+        assert np.array_equal(layer.w0, w)
+
+    def test_read_only_owned_non_finite_rejected(self):
+        w = np.eye(3)
+        w[1, 2] = np.nan
+        w.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            FrozenLinear(w)
+
+    def test_frozen_stack_holds_each_kaiming_draw(self):
+        rng = RngState(7)
+        layers = build_frozen_stack(6, 4, 3, rng)
+        assert [layer.w0.shape for layer in layers] == [(6, 6), (6, 6), (4, 6)]
+        for i, layer in enumerate(layers):
+            assert layer.w0.flags.owndata and not layer.w0.flags.writeable
+            draw = kaiming_init(*layer.w0.shape, rng.split(f"frozen.L{i:02d}"))
+            assert layer.w0.tobytes() == draw.tobytes()
+
+    def test_frozen_stack_is_not_copied_at_construction(self):
+        # numpy reports its buffers to tracemalloc; a copy per layer would
+        # hold a third host-sized matrix at the peak (about 1.5x the weights)
+        tracemalloc.start()
+        try:
+            layers = build_frozen_stack(1024, 1024, 2, RngState(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = sum(layer.w0.nbytes for layer in layers)
+        assert peak < 1.25 * weights
 
 
 class TestLoRAForward:

@@ -250,6 +250,38 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(stdout)["all_verdicts_pass"] is True
 
+    @pytest.mark.parametrize(
+        "method, report, trials, drop_task, message",
+        [
+            ("lora", "stability", "200", False, "needs a talklora checkpoint"),
+            ("moelora", "heatmap", "200", False, "needs a talklora checkpoint"),
+            ("lora", "routing", "200", False, "needs a moelora or talklora checkpoint"),
+            ("talklora", "routing", "200", True, "carries no task"),
+            ("talklora", "stability", "0", False, "--trials must be at least 1"),
+        ],
+        ids=["stability_on_lora", "heatmap_on_moelora", "routing_on_lora",
+             "routing_without_task", "zero_trials"],
+    )
+    def test_config_error_leaves_no_out_dir(
+        self, tmp_path, capsys, method, report, trials, drop_task, message
+    ):
+        experts = 1 if method == "lora" else 2
+        cfg = write_config(tmp_path, method=method, adapter={
+            "total_rank": 4, "experts": experts, "lora_alpha": 8.0,
+        })
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        checkpoint = tmp_path / "out" / "checkpoint.tlkl"
+        if drop_task:
+            rewrite_header(checkpoint, lambda header: header["run_config"].pop("task"))
+        out = tmp_path / "new"
+        code, _, err = run(
+            capsys, "analyze", "--checkpoint", str(checkpoint),
+            "--report", report, "--out", str(out), "--trials", trials,
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exits_4(self, checkpoint, capsys):
         raw = bytearray(checkpoint.read_bytes())
         raw[-3] ^= 0x42
