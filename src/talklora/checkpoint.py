@@ -15,6 +15,7 @@ which keeps checkpoints small and still bit-reproducible.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict
@@ -130,6 +131,8 @@ def _read_header(fh) -> dict:
         raise CorruptCheckpointError(f"header lacks one of the fields {_HEADER_KEYS}")
     if not isinstance(header["slots"], list) or not isinstance(header["tensors"], list):
         raise CorruptCheckpointError("malformed header: slots and tensors must be lists")
+    if not isinstance(header["alias_table"], dict):
+        raise CorruptCheckpointError("malformed header: alias_table must be an object")
     for i, rec in enumerate(header["tensors"]):
         if not isinstance(rec, dict) or any(
             type(rec.get(key)) is not kind for key, kind in _RECORD_FIELDS
@@ -147,7 +150,35 @@ def read_header(path) -> dict:
         return _read_header(fh)
 
 
-def _rebuild(header: dict) -> tuple[AdapterStack, list]:
+def _check_sizes(header: dict, cfg: AdapterConfig, slots: list, payload_bytes: int) -> None:
+    """Reject a header whose sizes disagree, before anything they size is allocated.
+
+    Each slot must be a valid low-rank site for ``cfg`` and its dims and
+    rank must match its A0 and B0 records, and the records must account
+    for every payload byte in the file.  So a forged dimension is caught
+    here, not by a failed allocation of the size it names.
+    """
+    shapes = {rec["handle"]: (rec["rows"], rec["cols"]) for rec in header["tensors"]}
+    rank = cfg.total_rank if header["method"] == "lora" else cfg.expert_rank
+    for slot in slots:
+        cfg.with_dims(slot.d_in, slot.d_out)  # positive dims, total_rank <= both
+        b0 = f"{slot.name}.B0"
+        found = (shapes.get(f"{slot.name}.A0"), shapes.get(header["alias_table"].get(b0, b0)))
+        if found != ((rank, slot.d_in), (slot.d_out, rank)):
+            raise CorruptCheckpointError(
+                f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}, rank {rank}) "
+                f"does not match its A0 and B0 records {found}"
+            )
+    recorded = 8 * sum(rec["rows"] * rec["cols"] for rec in header["tensors"])
+    if recorded != payload_bytes:
+        problem = "truncated payload" if payload_bytes < recorded else "trailing bytes"
+        raise CorruptCheckpointError(
+            f"{problem}: the tensor records hold {recorded} bytes, "
+            f"the file {payload_bytes} after the header"
+        )
+
+
+def _rebuild(header: dict, payload_bytes: int) -> tuple[AdapterStack, list]:
     """Fresh stack with the header's structure, and its (handle, shape, crc) records.
 
     Structure (slots, sharing) is reconstructed from the header, which
@@ -158,6 +189,7 @@ def _rebuild(header: dict) -> tuple[AdapterStack, list]:
         LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"])
         for s in header["slots"]
     ]
+    _check_sizes(header, cfg, slots, payload_bytes)
     stack = build_stack_from_slots(header["method"], cfg, slots, RngState(0))
     if _alias_table(stack) != header["alias_table"]:
         raise CorruptCheckpointError("alias table does not match the rebuilt stack")
@@ -185,8 +217,9 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
-            stack, records = _rebuild(header)
+            stack, records = _rebuild(header, payload_bytes)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptCheckpointError(f"malformed header: {exc!r}") from exc
         for handle, shape, crc in records:

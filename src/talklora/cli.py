@@ -612,6 +612,12 @@ def main(argv=None) -> int:
     except (CorruptCheckpointError, VersionMismatchError) as exc:
         print(f"artifact corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
+    except MemoryError as exc:
+        print(
+            f"config error: the configured sizes need more memory than is available: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,8 @@ are freshly allocated, so concurrent callers can share inputs freely.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +60,17 @@ class RngState:
         return RngState(int.from_bytes(digest[:8], "little"))
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """True when a nonempty array holds no NaN or infinity.
+
+    A NaN anywhere makes both reductions NaN, and an infinity makes one of
+    them infinite.  Unlike ``np.isfinite(arr).all()`` this allocates no
+    boolean mask the size of ``arr``.
+    """
+    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
+    return math.isfinite(lo) and math.isfinite(hi)
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate a dense 2-d float64 matrix with finite entries."""
     arr = np.asarray(m, dtype=np.float64)
@@ -65,7 +78,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -77,7 +90,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -106,13 +119,76 @@ def kaiming_init(rows: int, cols: int, rng: RngState) -> np.ndarray:
 
     Entries are i.i.d. uniform on [-sqrt(6/cols), +sqrt(6/cols)], drawn
     row-major from the given stream, so the same ``RngState`` always
-    yields the same matrix.
+    yields the same matrix: bit for bit
+    ``rng.generator().uniform(-b, b, size=(rows, cols))``.
+
+    The matrix is filled in place by :func:`_fill_uniform`.  A draw of
+    at least two ``_FILL_CHUNK`` doubles is cut into contiguous chunks of
+    at least that size, at most one per CPU this process may run on, each
+    filled on its own thread.
+    The bits cannot depend on the cut: Philox is counter-based, one
+    counter step yields 4 doubles, and every chunk starts at a multiple
+    of 4, so a chunk's own generator advanced by ``start // 4`` steps
+    continues the stream exactly where the previous chunk stops.  The
+    affine map to [low, high) is numpy's own, ``low + (high - low) * u``,
+    applied per entry, so a chunk's result is the same whichever thread
+    computes it.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"kaiming_init needs positive dims, got ({rows}, {cols})")
-    bound = np.sqrt(6.0 / cols)
+    bound = math.sqrt(6.0 / cols)
+    out = np.empty((rows, cols))
+    _fill_uniform(out.reshape(-1), -bound, bound, rng)
+    return out
+
+
+# Draws shorter than two chunks of this many doubles (8 MiB) are filled on
+# the calling thread, where a thread pool would cost more than it saves.
+_FILL_CHUNK = 1 << 20
+
+
+def _fill_threads() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_uniform(flat: np.ndarray, low: float, high: float, rng: RngState) -> None:
+    """Overwrite the contiguous 1-d ``flat`` with uniform [low, high) draws.
+
+    Bit-identical to ``rng.generator().uniform(low, high, size=flat.size)``
+    for any number of chunks (see :func:`kaiming_init`).  ``Generator.random``
+    and the in-place ufuncs release the GIL, so the chunks fill in parallel,
+    and no chunk allocates a temporary.
+    """
+    n = flat.size
+    chunks = n // _FILL_CHUNK
+    if chunks > 1:
+        chunks = min(chunks, _fill_threads())
+    if chunks < 2:
+        _fill_span(flat, low, high, rng)
+        return
+    step = n // chunks // 4 * 4  # chunk starts are whole Philox counter steps
+    starts = [i * step for i in range(chunks)]
+    stops = starts[1:] + [n]
+    # imported here: importing it costs about 0.6 MB of resident memory, and
+    # most processes never make a draw this large
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(chunks) as pool:
+        list(pool.map(lambda a, b: _fill_span(flat[a:b], low, high, rng, a), starts, stops))
+
+
+def _fill_span(span: np.ndarray, low: float, high: float, rng: RngState, start: int = 0):
+    """Fill ``span`` with draws ``start, start + 1, ...`` of the stream of ``rng``."""
     gen = rng.generator()
-    return gen.uniform(-bound, bound, size=(rows, cols))
+    if start:
+        gen.bit_generator.advance(start // 4)  # one Philox counter step is 4 doubles
+    gen.random(out=span)
+    span *= high - low  # Generator.uniform's low + (high - low) * u, in its order
+    span += low
 
 
 def zero_init(rows: int, cols: int) -> np.ndarray:
@@ -136,7 +212,7 @@ def spectral_norms(ms) -> np.ndarray:
         raise ValueError(f"ms must be a 3-d stack of matrices, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"ms must be nonempty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("ms contains non-finite entries")
     return np.linalg.svd(arr, compute_uv=False)[:, 0]  # descending: [0] is the max
 

@@ -165,6 +165,37 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptCheckpointError, match="crc32"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptCheckpointError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h["slots"][0].update(d_in=10**11), "slot L00.8x8 .* A0 and B0"),
+            (lambda h: h["slots"][1].update(d_out=10**11), "slot L01.8x8 .* A0 and B0"),
+            (lambda h: h["adapter_config"].update(total_rank=10**9, experts=10**9),
+             "exceeds min"),
+            (lambda h: h["adapter_config"].update(total_rank=8), r"rank 4\) does not match"),
+            (lambda h: h["tensors"][-1].update(rows=10**9), "truncated payload"),
+            (lambda h: h.update(alias_table=[]), "alias_table"),
+        ],
+        ids=["d_in", "d_out", "experts", "rank", "record_rows", "alias_table"],
+    )
+    def test_forged_sizes_rejected_before_allocation(self, tmp_path, monkeypatch, edit, match):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the stack was built from a forged header")
+
+        path = self._saved(tmp_path)
+        header, payload = _split(path)
+        edit(header)
+        _write(path, header, payload, sort_keys=True)
+        monkeypatch.setattr("talklora.checkpoint.build_stack_from_slots", must_not_run)
+        with pytest.raises(CorruptCheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_payload_found_by_stored_header_length(self, tmp_path):
         _, stack, _, _ = make_setup("talklora", depth=2, seed=9)
         path = tmp_path / "indented.tlkl"

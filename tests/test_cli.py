@@ -1,5 +1,7 @@
 import json
+import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +351,20 @@ class TestCkptCommand:
         assert code == 4
         assert "truncated" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("ckpt", "roundtrip"), ("analyze", "--report", "routing")],
+        ids=["ckpt_roundtrip", "analyze_routing"],
+    )
+    def test_forged_slot_dims_exit_4(self, tmp_path, capsys, argv):
+        # the header asks for a 10^11-wide slot the payload cannot hold
+        ckpt = tmp_path / "forged.tlkl"
+        shutil.copy(Path(__file__).parent / "fixtures" / "lora-v1.tlkl", ckpt)
+        rewrite_header(ckpt, lambda header: header["slots"][0].update(d_in=10**11))
+        code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("artifact corruption: slot L00.8x8")
+
     @pytest.mark.parametrize("action", ["inspect", "roundtrip"])
     @pytest.mark.parametrize(
         "edit",
@@ -426,3 +442,16 @@ class TestPathErrors:
         code, _, err = run(capsys, *argv, "--checkpoint", str(tmp_path))
         assert code == 2
         assert str(tmp_path) in err
+
+
+class TestOversizedConfig:
+    def test_train_beyond_memory_exits_2(self, tmp_path, capsys):
+        # 10^12 inputs: the first allocation is refused outright, nothing is touched
+        task = {"clusters": 2, "input_dim": 10**12, "output_dim": 8, "samples_per_cluster": 60}
+        cfg = write_config(tmp_path, task=task)
+        code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(
+            "config error: the configured sizes need more memory than is available"
+        )
+        assert err.count("\n") == 1

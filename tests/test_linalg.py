@@ -1,9 +1,18 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _setup import balance_setup, near_degenerate_c
+from talklora import linalg
+from talklora.adapters import build_frozen_stack
 from talklora.linalg import (
     RngState,
+    as_matrix,
+    as_vector,
     kaiming_init,
     softmax,
     softmax_rows,
@@ -103,6 +112,130 @@ class TestInitializers:
             kaiming_init(0, 3, RngState(0))
         with pytest.raises(ValueError):
             zero_init(3, 0)
+
+
+def _uniform_oracle(rows, cols, seed):
+    """numpy's own He-uniform draw, independent of the chunked fill.
+
+    Entry i of the row-major matrix is low + (high - low) * u_i with
+    low = -b, high = b, b = sqrt(6 / cols), and u_i the i-th
+    ``Generator.random`` double of the Philox stream keyed [seed, 0].
+    """
+    bound = np.sqrt(6.0 / cols)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return gen.uniform(-bound, bound, size=(rows, cols))
+
+
+SMALL_CHUNK = 64  # doubles: lets tiny draws take the multi-chunk path
+THREADS = [1, 2, 3, 7]
+
+
+def _force(mp, threads, chunk=None):
+    mp.setattr(linalg, "_fill_threads", lambda: threads)
+    if chunk is not None:
+        mp.setattr(linalg, "_FILL_CHUNK", chunk)
+
+
+class TestKaimingFill:
+    """The chunked, threaded fill gives numpy's single-stream draw bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        threads=st.sampled_from(THREADS),
+    )
+    @example(rows=1, cols=2 * SMALL_CHUNK - 1, seed=0, threads=7)
+    @example(rows=1, cols=2 * SMALL_CHUNK, seed=0, threads=7)
+    @example(rows=1, cols=2 * SMALL_CHUNK + 1, seed=0, threads=7)
+    @example(rows=7, cols=SMALL_CHUNK + 3, seed=5, threads=3)
+    def test_small_chunks_match_oracle(self, rows, cols, seed, threads):
+        with pytest.MonkeyPatch.context() as mp:
+            _force(mp, threads, SMALL_CHUNK)
+            got = kaiming_init(rows, cols, RngState(seed))
+        assert got.tobytes() == _uniform_oracle(rows, cols, seed).tobytes()
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize(
+        "cols", [(1 << 20) - 1, 1 << 20, (1 << 20) + 3, (2 << 20) - 1, 2 << 20, (2 << 20) + 3]
+    )
+    def test_real_chunk_edges_match_oracle(self, monkeypatch, cols, threads):
+        _force(monkeypatch, threads)
+        got = kaiming_init(1, cols, RngState(cols))
+        assert got.tobytes() == _uniform_oracle(1, cols, cols).tobytes()
+
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_chunks_cover_the_draw_from_whole_counter_steps(self, monkeypatch, threads):
+        _force(monkeypatch, threads, SMALL_CHUNK)
+        fill_span = linalg._fill_span
+        spans = []
+
+        def spy(span, low, high, rng, start=0):
+            spans.append((start, span.size, threading.get_ident()))
+            fill_span(span, low, high, rng, start)
+
+        monkeypatch.setattr(linalg, "_fill_span", spy)
+        n = 10 * SMALL_CHUNK + 3
+        kaiming_init(1, n, RngState(1))
+        spans.sort()
+        starts = [start for start, _, _ in spans]
+        ends = [start + size for start, size, _ in spans]
+        assert len(spans) == threads
+        assert starts == [0] + ends[:-1] and ends[-1] == n  # contiguous, no gap
+        assert all(start % 4 == 0 for start in starts)
+        callers = {ident for _, _, ident in spans}
+        assert (threading.get_ident() in callers) == (threads == 1)
+
+    def test_short_draw_stays_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a draw under two chunks must not start a pool")
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        _force(monkeypatch, 7, SMALL_CHUNK)
+        got = kaiming_init(1, 2 * SMALL_CHUNK - 1, RngState(2))
+        assert got.tobytes() == _uniform_oracle(1, 2 * SMALL_CHUNK - 1, 2).tobytes()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_write_in_place(self, monkeypatch, threads):
+        _force(monkeypatch, threads, SMALL_CHUNK)
+        tracemalloc.start()
+        try:
+            out = kaiming_init(256, 256, RngState(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 64 * 1024
+
+    def test_multi_chunk_host_through_build_frozen_stack(self):
+        # the real CPU count: two chunks on a 2-CPU machine, one when pinned to one CPU
+        rng = RngState(9)
+        (layer,) = build_frozen_stack(2048, 2048, 1, rng)
+        seed = rng.split("frozen.L00").seed
+        assert layer.w0.tobytes() == _uniform_oracle(2048, 2048, seed).tobytes()
+
+
+class TestFiniteChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 17, 35])
+    def test_non_finite_rejected_anywhere(self, value, position):
+        m = np.ones((6, 6))
+        m.flat[position] = value
+        with pytest.raises(ValueError, match="m contains non-finite entries"):
+            as_matrix(m, "m")
+        with pytest.raises(ValueError, match="v contains non-finite entries"):
+            as_vector(m.reshape(-1), "v")
+
+    def test_validation_allocates_no_mask(self):
+        m = np.ones((1024, 1024))
+        tracemalloc.start()
+        try:
+            as_matrix(m)
+            as_vector(m.reshape(-1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestRngState:
