@@ -1,8 +1,9 @@
-"""Analytic gradients vs the central-difference oracle, family by family.
+"""Analytic gradients vs the complex-step oracle, family by family.
 
 The analytic backward implements the exact chain rule, including the
 softmax-router Jacobian and the communication matrix; the oracle is a
-naive reference forward differentiated numerically in extended precision.
+naive reference forward evaluated in complex128 at theta + i*h*e_j, whose
+imaginary part over h is the derivative, exact to rounding.
 Also demonstrates the shared-B contract: the gradient of a shared tensor
 is the sum of all aliasing layers' contributions.
 """

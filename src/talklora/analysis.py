@@ -21,11 +21,10 @@ from .adapters import (
     build_stack_from_slots,
     frozen_stack_slots,
     router_gates,
-    talking_mix,
 )
 from .autodiff import LossSpec, model_forward
 from .geometry import ModelGeometry
-from .linalg import RngState, spectral_norm, spectral_norms
+from .linalg import RngState, as_matrix, spectral_norm, spectral_norms
 from .tasks import ClusterTaskSpec, TrainConfig, _mean_gates, generate_cluster_task, train
 
 NONEXPANSIVE_SLACK = 1e-9
@@ -312,44 +311,50 @@ def degeneracy_check(
 ) -> DegeneracyReport:
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n, _, d = tl.a.shape
+    n, r_e, d = tl.a.shape
     if n < 2:
         raise ValueError("degeneracy probes need at least 2 experts")
     gen = rng.generator()
-    identity_max = 0.0
-    isolation_max = 0.0
-    cross_min = np.inf
+    # each trial's draws in a fixed order: x, j, the A_j noise, the A_2 delta
+    x = np.empty((trials, d))
+    j = np.empty(trials, dtype=np.intp)
+    noise = np.empty((trials, r_e, d))
+    delta_a2 = np.empty((trials, r_e, d))
+    for t in range(trials):
+        x[t] = gen.normal(size=d)
+        j[t] = gen.integers(0, n)
+        noise[t] = gen.normal(size=(r_e, d))
+        delta_a2[t] = gen.normal(size=(r_e, d))
 
+    c = as_matrix(tl.c, "c")
     eye = np.eye(n)
-    diagonal_c = np.diag(np.diag(tl.c))
-    cross_c = tl.c.copy()
+    diagonal_c = np.diag(np.diag(c))
+    cross_c = c.copy()
     if not np.any(cross_c - np.diag(np.diag(cross_c))):
         cross_c[0, 1] = 1.0  # guarantee an off-diagonal channel to witness
 
-    for _ in range(trials):
-        x = gen.normal(size=d)
-        h = tl.a @ x  # (n, r_e)
-        # (a) identity communication is an exact pass-through
-        identity_max = max(identity_max, float(np.abs(talking_mix(eye, h) - h).max()))
-        # (b) diagonal C: perturbing A_j cannot reach h~_i for i != j
-        j = int(gen.integers(0, n))
-        perturbed = tl.a.copy()
-        perturbed[j] += gen.normal(size=perturbed[j].shape)
-        h_pert = perturbed @ x
-        before = talking_mix(diagonal_c, h)
-        after = talking_mix(diagonal_c, h_pert)
-        others = [i for i in range(n) if i != j]
-        isolation_max = max(
-            isolation_max, float(np.abs(after[others] - before[others]).max())
-        )
-        # (c) off-diagonal C_12 != 0: h~_1 must feel a perturbation of A_2
-        delta_a2 = gen.normal(size=tl.a[1].shape)
-        h_cross = h.copy()
-        h_cross[1] = (tl.a[1] + delta_a2) @ x
-        change = float(
-            np.abs(talking_mix(cross_c, h_cross)[0] - talking_mix(cross_c, h)[0]).max()
-        )
-        cross_min = min(cross_min, change)
+    # The probes run on (trials, n, r_e) stacks.  Each projection is one
+    # (r_e, d) @ (d, 1) product per trial and expert, and each mix one
+    # (n, n) @ (n, r_e) product per trial: the products talking_mix forms for
+    # one trial, so the bits equal a per-trial loop.  (talking_mix on the
+    # whole stack is one (n, n) @ (n, trials * r_e) product, which BLAS may
+    # round differently.)
+    cols = x[:, None, :, None]
+    trial = np.arange(trials)
+    h = (tl.a @ cols)[..., 0]
+    # (a) identity communication is an exact pass-through
+    identity_max = float(np.abs(eye @ h - h).max())
+    # (b) diagonal C: perturbing A_j cannot reach h~_i for i != j
+    h_pert = h.copy()
+    h_pert[trial, j] = ((tl.a[j] + noise) @ cols[:, 0])[..., 0]
+    moved = np.abs(diagonal_c @ h_pert - diagonal_c @ h)
+    moved[trial, j] = 0.0  # only the other experts count
+    isolation_max = float(moved.max())
+    # (c) off-diagonal C_12 != 0: h~_1 must feel a perturbation of A_2
+    h_cross = h.copy()
+    h_cross[:, 1] = ((tl.a[1] + delta_a2) @ cols[:, 0])[..., 0]
+    change = np.abs((cross_c @ h_cross)[:, 0] - (cross_c @ h)[:, 0])
+    cross_min = change.max(axis=-1).min()
 
     return DegeneracyReport(
         trials=trials,

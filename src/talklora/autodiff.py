@@ -10,12 +10,13 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
-``finite_difference_oracle`` recomputes the same gradients with central
-differences through ``_reference_loss``, a naive forward kept
-deliberately independent of the production path; it evaluates each
-handle's +/-epsilon copies in fixed-size blocks, one call per block, and
-its numbers equal a one-scalar-at-a-time loop bit for bit.  ``gradcheck``
-compares the two.  ``adamw_step`` is the
+``finite_difference_oracle`` recomputes the same gradients by the complex
+step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
+naive forward kept deliberately independent of the production path and
+evaluated in complex128.  Nothing is subtracted, so the oracle is exact
+to rounding; its one +ih copy per scalar is packed across handles into
+blocks of ``ORACLE_BLOCK``, one call per block.  ``gradcheck`` compares
+the two.  ``adamw_step`` is the
 decoupled-weight-decay update of the training loop: one vector update of
 ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
@@ -252,9 +253,15 @@ def _reference_loss(
     """Naive re-implementation of the adapted forward pass plus loss.
 
     Deliberately independent of the production forward: per-expert loops,
-    explicit softmax, and whatever dtype the supplied arrays carry (the
-    verification suite passes extended precision).  Parameters are looked
-    up by handle in ``params`` so shared tensors alias automatically.
+    explicit softmax, and whatever dtype the parameters carry (float64, or
+    complex128 from the complex-step oracle).  Parameters are looked up by
+    handle in ``params`` so shared tensors alias automatically.
+
+    It stays complex-analytic, so that the imaginary part of a complex loss
+    carries the derivative: no ``abs`` and no branch on a value that
+    depends on the parameters.  The softmax max-shift is the one
+    value-dependent choice, and it cancels exactly: exp(l - s) / sum
+    exp(l - s) is the same function of l for any s, complex s included.
 
     Any entry of ``params`` may carry a leading perturbation axis,
     ``(P, *shape)`` instead of ``shape``; every operation broadcasts over
@@ -266,9 +273,9 @@ def _reference_loss(
     for i in range(last + 1):
         cfg = stack.slot_cfg(i)
         roles = {role: params[handle] for role, handle, _ in stack.slot_handles(i)}
-        w0 = frozen_layers[i].w0.astype(x.dtype, copy=False)
+        w0 = frozen_layers[i].w0
         scale = cfg.scaling
-        xa = h * dropout_scales[i].astype(x.dtype) if dropout_scales else h
+        xa = h * dropout_scales[i] if dropout_scales else h
         n = cfg.experts
         if stack.method == "lora":
             delta = scale * ((xa @ _t(roles["A0"])) @ _t(roles["B0"]))
@@ -300,7 +307,7 @@ def _reference_loss(
         z = h @ w0.T + delta
         h = np.tanh(z) if i < last else z
     if loss.kind == "mean-squared-error":
-        return np.mean((h - targets.astype(x.dtype)) ** 2, axis=(-2, -1))
+        return np.mean((h - targets) ** 2, axis=(-2, -1))
     shifted = h - h.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=-1, keepdims=True)
@@ -308,11 +315,16 @@ def _reference_loss(
     return np.mean(-np.log(probs[..., idx, targets.astype(int)]), axis=-1)
 
 
-# Perturbed copies per reference-loss call in the oracle: each block holds
-# ORACLE_BLOCK // 2 scalars of one handle, their +epsilon copies then their
-# -epsilon copies, so the working set of one call is bounded by this
-# constant times one forward's activations, whatever the handle's size.
+# Copies per reference-loss call in the oracle: one +ih copy per scalar,
+# packed in handle order across handles, so one call serves up to this many
+# scalars and its working set is bounded by this many copies of the handles
+# the block touches plus one forward's activations.
 ORACLE_BLOCK = 128
+
+# The complex step h: with no subtraction to cancel, any h far below the
+# parameters' scale leaves only the h^2 truncation term, which vanishes in
+# float64, while h * derivative stays far above the float64 underflow.
+_COMPLEX_STEP = 1e-40
 
 
 def finite_difference_oracle(
@@ -320,60 +332,56 @@ def finite_difference_oracle(
     frozen_layers: list,
     batch: tuple,
     loss: LossSpec,
-    epsilon: float = 1e-5,
     dropout_scales: Optional[list] = None,
-    dtype=np.float64,
 ) -> dict:
-    """Central-difference gradients of every trainable scalar.
+    """Complex-step gradients of every trainable scalar.
 
     Evaluates a naive reference forward (independent of both the
-    production forward and the analytic backward) at theta +/- epsilon for
-    every trainable scalar, g = (f(theta + eps) - f(theta - eps)) / (2 eps).
-    The scalars of one handle go through ``_reference_loss`` in blocks of
-    ``ORACLE_BLOCK`` perturbed copies of that handle (the +epsilon copies,
-    then the -epsilon copies, one scalar moved in each), so one call
-    serves up to ``ORACLE_BLOCK // 2`` scalars and memory stays bounded by
-    the block, not the handle's size.  Each copy's loss equals the
-    one-scalar-at-a-time evaluation bit for bit.  A handle the forward
-    never reads (C with talking off) yields one scalar loss for the whole
-    block and so an exact zero gradient.
+    production forward and the analytic backward) with every parameter in
+    complex128, at theta + i*h*e_j for each trainable scalar j, and takes
+    g_j = Im f(theta + i*h*e_j) / h (Squire & Trapp, SIAM Review 40(1),
+    1998; Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).  There is no
+    difference of two losses, so no cancellation: the result is exact to
+    rounding for any small h, and this one uses a fixed h = 1e-40.
+
+    Each scalar needs one copy.  The copies go through ``_reference_loss``
+    in blocks of ``ORACLE_BLOCK``, packed in handle order across handles:
+    every handle the block touches carries a leading (m, ...) axis with
+    one scalar moved in each of its rows, and the others stay plain.  So
+    one call serves up to ``ORACLE_BLOCK`` scalars, and memory stays
+    bounded by the block, not the handles' sizes.  A scalar the forward
+    never reads (C with talking off) gets an exact +0.
 
     Shared parameters are perturbed once; the handle-keyed lookup aliases
     their effect into every layer, which is exactly the summed gradient
-    the analytic side must reproduce.  ``dtype`` selects the evaluation
-    precision; ``np.longdouble`` pushes the roundoff floor of the
-    differences far below float64 levels.
+    the analytic side must reproduce.
     """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     inputs, targets = batch
-    x = np.asarray(inputs, dtype=dtype)
+    x = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets)
-    params = {h: arr.astype(dtype) for h, arr in stack.named_parameters()}
-    eps = dtype(epsilon)
-    half = ORACLE_BLOCK // 2
-
-    grads = {}
-    for handle, arr in stack.named_parameters():
-        original = params[handle]
-        flat = original.reshape(-1)
-        gflat = np.zeros(flat.size)
-        for start in range(0, flat.size, half):
-            idx = np.arange(start, min(start + half, flat.size))
-            m = idx.size
-            copies = np.repeat(flat[None], 2 * m, axis=0)
-            rows = np.arange(m)
-            copies[rows, idx] = flat[idx] + eps
-            copies[m + rows, idx] = flat[idx] - eps
-            params[handle] = copies.reshape(2 * m, *original.shape)
-            f = _reference_loss(
-                stack, frozen_layers, params, x, targets, loss, dropout_scales
-            )
-            f = np.broadcast_to(f, (2 * m,))
-            gflat[idx] = (f[:m] - f[m:]) / (2.0 * eps)
-        params[handle] = original
-        grads[handle] = gflat.reshape(arr.shape)
-    return grads
+    base = {h: arr.astype(np.complex128) for h, arr in stack.named_parameters()}
+    spans = []  # (handle, first scalar, end) in handle order
+    total = 0
+    for handle, arr in base.items():
+        spans.append((handle, total, total + arr.size))
+        total += arr.size
+    grad = np.zeros(total)
+    for lo in range(0, total, ORACLE_BLOCK):
+        hi = min(lo + ORACLE_BLOCK, total)
+        m = hi - lo
+        params = dict(base)
+        for handle, start, end in spans:
+            if start < hi and end > lo:
+                first, last = max(start, lo), min(end, hi)
+                arr = base[handle]
+                copies = np.repeat(arr.reshape(1, -1), m, axis=0)
+                copies[np.arange(first - lo, last - lo),
+                       np.arange(first - start, last - start)] += 1j * _COMPLEX_STEP
+                params[handle] = copies.reshape(m, *arr.shape)
+        f = _reference_loss(stack, frozen_layers, params, x, targets, loss, dropout_scales)
+        grad[lo:hi] = np.broadcast_to(f, (m,)).imag / _COMPLEX_STEP
+    return {handle: grad[start:end].reshape(base[handle].shape)
+            for handle, start, end in spans}
 
 
 def relative_errors(analytic: dict, numeric: dict) -> dict:
@@ -400,16 +408,12 @@ def gradcheck(
     frozen_layers: list,
     batch: tuple,
     loss: LossSpec,
-    epsilon: float = 1e-5,
     dropout_scales: Optional[list] = None,
-    dtype=np.float64,
 ) -> GradcheckReport:
-    """Compare analytic gradients against the central-difference oracle."""
+    """Compare analytic gradients against the complex-step oracle."""
     _, grad = backward(stack, frozen_layers, batch, loss, dropout_scales)
     analytic = stack.views(grad)
-    numeric = finite_difference_oracle(
-        stack, frozen_layers, batch, loss, epsilon, dropout_scales, dtype
-    )
+    numeric = finite_difference_oracle(stack, frozen_layers, batch, loss, dropout_scales)
     errs = relative_errors(analytic, numeric)
     worst = max(errs, key=errs.get)
     return GradcheckReport(

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import analysis
 from .adapters import (
     AdapterConfig,
@@ -65,14 +63,6 @@ EXIT_CORRUPT = 4
 
 GRADCHECK_TOL = 1e-6
 GRADCHECK_DIM_CAP = 32
-# central-difference settings for the verification suite: at eps=1e-5 in
-# float64 the eps^2 truncation term alone reaches ~2e-6 relative error on
-# curvature-heavy entries, while shrinking eps runs into the float64
-# roundoff floor on near-zero gradients; evaluating the reference forward
-# in extended precision removes the floor so a smaller eps can kill
-# truncation too
-GRADCHECK_EPSILON = 1e-6
-GRADCHECK_DTYPE = np.longdouble
 
 ANALYZE_REPORTS = ("stability", "nonexpansive", "routing", "heatmap", "degeneracy")
 
@@ -488,17 +478,13 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
                         g = rng.split(f"fill.{method}.{share_b}.{talking}.{handle}")
                         arr[:] = 0.3 * g.generator().normal(size=arr.shape)
                 if config.loss.kind == "mean-squared-error":
-                    # targets near the model output keep the loss small, which
-                    # keeps finite-difference roundoff well under the
-                    # relative-error floor while every path still has gradient
+                    # targets near the model output: a small loss, with
+                    # gradient on every path
                     z0, _ = model_forward(frozen, stack, x)
                     targets = z0 + 0.3 * target_noise
                 else:
                     targets = class_targets
-                report = gradcheck(
-                    stack, frozen, (x, targets), config.loss,
-                    epsilon=GRADCHECK_EPSILON, dtype=GRADCHECK_DTYPE,
-                )
+                report = gradcheck(stack, frozen, (x, targets), config.loss)
                 combos.append(
                     {
                         "method": method,
@@ -583,8 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main() call and reused by later ones
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "params":
             return cmd_params(_load_config_file(args.config, args.seed))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _setup import make_setup, near_degenerate_c
 from talklora.adapters import (
@@ -9,6 +11,7 @@ from talklora.adapters import (
     build_stack_from_slots,
     init_talklora,
     router_gates,
+    talking_mix,
 )
 from talklora.analysis import (
     STABILITY_BLOCK,
@@ -332,6 +335,73 @@ class TestDegeneracyCheck:
         tl, _ = _layer(seed=42, n=1)
         with pytest.raises(ValueError):
             degeneracy_check(tl, trials=10, rng=RngState(42))
+
+
+def _per_trial_degeneracy(tl, trials, rng):
+    """The three probes one trial at a time through ``talking_mix``: the reference."""
+    n, _, d = tl.a.shape
+    gen = rng.generator()
+    identity_max = 0.0
+    isolation_max = 0.0
+    cross_min = np.inf
+    eye = np.eye(n)
+    diagonal_c = np.diag(np.diag(tl.c))
+    cross_c = tl.c.copy()
+    if not np.any(cross_c - np.diag(np.diag(cross_c))):
+        cross_c[0, 1] = 1.0
+    for _ in range(trials):
+        x = gen.normal(size=d)
+        h = tl.a @ x
+        identity_max = max(identity_max, float(np.abs(talking_mix(eye, h) - h).max()))
+        j = int(gen.integers(0, n))
+        perturbed = tl.a.copy()
+        perturbed[j] += gen.normal(size=perturbed[j].shape)
+        before = talking_mix(diagonal_c, h)
+        after = talking_mix(diagonal_c, perturbed @ x)
+        others = [i for i in range(n) if i != j]
+        isolation_max = max(
+            isolation_max, float(np.abs(after[others] - before[others]).max())
+        )
+        delta_a2 = gen.normal(size=tl.a[1].shape)
+        h_cross = h.copy()
+        h_cross[1] = (tl.a[1] + delta_a2) @ x
+        change = np.abs(talking_mix(cross_c, h_cross)[0] - talking_mix(cross_c, h)[0])
+        cross_min = min(cross_min, float(change.max()))
+    return identity_max, isolation_max, float(cross_min)
+
+
+class TestBatchedDegeneracyProbes:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        n=st.integers(2, 6),
+        r_e=st.integers(1, 4),
+        extra_d=st.integers(0, 8),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+        diagonal=st.booleans(),
+    )
+    @example(n=2, r_e=1, extra_d=0, trials=1, seed=0, diagonal=False)
+    @example(n=2, r_e=1, extra_d=0, trials=1, seed=0, diagonal=True)
+    @example(n=4, r_e=4, extra_d=0, trials=100, seed=3, diagonal=False)
+    def test_equals_per_trial_loop_bitwise(self, n, r_e, extra_d, trials, seed, diagonal):
+        d = n * r_e + extra_d
+        cfg = AdapterConfig(
+            total_rank=n * r_e, experts=n, input_dim=d, output_dim=d, lora_alpha=8.0
+        )
+        tl = init_talklora(cfg, RngState(seed))
+        c = RngState(seed).split("c").generator().normal(size=(n, n))
+        tl.c[:] = np.diag(np.diag(c)) if diagonal else c
+        report = degeneracy_check(tl, trials, RngState(seed).split("probes"))
+        got = (report.identity_max_diff, report.isolation_max_diff, report.cross_influence_min)
+        expected = _per_trial_degeneracy(tl, trials, RngState(seed).split("probes"))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert report.passed
+
+    def test_non_finite_c_rejected(self):
+        tl, _ = _layer(seed=43)
+        tl.c[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            degeneracy_check(tl, trials=3, rng=RngState(43))
 
 
 class TestCommunicationHeatmap:

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from talklora import cli
 from talklora.checkpoint import read_header
 from talklora.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -296,6 +299,21 @@ class TestAnalyze:
         assert "corrupt" in err.lower() or "checksum" in err.lower()
 
 
+class TestDegeneracyReport:
+    def test_report_of_the_benchmark_session_is_pinned(self, tmp_path, capsys):
+        # the talklora run of the benchmark's CLI session at seed 0; the
+        # fixture was written by the one-trial-at-a-time probe loop
+        doc = {"method": "talklora", "seed": 0, "output_dir": str(tmp_path / "out"),
+               "task": {}, "adapter": {"spectral_clip_c": 1.0}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        ckpt = tmp_path / "out" / "checkpoint.tlkl"
+        assert run(capsys, "analyze", "--checkpoint", str(ckpt), "--report", "degeneracy")[0] == 0
+        expected = (FIXTURES / "degeneracy-talklora-seed0.json").read_bytes()
+        assert (tmp_path / "out" / "degeneracy.json").read_bytes() == expected
+
+
 class TestGradcheckCommand:
     def test_small_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -314,6 +332,20 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_seed_1903_of_the_acceptance_config_passes(self, tmp_path, capsys):
+        # a longdouble central-difference oracle failed here (1.53e-6 on
+        # L00.8x8.B1, moelora, unshared B, talking off) by its own truncation
+        doc = {"method": "talklora", "seed": 1903, "output_dir": str(tmp_path / "out"),
+               "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0},
+               "task": {"clusters": 2, "input_dim": 8, "output_dim": 8,
+                        "samples_per_cluster": 40},
+               "model_depth": 2}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["max_relative_error"] < 1e-8
 
     def test_dim_cap_enforced(self, tmp_path, capsys):
         cfg = write_config(
@@ -455,3 +487,40 @@ class TestOversizedConfig:
             "config error: the configured sizes need more memory than is available"
         )
         assert err.count("\n") == 1
+
+
+class TestParser:
+    def test_built_once_across_commands(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def spy():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        cfg = write_config(tmp_path, geometry="llama3-8b", targets=["Q", "V"])
+        for _ in range(3):
+            assert run(capsys, "params", "--config", str(cfg))[0] == 0
+        with pytest.raises(SystemExit):
+            main(["params"])
+        code, out, _ = run(capsys, "params", "--config", str(cfg), "--seed", "3")
+        assert code == 0 and json.loads(out)["config"]["seed"] == 3
+        assert built == [1]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["train"],
+        ["params", "--config"],
+        ["analyze", "--checkpoint", "x.tlkl", "--report", "nope"],
+        ["ckpt", "explode", "--checkpoint", "x.tlkl"],
+        ["gradcheck", "--config", "c.json", "--seed", "1"],
+        ["train", "--config", "c.json", "--seed", "abc"],
+    ])
+    def test_malformed_command_line_exits_2_on_every_call(self, capsys, argv):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
