@@ -13,9 +13,10 @@ representations feed only the router.  All math is float64 and every
 random draw comes from a named :class:`~talklora.linalg.RngState` stream,
 so construction is bit-reproducible.
 
-Expert layout: MoELoRA and TalkLoRA layers stack their experts along a
-leading axis, one array per role: A (n, r_e, d), E (n, r_e, r_e) and
-B (n, k, r_e).  Forwards (and the backward in :mod:`talklora.autodiff`)
+Expert layout: :func:`layer_layout` states each family's arrays once, and
+initializers, stacks, budgets and checkpoints all read it.  MoELoRA and
+TalkLoRA stack their experts along a leading axis, one array per role:
+A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the backward in :mod:`talklora.autodiff`)
 batch over that axis with ``np.matmul``, so neither loops over experts.
 An :class:`AdapterStack` keeps every trainable scalar in one float64
 buffer ``flat``; layer arrays are views of it, a shared B is stored once,
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import ModelGeometry, PROJECTION_TAGS
-from .linalg import RngState, as_matrix, as_vector, kaiming_init, softmax_rows, zero_init
+from .linalg import RngState, as_matrix, as_vector, kaiming_init, softmax_rows
 
 METHODS = ("lora", "moelora", "talklora")
 
@@ -143,52 +144,123 @@ class MoELoRALayer:
 class TalkLoRALayer:
     a: np.ndarray  # (n, r_e, d)
     e: np.ndarray  # (n, r_e, r_e)
-    b: np.ndarray  # (n, k, r_e); one array for all layers of a tag when b_shared
+    b: np.ndarray  # (n, k, r_e); in a stack with share_b, one array per projection tag
     c: np.ndarray  # (n, n) communication matrix
     router_wg: np.ndarray  # (n, r)
-    b_shared: bool = False
+
+
+_LAYER_TYPES = {"lora": LoRAAdapter, "moelora": MoELoRALayer, "talklora": TalkLoRALayer}
+
+
+class Field(NamedTuple):
+    """One trainable array of a layer: its attribute, handle role and shape.
+
+    ``shared`` marks an array that a stack holds once for every layer of
+    a projection tag.
+    """
+
+    name: str
+    role: str
+    shape: tuple
+    shared: bool = False
+
+    def parts(self) -> list:
+        """(handle role, shape) per handle: one per expert of a stacked (n, ...)
+        array (``A0``, ``A1``, ...), LoRA's single expert (``A0``), else the role."""
+        if len(self.shape) == 3:
+            return [(f"{self.role}{j}", self.shape[1:]) for j in range(self.shape[0])]
+        return [(self.role + ("0" if self.role in ("A", "B") else ""), self.shape)]
+
+
+def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int) -> tuple:
+    """The trainable arrays of one ``method`` layer at a d_in -> d_out site.
+
+    Listed in buffer and handle order.  This is where the families differ:
+    LoRA holds A (r, d) and B (k, r); MoELoRA stacks n experts of rank r_e
+    and routes the raw input through Wg (n, d); TalkLoRA adds E and the
+    n x n C, routes the r-dim communicated h~, and with ``share_b`` holds
+    one B per projection tag.  Allocates nothing and checks no dims.
+    """
+    r, n, r_e = cfg.total_rank, cfg.experts, cfg.expert_rank
+    if method == "lora":
+        return Field("a", "A", (r, d_in)), Field("b", "B", (d_out, r))
+    a, b = Field("a", "A", (n, r_e, d_in)), Field("b", "B", (n, d_out, r_e))
+    if method == "moelora":
+        return a, b, Field("router_wg", "Wg", (n, d_in))
+    if method == "talklora":
+        return (a, Field("e", "E", (n, r_e, r_e)), Field("c", "C", (n, n)),
+                Field("router_wg", "Wg", (n, r)), b._replace(shared=cfg.share_b))
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _owner(slot: LayerSlot, field: Field) -> str:
+    """Handle prefix of ``field`` at ``slot``: ``shared.<tag>`` or the slot name."""
+    return f"shared.{slot.tag}" if field.shared else slot.name
+
+
+def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]) -> tuple:
+    """Every handle of a ``method`` stack over ``slots``, without allocating.
+
+    Returns ``(handles, aliases)``: ``handles`` maps each handle to its
+    (slot, shape) in buffer order, a shared handle once under the first
+    slot of its tag; ``aliases`` maps each layer-level name of a shared tensor
+    (``L01.Q.B0``) to its handle (``shared.Q.B0``).  A slot repeated, or
+    a tag whose slots imply different shapes for a shared tensor, raises.
+    """
+    handles, aliases = {}, {}
+    for slot in slots:
+        for field in layer_layout(method, cfg, slot.d_in, slot.d_out):
+            for role, shape in field.parts():
+                handle = f"{_owner(slot, field)}.{role}"
+                if field.shared:
+                    aliases[f"{slot.name}.{role}"] = handle
+                if handle not in handles:
+                    handles[handle] = (slot, shape)
+                elif not field.shared or handles[handle][1] != shape:
+                    raise ValueError(
+                        f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) implies "
+                        f"{handle} {shape}, which an earlier slot gave shape {handles[handle][1]}"
+                    )
+    return handles, aliases
+
+
+def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
+    """A fresh ``method`` layer for a config with dims.
+
+    B is zero.  Every other array is a Kaiming draw per handle role, from
+    the stream of that name (``A0``, ``E1``, ``C``, ``Wg``), stacked over
+    the experts.
+    """
+    arrays = {}
+    for field in layer_layout(method, cfg, *cfg.require_dims()):
+        if field.role == "B":
+            arrays[field.name] = np.zeros(field.shape)
+        else:
+            draws = [kaiming_init(*shape, rng.split(role)) for role, shape in field.parts()]
+            arrays[field.name] = np.stack(draws) if len(field.shape) == 3 else draws[0]
+    return _LAYER_TYPES[method](**arrays)
 
 
 def init_lora(cfg: AdapterConfig, rng: RngState) -> LoRAAdapter:
-    d, k = cfg.require_dims()
-    return LoRAAdapter(
-        a=kaiming_init(cfg.total_rank, d, rng.split("A0")),
-        b=zero_init(k, cfg.total_rank),
-    )
-
-
-def _stacked_kaiming(role: str, n: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
-    """n Kaiming draws, expert i from stream ``<role><i>``, stacked to (n, rows, cols)."""
-    return np.stack([kaiming_init(rows, cols, rng.split(f"{role}{i}")) for i in range(n)])
+    return _init_layer("lora", cfg, rng)
 
 
 def init_moelora(cfg: AdapterConfig, rng: RngState) -> MoELoRALayer:
-    d, k = cfg.require_dims()
-    r_e, n = cfg.expert_rank, cfg.experts
-    return MoELoRALayer(
-        a=_stacked_kaiming("A", n, r_e, d, rng),
-        b=np.zeros((n, k, r_e)),
-        router_wg=kaiming_init(n, d, rng.split("Wg")),
-    )
+    return _init_layer("moelora", cfg, rng)
 
 
 def init_talklora(
     cfg: AdapterConfig, rng: RngState, shared_b: Optional[np.ndarray] = None
 ) -> TalkLoRALayer:
-    d, k = cfg.require_dims()
-    r_e, n = cfg.expert_rank, cfg.experts
-    if shared_b is not None and shared_b.shape != (n, k, r_e):
-        raise ValueError(
-            f"shared B array has shape {shared_b.shape}, expected (n, k, r_e) = {(n, k, r_e)}"
-        )
-    return TalkLoRALayer(
-        a=_stacked_kaiming("A", n, r_e, d, rng),
-        e=_stacked_kaiming("E", n, r_e, r_e, rng),
-        b=np.zeros((n, k, r_e)) if shared_b is None else shared_b,
-        c=kaiming_init(n, n, rng.split("C")),
-        router_wg=kaiming_init(n, cfg.total_rank, rng.split("Wg")),
-        b_shared=shared_b is not None,
-    )
+    layer = _init_layer("talklora", cfg, rng)
+    if shared_b is not None:
+        if shared_b.shape != layer.b.shape:
+            raise ValueError(
+                f"shared B array has shape {shared_b.shape}, "
+                f"expected (n, k, r_e) = {layer.b.shape}"
+            )
+        layer.b = shared_b
+    return layer
 
 
 @dataclass
@@ -427,49 +499,40 @@ class LayerSlot:
         return f"L{self.layer:02d}.{self.tag}"
 
 
-# Trainable arrays of each layer type as (field, handle role), in buffer and
-# handle order.  A stacked (n, ...) field has one handle per expert, role<j>.
-_LAYOUT = {
-    LoRAAdapter: (("a", "A0"), ("b", "B0")),
-    MoELoRALayer: (("a", "A"), ("b", "B"), ("router_wg", "Wg")),
-    TalkLoRALayer: (("a", "A"), ("e", "E"), ("c", "C"), ("router_wg", "Wg"), ("b", "B")),
-}
-
-
 class AdapterStack:
     """All adapters of one method over a list of slots, in one parameter buffer.
 
-    ``flat`` (C-contiguous float64) holds every trainable scalar in handle
-    order; layer arrays are rebound to views of it, and ``ranges[i]`` maps
-    slot i's field names to their slices.  Layers holding one B array (a
-    shared B) share its slice and view, and its handles ``shared.<tag>.B<i>``
-    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
+    ``flat`` (C-contiguous float64) holds every trainable scalar in the
+    order of :func:`stack_layout`; layer arrays are rebound to views of
+    it, and ``ranges[i]`` maps slot i's field names to their slices.  An
+    array the layout shares has one slice and one view for all layers of
+    its tag, taken from the first of them, and its handles
+    (``shared.<tag>.B<i>``) appear once.  Forwards never mutate
+    parameters; optimizers update ``flat``.
     """
 
     def __init__(self, method: str, cfg: AdapterConfig, slots: list, adapters: list):
+        stack_layout(method, cfg, slots)  # no slot twice, shared shapes agree
         self.method = method
         self.cfg = cfg
         self.slots = slots
         self.adapters = adapters
         self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
-        first = {}  # id of each distinct array -> (its range, the array)
-        self.ranges = []
-        offset = 0
-        for ad in adapters:
-            spans = {}
-            for name, _ in _LAYOUT[type(ad)]:
-                arr = getattr(ad, name)
-                if id(arr) not in first:
-                    first[id(arr)] = (slice(offset, offset + arr.size), arr)
-                    offset += arr.size
-                spans[name] = first[id(arr)][0]
-            self.ranges.append(spans)
-        self.flat = np.concatenate([arr.reshape(-1) for _, arr in first.values()])
-        views = {key: self.flat[span].reshape(arr.shape)
-                 for key, (span, arr) in first.items()}
-        for ad in adapters:
-            for name, _ in _LAYOUT[type(ad)]:
-                setattr(ad, name, views[id(getattr(ad, name))])
+        self._layouts = [layer_layout(method, cfg, s.d_in, s.d_out) for s in slots]
+        keys = [{field.name: f"{_owner(slot, field)}.{field.name}" for field in layout}
+                for slot, layout in zip(slots, self._layouts)]  # one key per distinct array
+        arrays = {}  # key -> the array, a shared one from the first layer of its tag
+        for ad, names in zip(adapters, keys):
+            for name, key in names.items():
+                arrays.setdefault(key, getattr(ad, name))
+        self.flat = np.concatenate([arr.reshape(-1) for arr in arrays.values()])
+        ends = accumulate(arr.size for arr in arrays.values())
+        spans = {key: slice(end - arr.size, end) for (key, arr), end in zip(arrays.items(), ends)}
+        views = {key: self.flat[spans[key]].reshape(arr.shape) for key, arr in arrays.items()}
+        self.ranges = [{name: spans[key] for name, key in names.items()} for names in keys]
+        for ad, names in zip(adapters, keys):
+            for name, key in names.items():
+                setattr(ad, name, views[key])
         self._by_handle = {}
         for i in range(len(slots)):
             for _, handle, arr in self.slot_handles(i):
@@ -482,12 +545,11 @@ class AdapterStack:
         """(role, handle, array) triples for slot i, sharing-resolved."""
         slot, ad = self.slots[i], self.adapters[i]
         out = []
-        for name, role in _LAYOUT[type(ad)]:
-            arr = getattr(ad, name)
-            shared = name == "b" and getattr(ad, "b_shared", False)
-            owner = f"shared.{slot.tag}" if shared else slot.name
-            experts = enumerate(arr) if arr.ndim == 3 else [("", arr)]  # A0, A1, ... or C
-            out += [(f"{role}{j}", f"{owner}.{role}{j}", view) for j, view in experts]
+        for field in self._layouts[i]:
+            arr = getattr(ad, field.name)
+            views = arr if arr.ndim == 3 else [arr]  # one view per expert, or the array
+            out += [(role, f"{_owner(slot, field)}.{role}", view)
+                    for (role, _), view in zip(field.parts(), views)]
         return out
 
     def named_parameters(self) -> list:
@@ -515,33 +577,13 @@ class AdapterStack:
 def build_stack_from_slots(
     method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot], rng: RngState
 ) -> AdapterStack:
-    """Construct fresh adapters for every slot, wiring shared B when asked."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Construct fresh adapters for every slot, one stream per slot."""
     if not slots:
         raise ValueError("at least one slot is required")
-    shared = {}  # tag -> the (n, k, r_e) B every layer of that tag holds
-    if method == "talklora" and cfg.share_b:
-        for slot in slots:
-            entry = shared.setdefault(
-                slot.tag, np.zeros((cfg.experts, slot.d_out, cfg.expert_rank))
-            )
-            if entry.shape[1] != slot.d_out:
-                raise ValueError(
-                    f"cannot share B across tag {slot.tag!r}: output dims differ "
-                    f"({entry.shape[1]} vs {slot.d_out})"
-                )
-    adapters = []
-    for slot in slots:
-        slot_cfg = cfg.with_dims(slot.d_in, slot.d_out)
-        slot_rng = rng.split(f"init.{slot.name}")
-        if method == "lora":
-            adapters.append(init_lora(slot_cfg, slot_rng))
-        elif method == "moelora":
-            adapters.append(init_moelora(slot_cfg, slot_rng))
-        else:
-            shared_b = shared.get(slot.tag)
-            adapters.append(init_talklora(slot_cfg, slot_rng, shared_b=shared_b))
+    adapters = [
+        _init_layer(method, cfg.with_dims(s.d_in, s.d_out), rng.split(f"init.{s.name}"))
+        for s in slots
+    ]
     return AdapterStack(method, cfg, list(slots), adapters)
 
 

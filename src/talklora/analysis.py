@@ -9,6 +9,7 @@ degeneracy / expressive-power probes, and routing-load balance reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .adapters import (
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
+    layer_layout,
     router_gates,
 )
 from .autodiff import LossSpec, model_forward
@@ -29,7 +31,8 @@ from .tasks import ClusterTaskSpec, TrainConfig, _mean_gates, generate_cluster_t
 
 NONEXPANSIVE_SLACK = 1e-9
 # Trial rows per router evaluation in stability_certificate: the gate and
-# norm temporaries are bounded by this block, not by the trial count.
+# norm temporaries are bounded by this block, not by the trial count.  A
+# power of two, so block starts fall on every BLAS kernel's unroll.
 STABILITY_BLOCK = 1024
 
 
@@ -50,12 +53,11 @@ class ParamBudget:
 def count_params(
     geom: ModelGeometry, method: str, cfg: AdapterConfig, targets
 ) -> ParamBudget:
-    """Closed-form parameter budget for one method over a geometry.
+    """Parameter budget for one method over a geometry, by handle role.
 
-    Per (layer, target): LoRA allocates r(d_in + d_out); MoELoRA adds the
-    router n*d_in; TalkLoRA allocates r*d_in for the A_i, r^2/n for the
-    E_i, n^2 for C and n*r for the router, with the B_i counted once per
-    target when sharing is on (otherwise once per layer).
+    Each target contributes the sizes of :func:`layer_layout`'s arrays at
+    its dims once per layer, or once in all for an array shared across
+    the layers of a tag (TalkLoRA's B under ``share_b``).
     """
     targets = set(targets)
     if not targets:
@@ -63,25 +65,12 @@ def count_params(
     unknown = targets - set(geom.tags)
     if unknown:
         raise ValueError(f"unknown target tags {sorted(unknown)} for {geom.name!r}")
-    r, n, layers = cfg.total_rank, cfg.experts, geom.layers
     breakdown: dict = {}
-    if method == "lora":
-        breakdown["A"] = sum(layers * r * geom.projection(t).d_in for t in targets)
-        breakdown["B"] = sum(layers * r * geom.projection(t).d_out for t in targets)
-    elif method == "moelora":
-        breakdown["A"] = sum(layers * r * geom.projection(t).d_in for t in targets)
-        breakdown["B"] = sum(layers * r * geom.projection(t).d_out for t in targets)
-        breakdown["Wg"] = sum(layers * n * geom.projection(t).d_in for t in targets)
-    elif method == "talklora":
-        r_e = cfg.expert_rank
-        breakdown["A"] = sum(layers * r * geom.projection(t).d_in for t in targets)
-        breakdown["E"] = layers * len(targets) * n * r_e * r_e
-        breakdown["C"] = layers * len(targets) * n * n
-        breakdown["Wg"] = layers * len(targets) * n * r
-        b_layers = 1 if cfg.share_b else layers
-        breakdown["B"] = sum(b_layers * r * geom.projection(t).d_out for t in targets)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for tag in targets:
+        proj = geom.projection(tag)
+        for field in layer_layout(method, cfg, proj.d_in, proj.d_out):
+            copies = 1 if field.shared else geom.layers
+            breakdown[field.role] = breakdown.get(field.role, 0) + copies * math.prod(field.shape)
     trainable = sum(breakdown.values())
     return ParamBudget(
         trainable=trainable,
@@ -147,8 +136,11 @@ def stability_certificate(
     ``rng``; the gates and the ratios |g(x+dx) - g(x)| / |dx| are then
     evaluated in blocks of ``STABILITY_BLOCK`` rows and reduced to one
     maximum, so the transient memory past the draws stays bounded as
-    ``trials`` grows.  The result equals a one-shot evaluation of all rows
-    bit for bit.  Pairs with dx = 0 are skipped; if every pair has dx = 0
+    ``trials`` grows.  Blocks start at multiples of ``STABILITY_BLOCK``, so
+    every row meets the same BLAS kernel as in one call over all rows, and
+    a last block of one row joins the block before it, because a one-row
+    product takes BLAS's matrix-vector path.  So the result equals a
+    one-shot evaluation of all rows bit for bit.  Pairs with dx = 0 are skipped; if every pair has dx = 0
     the observed ratio is 0.
     """
     if trials < 1:
@@ -164,8 +156,9 @@ def stability_certificate(
     x = gen.normal(size=(trials, d))
     dx = delta_scale * gen.normal(size=(trials, d))
     block_maxima = []
-    for start in range(0, trials, STABILITY_BLOCK):
-        rows = slice(start, start + STABILITY_BLOCK)
+    edges = [*range(0, max(trials - 1, 1), STABILITY_BLOCK), trials]  # no one-row tail
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
         g0 = router_gates(tl, x[rows], talking_enabled)
         g1 = router_gates(tl, x[rows] + dx[rows], talking_enabled)
         diff = np.linalg.norm(g1 - g0, axis=1)

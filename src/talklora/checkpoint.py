@@ -15,6 +15,7 @@ which keeps checkpoints small and still bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterStack, LayerSlot, build_stack_from_slots
+from .adapters import AdapterConfig, AdapterStack, LayerSlot, build_stack_from_slots, stack_layout
 from .linalg import RngState
 
 MAGIC = b"TLKL"
@@ -59,31 +60,15 @@ def config_to_dict(cfg, drop=("input_dim", "output_dim")) -> dict:
     return {key: value for key, value in asdict(cfg).items() if key not in drop}
 
 
-def _alias_table(stack: AdapterStack) -> dict:
-    table = {}
-    for i, slot in enumerate(stack.slots):
-        for role, handle, _ in stack.slot_handles(i):
-            if handle.startswith("shared."):
-                table[f"{slot.name}.{role}"] = handle
-    return table
-
-
-def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
-    """Serialize every trainable tensor plus the structural header."""
-    tensors = stack.named_parameters()
-    records = []
-    payloads = []
-    for handle, arr in tensors:
-        payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        records.append(
-            {
-                "handle": handle,
-                "rows": int(arr.shape[0]),
-                "cols": int(arr.shape[1]),
-                "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-            }
-        )
-        payloads.append(payload)
+def encode_checkpoint(stack: AdapterStack, run_config: dict) -> bytes:
+    """The checkpoint file of ``stack``: every trainable tensor plus the structural header."""
+    params = stack.named_parameters()
+    payloads = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params]
+    records = [
+        {"handle": handle, "rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
+         "crc32": zlib.crc32(payload) & 0xFFFFFFFF}
+        for (handle, arr), payload in zip(params, payloads)
+    ]
     header = {
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
@@ -94,14 +79,16 @@ def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
             for s in stack.slots
         ],
         "tensors": records,
-        "alias_table": _alias_table(stack),
+        "alias_table": stack_layout(stack.method, stack.cfg, stack.slots)[1],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for payload in payloads:
-            fh.write(payload)
+    prefix = _PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes))
+    return b"".join([prefix, header_bytes, *payloads])
+
+
+def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
+    """Write :func:`encode_checkpoint` of the stack to ``path``."""
+    Path(path).write_bytes(encode_checkpoint(stack, run_config))
 
 
 def _read_header(fh) -> dict:
@@ -150,62 +137,44 @@ def read_header(path) -> dict:
         return _read_header(fh)
 
 
-def _check_sizes(header: dict, cfg: AdapterConfig, slots: list, payload_bytes: int) -> None:
-    """Reject a header whose sizes disagree, before anything they size is allocated.
+def _check_layout(header: dict, payload_bytes: int) -> tuple[AdapterConfig, list]:
+    """The header's adapter config and slots, checked before anything is allocated.
 
-    Each slot must be a valid low-rank site for ``cfg`` and its dims and
-    rank must match its A0 and B0 records, and the records must account
-    for every payload byte in the file.  So a forged dimension is caught
-    here, not by a failed allocation of the size it names.
-    """
-    shapes = {rec["handle"]: (rec["rows"], rec["cols"]) for rec in header["tensors"]}
-    rank = cfg.total_rank if header["method"] == "lora" else cfg.expert_rank
-    for slot in slots:
-        cfg.with_dims(slot.d_in, slot.d_out)  # positive dims, total_rank <= both
-        b0 = f"{slot.name}.B0"
-        found = (shapes.get(f"{slot.name}.A0"), shapes.get(header["alias_table"].get(b0, b0)))
-        if found != ((rank, slot.d_in), (slot.d_out, rank)):
-            raise CorruptCheckpointError(
-                f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}, rank {rank}) "
-                f"does not match its A0 and B0 records {found}"
-            )
-    recorded = 8 * sum(rec["rows"] * rec["cols"] for rec in header["tensors"])
-    if recorded != payload_bytes:
-        problem = "truncated payload" if payload_bytes < recorded else "trailing bytes"
-        raise CorruptCheckpointError(
-            f"{problem}: the tensor records hold {recorded} bytes, "
-            f"the file {payload_bytes} after the header"
-        )
-
-
-def _rebuild(header: dict, payload_bytes: int) -> tuple[AdapterStack, list]:
-    """Fresh stack with the header's structure, and its (handle, shape, crc) records.
-
-    Structure (slots, sharing) is reconstructed from the header, which
-    restores the aliasing; the records must name exactly the stack's handles.
+    Method, config and slots imply every tensor's handle and shape and the
+    alias table (:func:`stack_layout`).  The records must list exactly those
+    handles and shapes in order, the alias table must be the implied one,
+    and the records must account for every payload byte.  So a forged size
+    is reported here, not by a failed allocation of the size it names.
     """
     cfg = AdapterConfig(input_dim=None, output_dim=None, **header["adapter_config"])
     slots = [
         LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"])
         for s in header["slots"]
     ]
-    _check_sizes(header, cfg, slots, payload_bytes)
-    stack = build_stack_from_slots(header["method"], cfg, slots, RngState(0))
-    if _alias_table(stack) != header["alias_table"]:
-        raise CorruptCheckpointError("alias table does not match the rebuilt stack")
-    records = [
-        (rec["handle"], (rec["rows"], rec["cols"]), rec["crc32"])
-        for rec in header["tensors"]
-    ]
-    recorded = {handle for handle, _, _ in records}
-    expected = set(stack.handles)
-    if recorded != expected:
+    for slot in slots:
+        cfg.with_dims(slot.d_in, slot.d_out)  # positive dims, total_rank <= both
+    implied, aliases = stack_layout(header["method"], cfg, slots)
+    records = [(rec["handle"], (rec["rows"], rec["cols"])) for rec in header["tensors"]]
+    for i, (handle, (slot, shape)) in enumerate(implied.items()):
+        found = records[i] if i < len(records) else None
+        if found != (handle, shape):
+            raise CorruptCheckpointError(
+                f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) at total_rank "
+                f"{cfg.total_rank} and {cfg.experts} experts implies {handle} {shape}, "
+                f"but tensor record {i} is {'missing' if found is None else ' '.join(map(str, found))}"
+            )
+    if len(records) > len(implied):
+        raise CorruptCheckpointError(f"tensor record {len(implied)} is not implied by the slots")
+    if header["alias_table"] != aliases:
+        raise CorruptCheckpointError("alias table does not match the one the slots imply")
+    recorded = 8 * sum(math.prod(shape) for _, shape in implied.values())
+    if recorded != payload_bytes:
+        problem = "truncated payload" if payload_bytes < recorded else "trailing bytes"
         raise CorruptCheckpointError(
-            f"tensor handles do not match the rebuilt stack: "
-            f"missing {sorted(expected - recorded)[:3]}, "
-            f"unexpected {sorted(recorded - expected)[:3]}"
+            f"{problem}: the tensor records hold {recorded} bytes, "
+            f"the file {payload_bytes} after the header"
         )
-    return stack, records
+    return cfg, slots
 
 
 def load_checkpoint(path) -> tuple[AdapterStack, dict]:
@@ -219,17 +188,16 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
         header = _read_header(fh)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
-            stack, records = _rebuild(header, payload_bytes)
+            cfg, slots = _check_layout(header, payload_bytes)
+            stack = build_stack_from_slots(header["method"], cfg, slots, RngState(0))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptCheckpointError(f"malformed header: {exc!r}") from exc
-        for handle, shape, crc in records:
-            arr = stack.parameter(handle)
-            if arr.shape != shape:
-                raise CorruptCheckpointError(f"shape mismatch for tensor {handle!r}")
+        for rec in header["tensors"]:
+            handle, arr = rec["handle"], stack.parameter(rec["handle"])
             payload = fh.read(arr.nbytes)
             if len(payload) != arr.nbytes:
                 raise CorruptCheckpointError(f"truncated payload for tensor {handle!r}")
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+            if (zlib.crc32(payload) & 0xFFFFFFFF) != rec["crc32"]:
                 raise CorruptCheckpointError(f"checksum mismatch for tensor {handle!r}")
-            arr[:] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            arr[:] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
     return stack, header["run_config"]

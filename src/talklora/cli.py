@@ -29,6 +29,7 @@ from typing import Optional
 
 from . import analysis
 from .adapters import (
+    METHODS,
     AdapterConfig,
     build_frozen_stack,
     build_stack_from_slots,
@@ -39,6 +40,7 @@ from .checkpoint import (
     CorruptCheckpointError,
     VersionMismatchError,
     config_to_dict,
+    encode_checkpoint,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -184,8 +186,8 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     """
     doc = dict(doc)
     method = _take(doc, "method", str)
-    if method not in ("lora", "moelora", "talklora"):
-        raise ConfigError(f"config.method must be lora|moelora|talklora, got {method!r}")
+    if method not in METHODS:
+        raise ConfigError(f"config.method must be {'|'.join(METHODS)}, got {method!r}")
     seed = _seed(_take(doc, "seed", int, 0), "config.seed")
     if seed_override is not None:
         seed = _seed(seed_override, "--seed")
@@ -309,16 +311,22 @@ def cmd_params(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_training_pieces(config: RunConfig):
+def _task_and_host(config: RunConfig):
+    """The task data and the frozen host model, regenerated from the config's seeds."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
     data = generate_cluster_task(config.task)
-    rng = RngState(config.seed)
     frozen = build_frozen_stack(
-        config.task.input_dim, config.task.output_dim, config.model_depth, rng
+        config.task.input_dim, config.task.output_dim, config.model_depth,
+        RngState(config.seed),
     )
+    return data, frozen
+
+
+def _build_training_pieces(config: RunConfig):
+    data, frozen = _task_and_host(config)
     stack = build_stack_from_slots(
-        config.method, config.adapter, frozen_stack_slots(frozen), rng
+        config.method, config.adapter, frozen_stack_slots(frozen), RngState(config.seed)
     )
     return data, frozen, stack
 
@@ -396,11 +404,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
         summary["fraction_within"] = audit.fraction_within
         summary["max_sigma"] = max(sigma for _, _, sigma in audit.rows)
     elif report == "routing":
-        data = generate_cluster_task(config.task)
-        frozen = build_frozen_stack(
-            config.task.input_dim, config.task.output_dim,
-            config.model_depth, RngState(config.seed),
-        )
+        data, frozen = _task_and_host(config)
         rep = analysis.routing_load(stack, frozen, data)
         _write_csv(out / "routing_load.csv", analysis.routing_load_csv_lines(rep))
         summary["mean_entropy"] = rep.mean_entropy
@@ -459,7 +463,7 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     class_targets = gen.integers(0, k, size=4)
     combos = []
     worst = 0.0
-    for method in ("lora", "moelora", "talklora"):
+    for method in METHODS:
         for share_b in (False, True):
             for talking in (False, True):
                 frozen = build_frozen_stack(d, k, config.model_depth, rng)
@@ -532,12 +536,9 @@ def cmd_ckpt(action: str, checkpoint: str) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return EXIT_OK
-    # roundtrip: load (checksum-validating), re-save, compare bytes
+    # roundtrip: load (checksum-validating), re-encode in memory, compare bytes
     stack, echoed = load_checkpoint(checkpoint)
-    copy_path = Path(checkpoint).with_suffix(".roundtrip.tlkl")
-    save_checkpoint(copy_path, stack, echoed)
-    identical = copy_path.read_bytes() == Path(checkpoint).read_bytes()
-    copy_path.unlink()
+    identical = encode_checkpoint(stack, echoed) == Path(checkpoint).read_bytes()
     print(json.dumps({"roundtrip_bit_identical": identical}, indent=2))
     return EXIT_OK if identical else EXIT_CORRUPT
 

@@ -15,11 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-RNG_ALGORITHM = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,16 +34,10 @@ class RngState:
     """
 
     seed: int
-    algorithm: str = field(default=RNG_ALGORITHM)
 
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.algorithm != RNG_ALGORITHM:
-            raise ValueError(
-                f"unsupported rng algorithm {self.algorithm!r}; "
-                f"this build implements {RNG_ALGORITHM!r}"
-            )
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -175,6 +175,30 @@ class TestStabilityCertificate:
         assert cert.max_observed_ratio == float(ratios.max())
         assert cert.max_observed_ratio > 0.0
 
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(STABILITY_BLOCK + 1, 2170), (STABILITY_BLOCK + 76, 124)],
+        ids=["one_row_tail", "unaligned_split"],
+    )
+    def test_blocked_trials_equal_one_shot_at_expert_rank_one(self, trials, seed):
+        # At r_e = 1 the C-mix is C times an (n, rows) matrix, and BLAS may
+        # round a row differently when it is alone (matrix-vector path) or
+        # sits at another offset from the kernel's unroll.  Each seed puts
+        # the largest ratio on such a row: 2170 on the last of 1025 rows,
+        # which a block of its own misses; 124 on a row that blocks split
+        # at row 550 instead of 1024 would move.
+        tl, _ = _layer(seed=seed, r=2, n=2)
+        tl.c[:] = 1.5 * RngState(seed).split("c").generator().normal(size=tl.c.shape)
+        tl.router_wg *= 3.0
+        rng = RngState(seed).split("trials")
+        cert = stability_certificate(tl, trials, 0.1, rng)
+        gen = rng.generator()
+        x = gen.normal(size=(trials, tl.a.shape[2]))
+        dx = 0.1 * gen.normal(size=(trials, tl.a.shape[2]))
+        g0, g1 = router_gates(tl, x), router_gates(tl, x + dx)
+        ratios = np.linalg.norm(g1 - g0, axis=1) / np.linalg.norm(dx, axis=1)
+        assert cert.max_observed_ratio == float(ratios.max())
+
     @pytest.mark.parametrize("seed", [6, 7])
     def test_bound_any_c_holds_on_unclipped_layer(self, seed):
         tl, _ = _layer(seed=seed)

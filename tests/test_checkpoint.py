@@ -174,12 +174,20 @@ class TestCorruptionDetection:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda h: h["slots"][0].update(d_in=10**11), "slot L00.8x8 .* A0 and B0"),
-            (lambda h: h["slots"][1].update(d_out=10**11), "slot L01.8x8 .* A0 and B0"),
+            (lambda h: h["slots"][0].update(d_in=10**11),
+             r"slot L00\.8x8 \(d_in 100000000000, d_out 8\) .* implies "
+             r"L00\.8x8\.A0 \(2, 100000000000\), but tensor record 0 is L00\.8x8\.A0 \(2, 8\)"),
+            (lambda h: h["slots"][1].update(d_out=10**11),
+             r"slot L01\.8x8 \(d_in 8, d_out 100000000000\) implies "
+             r"shared\.8x8\.B0 \(100000000000, 2\)"),
             (lambda h: h["adapter_config"].update(total_rank=10**9, experts=10**9),
              "exceeds min"),
-            (lambda h: h["adapter_config"].update(total_rank=8), r"rank 4\) does not match"),
-            (lambda h: h["tensors"][-1].update(rows=10**9), "truncated payload"),
+            (lambda h: h["adapter_config"].update(total_rank=8),
+             r"total_rank 8 and 2 experts implies L00\.8x8\.A0 \(4, 8\), "
+             r"but tensor record 0 is L00\.8x8\.A0 \(2, 8\)"),
+            (lambda h: h["tensors"][-1].update(rows=10**9),
+             r"implies L01\.8x8\.Wg \(2, 4\), "
+             r"but tensor record 13 is L01\.8x8\.Wg \(1000000000, 4\)"),
             (lambda h: h.update(alias_table=[]), "alias_table"),
         ],
         ids=["d_in", "d_out", "experts", "rank", "record_rows", "alias_table"],

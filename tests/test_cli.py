@@ -374,6 +374,18 @@ class TestCkptCommand:
         assert doc["method"] == "talklora"
         assert doc["shared_tensors"] == 2
 
+    def test_roundtrip_writes_no_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.tlkl"
+        shutil.copy(FIXTURES / "talklora-v1.tlkl", ckpt)
+        sentinel = tmp_path / "checkpoint.roundtrip.tlkl"
+        sentinel.write_bytes(b"a file of the user's")
+        listing = sorted(tmp_path.iterdir())
+        code, out, _ = run(capsys, "ckpt", "roundtrip", "--checkpoint", str(ckpt))
+        assert code == 0
+        assert json.loads(out)["roundtrip_bit_identical"] is True
+        assert sentinel.read_bytes() == b"a file of the user's"
+        assert sorted(tmp_path.iterdir()) == listing
+
     def test_inspect_truncated_prefix_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run(capsys, "train", "--config", str(cfg))[0] == 0

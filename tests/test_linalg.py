@@ -244,10 +244,6 @@ class TestRngState:
         g2 = RngState(42).generator()
         assert np.array_equal(g1.uniform(size=100), g2.uniform(size=100))
 
-    def test_algorithm_identifier_enforced(self):
-        with pytest.raises(ValueError):
-            RngState(1, algorithm="mersenne-twister")
-
     def test_seed_range_enforced(self):
         with pytest.raises(ValueError):
             RngState(-1)

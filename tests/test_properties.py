@@ -8,12 +8,17 @@ import contextlib
 import copy
 import io
 import json
+import struct
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _setup import make_setup
+from talklora import checkpoint
+from talklora.adapters import METHODS
 from talklora.checkpoint import (
     CorruptCheckpointError,
     VersionMismatchError,
@@ -101,6 +106,66 @@ class TestCheckpointMutations:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["ckpt", "inspect", "--checkpoint", str(victim)])
         assert code in (0, 4)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# a dim, rank or record size: small ones (some the file's own) and one far too large
+sizes = st.integers(-1, 17) | st.just(10**11)
+
+
+def _edit_header(header: dict, data) -> None:
+    """One random edit of a header's slot dims, ranks, record sizes or alias table."""
+    part = data.draw(st.sampled_from(["slot", "adapter_config", "record", "alias_table"]))
+    if part == "slot":
+        slot = data.draw(st.sampled_from(header["slots"]))
+        slot[data.draw(st.sampled_from(["d_in", "d_out"]))] = data.draw(sizes)
+    elif part == "adapter_config":
+        key = data.draw(st.sampled_from(["total_rank", "experts"]))
+        header["adapter_config"][key] = data.draw(sizes)
+    elif part == "record":
+        record = data.draw(st.sampled_from(header["tensors"]))
+        record[data.draw(st.sampled_from(["rows", "cols"]))] = data.draw(sizes)
+    else:
+        table = header["alias_table"]
+        names = sorted(table) + [f"L{layer:02d}.8x8.B{j}" for layer in (0, 1, 2) for j in (0, 1)]
+        name = data.draw(st.sampled_from(names))
+        handles = [record["handle"] for record in header["tensors"]]
+        target = data.draw(st.none() | st.sampled_from(handles))
+        if target is None:
+            table.pop(name, None)
+        else:
+            table[name] = target
+
+
+class TestHeaderEdits:
+    @PROPERTY
+    @given(method=st.sampled_from(METHODS), data=st.data())
+    def test_edit_loads_identically_or_is_rejected_before_building(self, victim, method, data):
+        raw = (FIXTURES / f"{method}-v1.tlkl").read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        _edit_header(header, data)
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        victim.write_bytes(
+            raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
+            + raw[12 + header_len :]
+        )
+        built = []
+        real_build = checkpoint.build_stack_from_slots
+
+        def build(*args):
+            built.append(args)
+            return real_build(*args)
+
+        with mock.patch.object(checkpoint, "build_stack_from_slots", build):
+            try:
+                stack, _ = load_checkpoint(victim)
+            except CorruptCheckpointError:
+                assert not built
+                return
+        expected, _ = load_checkpoint(FIXTURES / f"{method}-v1.tlkl")
+        assert stack.handles == expected.handles
+        assert stack.flat.tobytes() == expected.flat.tobytes()
 
 
 class TestConfigValues:
