@@ -16,8 +16,9 @@ so construction is bit-reproducible.
 Expert layout: :func:`layer_layout` states each family's arrays once, and
 initializers, stacks, budgets and checkpoints all read it.  MoELoRA and
 TalkLoRA stack their experts along a leading axis, one array per role:
-A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the backward in :mod:`talklora.autodiff`)
-batch over that axis with ``np.matmul``, so neither loops over experts.
+A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the
+backward in :mod:`talklora.autodiff`) batch over that axis with
+``np.matmul``, so neither loops over experts.
 An :class:`AdapterStack` keeps every trainable scalar in one float64
 buffer ``flat``; layer arrays are views of it, a shared B is stored once,
 and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
@@ -153,23 +154,20 @@ _LAYER_TYPES = {"lora": LoRAAdapter, "moelora": MoELoRALayer, "talklora": TalkLo
 
 
 class Field(NamedTuple):
-    """One trainable array of a layer: its attribute, handle role and shape.
-
-    ``shared`` marks an array that a stack holds once for every layer of
-    a projection tag.
-    """
+    """One trainable array of a layer: attribute, handle role, shape, and
+    whether a stack holds it once for all layers of a projection tag."""
 
     name: str
     role: str
     shape: tuple
     shared: bool = False
 
-    def parts(self) -> list:
-        """(handle role, shape) per handle: one per expert of a stacked (n, ...)
+    def parts(self):
+        """(handle role, shape) per handle, lazily: one per expert of a stacked (n, ...)
         array (``A0``, ``A1``, ...), LoRA's single expert (``A0``), else the role."""
         if len(self.shape) == 3:
-            return [(f"{self.role}{j}", self.shape[1:]) for j in range(self.shape[0])]
-        return [(self.role + ("0" if self.role in ("A", "B") else ""), self.shape)]
+            return ((f"{self.role}{j}", self.shape[1:]) for j in range(self.shape[0]))
+        return iter([(self.role + ("0" if self.role in ("A", "B") else ""), self.shape)])
 
 
 def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int) -> tuple:
@@ -193,44 +191,54 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int) -> tupl
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _owner(slot: LayerSlot, field: Field) -> str:
-    """Handle prefix of ``field`` at ``slot``: ``shared.<tag>`` or the slot name."""
-    return f"shared.{slot.tag}" if field.shared else slot.name
+class Site(NamedTuple):
+    """``field`` of ``slot``, the ``index``-th slot, with handles under ``owner``:
+    ``shared.<tag>`` for a shared array, else the slot name.  ``first`` is
+    False for a shared array that an earlier slot of its tag holds."""
+
+    index: int
+    slot: LayerSlot
+    field: Field
+    owner: str
+    first: bool
+
+    def handles(self):
+        """(role, handle, shape) per handle of the array, lazily."""
+        return ((role, f"{self.owner}.{role}", shape) for role, shape in self.field.parts())
 
 
-def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]) -> tuple:
-    """Every handle of a ``method`` stack over ``slots``, without allocating.
+def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
+    """Every array of a ``method`` stack over ``slots`` as a :class:`Site`, lazily.
 
-    Returns ``(handles, aliases)``: ``handles`` maps each handle to its
-    (slot, shape) in buffer order, a shared handle once under the first
-    slot of its tag; ``aliases`` maps each layer-level name of a shared tensor
-    (``L01.Q.B0``) to its handle (``shared.Q.B0``).  A slot repeated, or
-    a tag whose slots imply different shapes for a shared tensor, raises.
+    Sites come in buffer order and allocate nothing, so a caller can stop
+    at the first one that disagrees with what it holds.  A slot repeated,
+    or a tag whose slots imply different shapes for a shared array, raises.
     """
-    handles, aliases = {}, {}
-    for slot in slots:
+    holders = {}  # (owner, attribute) -> the site that holds the array
+    for i, slot in enumerate(slots):
         for field in layer_layout(method, cfg, slot.d_in, slot.d_out):
-            for role, shape in field.parts():
-                handle = f"{_owner(slot, field)}.{role}"
-                if field.shared:
-                    aliases[f"{slot.name}.{role}"] = handle
-                if handle not in handles:
-                    handles[handle] = (slot, shape)
-                elif not field.shared or handles[handle][1] != shape:
-                    raise ValueError(
-                        f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) implies "
-                        f"{handle} {shape}, which an earlier slot gave shape {handles[handle][1]}"
-                    )
-    return handles, aliases
+            owner = f"shared.{slot.tag}" if field.shared else slot.name
+            site = Site(i, slot, field, owner, (owner, field.name) not in holders)
+            earlier = holders.setdefault((owner, field.name), site)
+            if not site.first and (not field.shared or earlier.field.shape != field.shape):
+                (_, handle, shape), had = next(site.handles()), next(earlier.handles())
+                raise ValueError(
+                    f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) implies "
+                    f"{handle} {shape}, which an earlier slot gave shape {had[2]}"
+                )
+            yield site
+
+
+def alias_table(sites) -> dict:
+    """Each layer-level name of a shared tensor (``L01.Q.B0``) -> its handle (``shared.Q.B0``)."""
+    return {f"{site.slot.name}.{role}": handle
+            for site in sites if site.field.shared for role, handle, _ in site.handles()}
 
 
 def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
-    """A fresh ``method`` layer for a config with dims.
-
-    B is zero.  Every other array is a Kaiming draw per handle role, from
-    the stream of that name (``A0``, ``E1``, ``C``, ``Wg``), stacked over
-    the experts.
-    """
+    """A fresh ``method`` layer for a config with dims: B is zero, every other
+    array a Kaiming draw per handle role from the stream of that name
+    (``A0``, ``E1``, ``C``, ``Wg``), stacked over the experts."""
     arrays = {}
     for field in layer_layout(method, cfg, *cfg.require_dims()):
         if field.role == "B":
@@ -253,13 +261,11 @@ def init_talklora(
     cfg: AdapterConfig, rng: RngState, shared_b: Optional[np.ndarray] = None
 ) -> TalkLoRALayer:
     layer = _init_layer("talklora", cfg, rng)
-    if shared_b is not None:
-        if shared_b.shape != layer.b.shape:
-            raise ValueError(
-                f"shared B array has shape {shared_b.shape}, "
-                f"expected (n, k, r_e) = {layer.b.shape}"
-            )
-        layer.b = shared_b
+    if shared_b is not None and shared_b.shape != layer.b.shape:
+        raise ValueError(
+            f"shared B array has shape {shared_b.shape}, expected (n, k, r_e) = {layer.b.shape}"
+        )
+    layer.b = layer.b if shared_b is None else shared_b
     return layer
 
 
@@ -503,54 +509,44 @@ class AdapterStack:
     """All adapters of one method over a list of slots, in one parameter buffer.
 
     ``flat`` (C-contiguous float64) holds every trainable scalar in the
-    order of :func:`stack_layout`; layer arrays are rebound to views of
-    it, and ``ranges[i]`` maps slot i's field names to their slices.  An
-    array the layout shares has one slice and one view for all layers of
-    its tag, taken from the first of them, and its handles
-    (``shared.<tag>.B<i>``) appear once.  Forwards never mutate
-    parameters; optimizers update ``flat``.
+    order of its ``layout`` (:func:`stack_layout`); layer arrays are rebound
+    to views of it, and ``ranges[i]`` maps slot i's field names to their
+    slices.  A shared array has one slice and view for all layers of its
+    tag, taken from the first, and its handles (``shared.<tag>.B<i>``)
+    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
     """
 
     def __init__(self, method: str, cfg: AdapterConfig, slots: list, adapters: list):
-        stack_layout(method, cfg, slots)  # no slot twice, shared shapes agree
         self.method = method
         self.cfg = cfg
         self.slots = slots
         self.adapters = adapters
+        self.layout = list(stack_layout(method, cfg, slots))
         self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
-        self._layouts = [layer_layout(method, cfg, s.d_in, s.d_out) for s in slots]
-        keys = [{field.name: f"{_owner(slot, field)}.{field.name}" for field in layout}
-                for slot, layout in zip(slots, self._layouts)]  # one key per distinct array
-        arrays = {}  # key -> the array, a shared one from the first layer of its tag
-        for ad, names in zip(adapters, keys):
-            for name, key in names.items():
-                arrays.setdefault(key, getattr(ad, name))
-        self.flat = np.concatenate([arr.reshape(-1) for arr in arrays.values()])
-        ends = accumulate(arr.size for arr in arrays.values())
-        spans = {key: slice(end - arr.size, end) for (key, arr), end in zip(arrays.items(), ends)}
-        views = {key: self.flat[spans[key]].reshape(arr.shape) for key, arr in arrays.items()}
-        self.ranges = [{name: spans[key] for name, key in names.items()} for names in keys]
-        for ad, names in zip(adapters, keys):
-            for name, key in names.items():
-                setattr(ad, name, views[key])
-        self._by_handle = {}
-        for i in range(len(slots)):
-            for _, handle, arr in self.slot_handles(i):
-                self._by_handle.setdefault(handle, arr)  # shared B recorded once
+        held = {(site.owner, site.field.name): getattr(adapters[site.index], site.field.name)
+                for site in self.layout if site.first}
+        self.flat = np.concatenate([arr.reshape(-1) for arr in held.values()])
+        ends = accumulate(arr.size for arr in held.values())
+        views = {key: (slice(end - arr.size, end), self.flat[end - arr.size:end].reshape(arr.shape))
+                 for (key, arr), end in zip(held.items(), ends)}
+        self.ranges = [{} for _ in slots]
+        self._slot_handles = [[] for _ in slots]
+        self._by_handle = {}  # shared handles once, from the first slot of their tag
+        for site in self.layout:
+            span, view = views[site.owner, site.field.name]
+            self.ranges[site.index][site.field.name] = span
+            setattr(adapters[site.index], site.field.name, view)
+            for (role, handle, _), arr in zip(site.handles(), view if view.ndim == 3 else [view]):
+                self._slot_handles[site.index].append((role, handle, arr))
+                if site.first:
+                    self._by_handle[handle] = arr
 
     def slot_cfg(self, i: int) -> AdapterConfig:
         return self._slot_cfgs[i]
 
     def slot_handles(self, i: int) -> list:
         """(role, handle, array) triples for slot i, sharing-resolved."""
-        slot, ad = self.slots[i], self.adapters[i]
-        out = []
-        for field in self._layouts[i]:
-            arr = getattr(ad, field.name)
-            views = arr if arr.ndim == 3 else [arr]  # one view per expert, or the array
-            out += [(role, f"{_owner(slot, field)}.{role}", view)
-                    for (role, _), view in zip(field.parts(), views)]
-        return out
+        return self._slot_handles[i]
 
     def named_parameters(self) -> list:
         """(handle, array) pairs in buffer order; shared tensors once."""

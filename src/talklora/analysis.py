@@ -140,8 +140,8 @@ def stability_certificate(
     every row meets the same BLAS kernel as in one call over all rows, and
     a last block of one row joins the block before it, because a one-row
     product takes BLAS's matrix-vector path.  So the result equals a
-    one-shot evaluation of all rows bit for bit.  Pairs with dx = 0 are skipped; if every pair has dx = 0
-    the observed ratio is 0.
+    one-shot evaluation of all rows bit for bit.  Pairs with dx = 0 are
+    skipped; if every pair has dx = 0 the observed ratio is 0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

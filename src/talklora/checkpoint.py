@@ -24,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterStack, LayerSlot, build_stack_from_slots, stack_layout
+from .adapters import (
+    AdapterConfig, AdapterStack, LayerSlot, alias_table, build_stack_from_slots, stack_layout,
+)
 from .linalg import RngState
 
 MAGIC = b"TLKL"
@@ -60,35 +62,38 @@ def config_to_dict(cfg, drop=("input_dim", "output_dim")) -> dict:
     return {key: value for key, value in asdict(cfg).items() if key not in drop}
 
 
-def encode_checkpoint(stack: AdapterStack, run_config: dict) -> bytes:
-    """The checkpoint file of ``stack``: every trainable tensor plus the structural header."""
-    params = stack.named_parameters()
-    payloads = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params]
+def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
+    """The checkpoint file of ``stack`` in pieces: prefix, header, then each tensor.
+
+    Each tensor is a little-endian float64 C-order array, the parameter
+    view itself where it is one already, so encoding copies no payload.
+    """
+    arrays = [(handle, np.ascontiguousarray(arr, dtype="<f8"))
+              for handle, arr in stack.named_parameters()]
     records = [
         {"handle": handle, "rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
-         "crc32": zlib.crc32(payload) & 0xFFFFFFFF}
-        for (handle, arr), payload in zip(params, payloads)
+         "crc32": zlib.crc32(arr) & 0xFFFFFFFF}
+        for handle, arr in arrays
     ]
     header = {
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "method": stack.method,
         "adapter_config": config_to_dict(stack.cfg),
-        "slots": [
-            {"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
-            for s in stack.slots
-        ],
+        "slots": [{"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
+                  for s in stack.slots],
         "tensors": records,
-        "alias_table": stack_layout(stack.method, stack.cfg, stack.slots)[1],
+        "alias_table": alias_table(stack.layout),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix = _PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes))
-    return b"".join([prefix, header_bytes, *payloads])
+    return [prefix, header_bytes, *(arr for _, arr in arrays)]
 
 
 def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
-    """Write :func:`encode_checkpoint` of the stack to ``path``."""
-    Path(path).write_bytes(encode_checkpoint(stack, run_config))
+    """Write the pieces :func:`encode_checkpoint` gives to ``path``."""
+    with open(path, "wb") as fh:
+        fh.writelines(encode_checkpoint(stack, run_config))
 
 
 def _read_header(fh) -> dict:
@@ -143,31 +148,32 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple[AdapterConfig, list
     Method, config and slots imply every tensor's handle and shape and the
     alias table (:func:`stack_layout`).  The records must list exactly those
     handles and shapes in order, the alias table must be the implied one,
-    and the records must account for every payload byte.  So a forged size
+    and the records must account for every payload byte.  The walk stops
+    at the first implied handle that no record matches, so a forged size
     is reported here, not by a failed allocation of the size it names.
     """
     cfg = AdapterConfig(input_dim=None, output_dim=None, **header["adapter_config"])
-    slots = [
-        LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"])
-        for s in header["slots"]
-    ]
+    slots = [LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"]) for s in header["slots"]]
     for slot in slots:
         cfg.with_dims(slot.d_in, slot.d_out)  # positive dims, total_rank <= both
-    implied, aliases = stack_layout(header["method"], cfg, slots)
     records = [(rec["handle"], (rec["rows"], rec["cols"])) for rec in header["tensors"]]
-    for i, (handle, (slot, shape)) in enumerate(implied.items()):
-        found = records[i] if i < len(records) else None
-        if found != (handle, shape):
-            raise CorruptCheckpointError(
-                f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) at total_rank "
-                f"{cfg.total_rank} and {cfg.experts} experts implies {handle} {shape}, "
-                f"but tensor record {i} is {'missing' if found is None else ' '.join(map(str, found))}"
-            )
-    if len(records) > len(implied):
-        raise CorruptCheckpointError(f"tensor record {len(implied)} is not implied by the slots")
-    if header["alias_table"] != aliases:
+    sites, i = [], 0
+    for site in stack_layout(header["method"], cfg, slots):
+        sites.append(site)
+        for _, handle, shape in site.handles() if site.first else ():
+            if i == len(records) or records[i] != (handle, shape):
+                found = " ".join(map(str, records[i])) if i < len(records) else "missing"
+                raise CorruptCheckpointError(
+                    f"slot {site.slot.name} (d_in {site.slot.d_in}, d_out {site.slot.d_out}) at "
+                    f"total_rank {cfg.total_rank} and {cfg.experts} experts implies {handle} "
+                    f"{shape}, but tensor record {i} is {found}"
+                )
+            i += 1
+    if len(records) > i:
+        raise CorruptCheckpointError(f"tensor record {i} is not implied by the slots")
+    if header["alias_table"] != alias_table(sites):
         raise CorruptCheckpointError("alias table does not match the one the slots imply")
-    recorded = 8 * sum(math.prod(shape) for _, shape in implied.values())
+    recorded = 8 * sum(math.prod(shape) for _, shape in records)
     if recorded != payload_bytes:
         problem = "truncated payload" if payload_bytes < recorded else "trailing bytes"
         raise CorruptCheckpointError(

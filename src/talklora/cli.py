@@ -538,7 +538,7 @@ def cmd_ckpt(action: str, checkpoint: str) -> int:
         return EXIT_OK
     # roundtrip: load (checksum-validating), re-encode in memory, compare bytes
     stack, echoed = load_checkpoint(checkpoint)
-    identical = encode_checkpoint(stack, echoed) == Path(checkpoint).read_bytes()
+    identical = b"".join(encode_checkpoint(stack, echoed)) == Path(checkpoint).read_bytes()
     print(json.dumps({"roundtrip_bit_identical": identical}, indent=2))
     return EXIT_OK if identical else EXIT_CORRUPT
 

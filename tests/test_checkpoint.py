@@ -103,6 +103,16 @@ class TestRoundtrip:
         assert not np.shares_memory(loaded.adapters[0].b, loaded.adapters[1].b)
 
 
+def _implies_billions_of_handles(header):
+    """Edit config and every slot so the header implies 10**9 experts per slot.
+
+    Each size passes the config's own checks; only the records show the forgery.
+    """
+    header["adapter_config"].update(total_rank=10**9, experts=10**9)
+    for slot in header["slots"]:
+        slot.update(d_in=10**9, d_out=10**9)
+
+
 class TestCorruptionDetection:
     def _saved(self, tmp_path):
         _, stack, _, _ = make_setup("talklora", depth=2, seed=7)
@@ -189,8 +199,12 @@ class TestCorruptionDetection:
              r"implies L01\.8x8\.Wg \(2, 4\), "
              r"but tensor record 13 is L01\.8x8\.Wg \(1000000000, 4\)"),
             (lambda h: h.update(alias_table=[]), "alias_table"),
+            (_implies_billions_of_handles,
+             r"slot L00\.8x8 \(d_in 1000000000, d_out 1000000000\) at total_rank 1000000000 "
+             r"and 1000000000 experts implies L00\.8x8\.A0 \(1, 1000000000\), "
+             r"but tensor record 0 is L00\.8x8\.A0 \(2, 8\)"),
         ],
-        ids=["d_in", "d_out", "experts", "rank", "record_rows", "alias_table"],
+        ids=["d_in", "d_out", "experts", "rank", "record_rows", "alias_table", "all_sizes"],
     )
     def test_forged_sizes_rejected_before_allocation(self, tmp_path, monkeypatch, edit, match):
         def must_not_run(*args, **kwargs):
