@@ -58,7 +58,6 @@ from .linalg import (
     kaiming_init,
     softmax,
     spectral_norm,
-    zero_init,
 )
 from .tasks import (
     ClusterTaskSpec,
@@ -124,7 +123,6 @@ __all__ = [
     "talking_mix",
     "talklora_forward",
     "train",
-    "zero_init",
 ]
 
 __version__ = "0.1.0"

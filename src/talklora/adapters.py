@@ -26,6 +26,7 @@ and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import ModelGeometry, PROJECTION_TAGS
-from .linalg import RngState, as_matrix, as_vector, kaiming_init, softmax_rows
+from .linalg import RngState, as_matrix, as_vector, kaiming_fill, kaiming_init, softmax_rows
 
 METHODS = ("lora", "moelora", "talklora")
 
@@ -206,6 +207,11 @@ class Site(NamedTuple):
         """(role, handle, shape) per handle of the array, lazily."""
         return ((role, f"{self.owner}.{role}", shape) for role, shape in self.field.parts())
 
+    @property
+    def size(self) -> int:
+        """Scalars of the array: its share of ``flat`` where this site holds it."""
+        return math.prod(self.field.shape)
+
 
 def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
     """Every array of a ``method`` stack over ``slots`` as a :class:`Site`, lazily.
@@ -233,20 +239,6 @@ def alias_table(sites) -> dict:
     """Each layer-level name of a shared tensor (``L01.Q.B0``) -> its handle (``shared.Q.B0``)."""
     return {f"{site.slot.name}.{role}": handle
             for site in sites if site.field.shared for role, handle, _ in site.handles()}
-
-
-def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
-    """A fresh ``method`` layer for a config with dims: B is zero, every other
-    array a Kaiming draw per handle role from the stream of that name
-    (``A0``, ``E1``, ``C``, ``Wg``), stacked over the experts."""
-    arrays = {}
-    for field in layer_layout(method, cfg, *cfg.require_dims()):
-        if field.role == "B":
-            arrays[field.name] = np.zeros(field.shape)
-        else:
-            draws = [kaiming_init(*shape, rng.split(role)) for role, shape in field.parts()]
-            arrays[field.name] = np.stack(draws) if len(field.shape) == 3 else draws[0]
-    return _LAYER_TYPES[method](**arrays)
 
 
 def init_lora(cfg: AdapterConfig, rng: RngState) -> LoRAAdapter:
@@ -509,37 +501,44 @@ class AdapterStack:
     """All adapters of one method over a list of slots, in one parameter buffer.
 
     ``flat`` (C-contiguous float64) holds every trainable scalar in the
-    order of its ``layout`` (:func:`stack_layout`); layer arrays are rebound
-    to views of it, and ``ranges[i]`` maps slot i's field names to their
-    slices.  A shared array has one slice and view for all layers of its
-    tag, taken from the first, and its handles (``shared.<tag>.B<i>``)
-    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
+    order of ``layout``, the list of :func:`stack_layout` over ``slots``;
+    ``slot_cfgs[i]`` is the config with slot i's dims.  The stack adopts
+    ``flat`` as it is, filled or not: each layer array is a view of it, and
+    ``ranges[i]`` maps slot i's field names to their slices.  A shared
+    array has one slice and view for all layers of its tag, taken from the
+    first, and its handles (``shared.<tag>.B<i>``) appear once.  Forwards
+    never mutate parameters; optimizers update ``flat``.
     """
 
-    def __init__(self, method: str, cfg: AdapterConfig, slots: list, adapters: list):
+    def __init__(self, method: str, cfg: AdapterConfig, slots: list, slot_cfgs: list,
+                 layout: list, flat: np.ndarray):
         self.method = method
         self.cfg = cfg
         self.slots = slots
-        self.adapters = adapters
-        self.layout = list(stack_layout(method, cfg, slots))
-        self._slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
-        held = {(site.owner, site.field.name): getattr(adapters[site.index], site.field.name)
-                for site in self.layout if site.first}
-        self.flat = np.concatenate([arr.reshape(-1) for arr in held.values()])
-        ends = accumulate(arr.size for arr in held.values())
-        views = {key: (slice(end - arr.size, end), self.flat[end - arr.size:end].reshape(arr.shape))
-                 for (key, arr), end in zip(held.items(), ends)}
+        self.layout = layout
+        self.flat = flat
+        self._slot_cfgs = slot_cfgs
         self.ranges = [{} for _ in slots]
         self._slot_handles = [[] for _ in slots]
         self._by_handle = {}  # shared handles once, from the first slot of their tag
-        for site in self.layout:
-            span, view = views[site.owner, site.field.name]
-            self.ranges[site.index][site.field.name] = span
-            setattr(adapters[site.index], site.field.name, view)
+        arrays = [{} for _ in slots]
+        held, end = {}, 0  # (owner, attribute) -> (slice, view) of the holding site
+        for site in layout:
+            name = site.field.name
+            if site.first:
+                span = slice(end, end + site.size)
+                held[site.owner, name] = span, flat[span].reshape(site.field.shape)
+                end = span.stop
+            span, view = held[site.owner, name]
+            self.ranges[site.index][name] = span
+            arrays[site.index][name] = view
             for (role, handle, _), arr in zip(site.handles(), view if view.ndim == 3 else [view]):
                 self._slot_handles[site.index].append((role, handle, arr))
                 if site.first:
                     self._by_handle[handle] = arr
+        if end != flat.size:
+            raise ValueError(f"the layout holds {end} scalars, flat {flat.size}")
+        self.adapters = [_LAYER_TYPES[method](**fields) for fields in arrays]
 
     def slot_cfg(self, i: int) -> AdapterConfig:
         return self._slot_cfgs[i]
@@ -570,17 +569,41 @@ class AdapterStack:
                 for (handle, arr), end in zip(params, ends)}
 
 
+def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -> AdapterStack:
+    """A fresh stack: the one init path of every adapter family.
+
+    Every slot's dims are checked before anything is allocated.  ``flat``
+    is then allocated once, zero, and adopted by the stack; B stays zero,
+    and every other array is Kaiming-filled in place, one draw per handle
+    from the stream of its role (``A0``, ``E1``, ``C``, ``Wg``) under the
+    slot's stream ``slot_rngs[i]``.
+    """
+    slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
+    layout = list(stack_layout(method, cfg, slots))
+    flat = np.zeros(sum(site.size for site in layout if site.first))
+    stack = AdapterStack(method, cfg, slots, slot_cfgs, layout, flat)
+    for i, rng in enumerate(slot_rngs):
+        for role, _, arr in stack.slot_handles(i):
+            if not role.startswith("B"):
+                kaiming_fill(arr, rng.split(role))
+    return stack
+
+
+def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
+    """A fresh ``method`` layer for a config with dims, drawn from ``rng``:
+    the one layer of a one-slot stack, its arrays views of that stack's buffer."""
+    slot = LayerSlot(0, "layer", *cfg.require_dims())
+    return _init_stack(method, cfg, [slot], [rng]).adapters[0]
+
+
 def build_stack_from_slots(
     method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot], rng: RngState
 ) -> AdapterStack:
-    """Construct fresh adapters for every slot, one stream per slot."""
+    """Construct fresh adapters for every slot, slot i drawing from ``init.<slot name>``."""
     if not slots:
         raise ValueError("at least one slot is required")
-    adapters = [
-        _init_layer(method, cfg.with_dims(s.d_in, s.d_out), rng.split(f"init.{s.name}"))
-        for s in slots
-    ]
-    return AdapterStack(method, cfg, list(slots), adapters)
+    slots = list(slots)
+    return _init_stack(method, cfg, slots, [rng.split(f"init.{s.name}") for s in slots])
 
 
 def build_frozen_stack(

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (
-    AdapterConfig, AdapterStack, LayerSlot, alias_table, build_stack_from_slots, stack_layout,
-)
-from .linalg import RngState
+from .adapters import AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout
+# not called here, since a load draws nothing; the corruption tests patch this
+# name to assert that a forged header builds no stack
+from .adapters import build_stack_from_slots  # noqa: F401
 
 MAGIC = b"TLKL"
 FORMAT_VERSION = 1
@@ -142,8 +142,9 @@ def read_header(path) -> dict:
         return _read_header(fh)
 
 
-def _check_layout(header: dict, payload_bytes: int) -> tuple[AdapterConfig, list]:
-    """The header's adapter config and slots, checked before anything is allocated.
+def _check_layout(header: dict, payload_bytes: int) -> tuple:
+    """The header's adapter config, slots, slot configs and layout, checked
+    before anything is allocated.
 
     Method, config and slots imply every tensor's handle and shape and the
     alias table (:func:`stack_layout`).  The records must list exactly those
@@ -154,8 +155,8 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple[AdapterConfig, list
     """
     cfg = AdapterConfig(input_dim=None, output_dim=None, **header["adapter_config"])
     slots = [LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"]) for s in header["slots"]]
-    for slot in slots:
-        cfg.with_dims(slot.d_in, slot.d_out)  # positive dims, total_rank <= both
+    # positive dims, total_rank <= both
+    slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
     records = [(rec["handle"], (rec["rows"], rec["cols"])) for rec in header["tensors"]]
     sites, i = [], 0
     for site in stack_layout(header["method"], cfg, slots):
@@ -180,30 +181,33 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple[AdapterConfig, list
             f"{problem}: the tensor records hold {recorded} bytes, "
             f"the file {payload_bytes} after the header"
         )
-    return cfg, slots
+    return cfg, slots, slot_cfgs, sites
 
 
 def load_checkpoint(path) -> tuple[AdapterStack, dict]:
-    """Rebuild the stack and overwrite every tensor from the payloads.
+    """Read the payloads into a new ``flat`` and build the stack on it.
 
-    Payload bytes replace the fresh initialization of the rebuilt stack,
-    so the roundtrip is bit-identical.  Every payload is checksum-validated;
-    a header with missing or ill-typed fields is reported as corrupt.
+    The records are in buffer order, so once :func:`_check_layout` has
+    checked them, the whole payload is read into ``flat`` in one pass and
+    each record's CRC-32 is checked over its own slice.  The stack adopts
+    that buffer; nothing is drawn, and the roundtrip is bit-identical.  A
+    header with missing or ill-typed fields is reported as corrupt.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
-            cfg, slots = _check_layout(header, payload_bytes)
-            stack = build_stack_from_slots(header["method"], cfg, slots, RngState(0))
+            cfg, slots, slot_cfgs, layout = _check_layout(header, payload_bytes)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptCheckpointError(f"malformed header: {exc!r}") from exc
-        for rec in header["tensors"]:
-            handle, arr = rec["handle"], stack.parameter(rec["handle"])
-            payload = fh.read(arr.nbytes)
-            if len(payload) != arr.nbytes:
-                raise CorruptCheckpointError(f"truncated payload for tensor {handle!r}")
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != rec["crc32"]:
-                raise CorruptCheckpointError(f"checksum mismatch for tensor {handle!r}")
-            arr[:] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
-    return stack, header["run_config"]
+        flat = np.empty(payload_bytes // 8, dtype="<f8")
+        if fh.readinto(flat) != payload_bytes:
+            raise CorruptCheckpointError("truncated payload: the file shrank while it was read")
+    start = 0
+    for rec in header["tensors"]:
+        stop = start + rec["rows"] * rec["cols"]
+        if (zlib.crc32(flat[start:stop]) & 0xFFFFFFFF) != rec["crc32"]:
+            raise CorruptCheckpointError(f"checksum mismatch for tensor {rec['handle']!r}")
+        start = stop
+    flat = flat.astype(np.float64, copy=False)  # a no-op on little-endian hosts
+    return AdapterStack(header["method"], cfg, slots, slot_cfgs, layout, flat), header["run_config"]

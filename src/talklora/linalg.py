@@ -2,12 +2,13 @@
 
 Everything downstream (adapter forwards, gradients, certificates) runs on
 plain float64 numpy arrays.  This module owns the matrix and vector
-contract checks, the numerically stable softmax, the two initializers, the
-exact spectral norm of one matrix or of a stack of them (one LAPACK SVD
+contract checks, the numerically stable softmax, the Kaiming initializer,
+the exact spectral norm of one matrix or of a stack of them (one LAPACK SVD
 call), and the reproducible RNG streams.
 
-All functions are pure: arrays are treated as immutable values and results
-are freshly allocated, so concurrent callers can share inputs freely.
+All functions but :func:`kaiming_fill` are pure: arrays are treated as
+immutable values and results are freshly allocated, so concurrent callers
+can share inputs freely.  ``kaiming_fill`` writes only the array it is given.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,9 +42,8 @@ class RngState:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        key = np.array([self.seed, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """Fresh generator positioned at the start of this stream: Philox keyed ``[seed, 0]``."""
+        return np.random.Generator(np.random.Philox(_PhiloxKey(self.seed)))
 
     def split(self, label: str) -> "RngState":
         """Child state dedicated to ``label``, independent of the parent."""
@@ -50,6 +51,25 @@ class RngState:
             self.seed.to_bytes(8, "little") + label.encode("utf-8")
         ).digest()
         return RngState(int.from_bytes(digest[:8], "little"))
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox the key ``[seed, 0]`` as it is.
+
+    ``np.random.Philox(key=...)`` first seeds a throwaway ``SeedSequence``
+    from OS entropy, which costs more than the rest of the construction.
+    Given a seed sequence instead, Philox asks it for two 64-bit words, takes
+    them as its key (copied into its own state) and starts its counter at
+    0, so the stream is that of ``Philox(key=[seed, 0])`` bit for bit.
+    """
+
+    def __init__(self, seed: int):
+        self.key = np.array([seed, 0], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (2, np.uint64):
+            raise ValueError(f"a Philox key is two uint64 words, not {n_words} of {dtype}")
+        return self.key
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -128,10 +148,21 @@ def kaiming_init(rows: int, cols: int, rng: RngState) -> np.ndarray:
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"kaiming_init needs positive dims, got ({rows}, {cols})")
-    bound = math.sqrt(6.0 / cols)
     out = np.empty((rows, cols))
-    _fill_uniform(out.reshape(-1), -bound, bound, rng)
+    kaiming_fill(out, rng)
     return out
+
+
+def kaiming_fill(out: np.ndarray, rng: RngState) -> None:
+    """Overwrite the C-contiguous matrix ``out`` with ``kaiming_init(*out.shape, rng)``.
+
+    The draw is written in place, so a view of a larger buffer is filled
+    without a temporary.
+    """
+    if out.ndim != 2 or not out.flags.c_contiguous:
+        raise ValueError(f"kaiming_fill needs a C-contiguous matrix, got shape {out.shape}")
+    bound = math.sqrt(6.0 / out.shape[1])
+    _fill_uniform(out.reshape(-1), -bound, bound, rng)
 
 
 # Draws shorter than two chunks of this many doubles (8 MiB) are filled on
@@ -181,13 +212,6 @@ def _fill_span(span: np.ndarray, low: float, high: float, rng: RngState, start: 
     gen.random(out=span)
     span *= high - low  # Generator.uniform's low + (high - low) * u, in its order
     span += low
-
-
-def zero_init(rows: int, cols: int) -> np.ndarray:
-    """All-zero matrix of the requested shape."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"zero_init needs positive dims, got ({rows}, {cols})")
-    return np.zeros((rows, cols), dtype=np.float64)
 
 
 def spectral_norms(ms) -> np.ndarray:

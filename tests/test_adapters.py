@@ -1,8 +1,13 @@
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _setup import balance_setup
+from talklora import linalg
 from talklora.adapters import (
     AdapterConfig,
     FrozenLinear,
@@ -14,6 +19,7 @@ from talklora.adapters import (
     init_lora,
     init_moelora,
     init_talklora,
+    layer_layout,
     LayerSlot,
     lora_forward,
     lora_merge,
@@ -485,3 +491,94 @@ class TestZeroInitContractAllFamilies:
         for _ in range(50):
             x = gen.normal(size=8)
             assert np.array_equal(fwd(x), layer.w0 @ x)
+
+
+FLAT_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "stack-flat-sha256.json").read_text()
+)
+TWO_TAG_SLOTS = [LayerSlot(0, "Q", 8, 8), LayerSlot(0, "V", 8, 4),
+                 LayerSlot(1, "Q", 8, 8), LayerSlot(1, "V", 8, 4)]
+FAMILY_CASES = [(m, share_b) for m in ("lora", "moelora", "talklora") for share_b in (True, False)]
+
+
+def _two_tag_stack(method, share_b):
+    cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=share_b)
+    return build_stack_from_slots(method, cfg, TWO_TAG_SLOTS, RngState(21))
+
+
+def _sha256(stack):
+    return hashlib.sha256(stack.flat.tobytes()).hexdigest()
+
+
+class TestInPlaceBuild:
+    """Stacks are drawn straight into ``flat``, bit for bit as before.
+
+    ``tests/fixtures/stack-flat-sha256.json`` holds the SHA-256 of ``flat``
+    for ``_two_tag_stack(method, share_b)`` (key ``<method>-share_b-<on>``)
+    and ``balance_setup(seed)`` (key ``balance-seed<seed>``), written by the
+    code that drew each layer's arrays on their own and concatenated them.
+    """
+
+    @pytest.mark.parametrize("method,share_b", FAMILY_CASES)
+    def test_flat_matches_recorded_digest(self, method, share_b):
+        key = f"{method}-share_b-{share_b}".lower()
+        assert _sha256(_two_tag_stack(method, share_b)) == FLAT_DIGESTS[key]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_balance_flat_matches_recorded_digest(self, seed):
+        assert _sha256(balance_setup(seed)[1]) == FLAT_DIGESTS[f"balance-seed{seed}"]
+
+    @pytest.mark.parametrize("method,share_b", FAMILY_CASES)
+    def test_digest_holds_when_every_draw_is_cut_into_chunks(self, monkeypatch, method, share_b):
+        monkeypatch.setattr(linalg, "_FILL_CHUNK", 4)
+        monkeypatch.setattr(linalg, "_fill_threads", lambda: 3)
+        key = f"{method}-share_b-{share_b}".lower()
+        assert _sha256(_two_tag_stack(method, share_b)) == FLAT_DIGESTS[key]
+
+    def test_single_layers_draw_as_a_one_slot_stack(self):
+        cfg, rng, slot = small_cfg(), RngState(31), LayerSlot(0, "Q", 8, 8)
+        for init, method in ((init_lora, "lora"), (init_moelora, "moelora"),
+                             (init_talklora, "talklora")):
+            layer = init(cfg, rng.split("init.L00.Q"))
+            (built,) = build_stack_from_slots(method, cfg, [slot], rng).adapters
+            for field in layer_layout(method, cfg, 8, 8):
+                assert getattr(layer, field.name).tobytes() == getattr(built, field.name).tobytes()
+
+    def test_build_allocates_only_flat(self):
+        cfg = AdapterConfig(total_rank=16, experts=4, share_b=True)
+        slots = [LayerSlot(i, "Q", 4096, 4096) for i in range(2)]
+        build_stack_from_slots("talklora", cfg, slots, RngState(32))  # warm imports
+        tracemalloc.start()
+        try:
+            stack = build_stack_from_slots("talklora", cfg, slots, RngState(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.flat.nbytes + 64 * 1024
+
+    def test_bad_later_slot_rejected_before_flat_is_allocated(self):
+        cfg = AdapterConfig(total_rank=16, experts=4)
+        slots = [LayerSlot(0, "Q", 4096, 4096), LayerSlot(0, "V", 8, 4096)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="total_rank 16 exceeds min"):
+                build_stack_from_slots("talklora", cfg, slots, RngState(33))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_multi_chunk_draw_lands_in_flat(self):
+        # one A of 2 * 2^20 + 3 doubles: cut across the CPUs this process may
+        # run on, or drawn on the calling thread when pinned to one
+        d_in = (2 << 20) + 3
+        rng = RngState(34)
+        stack = build_stack_from_slots(
+            "lora", AdapterConfig(total_rank=1), [LayerSlot(0, "W", d_in, 1)], rng
+        )
+        seed = rng.split("init.L00.W").split("A0").seed
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        bound = np.sqrt(6.0 / d_in)
+        assert stack.adapters[0].a.tobytes() == gen.uniform(-bound, bound, (1, d_in)).tobytes()
+        assert not stack.adapters[0].b.any()
+

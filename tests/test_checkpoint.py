@@ -1,11 +1,14 @@
 import json
+import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _setup import balance_setup, make_setup
+from talklora import linalg
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
 from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
 from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
@@ -14,6 +17,7 @@ from talklora.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     VersionMismatchError,
+    encode_checkpoint,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -249,6 +253,106 @@ class TestFormatV1Fixtures:
         resaved = tmp_path / "resaved.tlkl"
         save_checkpoint(resaved, loaded, run_config)
         assert resaved.read_bytes() == path.read_bytes()
+
+
+V1_FIXTURES = sorted(FIXTURES.glob("*-v1.tlkl"))
+
+
+class TestLoadIntoFlat:
+    """A load reads the payload into ``flat`` in one pass and draws nothing."""
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.name)
+    def test_fixture_resaves_byte_for_byte(self, path):
+        loaded, run_config = load_checkpoint(path)
+        assert b"".join(encode_checkpoint(loaded, run_config)) == path.read_bytes()
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.name)
+    def test_load_makes_no_draw(self, monkeypatch, path):
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "_fill_uniform", spy("fill", linalg._fill_uniform))
+        monkeypatch.setattr(RngState, "generator", spy("generator", RngState.generator))
+        load_checkpoint(path)
+        assert calls == []
+        build_stack_from_slots("lora", AdapterConfig(total_rank=1), [LayerSlot(0, "W", 2, 2)],
+                               RngState(0))
+        assert sorted(calls) == ["fill", "generator"]  # the spies do see a draw
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.name)
+    def test_loaded_arrays_are_views_of_flat(self, path):
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.flags.owndata and loaded.flat.dtype == np.float64
+        for handle, arr in loaded.named_parameters():
+            assert np.shares_memory(arr, loaded.flat), handle
+        for ad, ranges in zip(loaded.adapters, loaded.ranges):
+            for name in ranges:
+                assert np.shares_memory(getattr(ad, name), loaded.flat), name
+
+    def test_load_allocates_only_flat(self, tmp_path):
+        cfg = AdapterConfig(total_rank=16, experts=4, share_b=True)
+        slots = [LayerSlot(i, "Q", 4096, 4096) for i in range(2)]
+        path = tmp_path / "wide.tlkl"
+        save_checkpoint(path, build_stack_from_slots("talklora", cfg, slots, RngState(4)), {})
+        load_checkpoint(path)  # warm imports
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < loaded.flat.nbytes + 128 * 1024
+
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_flipped_byte_names_its_record(self, tmp_path, which):
+        source = FIXTURES / "talklora-v1.tlkl"
+        header, payload = _split(source)
+        records = header["tensors"]
+        index = {"first": 0, "middle": len(records) // 2, "last": len(records) - 1}[which]
+        start = 8 * sum(r["rows"] * r["cols"] for r in records[:index])
+        size = 8 * records[index]["rows"] * records[index]["cols"]
+        raw = bytearray(source.read_bytes())
+        raw[len(raw) - len(payload) + start + size // 2] ^= 0x01
+        path = tmp_path / "flipped.tlkl"
+        path.write_bytes(bytes(raw))
+        handle = records[index]["handle"]
+        with pytest.raises(CorruptCheckpointError,
+                           match=f"^checksum mismatch for tensor {re.escape(repr(handle))}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(-16, "truncated payload: the tensor records hold {n} bytes, the file {m} after the header"),
+         (8, "trailing bytes: the tensor records hold {n} bytes, the file {m} after the header")],
+        ids=["truncated", "trailing"],
+    )
+    def test_payload_size_messages(self, tmp_path, cut, message):
+        source = FIXTURES / "moelora-v1.tlkl"
+        _, payload = _split(source)
+        raw = source.read_bytes()
+        path = tmp_path / "resized.tlkl"
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        expected = message.format(n=len(payload), m=len(payload) + cut)
+        with pytest.raises(CorruptCheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == expected
+
+    def test_forged_header_builds_no_stack(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the stack was built from a forged header")
+
+        header, payload = _split(FIXTURES / "talklora-v1.tlkl")
+        header["slots"][0]["d_in"] = 10**11
+        path = tmp_path / "forged.tlkl"
+        _write(path, header, payload, sort_keys=True)
+        monkeypatch.setattr("talklora.checkpoint.AdapterStack", must_not_run)
+        with pytest.raises(CorruptCheckpointError, match="implies L00"):
+            load_checkpoint(path)
 
 
 TRAIN_RUN_CONFIG = {"method": "talklora", "seed": 3, "note": "train fixture"}

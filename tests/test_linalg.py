@@ -2,6 +2,7 @@ import threading
 import tracemalloc
 
 import numpy as np
+from numpy.random import bit_generator
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from talklora.linalg import (
     softmax_rows,
     spectral_norm,
     spectral_norms,
-    zero_init,
 )
 
 
@@ -102,16 +102,9 @@ class TestInitializers:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, kaiming_init(4, 4, root.split("a")))
 
-    def test_zero_init(self):
-        assert np.array_equal(zero_init(2, 3), np.zeros((2, 3)))
-        assert np.array_equal(zero_init(1, 1), np.zeros((1, 1)))
-        assert np.linalg.norm(zero_init(5, 7)) == 0.0
-
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             kaiming_init(0, 3, RngState(0))
-        with pytest.raises(ValueError):
-            zero_init(3, 0)
 
 
 def _uniform_oracle(rows, cols, seed):
@@ -236,6 +229,53 @@ class TestFiniteChecks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestKeyedStreams:
+    """``RngState(s).generator()`` is Philox keyed ``[s, 0]``, built without OS entropy."""
+
+    @staticmethod
+    def _reference(seed):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40), steps=st.integers(0, 2**70))
+    @example(seed=0, n=1, steps=0)
+    @example(seed=0, n=40, steps=1)
+    @example(seed=2**64 - 1, n=7, steps=2**70)
+    def test_draws_match_philox_keyed_by_seed(self, seed, n, steps):
+        ours, ref = RngState(seed).generator(), self._reference(seed)
+        assert ours.random(n).tobytes() == ref.random(n).tobytes()
+        assert ours.normal(size=n).tobytes() == ref.normal(size=n).tobytes()
+        assert np.array_equal(ours.permutation(n), ref.permutation(n))
+        ours.bit_generator.advance(steps)
+        ref.bit_generator.advance(steps)
+        assert ours.random(n).tobytes() == ref.random(n).tobytes()
+        # a fresh generator advanced first, as each chunk of the threaded fill is
+        ours, ref = RngState(seed).generator(), self._reference(seed)
+        ours.bit_generator.advance(steps)
+        ref.bit_generator.advance(steps)
+        assert ours.random(n).tobytes() == ref.random(n).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=2**64 - 1)
+    def test_generators_of_one_state_draw_independently(self, seed):
+        def no_entropy(bits):
+            raise AssertionError("a generator read OS entropy")
+
+        state = RngState(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # numpy seeds an unseeded SeedSequence from this function
+            mp.setattr(bit_generator, "randbits", no_entropy)
+            first, second = state.generator(), state.generator()
+        head = first.random(9)
+        first.bit_generator.advance(5)
+        first.normal(size=3)
+        # the draws of one move nothing in the other
+        assert second.random(9).tobytes() == head.tobytes()
+        assert second.random(4).tobytes() == self._reference(seed).random(13)[9:].tobytes()
 
 
 class TestRngState:
