@@ -25,9 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout
-# not called here, since a load draws nothing; the corruption tests patch this
-# name to assert that a forged header builds no stack
-from .adapters import build_stack_from_slots  # noqa: F401
 
 MAGIC = b"TLKL"
 FORMAT_VERSION = 1
@@ -53,15 +50,6 @@ class VersionMismatchError(Exception):
         )
 
 
-def config_to_dict(cfg, drop=("input_dim", "output_dim")) -> dict:
-    """``asdict(cfg)`` without the fields in ``drop``.
-
-    The default drops an adapter config's dims: they are per slot, and
-    checkpoints record them on the slots.
-    """
-    return {key: value for key, value in asdict(cfg).items() if key not in drop}
-
-
 def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
     """The checkpoint file of ``stack`` in pieces: prefix, header, then each tensor.
 
@@ -79,7 +67,9 @@ def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "method": stack.method,
-        "adapter_config": config_to_dict(stack.cfg),
+        # the dims are per slot, so the slots record them
+        "adapter_config": {key: value for key, value in asdict(stack.cfg).items()
+                           if key not in ("input_dim", "output_dim")},
         "slots": [{"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
                   for s in stack.slots],
         "tensors": records,

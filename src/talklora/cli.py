@@ -11,15 +11,17 @@ gradcheck  analytic-vs-numeric gradient verification across all families
            and ablation flags
 ckpt       checkpoint roundtrip verification and header inspection
 
-Every command reads a single JSON config (see ``parse_run_config`` for
-the schema and defaults); ``--seed`` is the only flag override and is
-echoed into all outputs.  Exit codes are a stable contract: 0 success,
-2 config/input error, 3 numerical failure, 4 artifact corruption.
+Every command reads a single JSON config (see ``parse_run_config``, and
+``_SECTIONS`` for the sections' fields and defaults); ``--seed`` is the
+only flag override and is echoed into all outputs.  Exit codes are a
+stable contract: 0 success, 2 config/input error, 3 numerical failure,
+4 artifact corruption.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -39,7 +41,6 @@ from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
 from .checkpoint import (
     CorruptCheckpointError,
     VersionMismatchError,
-    config_to_dict,
     encode_checkpoint,
     load_checkpoint,
     read_header,
@@ -74,6 +75,7 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_RUN_SEED = object()  # a seed field that defaults to the run's seed
 _JSON_KINDS = {
     bool: "true or false",
     int: "an integer",
@@ -81,6 +83,25 @@ _JSON_KINDS = {
     str: "a string",
     list: "a list of strings",
     dict: "an object",
+}
+
+# Each config section: the class built from it, then every field's
+# (name, JSON kind, default) in the order the fields are read.
+_SECTIONS = {
+    "adapter": (AdapterConfig, (
+        ("total_rank", int, 16), ("experts", int, 4), ("lora_alpha", float, 16.0),
+        ("share_b", bool, True), ("talking_enabled", bool, True),
+        ("spectral_clip_c", float, None),
+    )),
+    "task": (ClusterTaskSpec, (
+        ("clusters", int, 4), ("input_dim", int, 16), ("output_dim", int, 16),
+        ("samples_per_cluster", int, 250), ("noise_std", float, 0.3), ("seed", int, _RUN_SEED),
+    )),
+    "train": (TrainConfig, (
+        ("epochs", int, 2), ("batch_size", int, 32), ("lr", float, 3e-4),
+        ("warmup_steps", int, 100), ("eval_every", int, 50), ("seed", int, _RUN_SEED),
+        ("lr_schedule", str, "linear"), ("weight_decay", float, 0.0), ("dropout", float, 0.05),
+    )),
 }
 
 
@@ -143,37 +164,52 @@ def _build(cls, section: str, **fields):
         raise ConfigError(f"config.{section}: {exc}") from exc
 
 
-@dataclass
+def _section(doc: dict, name: str, default: Optional[dict], seed: int) -> tuple:
+    """Section ``name`` of ``doc``: (its values, the object built from them).
+
+    Every field of ``_SECTIONS[name]`` is taken with its kind and default;
+    (None, None) when the section is absent and ``default`` is None.
+    """
+    section = _take(doc, name, dict, default)
+    if section is None:
+        return None, None
+    cls, fields = _SECTIONS[name]
+    values = {}
+    for key, kind, field_default in fields:
+        if field_default is _RUN_SEED:
+            values[key] = _seed(_take(section, key, kind, seed, name), f"{name}.{key}")
+        else:
+            values[key] = _take(section, key, kind, field_default, name)
+    built = _build(cls, name, **values)
+    _reject_unknown(section, name)
+    return values, built
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    method: str
-    seed: int
-    output_dir: str
+    """A parsed run config.
+
+    ``values`` is every value the parser took, defaults applied, with each
+    section as the dict of its fields; ``adapter``, ``task``, ``train`` and
+    ``loss`` are built from them.
+    """
+
+    values: dict
     adapter: AdapterConfig
-    targets: Optional[list]
-    geometry: Optional[str]
     task: Optional[ClusterTaskSpec]
-    model_depth: int
     train: TrainConfig
     loss: LossSpec
 
+    method = property(lambda self: self.values["method"])
+    seed = property(lambda self: self.values["seed"])
+    output_dir = property(lambda self: self.values["output_dir"])
+    targets = property(lambda self: self.values.get("targets"))
+    geometry = property(lambda self: self.values.get("geometry"))
+    model_depth = property(lambda self: self.values["model_depth"])
+
     def effective_dict(self) -> dict:
-        """Full configuration with every default applied, for echoing."""
-        doc = {
-            "method": self.method,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "adapter": config_to_dict(self.adapter),
-            "model_depth": self.model_depth,
-            "train": config_to_dict(self.train, drop=()),
-            "loss": self.loss.kind,
-        }
-        if self.targets is not None:
-            doc["targets"] = list(self.targets)
-        if self.geometry is not None:
-            doc["geometry"] = self.geometry
-        if self.task is not None:
-            doc["task"] = config_to_dict(self.task, drop=("centers", "maps"))
-        return doc
+        """The full configuration with every default applied, for echoing."""
+        return copy.deepcopy(self.values)
 
 
 def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
@@ -181,8 +217,10 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
 
     Top level: method (required), seed (0), output_dir ("out"), adapter,
     targets, geometry, task, model_depth (4), train, loss ("mean-squared-
-    error").  Unknown keys anywhere are rejected with the field name.
+    error"); the sections' fields and defaults are in ``_SECTIONS``.
+    Unknown keys anywhere are rejected with the field name.
     ``task.seed`` and ``train.seed`` default to the top-level seed.
+    Targets, geometry and task are echoed only when given.
     """
     doc = dict(doc)
     method = _take(doc, "method", str)
@@ -191,70 +229,20 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     seed = _seed(_take(doc, "seed", int, 0), "config.seed")
     if seed_override is not None:
         seed = _seed(seed_override, "--seed")
-    output_dir = _take(doc, "output_dir", str, "out")
-
-    adapter_doc = _take(doc, "adapter", dict, {})
-    adapter = _build(
-        AdapterConfig, "adapter",
-        total_rank=_take(adapter_doc, "total_rank", int, 16, "adapter"),
-        experts=_take(adapter_doc, "experts", int, 4, "adapter"),
-        lora_alpha=_take(adapter_doc, "lora_alpha", float, 16.0, "adapter"),
-        share_b=_take(adapter_doc, "share_b", bool, True, "adapter"),
-        talking_enabled=_take(adapter_doc, "talking_enabled", bool, True, "adapter"),
-        spectral_clip_c=_take(adapter_doc, "spectral_clip_c", float, None, "adapter"),
-    )
-    _reject_unknown(adapter_doc, "adapter")
-
-    targets = _take(doc, "targets", list, None)
-    geometry = _take(doc, "geometry", str, None)
-
-    task = None
-    task_doc = _take(doc, "task", dict, None)
-    if task_doc is not None:
-        task = _build(
-            ClusterTaskSpec, "task",
-            clusters=_take(task_doc, "clusters", int, 4, "task"),
-            input_dim=_take(task_doc, "input_dim", int, 16, "task"),
-            output_dim=_take(task_doc, "output_dim", int, 16, "task"),
-            samples_per_cluster=_take(task_doc, "samples_per_cluster", int, 250, "task"),
-            noise_std=_take(task_doc, "noise_std", float, 0.3, "task"),
-            seed=_seed(_take(task_doc, "seed", int, seed, "task"), "task.seed"),
-        )
-        _reject_unknown(task_doc, "task")
-
-    model_depth = _take(doc, "model_depth", int, 4)
-    if model_depth < 1:
+    values = {"method": method, "seed": seed, "output_dir": _take(doc, "output_dir", str, "out")}
+    values["adapter"], adapter = _section(doc, "adapter", {}, seed)
+    values["targets"] = _take(doc, "targets", list, None)
+    values["geometry"] = _take(doc, "geometry", str, None)
+    values["task"], task = _section(doc, "task", None, seed)
+    values["model_depth"] = _take(doc, "model_depth", int, 4)
+    if values["model_depth"] < 1:
         raise ConfigError("config.model_depth must be positive")
-
-    train_doc = _take(doc, "train", dict, {})
-    train_cfg = _build(
-        TrainConfig, "train",
-        epochs=_take(train_doc, "epochs", int, 2, "train"),
-        batch_size=_take(train_doc, "batch_size", int, 32, "train"),
-        lr=_take(train_doc, "lr", float, 3e-4, "train"),
-        warmup_steps=_take(train_doc, "warmup_steps", int, 100, "train"),
-        eval_every=_take(train_doc, "eval_every", int, 50, "train"),
-        seed=_seed(_take(train_doc, "seed", int, seed, "train"), "train.seed"),
-        lr_schedule=_take(train_doc, "lr_schedule", str, "linear", "train"),
-        weight_decay=_take(train_doc, "weight_decay", float, 0.0, "train"),
-        dropout=_take(train_doc, "dropout", float, 0.05, "train"),
-    )
-    _reject_unknown(train_doc, "train")
-
-    loss = _build(LossSpec, "loss", kind=_take(doc, "loss", str, "mean-squared-error"))
+    values["train"], train_cfg = _section(doc, "train", {}, seed)
+    values["loss"] = _take(doc, "loss", str, "mean-squared-error")
+    loss = _build(LossSpec, "loss", kind=values["loss"])
     _reject_unknown(doc, "config")
-    return RunConfig(
-        method=method,
-        seed=seed,
-        output_dir=output_dir,
-        adapter=adapter,
-        targets=targets,
-        geometry=geometry,
-        task=task,
-        model_depth=model_depth,
-        train=train_cfg,
-        loss=loss,
-    )
+    values = {key: value for key, value in values.items() if value is not None}
+    return RunConfig(values, adapter, task, train_cfg, loss)
 
 
 def _load_config_file(path: str, seed_override: Optional[int]) -> RunConfig:
@@ -354,22 +342,15 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _restore(checkpoint: str):
-    stack, echoed = load_checkpoint(checkpoint)
-    config = parse_run_config(echoed)
-    return stack, config
-
-
 def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 trials: int = 1000) -> int:
-    if report not in ANALYZE_REPORTS:
-        raise ConfigError(
-            f"unknown report {report!r}; expected one of {ANALYZE_REPORTS}"
-        )
-    stack, config = _restore(checkpoint)
-    if report in ("stability", "nonexpansive", "heatmap", "degeneracy"):
-        if stack.method != "talklora":
-            raise ConfigError(f"report {report!r} needs a talklora checkpoint")
+    stack, echoed = load_checkpoint(checkpoint)
+    # stability and degeneracy draw their probes from the run's seed, and
+    # routing rebuilds the task data and the frozen host; the adapter's own
+    # settings come from the stack, which was built from them
+    config = parse_run_config(echoed) if report in ("stability", "routing", "degeneracy") else None
+    if report != "routing" and stack.method != "talklora":
+        raise ConfigError(f"report {report!r} needs a talklora checkpoint")
     if report == "routing":
         if stack.method == "lora":
             raise ConfigError("report 'routing' needs a moelora or talklora checkpoint")
@@ -389,7 +370,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 trials=trials,
                 delta_scale=0.1,
                 rng=RngState(config.seed).split(f"stability.L{i:02d}"),
-                talking_enabled=config.adapter.talking_enabled,
+                talking_enabled=stack.cfg.talking_enabled,
             )
             doc = analysis.certificate_to_dict(cert)
             doc["layer"] = stack.slots[i].layer

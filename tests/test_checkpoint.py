@@ -218,7 +218,7 @@ class TestCorruptionDetection:
         header, payload = _split(path)
         edit(header)
         _write(path, header, payload, sort_keys=True)
-        monkeypatch.setattr("talklora.checkpoint.build_stack_from_slots", must_not_run)
+        monkeypatch.setattr("talklora.checkpoint.AdapterStack", must_not_run)
         with pytest.raises(CorruptCheckpointError, match=match):
             load_checkpoint(path)
 

@@ -3,11 +3,12 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from talklora import cli
-from talklora.checkpoint import read_header
-from talklora.cli import main
+from talklora import analysis, cli
+from talklora.checkpoint import load_checkpoint, read_header
+from talklora.cli import main, parse_run_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,6 +217,20 @@ class TestTrain:
         assert code == 3
         assert "step" in err
 
+    def test_overflowing_gradient_exits_3_naming_step(self, tmp_path, capsys):
+        # the loss is still finite at step 7 when the gradient overflows
+        cfg = write_config(
+            tmp_path, seed=0,
+            adapter={"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "spectral_clip_c": 1.0},
+            task={"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
+            train={"epochs": 5, "batch_size": 16, "lr": 1e50, "warmup_steps": 1,
+                   "eval_every": 4},
+        )
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 3
+        assert err == "numerical failure: training diverged (non-finite gradient) at step 7\n"
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -297,6 +312,82 @@ class TestAnalyze:
         )
         assert code == 4
         assert "corrupt" in err.lower() or "checksum" in err.lower()
+
+
+class TestAnalyzeLibraryCheckpoints:
+    """Checkpoints saved through the library echo no CLI run config."""
+
+    CHECKPOINTS = ["talklora-v1.tlkl", "talklora-train-v1.tlkl"]
+    STACK_REPORTS = {  # report -> (artifact, its CSV lines from the loaded stack)
+        "nonexpansive": ("nonexpansive.csv", lambda stack: analysis.nonexpansive_csv_lines(
+            analysis.nonexpansive_audit(stack))),
+        "heatmap": ("heatmap.csv", lambda stack: analysis.heatmap_csv_lines(
+            analysis.communication_heatmap(stack))),
+    }
+
+    @pytest.mark.parametrize("fixture", CHECKPOINTS)
+    @pytest.mark.parametrize("report", list(STACK_REPORTS))
+    def test_stack_reports_need_only_the_stack(self, tmp_path, capsys, fixture, report):
+        out = tmp_path / "reports"
+        code, stdout, _ = run(capsys, "analyze", "--checkpoint", str(FIXTURES / fixture),
+                              "--report", report, "--out", str(out))
+        assert code == 0
+        assert json.loads(stdout)["report"] == report
+        artifact, lines = self.STACK_REPORTS[report]
+        stack, _ = load_checkpoint(FIXTURES / fixture)
+        assert (out / artifact).read_text() == "\n".join(lines(stack)) + "\n"
+
+    @pytest.mark.parametrize("fixture", CHECKPOINTS)
+    @pytest.mark.parametrize("report", ["stability", "degeneracy", "routing"])
+    def test_reports_that_rebuild_need_the_cli_config(self, tmp_path, capsys, fixture, report):
+        out = tmp_path / "reports"
+        code, _, err = run(capsys, "analyze", "--checkpoint", str(FIXTURES / fixture),
+                           "--report", report, "--out", str(out))
+        assert code == 2
+        assert err == "config error: unknown field config.note\n"
+        assert not out.exists()
+
+    def test_stability_reads_the_ablation_flag_from_the_stack(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, adapter={
+            "total_rank": 4, "experts": 2, "lora_alpha": 8.0, "talking_enabled": False,
+        })
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        checkpoint = tmp_path / "out" / "checkpoint.tlkl"
+        rewrite_header(
+            checkpoint, lambda header: header["run_config"]["adapter"].update(talking_enabled=True)
+        )
+        assert read_header(checkpoint)["adapter_config"]["talking_enabled"] is False
+        out = tmp_path / "reports"
+        code, _, _ = run(capsys, "analyze", "--checkpoint", str(checkpoint),
+                         "--report", "stability", "--out", str(out), "--trials", "50")
+        assert code == 0
+        certs = json.loads((out / "stability.json").read_text())["certificates"]
+        assert [cert["c_norm"] for cert in certs] == [1.0, 1.0]
+
+
+class TestEffectiveDict:
+    def test_every_default_is_echoed(self):
+        # the run-config block of the README, without the params-only fields
+        assert parse_run_config({"method": "talklora", "task": {}}).effective_dict() == {
+            "method": "talklora",
+            "seed": 0,
+            "output_dir": "out",
+            "adapter": {
+                "total_rank": 16, "experts": 4, "lora_alpha": 16.0, "share_b": True,
+                "talking_enabled": True, "spectral_clip_c": None,
+            },
+            "task": {
+                "clusters": 4, "input_dim": 16, "output_dim": 16,
+                "samples_per_cluster": 250, "noise_std": 0.3, "seed": 0,
+            },
+            "model_depth": 4,
+            "train": {
+                "epochs": 2, "batch_size": 32, "lr": 3e-4, "warmup_steps": 100,
+                "eval_every": 50, "seed": 0, "lr_schedule": "linear",
+                "weight_decay": 0.0, "dropout": 0.05,
+            },
+            "loss": "mean-squared-error",
+        }
 
 
 class TestDegeneracyReport:

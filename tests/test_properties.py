@@ -151,13 +151,13 @@ class TestHeaderEdits:
             + raw[12 + header_len :]
         )
         built = []
-        real_build = checkpoint.build_stack_from_slots
+        real_build = checkpoint.AdapterStack
 
         def build(*args):
             built.append(args)
             return real_build(*args)
 
-        with mock.patch.object(checkpoint, "build_stack_from_slots", build):
+        with mock.patch.object(checkpoint, "AdapterStack", build):
             try:
                 stack, _ = load_checkpoint(victim)
             except CorruptCheckpointError:

@@ -173,6 +173,34 @@ class TestTrain:
             train(stack, frozen, data, tc, MSE)
         assert exc.value.step == 1
 
+    @staticmethod
+    def _overflow_setup(**train_fields):
+        """The small talklora run of the CLI's diverged-run config, at seed 0."""
+        spec = ClusterTaskSpec(clusters=2, input_dim=8, output_dim=8,
+                               samples_per_cluster=40, noise_std=0.3)
+        frozen = build_frozen_stack(8, 8, 2, RngState(0))
+        cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, spectral_clip_c=1.0)
+        stack = build_stack_from_slots("talklora", cfg, frozen_stack_slots(frozen), RngState(0))
+        tc = TrainConfig(epochs=5, batch_size=16, warmup_steps=1, eval_every=4, **train_fields)
+        return generate_cluster_task(spec), frozen, stack, tc
+
+    def test_overflowing_gradient_aborts_with_step_index(self):
+        # at step 7 the gradient overflows while the loss is still finite
+        data, frozen, stack, tc = self._overflow_setup(lr=1e50)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            train(stack, frozen, data, tc, MSE)
+        assert exc.value.step == 7
+        assert "non-finite gradient" in str(exc.value)
+        assert np.isfinite(stack.flat).all()  # the last finite step's parameters
+
+    def test_overflowing_update_aborts_with_step_index(self):
+        # lr * weight_decay overflows, so the first update is not finite
+        data, frozen, stack, tc = self._overflow_setup(lr=1e300, weight_decay=1e10)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            train(stack, frozen, data, tc, MSE)
+        assert exc.value.step == 1
+        assert "non-finite parameters" in str(exc.value)
+
     def test_moelora_single_expert_matches_lora_trajectory(self):
         # family collapse under training, not just forward: bit-identical
         # losses and parameters given identical seeds
