@@ -20,7 +20,8 @@ the two.  ``adamw_step`` is the
 decoupled-weight-decay update of the training loop: one vector update of
 ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
-batched SVD.
+batched SVD.  ``stack_adamw_step`` runs the two, and between them raises
+:class:`NonFiniteUpdateError` if the update left ``flat`` non-finite.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .adapters import (
     batch_forward,
     talking_mix,
 )
-from .linalg import softmax_rows, spectral_norms
+from .linalg import _all_finite, softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
 
@@ -61,6 +62,13 @@ class NonFiniteLossError(ValueError):
     def __init__(self, sample_index: int):
         self.sample_index = sample_index
         super().__init__(f"non-finite loss at sample index {sample_index}")
+
+
+class NonFiniteUpdateError(ValueError):
+    """An AdamW update left NaN/Inf in the parameters."""
+
+    def __init__(self):
+        super().__init__("AdamW update left non-finite parameters")
 
 
 def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np.ndarray:
@@ -485,6 +493,14 @@ def apply_spectral_clip(stack: AdapterStack) -> None:
 def stack_adamw_step(
     stack: AdapterStack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper
 ) -> None:
-    """AdamW over a whole stack, then the configured C projection."""
+    """AdamW over a whole stack, then the configured C projection.
+
+    Raises :class:`NonFiniteUpdateError`, before the projection and with
+    the update kept in ``flat``, if the update is not finite.  A gradient
+    that overflowed to inf turns the Adam ratio m / sqrt(v) into NaN, so
+    this one check on the parameters also catches it.
+    """
     adamw_step(stack, grad, state, hyper)
+    if not _all_finite(stack.flat):
+        raise NonFiniteUpdateError()
     apply_spectral_clip(stack)

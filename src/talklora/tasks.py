@@ -22,13 +22,13 @@ from .autodiff import (
     AdamWState,
     LossSpec,
     NonFiniteLossError,
-    adamw_step,
-    apply_spectral_clip,
+    NonFiniteUpdateError,
     backward,
     loss_value,
     model_forward,
+    stack_adamw_step,
 )
-from .linalg import RngState, _all_finite
+from .linalg import RngState
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ class TrainConfig:
 
 
 class DivergenceError(RuntimeError):
-    """Training loss, gradient or parameters became non-finite; carries the
-    offending step."""
+    """Training loss or parameters became non-finite; carries the offending
+    step."""
 
     def __init__(self, step: int, quantity: str = "loss"):
         self.step = step
@@ -221,10 +221,10 @@ def train(
     """AdamW training with per-step loss logging and periodic routing snapshots.
 
     Deterministic given the config seed and the dataset; aborts with
-    :class:`DivergenceError` if the loss or the gradient ever goes
-    non-finite (the stack keeps the last step's parameters), or if an
-    update does (the stack keeps that update).  The frozen weights and
-    the dataset are never mutated.
+    :class:`DivergenceError` if the loss ever goes non-finite (the stack
+    keeps the last step's parameters), or if an update does, an overflowed
+    gradient included (the stack keeps that update).  The frozen weights
+    and the dataset are never mutated.
     """
     rng = RngState(tc.seed)
     n_train = data.x_train.shape[0]
@@ -247,14 +247,11 @@ def train(
                 loss_val, grad = backward(stack, frozen_layers, (xb, yb), loss, scales)
             except NonFiniteLossError as exc:
                 raise DivergenceError(step) from exc
-            # a gradient can overflow while the loss is still finite, and a
-            # finite one can still carry the update past the float range
-            if not _all_finite(grad):
-                raise DivergenceError(step, "gradient")
-            adamw_step(stack, grad, state, AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay))
-            if not _all_finite(stack.flat):
-                raise DivergenceError(step, "parameters")
-            apply_spectral_clip(stack)
+            hyper = AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay)
+            try:
+                stack_adamw_step(stack, grad, state, hyper)
+            except NonFiniteUpdateError as exc:
+                raise DivergenceError(step, "parameters") from exc
             log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
             if step % tc.eval_every == 0 or step == total_steps:
                 eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)

@@ -18,6 +18,7 @@ from talklora.autodiff import (
     ORACLE_BLOCK,
     _reference_loss,
     NonFiniteLossError,
+    NonFiniteUpdateError,
     adamw_step,
     apply_spectral_clip,
     backward,
@@ -516,6 +517,14 @@ class TestAdamW:
                 arr -= hyper.lr * ((m[handle] / bc1) / (np.sqrt(v[handle] / bc2) + hyper.eps))
                 arr -= hyper.lr * hyper.weight_decay * arr
             assert np.array_equal(stack.flat, loop_stack.flat), step
+
+    def test_overflowed_gradient_raises_a_non_finite_update(self):
+        # inf / sqrt(inf) is NaN, so the one check on the parameters sees it
+        stack = _scalar_stack(1.0, 2.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteUpdateError):
+            stack_adamw_step(stack, _scalar_grads(np.inf, 0.0), AdamWState(stack),
+                             AdamWHyper(lr=0.1))
+        assert np.isnan(stack.flat[0]) and stack.flat[1] == 2.0
 
     def test_gradient_of_another_shape_rejected(self):
         stack = _scalar_stack(1.0, 2.0)

@@ -229,7 +229,7 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code, _, err = run(capsys, "train", "--config", str(cfg))
         assert code == 3
-        assert err == "numerical failure: training diverged (non-finite gradient) at step 7\n"
+        assert err == "numerical failure: training diverged (non-finite parameters) at step 7\n"
 
 
 class TestAnalyze:

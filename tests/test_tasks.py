@@ -190,8 +190,7 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(stack, frozen, data, tc, MSE)
         assert exc.value.step == 7
-        assert "non-finite gradient" in str(exc.value)
-        assert np.isfinite(stack.flat).all()  # the last finite step's parameters
+        assert "non-finite parameters" in str(exc.value)
 
     def test_overflowing_update_aborts_with_step_index(self):
         # lr * weight_decay overflows, so the first update is not finite
