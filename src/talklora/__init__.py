@@ -15,7 +15,6 @@ from .adapters import (
     LoRAAdapter,
     MoELoRALayer,
     TalkLoRALayer,
-    build_adapter_stack,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -89,7 +88,6 @@ __all__ = [
     "TrainLog",
     "adamw_step",
     "backward",
-    "build_adapter_stack",
     "build_frozen_stack",
     "build_stack_from_slots",
     "bundled_geometry",

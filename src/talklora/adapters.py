@@ -33,7 +33,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import ModelGeometry, PROJECTION_TAGS
 from .linalg import RngState, as_matrix, as_vector, kaiming_fill, kaiming_init, softmax_rows
 
 METHODS = ("lora", "moelora", "talklora")
@@ -249,16 +248,8 @@ def init_moelora(cfg: AdapterConfig, rng: RngState) -> MoELoRALayer:
     return _init_layer("moelora", cfg, rng)
 
 
-def init_talklora(
-    cfg: AdapterConfig, rng: RngState, shared_b: Optional[np.ndarray] = None
-) -> TalkLoRALayer:
-    layer = _init_layer("talklora", cfg, rng)
-    if shared_b is not None and shared_b.shape != layer.b.shape:
-        raise ValueError(
-            f"shared B array has shape {shared_b.shape}, expected (n, k, r_e) = {layer.b.shape}"
-        )
-    layer.b = layer.b if shared_b is None else shared_b
-    return layer
+def init_talklora(cfg: AdapterConfig, rng: RngState) -> TalkLoRALayer:
+    return _init_layer("talklora", cfg, rng)
 
 
 @dataclass
@@ -558,9 +549,6 @@ class AdapterStack:
     def handles(self) -> list:
         return list(self._by_handle)
 
-    def trainable_count(self) -> int:
-        return self.flat.size
-
     def views(self, buf: np.ndarray) -> dict:
         """handle -> view of ``buf``, an array laid out like :attr:`flat`."""
         params = self._by_handle.items()
@@ -639,34 +627,3 @@ def frozen_stack_slots(frozen_layers) -> list:
         slots.append(LayerSlot(i, f"{fl.d_in}x{fl.d_out}", fl.d_in, fl.d_out))
     return slots
 
-
-def build_adapter_stack(
-    geom: ModelGeometry,
-    method: str,
-    cfg: AdapterConfig,
-    targets,
-    rng: RngState,
-) -> AdapterStack:
-    """One adapter per (transformer layer, target projection) of a geometry.
-
-    Targets must name projections present in the geometry; they are laid
-    out in canonical tag order, layer-major, so construction order (and
-    hence every random draw) is deterministic.
-    """
-    targets = set(targets)
-    if not targets:
-        raise ValueError("targets must be a nonempty set of projection tags")
-    unknown = targets - set(geom.tags)
-    if unknown:
-        raise ValueError(
-            f"unknown target tags {sorted(unknown)}; geometry {geom.name!r} "
-            f"offers {list(geom.tags)}"
-        )
-    canonical = [t for t in PROJECTION_TAGS if t in targets]
-    canonical += [t for t in geom.tags if t in targets and t not in canonical]
-    slots = []
-    for layer in range(geom.layers):
-        for tag in canonical:
-            proj = geom.projection(tag)
-            slots.append(LayerSlot(layer, tag, proj.d_in, proj.d_out))
-    return build_stack_from_slots(method, cfg, slots, rng)

@@ -241,17 +241,15 @@ class RoutingLoadReport:
         return float(self.entropy.mean())
 
 
-def routing_load(stack: AdapterStack, frozen_layers: list, data) -> RoutingLoadReport:
-    """Mean gate vectors, their entropies and the global load spread.
-
-    ``data`` is either an (N, d) input array or a dataset object exposing
-    ``x_eval``.  Plain LoRA stacks have no router and are rejected.
+def routing_load(stack: AdapterStack, frozen_layers: list, x) -> RoutingLoadReport:
+    """Mean gate vectors over the (N, d) inputs ``x``, their entropies and
+    the global load spread.  Plain LoRA stacks have no router and are rejected.
     """
     if stack.method == "lora":
         raise ValueError("routing_load needs a gated stack (moelora or talklora)")
-    x = data.x_eval if hasattr(data, "x_eval") else np.asarray(data, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("data must be a nonempty (N, d) array")
+        raise ValueError("x must be a nonempty (N, d) array")
     mean_gates = _mean_gates(model_forward(frozen_layers, stack, x)[1])
     entropy = np.array([shannon_entropy(row) for row in mean_gates])
     max_share = mean_gates.max(axis=1)
@@ -437,7 +435,7 @@ def routing_balance_experiment(seeds=(0, 1, 2, 3, 4)) -> BalanceResult:
             )
             tc = TrainConfig(seed=seed, **BALANCE_TRAIN)
             train(stack, frozen, data, tc, LossSpec())
-            report = routing_load(stack, frozen, data)
+            report = routing_load(stack, frozen, data.x_eval)
             sink.append(report.mean_entropy)
     return BalanceResult(
         seeds=tuple(seeds),

@@ -77,9 +77,15 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "mean-squared-error":
             return np.mean((z - targets) ** 2, axis=1)
+        batch, k = z.shape
+        if not (targets.shape == (batch,) and np.issubdtype(targets.dtype, np.integer)
+                and ((targets >= 0) & (targets < k)).all()):
+            raise ValueError(
+                f"softmax-cross-entropy needs one integer class index in [0, {k}) per row "
+                f"({batch} rows), got {targets.dtype} targets of shape {targets.shape}"
+            )
         probs = softmax_rows(z)
-        idx = np.arange(z.shape[0])
-        return -np.log(probs[idx, targets.astype(int)])
+        return -np.log(probs[np.arange(batch), targets])
 
 
 def loss_value(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> float:

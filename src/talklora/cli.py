@@ -222,6 +222,8 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     ``task.seed`` and ``train.seed`` default to the top-level seed.
     Targets, geometry and task are echoed only when given.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be {_JSON_KINDS[dict]}, got {type(doc).__name__}")
     doc = dict(doc)
     method = _take(doc, "method", str)
     if method not in METHODS:
@@ -253,8 +255,6 @@ def _load_config_file(path: str, seed_override: Optional[int]) -> RunConfig:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
     return parse_run_config(doc, seed_override)
 
 
@@ -320,6 +320,11 @@ def _build_training_pieces(config: RunConfig):
 
 
 def cmd_train(config: RunConfig) -> int:
+    if config.loss.kind != "mean-squared-error":
+        raise ConfigError(
+            f"config.loss must be mean-squared-error for train, got {config.loss.kind!r}: "
+            "the cluster task's targets are real-valued (softmax-cross-entropy is for gradcheck)"
+        )
     data, frozen, stack = _build_training_pieces(config)
     # an unusable output_dir fails here, before any training
     out = Path(config.output_dir)
@@ -386,7 +391,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
         summary["max_sigma"] = max(sigma for _, _, sigma in audit.rows)
     elif report == "routing":
         data, frozen = _task_and_host(config)
-        rep = analysis.routing_load(stack, frozen, data)
+        rep = analysis.routing_load(stack, frozen, data.x_eval)
         _write_csv(out / "routing_load.csv", analysis.routing_load_csv_lines(rep))
         summary["mean_entropy"] = rep.mean_entropy
         summary["load_cv"] = rep.load_cv

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-PROJECTION_TAGS = ("Q", "K", "V", "Up", "Down")
-
 BUNDLED_GEOMETRIES = ("llama3-8b", "llama2-7b", "qwen2.5-7b")
 
 
@@ -54,21 +52,39 @@ class ModelGeometry:
         raise KeyError(f"geometry {self.name!r} has no projection {tag!r}")
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list of objects"}
+
+
+def _field(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]``, which must be ``_KINDS[kind]``: bools and floats are not integers."""
+    if key not in doc:
+        raise ValueError(f"geometry fixture missing field {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind) or (
+        kind is list and not all(isinstance(item, dict) for item in value)
+    ):
+        raise ValueError(
+            f"geometry fixture field {where}{key} must be {_KINDS[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def geometry_from_dict(doc: dict) -> ModelGeometry:
-    """Build a geometry from a parsed fixture document."""
-    try:
-        projections = tuple(
-            Projection(tag=str(p["tag"]), d_in=int(p["d_in"]), d_out=int(p["d_out"]))
-            for p in doc["projections"]
-        )
-        return ModelGeometry(
-            name=str(doc["name"]),
-            total_params=int(doc["total_params"]),
-            layers=int(doc["layers"]),
-            projections=projections,
-        )
-    except KeyError as exc:
-        raise ValueError(f"geometry fixture missing field {exc.args[0]!r}") from exc
+    """Build a geometry from a parsed fixture document, checking every field's type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"geometry fixture must be an object, got {type(doc).__name__}")
+    projections = tuple(
+        Projection(*(_field(p, key, kind, f"projections[{i}].")
+                     for key, kind in (("tag", str), ("d_in", int), ("d_out", int))))
+        for i, p in enumerate(_field(doc, "projections", list))
+    )
+    return ModelGeometry(
+        name=_field(doc, "name", str),
+        total_params=_field(doc, "total_params", int),
+        layers=_field(doc, "layers", int),
+        projections=projections,
+    )
 
 
 def load_geometry(path: str | Path) -> ModelGeometry:

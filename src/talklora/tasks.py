@@ -37,8 +37,7 @@ class ClusterTaskSpec:
 
     Sample inputs are cluster centers plus isotropic Gaussian noise; the
     target of a sample in cluster c is W_c applied to its (noisy) input.
-    Centers and per-cluster maps may be given explicitly; by default they
-    are drawn from named streams of ``seed``.
+    Centers and per-cluster maps are drawn from named streams of ``seed``.
     """
 
     clusters: int
@@ -47,8 +46,6 @@ class ClusterTaskSpec:
     samples_per_cluster: int
     noise_std: float = 0.0
     seed: int = 0
-    centers: Optional[np.ndarray] = None  # (m, d)
-    maps: Optional[np.ndarray] = None  # (m, k, d)
 
     def __post_init__(self):
         if self.clusters < 1 or self.input_dim < 1 or self.output_dim < 1:
@@ -61,7 +58,6 @@ class ClusterTaskSpec:
 
 @dataclass
 class ClusterDataset:
-    spec: ClusterTaskSpec
     x_train: np.ndarray
     y_train: np.ndarray
     cluster_train: np.ndarray
@@ -79,18 +75,8 @@ def generate_cluster_task(spec: ClusterTaskSpec) -> ClusterDataset:
     """
     rng = RngState(spec.seed)
     m, d, k = spec.clusters, spec.input_dim, spec.output_dim
-    if spec.centers is not None:
-        centers = np.asarray(spec.centers, dtype=np.float64)
-        if centers.shape != (m, d):
-            raise ValueError(f"centers must have shape ({m}, {d}), got {centers.shape}")
-    else:
-        centers = 2.0 * rng.split("centers").generator().normal(size=(m, d))
-    if spec.maps is not None:
-        maps = np.asarray(spec.maps, dtype=np.float64)
-        if maps.shape != (m, k, d):
-            raise ValueError(f"maps must have shape ({m}, {k}, {d}), got {maps.shape}")
-    else:
-        maps = rng.split("maps").generator().normal(size=(m, k, d)) / math.sqrt(d)
+    centers = 2.0 * rng.split("centers").generator().normal(size=(m, d))
+    maps = rng.split("maps").generator().normal(size=(m, k, d)) / math.sqrt(d)
 
     total = m * spec.samples_per_cluster
     cluster_ids = np.repeat(np.arange(m), spec.samples_per_cluster)
@@ -106,7 +92,6 @@ def generate_cluster_task(spec: ClusterTaskSpec) -> ClusterDataset:
     eval_mask = np.zeros(total, dtype=bool)
     eval_mask[::10] = True
     return ClusterDataset(
-        spec=spec,
         x_train=x[~eval_mask],
         y_train=y[~eval_mask],
         cluster_train=cluster_ids[~eval_mask],
@@ -235,31 +220,34 @@ def train(
     state = AdamWState(stack)
     log = TrainLog()
     step = 0
-    for epoch in range(tc.epochs):
-        perm = rng.split(f"shuffle.epoch{epoch}").generator().permutation(n_train)
-        for b in range(steps_per_epoch):
-            idx = perm[b * tc.batch_size : (b + 1) * tc.batch_size]
-            xb, yb = data.x_train[idx], data.y_train[idx]
-            step += 1
-            lr_t = _schedule_lr(step, total_steps, tc)
-            scales = _dropout_scales(frozen_layers, xb.shape[0], tc.dropout, rng, step)
-            try:
-                loss_val, grad = backward(stack, frozen_layers, (xb, yb), loss, scales)
-            except NonFiniteLossError as exc:
-                raise DivergenceError(step) from exc
-            hyper = AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay)
-            try:
-                stack_adamw_step(stack, grad, state, hyper)
-            except NonFiniteUpdateError as exc:
-                raise DivergenceError(step, "parameters") from exc
-            log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
-            if step % tc.eval_every == 0 or step == total_steps:
-                eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
-                log.snapshots.append(
-                    RoutingSnapshot(
-                        step=step, eval_loss=eval_loss, mean_gates=_mean_gates(caches)
+    # an overflow or NaN on the way is not reported as a numpy warning: the
+    # loss and update checks turn every non-finite result into DivergenceError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(tc.epochs):
+            perm = rng.split(f"shuffle.epoch{epoch}").generator().permutation(n_train)
+            for b in range(steps_per_epoch):
+                idx = perm[b * tc.batch_size : (b + 1) * tc.batch_size]
+                xb, yb = data.x_train[idx], data.y_train[idx]
+                step += 1
+                lr_t = _schedule_lr(step, total_steps, tc)
+                scales = _dropout_scales(frozen_layers, xb.shape[0], tc.dropout, rng, step)
+                try:
+                    loss_val, grad = backward(stack, frozen_layers, (xb, yb), loss, scales)
+                except NonFiniteLossError as exc:
+                    raise DivergenceError(step) from exc
+                hyper = AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay)
+                try:
+                    stack_adamw_step(stack, grad, state, hyper)
+                except NonFiniteUpdateError as exc:
+                    raise DivergenceError(step, "parameters") from exc
+                log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
+                if step % tc.eval_every == 0 or step == total_steps:
+                    eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
+                    log.snapshots.append(
+                        RoutingSnapshot(
+                            step=step, eval_loss=eval_loss, mean_gates=_mean_gates(caches)
+                        )
                     )
-                )
     return log
 
 

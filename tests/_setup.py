@@ -4,6 +4,7 @@ import numpy as np
 
 from talklora.adapters import (
     AdapterConfig,
+    LayerSlot,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -62,6 +63,15 @@ def balance_setup(seed):
     )
     cfg = AdapterConfig(**BALANCE_ADAPTER)
     return frozen, build_stack_from_slots("talklora", cfg, frozen_stack_slots(frozen), rng)
+
+
+def geometry_slots(geom, targets):
+    """One slot per (layer, target projection) of a geometry, layer-major,
+    targets in the geometry's projection order."""
+    return [
+        LayerSlot(layer, p.tag, p.d_in, p.d_out)
+        for layer in range(geom.layers) for p in geom.projections if p.tag in targets
+    ]
 
 
 def near_degenerate_c(seed=0):

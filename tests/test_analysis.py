@@ -3,11 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _setup import make_setup, near_degenerate_c
+from _setup import geometry_slots, make_setup, near_degenerate_c
 from talklora.adapters import (
     AdapterConfig,
     LayerSlot,
-    build_adapter_stack,
     build_stack_from_slots,
     init_talklora,
     router_gates,
@@ -60,8 +59,10 @@ class TestCountParams:
                     total_rank=4, experts=2, lora_alpha=8.0, share_b=share
                 )
                 budget = count_params(TOY_GEOM, method, cfg, {"X"})
-                stack = build_adapter_stack(TOY_GEOM, method, cfg, {"X"}, RngState(0))
-                assert budget.trainable == stack.trainable_count()
+                stack = build_stack_from_slots(
+                    method, cfg, geometry_slots(TOY_GEOM, {"X"}), RngState(0)
+                )
+                assert budget.trainable == stack.flat.size
                 walked: dict = {}
                 for handle, arr in stack.named_parameters():
                     role = _handle_role(handle)
@@ -72,10 +73,10 @@ class TestCountParams:
         geom = bundled_geometry("llama3-8b")
         cfg = AdapterConfig(total_rank=16, experts=4, lora_alpha=16.0, share_b=True)
         budget = count_params(geom, "talklora", cfg, {"Q", "K", "V", "Up", "Down"})
-        stack = build_adapter_stack(
-            geom, "talklora", cfg, {"Q", "K", "V", "Up", "Down"}, RngState(1)
+        stack = build_stack_from_slots(
+            "talklora", cfg, geometry_slots(geom, {"Q", "K", "V", "Up", "Down"}), RngState(1)
         )
-        assert budget.trainable == stack.trainable_count()
+        assert budget.trainable == stack.flat.size
 
     @pytest.mark.parametrize(
         "geometry,method,rank,experts,share,expected",

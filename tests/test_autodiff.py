@@ -24,6 +24,7 @@ from talklora.autodiff import (
     backward,
     finite_difference_oracle,
     gradcheck,
+    loss_value,
     model_forward,
     relative_errors,
     stack_adamw_step,
@@ -46,6 +47,17 @@ class TestLossSpec:
         with pytest.raises(NonFiniteLossError) as exc:
             backward(stack, frozen, (x, t), MSE)
         assert exc.value.sample_index == 2
+
+    @pytest.mark.parametrize(
+        "targets",
+        [np.zeros((4, 8)), np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 8, 2]),
+         np.array([0, -1, 2, 3]), np.array([0, 1, 2])],
+        ids=["2d", "float", "too_large", "negative", "wrong_rows"],
+    )
+    def test_cross_entropy_targets_must_be_class_indices(self, targets):
+        z = RngState(3).generator().normal(size=(4, 8))
+        with pytest.raises(ValueError, match=r"one integer class index in \[0, 8\) per row"):
+            loss_value(z, targets, CE)
 
 
 class TestBackwardStructure:

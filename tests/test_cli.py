@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _setup import make_setup
 from talklora import analysis, cli
-from talklora.checkpoint import load_checkpoint, read_header
+from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
 from talklora.cli import main, parse_run_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,6 +101,36 @@ class TestParams:
         assert code == 0
         assert json.loads(out)["trainable"] == 136
 
+    TOY = {"name": "toy", "total_params": 10000, "layers": 2,
+           "projections": [{"tag": "X", "d_in": 8, "d_out": 8}]}
+    MALFORMED = {  # case -> (fixture document, the message's field)
+        "not_an_object": ([TOY], "geometry fixture must be an object, got list"),
+        "projections_int": ({**TOY, "projections": 5}, "projections"),
+        "projection_not_object": ({**TOY, "projections": [5]}, "projections"),
+        "d_in_null": ({**TOY, "projections": [{"tag": "X", "d_in": None, "d_out": 8}]},
+                      "projections[0].d_in"),
+        "d_out_float": ({**TOY, "projections": [{"tag": "X", "d_in": 8, "d_out": 8.0}]},
+                        "projections[0].d_out"),
+        "tag_int": ({**TOY, "projections": [{"tag": 7, "d_in": 8, "d_out": 8}]},
+                    "projections[0].tag"),
+        "layers_bool": ({**TOY, "layers": True}, "layers"),
+        "total_params_float": ({**TOY, "total_params": 1e4}, "total_params"),
+        "name_null": ({**TOY, "name": None}, "name"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_geometry_fixture_exits_2_naming_field(self, tmp_path, capsys, case):
+        doc, field = self.MALFORMED[case]
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text(json.dumps(doc))
+        cfg = self._params_config(tmp_path, geometry=str(geom_path), targets=["X"])
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: geometry fixture")
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_fixture_exits_2_with_path(self, tmp_path, capsys):
         cfg = self._params_config(tmp_path, geometry="does/not/exist.json")
         code, _, err = run(capsys, "params", "--config", str(cfg))
@@ -130,6 +161,14 @@ class TestConfigTypes:
         "targets": {"targets": "QKV"},
         "seed": {"seed": "abc"},
     }
+
+    @pytest.mark.parametrize("command", ["params", "train", "gradcheck"])
+    def test_config_file_holding_a_list_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([["method", "talklora"]]))
+        code, _, err = run(capsys, command, "--config", str(path))
+        assert code == 2
+        assert err == "config error: config must be an object, got list\n"
 
     @pytest.mark.parametrize("field", list(WRONG_TYPES))
     def test_wrong_json_type_exits_2_naming_field(self, tmp_path, capsys, field):
@@ -230,6 +269,14 @@ class TestTrain:
             code, _, err = run(capsys, "train", "--config", str(cfg))
         assert code == 3
         assert err == "numerical failure: training diverged (non-finite parameters) at step 7\n"
+
+    def test_cross_entropy_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, loss="softmax-cross-entropy")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: config.loss must be mean-squared-error")
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -345,6 +392,20 @@ class TestAnalyzeLibraryCheckpoints:
                            "--report", report, "--out", str(out))
         assert code == 2
         assert err == "config error: unknown field config.note\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_config", [[1, 2], 5, [["method", "talklora"]]],
+                             ids=["list", "number", "pairs"])
+    @pytest.mark.parametrize("report", ["stability", "degeneracy", "routing"])
+    def test_non_object_run_config_exits_2(self, tmp_path, capsys, run_config, report):
+        _, stack, _, _ = make_setup("talklora")
+        checkpoint = tmp_path / "ckpt.tlkl"
+        save_checkpoint(checkpoint, stack, run_config)
+        out = tmp_path / "reports"
+        code, _, err = run(capsys, "analyze", "--checkpoint", str(checkpoint),
+                           "--report", report, "--out", str(out))
+        assert code == 2
+        assert err == f"config error: config must be an object, got {type(run_config).__name__}\n"
         assert not out.exists()
 
     def test_stability_reads_the_ablation_flag_from_the_stack(self, tmp_path, capsys):
