@@ -98,6 +98,13 @@ class AdapterConfig:
         return self.input_dim, self.output_dim
 
 
+# (name, JSON kind, run-config default) of each field that a run config's
+# ``adapter`` section and a checkpoint header's ``adapter_config`` hold
+ADAPTER_FIELDS = (("total_rank", int, 16), ("experts", int, 4), ("lora_alpha", float, 16.0),
+                  ("share_b", bool, True), ("talking_enabled", bool, True),
+                  ("spectral_clip_c", float, None))
+
+
 @dataclass
 class FrozenLinear:
     """Pretrained weight w0 (k x d); never mutated by training.

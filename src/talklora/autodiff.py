@@ -429,7 +429,8 @@ def gradcheck(
     analytic = stack.views(grad)
     numeric = finite_difference_oracle(stack, frozen_layers, batch, loss, dropout_scales)
     errs = relative_errors(analytic, numeric)
-    worst = max(errs, key=errs.get)
+    # NaN compares false both ways, so it is ranked above every number
+    worst = max(errs, key=lambda handle: np.inf if np.isnan(errs[handle]) else errs[handle])
     return GradcheckReport(
         max_relative_error=errs[worst], worst_handle=worst, per_handle=errs
     )

@@ -19,21 +19,26 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout
+from ._fields import REQUIRED, read_fields
+from .adapters import (
+    ADAPTER_FIELDS, AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout,
+)
 
 MAGIC = b"TLKL"
 FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sII")  # magic, format version, header length
-_HEADER_KEYS = (
-    "adapter_config", "alias_table", "format_version", "method", "run_config",
-    "slots", "tensors",
-)
-_RECORD_FIELDS = (("handle", str), ("rows", int), ("cols", int), ("crc32", int))
+_HEADER_FIELDS = (("format_version", int, REQUIRED), ("run_config", object, REQUIRED),
+                  ("method", str, REQUIRED), ("adapter_config", dict, REQUIRED),
+                  ("slots", list[dict], REQUIRED), ("tensors", list[dict], REQUIRED),
+                  ("alias_table", dict, REQUIRED))
+_SLOT_FIELDS = (("layer", int, REQUIRED), ("tag", str, REQUIRED), ("d_in", int, REQUIRED),
+                ("d_out", int, REQUIRED))
+_RECORD_FIELDS = (("handle", str, REQUIRED), ("rows", int, REQUIRED), ("cols", int, REQUIRED),
+                  ("crc32", int, REQUIRED))
 
 
 class CorruptCheckpointError(Exception):
@@ -67,9 +72,7 @@ def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "method": stack.method,
-        # the dims are per slot, so the slots record them
-        "adapter_config": {key: value for key, value in asdict(stack.cfg).items()
-                           if key not in ("input_dim", "output_dim")},
+        "adapter_config": {name: getattr(stack.cfg, name) for name, _, _ in ADAPTER_FIELDS},
         "slots": [{"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
                   for s in stack.slots],
         "tensors": records,
@@ -86,11 +89,15 @@ def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
         fh.writelines(encode_checkpoint(stack, run_config))
 
 
+def _malformed(message: str) -> CorruptCheckpointError:
+    return CorruptCheckpointError(f"malformed header: {message}")
+
+
 def _read_header(fh) -> dict:
     """Read the fixed prefix and the JSON header, leaving ``fh`` at the payloads.
 
-    Checks the header's fields down to the tensor records, so every reader
-    of a header can index them without further checks.
+    Checks the kind of every field, down to each slot's and tensor record's,
+    so every reader of a header can index it without further checks.
     """
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != MAGIC:
@@ -109,20 +116,15 @@ def _read_header(fh) -> dict:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or any(key not in header for key in _HEADER_KEYS):
-        raise CorruptCheckpointError(f"header lacks one of the fields {_HEADER_KEYS}")
-    if not isinstance(header["slots"], list) or not isinstance(header["tensors"], list):
-        raise CorruptCheckpointError("malformed header: slots and tensors must be lists")
-    if not isinstance(header["alias_table"], dict):
-        raise CorruptCheckpointError("malformed header: alias_table must be an object")
-    for i, rec in enumerate(header["tensors"]):
-        if not isinstance(rec, dict) or any(
-            type(rec.get(key)) is not kind for key, kind in _RECORD_FIELDS
-        ):
-            raise CorruptCheckpointError(
-                f"malformed header: tensor record {i} needs a string handle "
-                f"and integer rows, cols and crc32"
-            )
+    if not isinstance(header, dict):
+        raise _malformed(f"the header must be an object, got {type(header).__name__}")
+    header = read_fields(header, _HEADER_FIELDS, "", _malformed)
+    header["adapter_config"] = read_fields(
+        header["adapter_config"], ADAPTER_FIELDS, "adapter_config.", _malformed, required=True
+    )
+    for name, fields in (("slots", _SLOT_FIELDS), ("tensors", _RECORD_FIELDS)):
+        header[name] = [read_fields(doc, fields, f"{name}[{i}].", _malformed)
+                        for i, doc in enumerate(header[name])]
     return header
 
 
@@ -143,8 +145,8 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
     at the first implied handle that no record matches, so a forged size
     is reported here, not by a failed allocation of the size it names.
     """
-    cfg = AdapterConfig(input_dim=None, output_dim=None, **header["adapter_config"])
-    slots = [LayerSlot(s["layer"], s["tag"], s["d_in"], s["d_out"]) for s in header["slots"]]
+    cfg = AdapterConfig(**header["adapter_config"])
+    slots = [LayerSlot(**slot) for slot in header["slots"]]
     # positive dims, total_rank <= both
     slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
     records = [(rec["handle"], (rec["rows"], rec["cols"])) for rec in header["tensors"]]
@@ -181,15 +183,15 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
     checked them, the whole payload is read into ``flat`` in one pass and
     each record's CRC-32 is checked over its own slice.  The stack adopts
     that buffer; nothing is drawn, and the roundtrip is bit-identical.  A
-    header with missing or ill-typed fields is reported as corrupt.
+    header with a missing, ill-typed or rejected field is reported as corrupt.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
             cfg, slots, slot_cfgs, layout = _check_layout(header, payload_bytes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpointError(f"malformed header: {exc!r}") from exc
+        except ValueError as exc:  # a value the config or a slot rejects
+            raise _malformed(str(exc)) from exc
         flat = np.empty(payload_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != payload_bytes:
             raise CorruptCheckpointError("truncated payload: the file shrank while it was read")

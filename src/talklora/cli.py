@@ -11,11 +11,12 @@ gradcheck  analytic-vs-numeric gradient verification across all families
            and ablation flags
 ckpt       checkpoint roundtrip verification and header inspection
 
-Every command reads a single JSON config (see ``parse_run_config``, and
-``_SECTIONS`` for the sections' fields and defaults); ``--seed`` is the
-only flag override and is echoed into all outputs.  Exit codes are a
-stable contract: 0 success, 2 config/input error, 3 numerical failure,
-4 artifact corruption.
+Every command reads a single JSON config (see ``parse_run_config``; its
+fields, JSON kinds and defaults are in ``_CONFIG_FIELDS`` and ``_SECTIONS``,
+the adapter's in ``adapters.ADAPTER_FIELDS``, which the checkpoint header
+shares).  ``--seed`` is the only flag override and is echoed into all
+outputs.  Exit codes are a stable contract: 0 success, 2 config/input
+error, 3 numerical failure, 4 artifact corruption.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import analysis
+from ._fields import REQUIRED, read_fields
 from .adapters import (
+    ADAPTER_FIELDS,
     METHODS,
     AdapterConfig,
     build_frozen_stack,
@@ -74,25 +79,21 @@ class ConfigError(ValueError):
     """Invalid or missing configuration field; names the offending key."""
 
 
-_REQUIRED = object()
-_RUN_SEED = object()  # a seed field that defaults to the run's seed
-_JSON_KINDS = {
-    bool: "true or false",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    list: "a list of strings",
-    dict: "an object",
-}
+class GradcheckError(ArithmeticError):
+    """A gradcheck combination whose loss or relative error is not finite."""
 
-# Each config section: the class built from it, then every field's
-# (name, JSON kind, default) in the order the fields are read.
+
+_RUN_SEED = object()  # a seed field that defaults to the run's seed
+
+# The config's top level, then each section: the class built from it and
+# its fields, every field as (name, JSON kind, default).
+_CONFIG_FIELDS = (
+    ("method", str, REQUIRED), ("seed", int, 0), ("output_dir", str, "out"), ("adapter", dict, {}),
+    ("targets", list[str], None), ("geometry", str, None), ("task", dict, None),
+    ("model_depth", int, 4), ("train", dict, {}), ("loss", str, "mean-squared-error"),
+)
 _SECTIONS = {
-    "adapter": (AdapterConfig, (
-        ("total_rank", int, 16), ("experts", int, 4), ("lora_alpha", float, 16.0),
-        ("share_b", bool, True), ("talking_enabled", bool, True),
-        ("spectral_clip_c", float, None),
-    )),
+    "adapter": (AdapterConfig, ADAPTER_FIELDS),
     "task": (ClusterTaskSpec, (
         ("clusters", int, 4), ("input_dim", int, 16), ("output_dim", int, 16),
         ("samples_per_cluster", int, 250), ("noise_std", float, 0.3), ("seed", int, _RUN_SEED),
@@ -105,43 +106,6 @@ _SECTIONS = {
 }
 
 
-def _take(doc: dict, key: str, kind: type, default=_REQUIRED, section: str = "config"):
-    """Pop ``doc[key]``, which must have the JSON type ``kind``, or the default.
-
-    Bools are never numbers, ints are never floats, and a float field takes
-    any finite JSON number and stores it as a float.  Lists and objects come
-    back as copies.  A field whose default is None also accepts null.
-    """
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field {section}.{key}")
-        return default
-    value = doc.pop(key)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool):
-        ok = kind is bool
-    elif kind is float:
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, kind) and (
-            kind is not list or all(isinstance(item, str) for item in value)
-        )
-    if not ok:
-        raise ConfigError(
-            f"{section}.{key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
-        )
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError as exc:
-            raise ConfigError(f"{section}.{key} is out of float range") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be a finite number, got {value}")
-        return value
-    return kind(value) if kind in (list, dict) else value
-
-
 def _seed(seed: int, name: str) -> int:
     """``seed``, which must be a valid RngState seed."""
     try:
@@ -149,11 +113,6 @@ def _seed(seed: int, name: str) -> int:
     except ValueError as exc:
         raise ConfigError(f"{name} must be a valid seed: {exc}") from None
     return seed
-
-
-def _reject_unknown(doc: dict, section: str) -> None:
-    if doc:
-        raise ConfigError(f"unknown field {section}.{sorted(doc)[0]}")
 
 
 def _build(cls, section: str, **fields):
@@ -164,25 +123,17 @@ def _build(cls, section: str, **fields):
         raise ConfigError(f"config.{section}: {exc}") from exc
 
 
-def _section(doc: dict, name: str, default: Optional[dict], seed: int) -> tuple:
-    """Section ``name`` of ``doc``: (its values, the object built from them).
-
-    Every field of ``_SECTIONS[name]`` is taken with its kind and default;
-    (None, None) when the section is absent and ``default`` is None.
-    """
-    section = _take(doc, name, dict, default)
-    if section is None:
+def _section(config: dict, name: str, seed: int) -> tuple:
+    """Section ``name`` of the config's values: (its values, the object built
+    from them), or (None, None) when the section is absent."""
+    if config[name] is None:
         return None, None
     cls, fields = _SECTIONS[name]
-    values = {}
-    for key, kind, field_default in fields:
-        if field_default is _RUN_SEED:
-            values[key] = _seed(_take(section, key, kind, seed, name), f"{name}.{key}")
-        else:
-            values[key] = _take(section, key, kind, field_default, name)
-    built = _build(cls, name, **values)
-    _reject_unknown(section, name)
-    return values, built
+    values = read_fields(config[name], fields, f"{name}.", ConfigError)
+    if "seed" in values:
+        values["seed"] = _seed(seed if values["seed"] is _RUN_SEED else values["seed"],
+                               f"{name}.seed")
+    return values, _build(cls, name, **values)
 
 
 @dataclass(frozen=True)
@@ -215,34 +166,27 @@ class RunConfig:
 def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
     """Strict parse of the single-document JSON config.
 
-    Top level: method (required), seed (0), output_dir ("out"), adapter,
-    targets, geometry, task, model_depth (4), train, loss ("mean-squared-
-    error"); the sections' fields and defaults are in ``_SECTIONS``.
+    The top level's fields, JSON kinds and defaults are in
+    ``_CONFIG_FIELDS``, and each section's in ``_SECTIONS``.
     Unknown keys anywhere are rejected with the field name.
     ``task.seed`` and ``train.seed`` default to the top-level seed.
     Targets, geometry and task are echoed only when given.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"config must be {_JSON_KINDS[dict]}, got {type(doc).__name__}")
-    doc = dict(doc)
-    method = _take(doc, "method", str)
-    if method not in METHODS:
-        raise ConfigError(f"config.method must be {'|'.join(METHODS)}, got {method!r}")
-    seed = _seed(_take(doc, "seed", int, 0), "config.seed")
+        raise ConfigError(f"config must be an object, got {type(doc).__name__}")
+    values = read_fields(doc, _CONFIG_FIELDS, "config.", ConfigError)
+    if values["method"] not in METHODS:
+        raise ConfigError(f"config.method must be {'|'.join(METHODS)}, got {values['method']!r}")
+    seed = _seed(values["seed"], "config.seed")
     if seed_override is not None:
         seed = _seed(seed_override, "--seed")
-    values = {"method": method, "seed": seed, "output_dir": _take(doc, "output_dir", str, "out")}
-    values["adapter"], adapter = _section(doc, "adapter", {}, seed)
-    values["targets"] = _take(doc, "targets", list, None)
-    values["geometry"] = _take(doc, "geometry", str, None)
-    values["task"], task = _section(doc, "task", None, seed)
-    values["model_depth"] = _take(doc, "model_depth", int, 4)
+    values["seed"] = seed
+    values["adapter"], adapter = _section(values, "adapter", seed)
+    values["task"], task = _section(values, "task", seed)
     if values["model_depth"] < 1:
         raise ConfigError("config.model_depth must be positive")
-    values["train"], train_cfg = _section(doc, "train", {}, seed)
-    values["loss"] = _take(doc, "loss", str, "mean-squared-error")
+    values["train"], train_cfg = _section(values, "train", seed)
     loss = _build(LossSpec, "loss", kind=values["loss"])
-    _reject_unknown(doc, "config")
     values = {key: value for key, value in values.items() if value is not None}
     return RunConfig(values, adapter, task, train_cfg, loss)
 
@@ -268,7 +212,8 @@ def _resolve_geometry(name_or_path: str):
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _write_csv(path: Path, lines: list) -> None:
@@ -303,7 +248,7 @@ def _task_and_host(config: RunConfig):
     """The task data and the frozen host model, regenerated from the config's seeds."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
-    data = generate_cluster_task(config.task)
+    data = _build(generate_cluster_task, "task", spec=config.task)
     frozen = build_frozen_stack(
         config.task.input_dim, config.task.output_dim, config.model_depth,
         RngState(config.seed),
@@ -435,11 +380,14 @@ def _gradcheck_dims(config: RunConfig) -> tuple:
     return d, k
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_gradcheck_suite(config: RunConfig) -> dict:
     """Gradcheck every family x sharing x talking combination.
 
     Uses the config's task dims, rank/expert counts and model depth on a
-    small random batch; returns per-combination max relative errors.
+    small random batch; returns per-combination max relative errors.  A
+    non-finite loss or relative error raises GradcheckError, naming the
+    combination (and the handle).
     """
     d, k = _gradcheck_dims(config)
     rng = RngState(config.seed)
@@ -474,7 +422,14 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
                     targets = z0 + 0.3 * target_noise
                 else:
                     targets = class_targets
-                report = gradcheck(stack, frozen, (x, targets), config.loss)
+                combo = f"gradcheck {method} share_b={share_b} talking_enabled={talking}"
+                try:
+                    report = gradcheck(stack, frozen, (x, targets), config.loss)
+                except NonFiniteLossError as exc:
+                    raise GradcheckError(f"{combo}: {exc}") from exc
+                if not math.isfinite(report.max_relative_error):
+                    raise GradcheckError(f"{combo}: relative error {report.max_relative_error} "
+                                         f"at {report.worst_handle}")
                 combos.append(
                     {
                         "method": method,
@@ -585,7 +540,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
         print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonFiniteLossError) as exc:
+    except (DivergenceError, NonFiniteLossError, GradcheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CorruptCheckpointError, VersionMismatchError) as exc:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ._fields import REQUIRED, read_fields
+
 BUNDLED_GEOMETRIES = ("llama3-8b", "llama2-7b", "qwen2.5-7b")
 
 
@@ -52,39 +54,26 @@ class ModelGeometry:
         raise KeyError(f"geometry {self.name!r} has no projection {tag!r}")
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list of objects"}
+_FIXTURE_FIELDS = (("name", str, REQUIRED), ("total_params", int, REQUIRED),
+                   ("layers", int, REQUIRED), ("projections", list[dict], REQUIRED),
+                   ("source", str, None))
+_PROJECTION_FIELDS = (("tag", str, REQUIRED), ("d_in", int, REQUIRED), ("d_out", int, REQUIRED))
 
 
-def _field(doc: dict, key: str, kind: type, where: str = ""):
-    """``doc[key]``, which must be ``_KINDS[kind]``: bools and floats are not integers."""
-    if key not in doc:
-        raise ValueError(f"geometry fixture missing field {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind) or (
-        kind is list and not all(isinstance(item, dict) for item in value)
-    ):
-        raise ValueError(
-            f"geometry fixture field {where}{key} must be {_KINDS[kind]}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+def _bad_fixture(message: str) -> ValueError:
+    return ValueError(f"geometry fixture {message}")
 
 
 def geometry_from_dict(doc: dict) -> ModelGeometry:
     """Build a geometry from a parsed fixture document, checking every field's type."""
     if not isinstance(doc, dict):
-        raise ValueError(f"geometry fixture must be an object, got {type(doc).__name__}")
+        raise _bad_fixture(f"must be an object, got {type(doc).__name__}")
+    fields = read_fields(doc, _FIXTURE_FIELDS, "", _bad_fixture)
     projections = tuple(
-        Projection(*(_field(p, key, kind, f"projections[{i}].")
-                     for key, kind in (("tag", str), ("d_in", int), ("d_out", int))))
-        for i, p in enumerate(_field(doc, "projections", list))
+        Projection(**read_fields(p, _PROJECTION_FIELDS, f"projections[{i}].", _bad_fixture))
+        for i, p in enumerate(fields["projections"])
     )
-    return ModelGeometry(
-        name=_field(doc, "name", str),
-        total_params=_field(doc, "total_params", int),
-        layers=_field(doc, "layers", int),
-        projections=projections,
-    )
+    return ModelGeometry(fields["name"], fields["total_params"], fields["layers"], projections)
 
 
 def load_geometry(path: str | Path) -> ModelGeometry:

@@ -66,12 +66,13 @@ class ClusterDataset:
     cluster_eval: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite draw is reported below
 def generate_cluster_task(spec: ClusterTaskSpec) -> ClusterDataset:
     """Deterministic dataset for a spec; train/eval split 90/10 by stride.
 
     Samples are laid out cluster-blocked, permuted once with a seeded
     stream, and every tenth sample of the permuted order goes to the eval
-    split.
+    split.  Data that overflow (a huge ``noise_std``) raise ValueError.
     """
     rng = RngState(spec.seed)
     m, d, k = spec.clusters, spec.input_dim, spec.output_dim
@@ -86,6 +87,8 @@ def generate_cluster_task(spec: ClusterTaskSpec) -> ClusterDataset:
     for c in range(m):
         mask = cluster_ids == c
         y[mask] = x[mask] @ maps[c].T
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"noise_std {spec.noise_std} makes the task data non-finite")
 
     order = rng.split("order").generator().permutation(total)
     x, y, cluster_ids = x[order], y[order], cluster_ids[order]

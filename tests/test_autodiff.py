@@ -397,6 +397,16 @@ class TestGradcheck:
         assert max(errs, key=errs.get) == handle
         assert errs[handle] > 1e-3
 
+    def test_nan_error_is_the_worst(self, monkeypatch):
+        # NaN compares false both ways, so a plain max would report 0.5
+        frozen, stack, x, t = make_setup("lora", seed=17)
+        errs = dict.fromkeys(stack.handles, 0.5)
+        errs[stack.handles[-1]] = float("nan")
+        monkeypatch.setattr(autodiff, "relative_errors", lambda analytic, numeric: errs)
+        report = gradcheck(stack, frozen, (x, t), MSE)
+        assert report.worst_handle == stack.handles[-1]
+        assert np.isnan(report.max_relative_error)
+
 
 def _scalar_stack(a, b):
     """One-slot 1x1 LoRA stack: two trainable scalars, A0 = a and B0 = b."""

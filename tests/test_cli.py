@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestParams:
         "layers_bool": ({**TOY, "layers": True}, "layers"),
         "total_params_float": ({**TOY, "total_params": 1e4}, "total_params"),
         "name_null": ({**TOY, "name": None}, "name"),
+        "layers_missing": ({k: v for k, v in TOY.items() if k != "layers"},
+                           "missing required field layers"),
+        "d_out_missing": ({**TOY, "projections": [{"tag": "X", "d_in": 8}]},
+                          "missing required field projections[0].d_out"),
+        "unknown_field": ({**TOY, "vocab": 32000}, "unknown field vocab"),
+        "source_int": ({**TOY, "source": 1}, "source"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -269,6 +276,18 @@ class TestTrain:
             code, _, err = run(capsys, "train", "--config", str(cfg))
         assert code == 3
         assert err == "numerical failure: training diverged (non-finite parameters) at step 7\n"
+
+    def test_non_finite_task_data_exits_2_in_one_line(self, tmp_path, capsys):
+        # the task's data overflow, so nothing is trained: a config error,
+        # not a divergence, and no numpy warning
+        cfg = write_config(tmp_path, task={"noise_std": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "config error: config.task: noise_std 1e+308 makes the task data non-finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_cross_entropy_exits_2_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss="softmax-cross-entropy")
@@ -499,6 +518,27 @@ class TestGradcheckCommand:
         assert code == 0
         assert json.loads(out)["max_relative_error"] < 1e-8
 
+    def test_non_finite_error_fails_and_writes_strict_json(self, tmp_path, capsys):
+        # lora_alpha 1e308 overflows the oracle's loss: its gradient, and so
+        # the relative error, is NaN, which must fail rather than pass
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"method": "talklora", "output_dir": str(tmp_path / "out"),
+                                   "adapter": {"lora_alpha": 1e308}, "task": {}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 3
+        assert '"passed": true' not in out
+        assert err.startswith("numerical failure: gradcheck lora share_b=False "
+                              "talking_enabled=False: relative error nan at L")
+        assert err.count("\n") == 1
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        for path in (tmp_path / "out").rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
+
     def test_dim_cap_enforced(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -578,6 +618,44 @@ class TestCkptCommand:
         code, _, err = run(capsys, "ckpt", action, "--checkpoint", str(ckpt))
         assert code == 4
         assert "malformed header" in err
+
+
+    RETYPED = {  # case -> (header edit, the field the message names)
+        "total_rank_float": (lambda h: h["adapter_config"].update(total_rank=4.0),
+                             "adapter_config.total_rank must be an integer, got float"),
+        "d_in_float": (lambda h: h["slots"][0].update(d_in=8.0),
+                       "slots[0].d_in must be an integer, got float"),
+        "talking_string": (lambda h: h["adapter_config"].update(talking_enabled="false"),
+                           "adapter_config.talking_enabled must be true or false, got str"),
+        "talking_int": (lambda h: h["adapter_config"].update(talking_enabled=0),
+                        "adapter_config.talking_enabled must be true or false, got int"),
+        "lora_alpha_string": (lambda h: h["adapter_config"].update(lora_alpha="16"),
+                              "adapter_config.lora_alpha must be a number, got str"),
+        "clip_string": (lambda h: h["adapter_config"].update(spectral_clip_c="1.0"),
+                        "adapter_config.spectral_clip_c must be a number, got str"),
+        "layer_string": (lambda h: h["slots"][0].update(layer="0"),
+                         "slots[0].layer must be an integer, got str"),
+        "slot_int": (lambda h: h["slots"].__setitem__(0, 5),
+                     "slots must be a list of objects, got list"),
+        "extra_key": (lambda h: h["adapter_config"].update(bogus=1),
+                      "unknown field adapter_config.bogus"),
+    }
+
+    @pytest.mark.parametrize("argv", [("ckpt", "inspect"), ("ckpt", "roundtrip"),
+                                      ("analyze", "--report", "heatmap")],
+                             ids=["inspect", "roundtrip", "heatmap"])
+    @pytest.mark.parametrize("case", list(RETYPED))
+    def test_retyped_header_field_exits_4_naming_it(self, tmp_path, capsys, argv, case):
+        edit, message = self.RETYPED[case]
+        ckpt = tmp_path / "retyped.tlkl"
+        shutil.copy(FIXTURES / "talklora-v1.tlkl", ckpt)
+        rewrite_header(ckpt, edit)
+        code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt), *(
+            ("--out", str(tmp_path / "reports")) if argv[0] == "analyze" else ()))
+        assert code == 4
+        assert out == ""
+        assert err == f"artifact corruption: malformed header: {message}\n"
+        assert "Error(" not in err
 
 
 class TestPathErrors:

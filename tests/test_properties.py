@@ -113,10 +113,41 @@ FIXTURES = Path(__file__).parent / "fixtures"
 sizes = st.integers(-1, 17) | st.just(10**11)
 
 
+def _retyped(value) -> list:
+    """``value`` as other JSON kinds: the other number type of the same value,
+    bool <-> int, its string, null and a list."""
+    kinds = [str(value), None, [value]]
+    if isinstance(value, bool):
+        kinds.append(int(value))
+    elif isinstance(value, int):
+        kinds += [float(value), bool(value)]
+    elif isinstance(value, float) and value.is_integer():
+        kinds.append(int(value))
+    elif value is None:
+        kinds += [0, 1.0, False]
+    return [kind for kind in kinds if kind is not value]
+
+
+def _retype_field(header: dict, data) -> None:
+    """Give one field of the header's adapter config, a slot or a tensor record
+    another JSON kind, or add an extra key to one of them."""
+    holder = data.draw(st.sampled_from(
+        [header["adapter_config"], *header["slots"], *header["tensors"]]))
+    key = data.draw(st.sampled_from(sorted(holder) + ["extra"]))
+    if key == "extra":
+        holder[key] = data.draw(json_values)
+    else:
+        holder[key] = data.draw(st.sampled_from(_retyped(holder[key])))
+
+
 def _edit_header(header: dict, data) -> None:
-    """One random edit of a header's slot dims, ranks, record sizes or alias table."""
-    part = data.draw(st.sampled_from(["slot", "adapter_config", "record", "alias_table"]))
-    if part == "slot":
+    """One random edit of a header's slot dims, ranks, record sizes, alias
+    table or field kinds."""
+    part = data.draw(st.sampled_from(["slot", "adapter_config", "record", "alias_table",
+                                      "retype"]))
+    if part == "retype":
+        _retype_field(header, data)
+    elif part == "slot":
         slot = data.draw(st.sampled_from(header["slots"]))
         slot[data.draw(st.sampled_from(["d_in", "d_out"]))] = data.draw(sizes)
     elif part == "adapter_config":
@@ -138,13 +169,15 @@ def _edit_header(header: dict, data) -> None:
 
 
 class TestHeaderEdits:
-    @PROPERTY
-    @given(method=st.sampled_from(METHODS), data=st.data())
-    def test_edit_loads_identically_or_is_rejected_before_building(self, victim, method, data):
+    @staticmethod
+    def _loads_identically_or_is_rejected_before_building(victim, method, edit):
+        """The stack loaded from the edited fixture, which holds the same
+        arrays as the fixture's, or None when the edit is rejected before
+        any stack is built."""
         raw = (FIXTURES / f"{method}-v1.tlkl").read_bytes()
         (header_len,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12 : 12 + header_len])
-        _edit_header(header, data)
+        edit(header)
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         victim.write_bytes(
             raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
@@ -162,10 +195,28 @@ class TestHeaderEdits:
                 stack, _ = load_checkpoint(victim)
             except CorruptCheckpointError:
                 assert not built
-                return
+                return None
         expected, _ = load_checkpoint(FIXTURES / f"{method}-v1.tlkl")
         assert stack.handles == expected.handles
         assert stack.flat.tobytes() == expected.flat.tobytes()
+        return stack
+
+    @PROPERTY
+    @given(method=st.sampled_from(METHODS), data=st.data())
+    def test_edit_loads_identically_or_is_rejected_before_building(self, victim, method, data):
+        self._loads_identically_or_is_rejected_before_building(
+            victim, method, lambda header: _edit_header(header, data))
+
+    @PROPERTY
+    @given(method=st.sampled_from(METHODS), data=st.data())
+    def test_retyped_field_loads_identically_or_is_rejected_before_building(
+        self, victim, method, data
+    ):
+        stack = self._loads_identically_or_is_rejected_before_building(
+            victim, method, lambda header: _retype_field(header, data))
+        if stack is not None:  # the retyped value was the same number
+            expected, _ = load_checkpoint(FIXTURES / f"{method}-v1.tlkl")
+            assert (stack.cfg, stack.slots) == (expected.cfg, expected.slots)
 
 
 class TestConfigValues:

@@ -66,6 +66,15 @@ class TestGenerateClusterTask:
             dev = np.abs(sample.mean(axis=0) - centers[c])
             assert dev.max() < 3 * spec.noise_std / np.sqrt(len(sample))
 
+    def test_non_finite_data_raise_without_warning(self):
+        spec = ClusterTaskSpec(clusters=2, input_dim=4, output_dim=4, samples_per_cluster=10,
+                               noise_std=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^noise_std 1e\\+308 makes the task data "
+                                                 "non-finite$"):
+                generate_cluster_task(spec)
+
     def test_split_is_90_10_by_stride(self):
         spec = ClusterTaskSpec(
             clusters=2, input_dim=3, output_dim=3, samples_per_cluster=100, seed=1
