@@ -13,21 +13,22 @@ representations feed only the router.  All math is float64 and every
 random draw comes from a named :class:`~talklora.linalg.RngState` stream,
 so construction is bit-reproducible.
 
-Expert layout: :func:`layer_layout` states each family's arrays once, and
-initializers, stacks, budgets and checkpoints all read it.  MoELoRA and
-TalkLoRA stack their experts along a leading axis, one array per role:
-A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and the
-backward in :mod:`talklora.autodiff`) batch over that axis with
-``np.matmul``, so neither loops over experts.
-An :class:`AdapterStack` keeps every trainable scalar in one float64
-buffer ``flat``; layer arrays are views of it, a shared B is stored once,
-and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
+Expert layout: :func:`layer_layout` states each family's arrays and the
+rule on a layer's dims (:func:`check_low_rank`) once.  Initializers,
+stacks, budgets, checkpoints and the single-sample forwards all read it.
+MoELoRA and TalkLoRA stack their experts along a leading axis, one array
+per role: A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and
+the backward in :mod:`talklora.autodiff`) batch over that axis with
+``np.matmul``, so neither loops over experts.  An :class:`AdapterStack`
+keeps one config and every trainable scalar in one float64 buffer
+``flat``; layer arrays are views of it, a shared B is stored once, and
+per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -43,8 +44,8 @@ class AdapterConfig:
     """Family-level hyperparameters shared by all adapter constructors.
 
     ``input_dim``/``output_dim`` may stay ``None`` for configs used to
-    build stacks over a model geometry (each slot fills in its own dims);
-    single-layer constructors require them.
+    build stacks over a model geometry (each slot has its own dims);
+    single-layer constructors require them, and :func:`check_low_rank`.
     """
 
     total_rank: int
@@ -72,13 +73,7 @@ class AdapterConfig:
         if (self.input_dim is None) != (self.output_dim is None):
             raise ValueError("input_dim and output_dim must be set together")
         if self.input_dim is not None:
-            if self.input_dim < 1 or self.output_dim < 1:
-                raise ValueError("input_dim/output_dim must be positive")
-            if self.total_rank > min(self.input_dim, self.output_dim):
-                raise ValueError(
-                    f"total_rank {self.total_rank} exceeds min(input_dim, output_dim) "
-                    f"= {min(self.input_dim, self.output_dim)} (low-rank regime)"
-                )
+            check_low_rank(self, self.input_dim, self.output_dim, "the config")
 
     @property
     def expert_rank(self) -> int:
@@ -88,14 +83,6 @@ class AdapterConfig:
     def scaling(self) -> float:
         """Multiplier lora_alpha / total_rank applied to the adapter delta."""
         return self.lora_alpha / self.total_rank
-
-    def with_dims(self, d_in: int, d_out: int) -> "AdapterConfig":
-        return replace(self, input_dim=d_in, output_dim=d_out)
-
-    def require_dims(self) -> tuple[int, int]:
-        if self.input_dim is None or self.output_dim is None:
-            raise ValueError("this operation needs input_dim/output_dim on the config")
-        return self.input_dim, self.output_dim
 
 
 # (name, JSON kind, run-config default) of each field that a run config's
@@ -160,6 +147,22 @@ class TalkLoRALayer:
 _LAYER_TYPES = {"lora": LoRAAdapter, "moelora": MoELoRALayer, "talklora": TalkLoRALayer}
 
 
+class LowRankError(ValueError):
+    """``total_rank`` above a layer's min(d_in, d_out); the message starts with the field."""
+
+
+def check_low_rank(cfg: AdapterConfig, d_in: int, d_out: int, site: str) -> None:
+    """The rule on a layer's dims in every family: both positive, and total_rank
+    <= min(d_in, d_out).  ``site`` names the layer (``slot L00.Q``, ``target K``)."""
+    if d_in < 1 or d_out < 1:
+        raise ValueError(f"{site} needs positive dims, got d_in {d_in}, d_out {d_out}")
+    if cfg.total_rank > min(d_in, d_out):
+        raise LowRankError(
+            f"total_rank {cfg.total_rank} exceeds min(d_in, d_out) = {min(d_in, d_out)} "
+            f"at {site} with d_in {d_in}, d_out {d_out} (low-rank regime)"
+        )
+
+
 class Field(NamedTuple):
     """One trainable array of a layer: attribute, handle role, shape, and
     whether a stack holds it once for all layers of a projection tag."""
@@ -177,15 +180,18 @@ class Field(NamedTuple):
         return iter([(self.role + ("0" if self.role in ("A", "B") else ""), self.shape)])
 
 
-def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int) -> tuple:
+def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
+                 site: str = "the layer") -> tuple:
     """The trainable arrays of one ``method`` layer at a d_in -> d_out site.
 
     Listed in buffer and handle order.  This is where the families differ:
     LoRA holds A (r, d) and B (k, r); MoELoRA stacks n experts of rank r_e
     and routes the raw input through Wg (n, d); TalkLoRA adds E and the
     n x n C, routes the r-dim communicated h~, and with ``share_b`` holds
-    one B per projection tag.  Allocates nothing and checks no dims.
+    one B per projection tag.  Allocates nothing; first checks the dims
+    with :func:`check_low_rank`, naming ``site``.
     """
+    check_low_rank(cfg, d_in, d_out, site)
     r, n, r_e = cfg.total_rank, cfg.experts, cfg.expert_rank
     if method == "lora":
         return Field("a", "A", (r, d_in)), Field("b", "B", (d_out, r))
@@ -223,12 +229,13 @@ def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
     """Every array of a ``method`` stack over ``slots`` as a :class:`Site`, lazily.
 
     Sites come in buffer order and allocate nothing, so a caller can stop
-    at the first one that disagrees with what it holds.  A slot repeated,
-    or a tag whose slots imply different shapes for a shared array, raises.
+    at the first one that disagrees with what it holds.  A slot whose dims
+    break :func:`check_low_rank`, a slot repeated, or a tag whose slots
+    imply different shapes for a shared array, raises.
     """
     holders = {}  # (owner, attribute) -> the site that holds the array
     for i, slot in enumerate(slots):
-        for field in layer_layout(method, cfg, slot.d_in, slot.d_out):
+        for field in layer_layout(method, cfg, slot.d_in, slot.d_out, f"slot {slot.name}"):
             owner = f"shared.{slot.tag}" if field.shared else slot.name
             site = Site(i, slot, field, owner, (owner, field.name) not in holders)
             earlier = holders.setdefault((owner, field.name), site)
@@ -300,14 +307,9 @@ def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
     return (gates.T[:, :, None] * yexp).sum(axis=0)
 
 
-def lora_batch_forward(
-    w0: np.ndarray,
-    ad: LoRAAdapter,
-    x: np.ndarray,
-    cfg: AdapterConfig,
-    xa: Optional[np.ndarray] = None,
-    drop_scale: Optional[np.ndarray] = None,
-) -> LayerCache:
+def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: AdapterConfig,
+                       xa: Optional[np.ndarray] = None,
+                       drop_scale: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ ad.a.T
     delta = cfg.scaling * (h @ ad.b.T)
@@ -318,14 +320,9 @@ def lora_batch_forward(
     )
 
 
-def moelora_batch_forward(
-    w0: np.ndarray,
-    ml: MoELoRALayer,
-    x: np.ndarray,
-    cfg: AdapterConfig,
-    xa: Optional[np.ndarray] = None,
-    drop_scale: Optional[np.ndarray] = None,
-) -> LayerCache:
+def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
+                          xa: Optional[np.ndarray] = None,
+                          drop_scale: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ ml.a.transpose(0, 2, 1)  # (n, B, r_e)
     gates = softmax_rows(xa @ ml.router_wg.T)  # router reads the raw input
@@ -338,14 +335,9 @@ def moelora_batch_forward(
     )
 
 
-def talklora_batch_forward(
-    w0: np.ndarray,
-    tl: TalkLoRALayer,
-    x: np.ndarray,
-    cfg: AdapterConfig,
-    xa: Optional[np.ndarray] = None,
-    drop_scale: Optional[np.ndarray] = None,
-) -> LayerCache:
+def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
+                           xa: Optional[np.ndarray] = None,
+                           drop_scale: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ tl.a.transpose(0, 2, 1)  # (n, B, r_e)
     router_in, gates = _route(tl, h, cfg.talking_enabled)
@@ -369,41 +361,40 @@ def batch_forward(w0, adapter, x, cfg, xa=None, drop_scale=None) -> LayerCache:
     raise TypeError(f"unknown adapter type {type(adapter).__name__}")
 
 
-def _check_input(layer: FrozenLinear, x: np.ndarray, cfg: AdapterConfig) -> np.ndarray:
+def _check_layer(method: str, layer: FrozenLinear, adapter, cfg: AdapterConfig) -> None:
+    """The single-sample API's one shape check: the config's dims against w0,
+    then each array of ``adapter`` against the :func:`layer_layout` they imply."""
+    if cfg.input_dim is not None and (cfg.input_dim, cfg.output_dim) != (layer.d_in, layer.d_out):
+        raise ValueError(f"config dims ({cfg.input_dim}, {cfg.output_dim}) do not match "
+                         f"w0's d_in {layer.d_in}, d_out {layer.d_out}")
+    for field in layer_layout(method, cfg, layer.d_in, layer.d_out, f"w0 {layer.w0.shape}"):
+        shape = np.shape(getattr(adapter, field.name))
+        if shape != field.shape:
+            raise ValueError(
+                f"{type(adapter).__name__}.{field.name} has shape {shape}, but w0 "
+                f"{layer.w0.shape} at total_rank {cfg.total_rank}, experts {cfg.experts} "
+                f"implies {field.shape}"
+            )
+
+
+def _forward_one(method: str, layer: FrozenLinear, adapter, x, cfg: AdapterConfig) -> LayerCache:
+    """The batched forward of the one sample ``x``, after checking it and
+    (:func:`_check_layer`) the adapter against w0."""
     x = as_vector(x, "x")
     if x.shape[0] != layer.d_in:
-        raise ValueError(
-            f"input length {x.shape[0]} does not match w0 input dim {layer.d_in}"
-        )
-    if cfg.input_dim is not None and cfg.input_dim != layer.d_in:
-        raise ValueError(
-            f"config input_dim {cfg.input_dim} does not match w0 input dim {layer.d_in}"
-        )
-    return x
+        raise ValueError(f"input length {x.shape[0]} does not match w0 input dim {layer.d_in}")
+    _check_layer(method, layer, adapter, cfg)
+    return batch_forward(layer.w0, adapter, x[None, :], cfg)
 
 
-def lora_forward(
-    layer: FrozenLinear, ad: LoRAAdapter, x, cfg: AdapterConfig
-) -> np.ndarray:
+def lora_forward(layer: FrozenLinear, ad: LoRAAdapter, x, cfg: AdapterConfig) -> np.ndarray:
     """y = w0 x + (alpha/r) B A x."""
-    x = _check_input(layer, x, cfg)
-    if ad.a.shape != (cfg.total_rank, layer.d_in) or ad.b.shape != (
-        layer.d_out,
-        cfg.total_rank,
-    ):
-        raise ValueError(
-            f"adapter shapes A{ad.a.shape} / B{ad.b.shape} inconsistent with "
-            f"w0 {layer.w0.shape} and rank {cfg.total_rank}"
-        )
-    return lora_batch_forward(layer.w0, ad, x[None, :], cfg).z[0]
+    return _forward_one("lora", layer, ad, x, cfg).z[0]
 
 
 def lora_merge(layer: FrozenLinear, ad: LoRAAdapter, cfg: AdapterConfig) -> np.ndarray:
     """Fold the low-rank update into the frozen weight: w0 + (alpha/r) B A."""
-    if ad.b.shape[0] != layer.d_out or ad.a.shape[1] != layer.d_in:
-        raise ValueError(
-            f"cannot merge: A{ad.a.shape} / B{ad.b.shape} vs w0 {layer.w0.shape}"
-        )
+    _check_layer("lora", layer, ad, cfg)
     return layer.w0 + cfg.scaling * (ad.b @ ad.a)
 
 
@@ -424,12 +415,10 @@ def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
     )
 
 
-def moelora_forward(
-    layer: FrozenLinear, ml: MoELoRALayer, x, cfg: AdapterConfig
-) -> tuple[np.ndarray, ForwardTrace]:
+def moelora_forward(layer: FrozenLinear, ml: MoELoRALayer, x,
+                    cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
     """y = w0 x + (alpha/r) sum_i g_i(x) B_i A_i x with g = softmax(W_g x)."""
-    x = _check_input(layer, x, cfg)
-    cache = moelora_batch_forward(layer.w0, ml, x[None, :], cfg)
+    cache = _forward_one("moelora", layer, ml, x, cfg)
     return cache.z[0], _trace_from_cache(cache)
 
 
@@ -449,20 +438,23 @@ def talking_mix(c, h) -> np.ndarray:
     n = h.shape[0]
     if c.shape != (n, n):
         raise ValueError(f"communication matrix is {c.shape}, expected ({n}, {n})")
-    return (c @ h.reshape(n, -1)).reshape(h.shape)
+    return _c_mix(c, h)
 
 
-def talklora_forward(
-    layer: FrozenLinear, tl: TalkLoRALayer, x, cfg: AdapterConfig
-) -> tuple[np.ndarray, ForwardTrace]:
+def _c_mix(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`talking_mix` unchecked, for the step path: the layout fixes its shapes."""
+    return (c @ h.reshape(h.shape[0], -1)).reshape(h.shape)
+
+
+def talklora_forward(layer: FrozenLinear, tl: TalkLoRALayer, x,
+                     cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
     """Full TalkLoRA layer forward.
 
     h_i = A_i x feeds the experts directly; the communicated h~ = C-mixed h
     (identity when talking is disabled) feeds only the router.  Output is
     w0 x + (alpha/r) sum_i g_i B_i E_i h_i.
     """
-    x = _check_input(layer, x, cfg)
-    cache = talklora_batch_forward(layer.w0, tl, x[None, :], cfg)
+    cache = _forward_one("talklora", layer, tl, x, cfg)
     return cache.z[0], _trace_from_cache(cache)
 
 
@@ -471,7 +463,7 @@ def _route(tl: TalkLoRALayer, h: np.ndarray, talking_enabled: bool) -> tuple:
 
     Returns the router input [h~_1, ..., h~_n] (B, r) and the gates (B, n).
     """
-    h_tilde = talking_mix(tl.c, h) if talking_enabled else h
+    h_tilde = _c_mix(tl.c, h) if talking_enabled else h
     router_in = h_tilde.transpose(1, 0, 2).reshape(h.shape[1], -1)
     return router_in, softmax_rows(router_in @ tl.router_wg.T)
 
@@ -499,23 +491,22 @@ class AdapterStack:
     """All adapters of one method over a list of slots, in one parameter buffer.
 
     ``flat`` (C-contiguous float64) holds every trainable scalar in the
-    order of ``layout``, the list of :func:`stack_layout` over ``slots``;
-    ``slot_cfgs[i]`` is the config with slot i's dims.  The stack adopts
-    ``flat`` as it is, filled or not: each layer array is a view of it, and
-    ``ranges[i]`` maps slot i's field names to their slices.  A shared
-    array has one slice and view for all layers of its tag, taken from the
-    first, and its handles (``shared.<tag>.B<i>``) appear once.  Forwards
-    never mutate parameters; optimizers update ``flat``.
+    order of ``layout``, the list of :func:`stack_layout` over ``slots``.
+    ``cfg`` is every layer's one config; a layer's dims are its slot's.
+    The stack adopts ``flat`` as it is, filled or not: each layer array is
+    a view of it, and ``ranges[i]`` maps slot i's field names to their
+    slices.  A shared array has one slice and view for all layers of its
+    tag, taken from the first, and its handles (``shared.<tag>.B<i>``)
+    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
     """
 
-    def __init__(self, method: str, cfg: AdapterConfig, slots: list, slot_cfgs: list,
-                 layout: list, flat: np.ndarray):
+    def __init__(self, method: str, cfg: AdapterConfig, slots: list, layout: list,
+                 flat: np.ndarray):
         self.method = method
         self.cfg = cfg
         self.slots = slots
         self.layout = layout
         self.flat = flat
-        self._slot_cfgs = slot_cfgs
         self.ranges = [{} for _ in slots]
         self._slot_handles = [[] for _ in slots]
         self._by_handle = {}  # shared handles once, from the first slot of their tag
@@ -539,7 +530,9 @@ class AdapterStack:
         self.adapters = [_LAYER_TYPES[method](**fields) for fields in arrays]
 
     def slot_cfg(self, i: int) -> AdapterConfig:
-        return self._slot_cfgs[i]
+        """The config of slot i: :attr:`cfg`, as for every slot.  Nothing in the
+        program calls it; it stays only because the benchmark traces this name."""
+        return self.cfg
 
     def slot_handles(self, i: int) -> list:
         """(role, handle, array) triples for slot i, sharing-resolved."""
@@ -567,16 +560,15 @@ class AdapterStack:
 def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -> AdapterStack:
     """A fresh stack: the one init path of every adapter family.
 
-    Every slot's dims are checked before anything is allocated.  ``flat``
-    is then allocated once, zero, and adopted by the stack; B stays zero,
-    and every other array is Kaiming-filled in place, one draw per handle
-    from the stream of its role (``A0``, ``E1``, ``C``, ``Wg``) under the
-    slot's stream ``slot_rngs[i]``.
+    The layout walk checks every slot's dims before anything is allocated.
+    ``flat`` is then allocated once, zero, and adopted by the stack; B stays
+    zero, and every other array is Kaiming-filled in place, one draw per
+    handle from the stream of its role (``A0``, ``E1``, ``C``, ``Wg``) under
+    the slot's stream ``slot_rngs[i]``.
     """
-    slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
     layout = list(stack_layout(method, cfg, slots))
     flat = np.zeros(sum(site.size for site in layout if site.first))
-    stack = AdapterStack(method, cfg, slots, slot_cfgs, layout, flat)
+    stack = AdapterStack(method, cfg, slots, layout, flat)
     for i, rng in enumerate(slot_rngs):
         for role, _, arr in stack.slot_handles(i):
             if not role.startswith("B"):
@@ -587,7 +579,9 @@ def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -
 def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
     """A fresh ``method`` layer for a config with dims, drawn from ``rng``:
     the one layer of a one-slot stack, its arrays views of that stack's buffer."""
-    slot = LayerSlot(0, "layer", *cfg.require_dims())
+    if cfg.input_dim is None:
+        raise ValueError("this operation needs input_dim/output_dim on the config")
+    slot = LayerSlot(0, "layer", cfg.input_dim, cfg.output_dim)
     return _init_stack(method, cfg, [slot], [rng]).adapters[0]
 
 
@@ -601,9 +595,7 @@ def build_stack_from_slots(
     return _init_stack(method, cfg, slots, [rng.split(f"init.{s.name}") for s in slots])
 
 
-def build_frozen_stack(
-    input_dim: int, output_dim: int, depth: int, rng: RngState
-) -> list:
+def build_frozen_stack(input_dim: int, output_dim: int, depth: int, rng: RngState) -> list:
     """Frozen host model: ``depth`` linear layers with tanh between them.
 
     Hidden layers are square (input_dim x input_dim); the last layer maps
@@ -629,8 +621,6 @@ def frozen_stack_slots(frozen_layers) -> list:
     Layers with identical shapes share a tag, which is what makes
     cross-layer B sharing shape-compatible in the synthetic model.
     """
-    slots = []
-    for i, fl in enumerate(frozen_layers):
-        slots.append(LayerSlot(i, f"{fl.d_in}x{fl.d_out}", fl.d_in, fl.d_out))
-    return slots
+    return [LayerSlot(i, f"{fl.d_in}x{fl.d_out}", fl.d_in, fl.d_out)
+            for i, fl in enumerate(frozen_layers)]
 

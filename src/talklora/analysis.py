@@ -57,7 +57,8 @@ def count_params(
 
     Each target contributes the sizes of :func:`layer_layout`'s arrays at
     its dims once per layer, or once in all for an array shared across
-    the layers of a tag (TalkLoRA's B under ``share_b``).
+    the layers of a tag (TalkLoRA's B under ``share_b``).  The layout checks
+    each target's dims, so a rank that no stack could hold raises here too.
     """
     targets = set(targets)
     if not targets:
@@ -66,9 +67,9 @@ def count_params(
     if unknown:
         raise ValueError(f"unknown target tags {sorted(unknown)} for {geom.name!r}")
     breakdown: dict = {}
-    for tag in targets:
+    for tag in sorted(targets):
         proj = geom.projection(tag)
-        for field in layer_layout(method, cfg, proj.d_in, proj.d_out):
+        for field in layer_layout(method, cfg, proj.d_in, proj.d_out, f"target {tag}"):
             copies = 1 if field.shared else geom.layers
             breakdown[field.role] = breakdown.get(field.role, 0) + copies * math.prod(field.shape)
     trainable = sum(breakdown.values())

@@ -37,8 +37,8 @@ from .adapters import (
     LoRAAdapter,
     MoELoRALayer,
     TalkLoRALayer,
+    _c_mix,
     batch_forward,
-    talking_mix,
 )
 from .linalg import _all_finite, softmax_rows, spectral_norms
 
@@ -134,8 +134,7 @@ def model_forward(
     for i, fl in enumerate(frozen_layers):
         scale = dropout_scales[i] if dropout_scales is not None else None
         xa = h * scale if scale is not None else None
-        cache = batch_forward(fl.w0, stack.adapters[i], h, stack.slot_cfg(i),
-                              xa=xa, drop_scale=scale)
+        cache = batch_forward(fl.w0, stack.adapters[i], h, stack.cfg, xa=xa, drop_scale=scale)
         caches.append(cache)
         h = cache.z if i == last else np.tanh(cache.z)
     return h, caches
@@ -186,7 +185,7 @@ def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz, want_gx
     gh_router = ght  # without talking, C gets no gradient and keeps its zero
     if cfg.talking_enabled:
         grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
-        gh_router = talking_mix(tl.c.T, ght)
+        gh_router = _c_mix(tl.c.T, ght)
     gp = gy @ tl.b  # (n, B, r_e)
     gh = gh_router + gp @ tl.e
     grads["b"] = gy.transpose(0, 2, 1) @ cache.p
@@ -241,7 +240,7 @@ def backward(
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
             gx = gx * (1.0 - act * act)
         gxa, layer_grads = _layer_backward(
-            stack.adapters[i], stack.slot_cfg(i), caches[i], gx, want_gx=i > 0
+            stack.adapters[i], stack.cfg, caches[i], gx, want_gx=i > 0
         )
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)
@@ -284,8 +283,8 @@ def _reference_loss(
     """
     h = x
     last = len(frozen_layers) - 1
+    cfg = stack.cfg
     for i in range(last + 1):
-        cfg = stack.slot_cfg(i)
         roles = {role: params[handle] for role, handle, _ in stack.slot_handles(i)}
         w0 = frozen_layers[i].w0
         scale = cfg.scaling

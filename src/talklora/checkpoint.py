@@ -7,9 +7,11 @@ recorded in the header; shared B matrices are stored once, and an alias
 table maps every layer-level view onto its shared handle so loading
 restores the aliasing exactly.
 
-Only trainable tensors are stored.  The frozen host model and datasets
-are regenerated from the echoed run configuration (everything is seeded),
-which keeps checkpoints small and still bit-reproducible.
+Only trainable tensors are stored, and only finite ones: a stack holding
+NaN or infinity is not saved, and a payload holding one is corrupt.  The
+frozen host model and datasets are regenerated from the echoed run
+configuration (everything is seeded), which keeps checkpoints small and
+still bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ._fields import REQUIRED, read_fields
 from .adapters import (
     ADAPTER_FIELDS, AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout,
 )
+from .linalg import _all_finite
 
 MAGIC = b"TLKL"
 FORMAT_VERSION = 1
@@ -42,7 +45,7 @@ _RECORD_FIELDS = (("handle", str, REQUIRED), ("rows", int, REQUIRED), ("cols", i
 
 
 class CorruptCheckpointError(Exception):
-    """Bad magic, malformed header, or checksum mismatch."""
+    """Bad magic, malformed header, checksum mismatch, or a non-finite payload."""
 
 
 class VersionMismatchError(Exception):
@@ -83,8 +86,18 @@ def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
     return [prefix, header_bytes, *(arr for _, arr in arrays)]
 
 
+def _check_finite(stack: AdapterStack, error) -> None:
+    """Raise ``error`` naming the first tensor that holds NaN or infinity.
+    Reads ``flat`` once, and each tensor only when ``flat`` is not finite."""
+    if not _all_finite(stack.flat):
+        handle = next(handle for handle, arr in stack.named_parameters() if not _all_finite(arr))
+        raise error(f"tensor {handle!r} holds a non-finite value")
+
+
 def save_checkpoint(path, stack: AdapterStack, run_config: dict) -> None:
-    """Write the pieces :func:`encode_checkpoint` gives to ``path``."""
+    """Write the pieces :func:`encode_checkpoint` gives to ``path``; a stack
+    with a non-finite tensor raises ValueError before the file is opened."""
+    _check_finite(stack, ValueError)
     with open(path, "wb") as fh:
         fh.writelines(encode_checkpoint(stack, run_config))
 
@@ -135,20 +148,19 @@ def read_header(path) -> dict:
 
 
 def _check_layout(header: dict, payload_bytes: int) -> tuple:
-    """The header's adapter config, slots, slot configs and layout, checked
-    before anything is allocated.
+    """The header's adapter config, slots and layout, checked before anything
+    is allocated.
 
     Method, config and slots imply every tensor's handle and shape and the
-    alias table (:func:`stack_layout`).  The records must list exactly those
-    handles and shapes in order, the alias table must be the implied one,
-    and the records must account for every payload byte.  The walk stops
-    at the first implied handle that no record matches, so a forged size
-    is reported here, not by a failed allocation of the size it names.
+    alias table (:func:`stack_layout`, which also checks each slot's dims).
+    The records must list exactly those handles and shapes in order, the
+    alias table must be the implied one, and the records must account for
+    every payload byte.  The walk stops at the first implied handle that no
+    record matches, so a forged size is reported here, not by a failed
+    allocation of the size it names.
     """
     cfg = AdapterConfig(**header["adapter_config"])
     slots = [LayerSlot(**slot) for slot in header["slots"]]
-    # positive dims, total_rank <= both
-    slot_cfgs = [cfg.with_dims(slot.d_in, slot.d_out) for slot in slots]
     records = [(rec["handle"], (rec["rows"], rec["cols"])) for rec in header["tensors"]]
     sites, i = [], 0
     for site in stack_layout(header["method"], cfg, slots):
@@ -173,7 +185,7 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
             f"{problem}: the tensor records hold {recorded} bytes, "
             f"the file {payload_bytes} after the header"
         )
-    return cfg, slots, slot_cfgs, sites
+    return cfg, slots, sites
 
 
 def load_checkpoint(path) -> tuple[AdapterStack, dict]:
@@ -183,14 +195,15 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
     checked them, the whole payload is read into ``flat`` in one pass and
     each record's CRC-32 is checked over its own slice.  The stack adopts
     that buffer; nothing is drawn, and the roundtrip is bit-identical.  A
-    header with a missing, ill-typed or rejected field is reported as corrupt.
+    header with a missing, ill-typed or rejected field, or a payload that
+    holds NaN or infinity, is reported as corrupt.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
-            cfg, slots, slot_cfgs, layout = _check_layout(header, payload_bytes)
-        except ValueError as exc:  # a value the config or a slot rejects
+            cfg, slots, layout = _check_layout(header, payload_bytes)
+        except ValueError as exc:  # a value the config or the layout walk rejects
             raise _malformed(str(exc)) from exc
         flat = np.empty(payload_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != payload_bytes:
@@ -202,4 +215,6 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
             raise CorruptCheckpointError(f"checksum mismatch for tensor {rec['handle']!r}")
         start = stop
     flat = flat.astype(np.float64, copy=False)  # a no-op on little-endian hosts
-    return AdapterStack(header["method"], cfg, slots, slot_cfgs, layout, flat), header["run_config"]
+    stack = AdapterStack(header["method"], cfg, slots, layout, flat)
+    _check_finite(stack, CorruptCheckpointError)
+    return stack, header["run_config"]

@@ -26,7 +26,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +38,7 @@ from .adapters import (
     ADAPTER_FIELDS,
     METHODS,
     AdapterConfig,
+    LowRankError,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -226,12 +227,7 @@ def cmd_params(config: RunConfig) -> int:
     if not config.targets:
         raise ConfigError("missing required field config.targets")
     geom = _resolve_geometry(config.geometry)
-    try:
-        budget = analysis.count_params(
-            geom, config.method, config.adapter, config.targets
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    budget = analysis.count_params(geom, config.method, config.adapter, config.targets)
     doc = analysis.budget_to_dict(budget)
     doc["method"] = config.method
     doc["geometry"] = geom.name
@@ -401,13 +397,8 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
         for share_b in (False, True):
             for talking in (False, True):
                 frozen = build_frozen_stack(d, k, config.model_depth, rng)
-                cfg = AdapterConfig(
-                    total_rank=config.adapter.total_rank,
-                    experts=config.adapter.experts,
-                    lora_alpha=config.adapter.lora_alpha,
-                    share_b=share_b,
-                    talking_enabled=talking,
-                )
+                cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
+                              spectral_clip_c=None)
                 stack = build_stack_from_slots(
                     method, cfg, frozen_stack_slots(frozen), rng
                 )
@@ -546,6 +537,9 @@ def main(argv=None) -> int:
     except (CorruptCheckpointError, VersionMismatchError) as exc:
         print(f"artifact corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
+    except LowRankError as exc:  # the config's total_rank against a slot's or target's dims
+        print(f"config error: config.adapter.{exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError as exc:
         print(
             f"config error: the configured sizes need more memory than is available: {exc}",

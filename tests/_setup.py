@@ -1,5 +1,9 @@
 """Shared builders for small adapted models used across the test suite."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 
 from talklora.adapters import (
@@ -84,3 +88,21 @@ def near_degenerate_c(seed=0):
     q1, _ = np.linalg.qr(gen.normal(size=(4, 4)))
     q2, _ = np.linalg.qr(gen.normal(size=(4, 4)))
     return 1.5 * (q1 * np.array([1.0, 1.0 - 1e-3, 0.5, 0.1])) @ q2.T
+
+
+def set_first_value(path, handle, value):
+    """Set the first scalar of tensor ``handle`` in the checkpoint at ``path``
+    to ``value`` and record the CRC-32 of the edited payload."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    payload = bytearray(raw[12 + header_len :])
+    start = 0
+    for rec in header["tensors"]:
+        size = 8 * rec["rows"] * rec["cols"]
+        if rec["handle"] == handle:
+            payload[start : start + 8] = struct.pack("<d", value)
+            rec["crc32"] = zlib.crc32(payload[start : start + size]) & 0xFFFFFFFF
+        start += size
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + payload)

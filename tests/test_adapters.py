@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from talklora.adapters import (
     AdapterConfig,
     FrozenLinear,
     LoRAAdapter,
+    LowRankError,
+    METHODS,
     TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
@@ -28,6 +31,7 @@ from talklora.adapters import (
     talklora_batch_forward,
     talklora_forward,
 )
+from talklora.analysis import count_params
 from talklora.geometry import bundled_geometry
 from talklora.linalg import RngState, kaiming_init, softmax
 
@@ -465,6 +469,77 @@ class TestBuildAdapterStack:
         assert len(handles) == len(set(handles))
         shared = [h for h in handles if h.startswith("shared.")]
         assert sorted(shared) == ["shared.Q.B0", "shared.Q.B1"]
+
+
+FORWARDS = {"lora": (init_lora, lora_forward), "moelora": (init_moelora, moelora_forward),
+            "talklora": (init_talklora, talklora_forward)}
+
+
+class TestLayerShapeRule:
+    """One rule on a layer's dims, and one shape check of the single-sample API."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_adapter_of_other_dims_rejected_naming_the_array(self, method):
+        init, forward = FORWARDS[method]
+        ad = init(small_cfg(input_dim=16, output_dim=16), RngState(40))
+        shape = "(4, 16)" if method == "lora" else "(2, 2, 16)"
+        expected = (rf"^{type(ad).__name__}\.a has shape {re.escape(shape)}, but w0 \(8, 8\) "
+                    r"at total_rank 4, experts 2 implies")
+        with pytest.raises(ValueError, match=expected):
+            forward(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg(input_dim=None,
+                                                                       output_dim=None))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_array_is_checked(self, method):
+        init, forward = FORWARDS[method]
+        cfg = small_cfg()
+        for field in layer_layout(method, cfg, 8, 8):
+            ad = init(cfg, RngState(41))
+            setattr(ad, field.name, np.zeros(field.shape[:-1] + (field.shape[-1] + 1,)))
+            with pytest.raises(ValueError, match=rf"^{type(ad).__name__}\.{field.name} has shape"):
+                forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+
+    def test_merge_rejects_an_adapter_of_other_dims(self):
+        ad = init_lora(small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
+        with pytest.raises(ValueError, match=r"^LoRAAdapter\.a has shape \(4, 6\)"):
+            lora_merge(FrozenLinear(np.eye(8)), ad, small_cfg(experts=1, input_dim=None,
+                                                                output_dim=None))
+
+    def test_config_dims_must_match_w0(self):
+        cfg = small_cfg(output_dim=6)
+        with pytest.raises(ValueError,
+                           match=r"config dims \(8, 6\) do not match w0's d_in 8, d_out 8"):
+            lora_forward(FrozenLinear(np.eye(8)), init_lora(small_cfg(), RngState(43)),
+                         np.ones(8), cfg)
+
+    def test_every_reader_of_the_layout_enforces_the_rank_rule(self):
+        cfg = AdapterConfig(total_rank=8, experts=4)
+        geom = bundled_geometry("llama3-8b")
+        message = (r"^total_rank 8 exceeds min\(d_in, d_out\) = 4 at {} with d_in \d+, d_out \d+ "
+                   r"\(low-rank regime\)$")
+        with pytest.raises(LowRankError, match=message.format(r"slot L01\.Q")):
+            build_stack_from_slots("talklora", cfg, [LayerSlot(0, "Q", 8, 8),
+                                                     LayerSlot(1, "Q", 4, 8)], RngState(44))
+        with pytest.raises(LowRankError, match=message.format("the config")):
+            AdapterConfig(total_rank=8, experts=4, input_dim=4, output_dim=4)
+        with pytest.raises(LowRankError, match=message.format("the layer")):
+            layer_layout("moelora", cfg, 8, 4)
+        big = AdapterConfig(total_rank=2048, experts=4)
+        with pytest.raises(LowRankError, match=r"at target K with d_in 4096, d_out 1024"):
+            count_params(geom, "lora", big, ["Q", "K"])
+
+    @pytest.mark.parametrize("dims", [(0, 8), (8, 0), (-1, -1)])
+    def test_slot_dims_must_be_positive(self, dims):
+        with pytest.raises(ValueError,
+                           match=rf"^slot L00\.Q needs positive dims, got d_in {dims[0]}"):
+            build_stack_from_slots("lora", AdapterConfig(total_rank=1), [LayerSlot(0, "Q", *dims)],
+                                   RngState(45))
+
+    def test_every_slot_reads_the_stack_config(self):
+        cfg = AdapterConfig(total_rank=4, experts=2)
+        slots = [LayerSlot(0, "Q", 8, 8), LayerSlot(0, "V", 8, 4)]
+        stack = build_stack_from_slots("talklora", cfg, slots, RngState(46))
+        assert stack.slot_cfg(0) is stack.slot_cfg(1) is stack.cfg is cfg
 
 
 class TestZeroInitContractAllFamilies:

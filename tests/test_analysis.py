@@ -115,6 +115,14 @@ class TestCountParams:
         with pytest.raises(ValueError, match="unknown"):
             count_params(TOY_GEOM, "lora", AdapterConfig(total_rank=4), {"Y"})
 
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_rank_no_stack_could_hold_rejected(self, method):
+        # K of llama3-8b maps 4096 -> 1024: a build or a load rejects rank 8192 there
+        with pytest.raises(ValueError, match=r"total_rank 8192 exceeds min\(d_in, d_out\) = 1024 "
+                                             r"at target K with d_in 4096, d_out 1024"):
+            count_params(bundled_geometry("llama3-8b"), method,
+                         AdapterConfig(total_rank=8192, experts=4), ["K"])
+
 
 def _layer(seed=0, d=12, r=4, n=2, clip=None):
     cfg = AdapterConfig(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import balance_setup, make_setup
+from _setup import balance_setup, make_setup, set_first_value
 from talklora import linalg
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
 from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
@@ -353,6 +353,43 @@ class TestLoadIntoFlat:
         monkeypatch.setattr("talklora.checkpoint.AdapterStack", must_not_run)
         with pytest.raises(CorruptCheckpointError, match="implies L00"):
             load_checkpoint(path)
+
+
+class TestNonFinitePayload:
+    """Only finite tensors are saved, and a payload that is not finite is corrupt."""
+
+    HANDLES = [rec["handle"] for rec in read_header(FIXTURES / "talklora-v1.tlkl")["tensors"]]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("handle", HANDLES)
+    def test_load_names_the_tensor(self, tmp_path, handle, value):
+        path = tmp_path / "nonfinite.tlkl"
+        path.write_bytes((FIXTURES / "talklora-v1.tlkl").read_bytes())
+        set_first_value(path, handle, value)
+        with pytest.raises(CorruptCheckpointError,
+                           match=f"^tensor {re.escape(repr(handle))} holds a non-finite value$"):
+            load_checkpoint(path)
+
+    def test_checksum_is_checked_first(self, tmp_path):
+        path = tmp_path / "nonfinite.tlkl"
+        path.write_bytes((FIXTURES / "talklora-v1.tlkl").read_bytes())
+        set_first_value(path, self.HANDLES[-1], float("nan"))
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # the last tensor's CRC no longer matches
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError, match="^checksum mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("handle", ["L00.8x8.A1", "shared.8x8.B0", "L01.8x8.C"])
+    def test_save_refuses_before_opening_the_file(self, tmp_path, handle):
+        stack = _trained_stack("talklora")
+        stack.parameter(handle)[0, -1] = np.nan
+        path = tmp_path / "nan.tlkl"
+        message = f"^tensor {re.escape(repr(handle))} holds a non-finite value$"
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(path, stack, RUN_CONFIG)
+        assert not path.exists()
 
 
 TRAIN_RUN_CONFIG = {"method": "talklora", "seed": 3, "note": "train fixture"}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import make_setup
+from _setup import make_setup, set_first_value
 from talklora import analysis, cli
 from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
 from talklora.cli import main, parse_run_config
@@ -136,6 +136,17 @@ class TestParams:
         assert out == ""
         assert err.startswith("config error: geometry fixture")
         assert field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_beyond_a_target_exits_2_naming_it(self, tmp_path, capsys):
+        # K of llama3-8b is 4096 -> 1024, so no stack can hold rank 8192 there
+        cfg = self._params_config(tmp_path, targets=["K"],
+                                  adapter={"total_rank": 8192, "experts": 4})
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: config.adapter.total_rank 8192 exceeds min(d_in, d_out) "
+                       "= 1024 at target K with d_in 4096, d_out 1024 (low-rank regime)\n")
         assert not (tmp_path / "out").exists()
 
     def test_missing_fixture_exits_2_with_path(self, tmp_path, capsys):
@@ -288,6 +299,16 @@ class TestTrain:
         assert out == ""
         assert err == "config error: config.task: noise_std 1e+308 makes the task data non-finite\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_rank_beyond_the_task_dims_exits_2_naming_the_field(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, adapter={"total_rank": 16, "experts": 4},
+                           task={"input_dim": 4, "output_dim": 4})
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: config.adapter.total_rank 16 exceeds min(d_in, d_out) = 4 "
+                       "at slot L00.4x4 with d_in 4, d_out 4 (low-rank regime)\n")
 
     def test_cross_entropy_exits_2_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss="softmax-cross-entropy")
@@ -656,6 +677,32 @@ class TestCkptCommand:
         assert out == ""
         assert err == f"artifact corruption: malformed header: {message}\n"
         assert "Error(" not in err
+
+
+class TestNonFinitePayload:
+    """A payload whose CRCs pass but which holds NaN or infinity is corrupt."""
+
+    HANDLES = [rec["handle"] for rec in read_header(FIXTURES / "talklora-v1.tlkl")["tensors"]]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("handle", HANDLES)
+    def test_every_command_that_loads_exits_4_naming_the_tensor(
+        self, tmp_path, capsys, handle, value
+    ):
+        ckpt = tmp_path / "nonfinite.tlkl"
+        shutil.copy(FIXTURES / "talklora-v1.tlkl", ckpt)
+        set_first_value(ckpt, handle, value)
+        out_dir = tmp_path / "reports"
+        for argv in [("ckpt", "roundtrip")] + [("analyze", "--report", report, "--out",
+                                                str(out_dir)) for report in cli.ANALYZE_REPORTS]:
+            code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+            assert code == 4, argv
+            assert out == ""
+            assert err == f"artifact corruption: tensor {handle!r} holds a non-finite value\n"
+        assert not out_dir.exists()
+        code, out, _ = run(capsys, "ckpt", "inspect", "--checkpoint", str(ckpt))
+        assert code == 0  # inspect reads only the header
+        assert json.loads(out)["tensors"] == len(self.HANDLES)
 
 
 class TestPathErrors:
