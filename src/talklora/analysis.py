@@ -81,16 +81,6 @@ def count_params(
     )
 
 
-def budget_to_dict(budget: ParamBudget) -> dict:
-    return {
-        "schema": "param-budget-v1",
-        "trainable": budget.trainable,
-        "total": budget.total,
-        "percent": budget.percent,
-        "breakdown": dict(sorted(budget.breakdown.items())),
-    }
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Empirical check of the routing Lipschitz bound |g(x+dx)-g(x)| <= alpha*beta*|dx|.
@@ -183,20 +173,6 @@ def stability_certificate(
     )
 
 
-def certificate_to_dict(cert: StabilityCertificate) -> dict:
-    return {
-        "schema": "stability-certificate-v1",
-        "alpha": cert.alpha,
-        "beta": cert.beta,
-        "c_norm": cert.c_norm,
-        "bound": cert.bound,
-        "bound_any_c": cert.bound_any_c,
-        "trials": cert.trials,
-        "max_observed_ratio": cert.max_observed_ratio,
-        "verdict": cert.verdict,
-    }
-
-
 @dataclass(frozen=True)
 class NonexpansiveAudit:
     """Spectral norms of every communication matrix in a stack."""
@@ -212,13 +188,6 @@ def nonexpansive_audit(stack: AdapterStack) -> NonexpansiveAudit:
     rows = [(slot.layer, slot.tag, sigma) for slot, sigma in zip(stack.slots, sigmas)]
     within = sum(sigma <= 1.0 + NONEXPANSIVE_SLACK for sigma in sigmas)
     return NonexpansiveAudit(rows=rows, fraction_within=within / len(rows))
-
-
-def nonexpansive_csv_lines(audit: NonexpansiveAudit) -> list:
-    lines = ["#schema=nonexpansive-v1", "layer,tag,sigma_max"]
-    for layer, tag, sigma in audit.rows:
-        lines.append(f"{layer},{tag},{sigma:.17g}")
-    return lines
 
 
 def shannon_entropy(p: np.ndarray) -> float:
@@ -259,18 +228,6 @@ def routing_load(stack: AdapterStack, frozen_layers: list, x) -> RoutingLoadRepo
     return RoutingLoadReport(
         mean_gates=mean_gates, entropy=entropy, max_share=max_share, load_cv=load_cv
     )
-
-
-def routing_load_csv_lines(report: RoutingLoadReport) -> list:
-    lines = ["#schema=routing-load-v1", "layer,expert,mean_gate,entropy,max_share"]
-    layers, experts = report.mean_gates.shape
-    for layer in range(layers):
-        for expert in range(experts):
-            lines.append(
-                f"{layer},{expert},{report.mean_gates[layer, expert]:.17g},"
-                f"{report.entropy[layer]:.17g},{report.max_share[layer]:.17g}"
-            )
-    return lines
 
 
 @dataclass(frozen=True)
@@ -370,15 +327,6 @@ def communication_heatmap(stack: AdapterStack) -> list:
         normalized = adapter.c / peak if peak > 0 else adapter.c.copy()
         out.append((slot.layer, slot.tag, normalized))
     return out
-
-
-def heatmap_csv_lines(heatmap: list) -> list:
-    lines = ["#schema=heatmap-v1", "layer,tag,row,col,value"]
-    for layer, tag, c in heatmap:
-        for i in range(c.shape[0]):
-            for j in range(c.shape[1]):
-                lines.append(f"{layer},{tag},{i},{j},{c[i, j]:.17g}")
-    return lines
 
 
 # Protocol of the routing-balance comparison: a 4-cluster regression task

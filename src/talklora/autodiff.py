@@ -435,12 +435,15 @@ def gradcheck(
     )
 
 
+# AdamW's moment decay rates and denominator floor, the same for every run
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamWHyper:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
 
@@ -466,13 +469,13 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
             f"gradient shape {grad.shape} does not match the buffer's {stack.flat.shape}"
         )
     state.step += 1
-    bc1 = 1.0 - hyper.beta1**state.step
-    bc2 = 1.0 - hyper.beta2**state.step
-    state.m *= hyper.beta1
-    state.m += (1.0 - hyper.beta1) * grad
-    state.v *= hyper.beta2
-    state.v += (1.0 - hyper.beta2) * (grad * grad)
-    stack.flat -= hyper.lr * ((state.m / bc1) / (np.sqrt(state.v / bc2) + hyper.eps))
+    bc1 = 1.0 - ADAMW_BETA1**state.step
+    bc2 = 1.0 - ADAMW_BETA2**state.step
+    state.m *= ADAMW_BETA1
+    state.m += (1.0 - ADAMW_BETA1) * grad
+    state.v *= ADAMW_BETA2
+    state.v += (1.0 - ADAMW_BETA2) * (grad * grad)
+    stack.flat -= hyper.lr * ((state.m / bc1) / (np.sqrt(state.v / bc2) + ADAMW_EPS))
     if hyper.weight_decay != 0.0:
         stack.flat -= hyper.lr * hyper.weight_decay * stack.flat
 

@@ -16,7 +16,9 @@ fields, JSON kinds and defaults are in ``_CONFIG_FIELDS`` and ``_SECTIONS``,
 the adapter's in ``adapters.ADAPTER_FIELDS``, which the checkpoint header
 shares).  ``--seed`` is the only flag override and is echoed into all
 outputs.  Exit codes are a stable contract: 0 success, 2 config/input
-error, 3 numerical failure, 4 artifact corruption.
+error, 3 numerical failure, 4 artifact corruption.  Every artifact and
+printed summary goes through one CSV writer (``_write_csv``) or one JSON
+emitter (``_emit_json``), which refuse NaN and infinity.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +43,7 @@ from .adapters import (
     LowRankError,
     build_frozen_stack,
     build_stack_from_slots,
+    check_low_rank,
     frozen_stack_slots,
 )
 from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
@@ -59,10 +62,7 @@ from .tasks import (
     DivergenceError,
     TrainConfig,
     generate_cluster_task,
-    loss_csv_lines,
-    routing_csv_lines,
     train,
-    trainlog_to_dict,
 )
 
 EXIT_OK = 0
@@ -80,8 +80,9 @@ class ConfigError(ValueError):
     """Invalid or missing configuration field; names the offending key."""
 
 
-class GradcheckError(ArithmeticError):
-    """A gradcheck combination whose loss or relative error is not finite."""
+class NonFiniteResultError(ArithmeticError):
+    """A result that is not finite: a gradcheck combination's loss or relative
+    error, or a value bound for an artifact or a summary."""
 
 
 _RUN_SEED = object()  # a seed field that defaults to the run's seed
@@ -212,12 +213,62 @@ def _resolve_geometry(name_or_path: str):
     return load_geometry(path)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
-                    encoding="utf-8")
+def _non_finite_field(doc, path: str = ""):
+    """``<path> is <value>`` for the first NaN or infinity in ``doc``, in
+    emitted order, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else f"{path} is {doc}"
+    if isinstance(doc, dict):
+        children = ((f"{path}.{key}" if path else key, doc[key]) for key in sorted(doc))
+    elif isinstance(doc, (list, tuple, np.ndarray)):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(doc))
+    else:
+        return None
+    for name, value in children:
+        found = _non_finite_field(value, name)
+        if found:
+            return found
+    return None
 
 
-def _write_csv(path: Path, lines: list) -> None:
+def _emit_json(doc: dict, path: Optional[Path] = None) -> None:
+    """Write ``doc`` to ``path``, or print it when no path is given.
+
+    The one JSON form of every artifact and summary: sorted keys, so field
+    order cannot move a byte, two-space indent and arrays as lists.  A
+    value that is NaN or infinite raises NonFiniteResultError naming the
+    artifact and the field, before anything is written.
+    """
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                          default=np.ndarray.tolist)
+    except ValueError:
+        where = path.name if path else "stdout"
+        raise NonFiniteResultError(f"{where}: {_non_finite_field(doc)}") from None
+    if path is None:
+        print(text)
+    else:
+        path.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
+    """Write a ``#schema=<schema>`` line, the ``columns`` header and one line per row.
+
+    The one CSV form of every artifact: a float as %.17g, so the bytes
+    are stable, anything else as str.  A float that is NaN or infinite
+    raises NonFiniteResultError naming the artifact, the row (counted
+    from 1 below the header) and the column, before the file is opened.
+    """
+    lines = [f"#schema={schema}", ",".join(columns)]
+    for i, row in enumerate(rows, 1):
+        cells = []
+        for column, value in zip(columns, row):
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise NonFiniteResultError(f"{path.name}: row {i} {column} is {value}")
+                value = f"{value:.17g}"
+            cells.append(str(value))
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -228,15 +279,13 @@ def cmd_params(config: RunConfig) -> int:
         raise ConfigError("missing required field config.targets")
     geom = _resolve_geometry(config.geometry)
     budget = analysis.count_params(geom, config.method, config.adapter, config.targets)
-    doc = analysis.budget_to_dict(budget)
-    doc["method"] = config.method
-    doc["geometry"] = geom.name
-    doc["targets"] = sorted(config.targets)
-    doc["config"] = config.effective_dict()
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
+           "geometry": geom.name, "targets": sorted(config.targets),
+           "config": config.effective_dict()}
+    _emit_json(doc)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "param_budget.json", doc)
+    _emit_json(doc, out / "param_budget.json")
     return EXIT_OK
 
 
@@ -274,9 +323,13 @@ def cmd_train(config: RunConfig) -> int:
     ckpt_path = out / "checkpoint.tlkl"
     save_checkpoint(ckpt_path, stack, config.effective_dict())
     log.checkpoint = str(ckpt_path)
-    _write_csv(out / "loss.csv", loss_csv_lines(log))
-    _write_csv(out / "routing.csv", routing_csv_lines(log))
-    _write_json(out / "trainlog.json", trainlog_to_dict(log))
+    _write_csv(out / "loss.csv", "loss-v1", ("step", "lr", "loss"),
+               ((s.step, s.lr, s.loss) for s in log.steps))
+    _write_csv(out / "routing.csv", "routing-v1", ("step", "layer", "expert", "mean_gate"),
+               ((snap.step, layer, expert, gate) for snap in log.snapshots
+                if snap.mean_gates is not None
+                for (layer, expert), gate in np.ndenumerate(snap.mean_gates)))
+    _emit_json({"schema": "trainlog-v1", **asdict(log)}, out / "trainlog.json")
     summary = {
         "steps": log.steps[-1].step,
         "final_loss": log.steps[-1].loss,
@@ -284,10 +337,13 @@ def cmd_train(config: RunConfig) -> int:
         "checkpoint": str(ckpt_path),
         "outputs": ["loss.csv", "routing.csv", "trainlog.json", "checkpoint.tlkl"],
     }
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _emit_json(summary)
     return EXIT_OK
 
 
+# an overflow or NaN on the way is not reported as a numpy warning: the
+# writers refuse every non-finite value that reaches a report
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 trials: int = 1000) -> int:
     stack, echoed = load_checkpoint(checkpoint)
@@ -318,27 +374,31 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 rng=RngState(config.seed).split(f"stability.L{i:02d}"),
                 talking_enabled=stack.cfg.talking_enabled,
             )
-            doc = analysis.certificate_to_dict(cert)
-            doc["layer"] = stack.slots[i].layer
-            doc["tag"] = stack.slots[i].tag
-            certs.append(doc)
-        _write_json(out / "stability.json", {"certificates": certs})
+            certs.append({"schema": "stability-certificate-v1", **asdict(cert),
+                          "layer": stack.slots[i].layer, "tag": stack.slots[i].tag})
+        _emit_json({"certificates": certs}, out / "stability.json")
         summary["all_verdicts_pass"] = all(c["verdict"] for c in certs)
         summary["max_observed_ratio"] = max(c["max_observed_ratio"] for c in certs)
     elif report == "nonexpansive":
         audit = analysis.nonexpansive_audit(stack)
-        _write_csv(out / "nonexpansive.csv", analysis.nonexpansive_csv_lines(audit))
+        _write_csv(out / "nonexpansive.csv", "nonexpansive-v1", ("layer", "tag", "sigma_max"),
+                   audit.rows)
         summary["fraction_within"] = audit.fraction_within
         summary["max_sigma"] = max(sigma for _, _, sigma in audit.rows)
     elif report == "routing":
         data, frozen = _task_and_host(config)
         rep = analysis.routing_load(stack, frozen, data.x_eval)
-        _write_csv(out / "routing_load.csv", analysis.routing_load_csv_lines(rep))
+        _write_csv(out / "routing_load.csv", "routing-load-v1",
+                   ("layer", "expert", "mean_gate", "entropy", "max_share"),
+                   ((layer, expert, gate, rep.entropy[layer], rep.max_share[layer])
+                    for (layer, expert), gate in np.ndenumerate(rep.mean_gates)))
         summary["mean_entropy"] = rep.mean_entropy
         summary["load_cv"] = rep.load_cv
     elif report == "heatmap":
         heat = analysis.communication_heatmap(stack)
-        _write_csv(out / "heatmap.csv", analysis.heatmap_csv_lines(heat))
+        _write_csv(out / "heatmap.csv", "heatmap-v1", ("layer", "tag", "row", "col", "value"),
+                   ((layer, tag, i, j, value)
+                    for layer, tag, c in heat for (i, j), value in np.ndenumerate(c)))
         summary["layers"] = len(heat)
     else:  # degeneracy
         reports = []
@@ -347,24 +407,19 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 adapter, trials=100,
                 rng=RngState(config.seed).split(f"degeneracy.L{i:02d}"),
             )
-            reports.append(
-                {
-                    "layer": stack.slots[i].layer,
-                    "tag": stack.slots[i].tag,
-                    "identity_max_diff": rep.identity_max_diff,
-                    "isolation_max_diff": rep.isolation_max_diff,
-                    "cross_influence_min": rep.cross_influence_min,
-                    "passed": rep.passed,
-                }
-            )
-        _write_json(out / "degeneracy.json", {"layers": reports})
+            doc = {**asdict(rep), "passed": rep.passed,
+                   "layer": stack.slots[i].layer, "tag": stack.slots[i].tag}
+            del doc["trials"]
+            reports.append(doc)
+        _emit_json({"layers": reports}, out / "degeneracy.json")
         summary["all_passed"] = all(r["passed"] for r in reports)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _emit_json(summary)
     return EXIT_OK
 
 
-def _gradcheck_dims(config: RunConfig) -> tuple:
-    """The task's (input_dim, output_dim), checked against the gradcheck cap."""
+def _gradcheck_host(config: RunConfig) -> list:
+    """The frozen host of every gradcheck combination, once the task's dims
+    have passed the gradcheck cap and each of its slots the adapter's rank."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
     d, k = config.task.input_dim, config.task.output_dim
@@ -373,7 +428,10 @@ def _gradcheck_dims(config: RunConfig) -> tuple:
             f"gradcheck dims capped at {GRADCHECK_DIM_CAP} "
             f"(got input_dim={d}, output_dim={k})"
         )
-    return d, k
+    frozen = build_frozen_stack(d, k, config.model_depth, RngState(config.seed))
+    for slot in frozen_stack_slots(frozen):
+        check_low_rank(config.adapter, slot.d_in, slot.d_out, f"slot {slot.name}")
+    return frozen
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -382,10 +440,11 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
 
     Uses the config's task dims, rank/expert counts and model depth on a
     small random batch; returns per-combination max relative errors.  A
-    non-finite loss or relative error raises GradcheckError, naming the
-    combination (and the handle).
+    non-finite loss or relative error raises NonFiniteResultError, naming
+    the combination (and the handle).
     """
-    d, k = _gradcheck_dims(config)
+    frozen = _gradcheck_host(config)
+    d, k = frozen[0].d_in, frozen[-1].d_out
     rng = RngState(config.seed)
     gen = rng.split("gradcheck.data").generator()
     x = gen.normal(size=(4, d))
@@ -396,7 +455,6 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     for method in METHODS:
         for share_b in (False, True):
             for talking in (False, True):
-                frozen = build_frozen_stack(d, k, config.model_depth, rng)
                 cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
                               spectral_clip_c=None)
                 stack = build_stack_from_slots(
@@ -417,10 +475,11 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
                 try:
                     report = gradcheck(stack, frozen, (x, targets), config.loss)
                 except NonFiniteLossError as exc:
-                    raise GradcheckError(f"{combo}: {exc}") from exc
+                    raise NonFiniteResultError(f"{combo}: {exc}") from exc
                 if not math.isfinite(report.max_relative_error):
-                    raise GradcheckError(f"{combo}: relative error {report.max_relative_error} "
-                                         f"at {report.worst_handle}")
+                    raise NonFiniteResultError(
+                        f"{combo}: relative error {report.max_relative_error} "
+                        f"at {report.worst_handle}")
                 combos.append(
                     {
                         "method": method,
@@ -440,16 +499,13 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
 
 
 def cmd_gradcheck(config: RunConfig) -> int:
-    _gradcheck_dims(config)
+    _gradcheck_host(config)
     # an unusable output_dir fails here, before the suite runs
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_gradcheck_suite(config)
-    _write_json(out / "gradcheck.json", result)
-    print(json.dumps(
-        {k: result[k] for k in ("tolerance", "max_relative_error", "passed")},
-        sort_keys=True, indent=2,
-    ))
+    _emit_json(result, out / "gradcheck.json")
+    _emit_json({k: result[k] for k in ("tolerance", "max_relative_error", "passed")})
     return EXIT_OK if result["passed"] else EXIT_NUMERIC
 
 
@@ -466,12 +522,12 @@ def cmd_ckpt(action: str, checkpoint: str) -> int:
                 1 for t in header["tensors"] if t["handle"].startswith("shared.")
             ),
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _emit_json(doc)
         return EXIT_OK
     # roundtrip: load (checksum-validating), re-encode in memory, compare bytes
     stack, echoed = load_checkpoint(checkpoint)
     identical = b"".join(encode_checkpoint(stack, echoed)) == Path(checkpoint).read_bytes()
-    print(json.dumps({"roundtrip_bit_identical": identical}, indent=2))
+    _emit_json({"roundtrip_bit_identical": identical})
     return EXIT_OK if identical else EXIT_CORRUPT
 
 
@@ -531,7 +587,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
         print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonFiniteLossError, GradcheckError) as exc:
+    except (DivergenceError, NonFiniteLossError, NonFiniteResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CorruptCheckpointError, VersionMismatchError) as exc:

@@ -268,47 +268,3 @@ def evaluate(
     """Mean loss over the eval split; pure, no dropout, no mutation."""
     return _eval_forward(stack, frozen_layers, data, loss)[0]
 
-
-def trainlog_to_dict(log: TrainLog) -> dict:
-    """JSON-ready view of a training log."""
-    return {
-        "schema": "trainlog-v1",
-        "steps": [
-            {"step": s.step, "lr": s.lr, "loss": s.loss} for s in log.steps
-        ],
-        "snapshots": [
-            {
-                "step": snap.step,
-                "eval_loss": snap.eval_loss,
-                "mean_gates": None
-                if snap.mean_gates is None
-                else snap.mean_gates.tolist(),
-            }
-            for snap in log.snapshots
-        ],
-        "checkpoint": log.checkpoint,
-    }
-
-
-def loss_csv_lines(log: TrainLog) -> list:
-    """Per-step loss trace; full float precision for byte-stable output."""
-    lines = ["#schema=loss-v1", "step,lr,loss"]
-    for s in log.steps:
-        lines.append(f"{s.step},{s.lr:.17g},{s.loss:.17g}")
-    return lines
-
-
-def routing_csv_lines(log: TrainLog) -> list:
-    """Routing snapshots as (step, layer, expert, mean_gate) rows."""
-    lines = ["#schema=routing-v1", "step,layer,expert,mean_gate"]
-    for snap in log.snapshots:
-        if snap.mean_gates is None:
-            continue
-        layers, experts = snap.mean_gates.shape
-        for layer in range(layers):
-            for expert in range(experts):
-                lines.append(
-                    f"{snap.step},{layer},{expert},"
-                    f"{snap.mean_gates[layer, expert]:.17g}"
-                )
-    return lines

@@ -1,8 +1,13 @@
 """Shared builders for small adapted models used across the test suite."""
 
+import contextlib
+import hashlib
+import io
 import json
+import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +19,8 @@ from talklora.adapters import (
     frozen_stack_slots,
 )
 from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK
+from talklora.checkpoint import load_checkpoint, save_checkpoint
+from talklora.cli import main
 from talklora.linalg import RngState
 
 
@@ -106,3 +113,92 @@ def set_first_value(path, handle, value):
         start += size
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + payload)
+
+
+ARTIFACT_FIXTURES = (
+    "lora-v1.tlkl", "moelora-v1.tlkl", "talklora-v1.tlkl", "talklora-train-v1.tlkl",
+)
+
+
+def _artifact_session(fixtures):
+    """(label, argv, output dir or None) of each command of the artifact session."""
+    commands = []
+    for name in ARTIFACT_FIXTURES:
+        shutil.copy(fixtures / name, name)
+        for action in ("inspect", "roundtrip"):
+            commands.append((f"ckpt {action} {name}", ["ckpt", action, "--checkpoint", name], None))
+        if name.startswith("talklora"):
+            for report in ("nonexpansive", "heatmap"):
+                out = f"analyze-{name}-{report}"
+                commands.append((f"analyze {name} {report}", ["analyze", "--checkpoint", name,
+                                 "--report", report, "--out", out], out))
+    for method in ("lora", "moelora", "talklora"):
+        for geometry in ("llama2-7b", "llama3-8b", "qwen2.5-7b"):
+            out = f"params-{method}-{geometry}"
+            Path(f"{out}.json").write_text(json.dumps({
+                "method": method, "geometry": geometry, "output_dir": out,
+                "targets": ["Q", "K", "V", "Up", "Down"],
+                "adapter": {"total_rank": 16, "experts": 4}}))
+            commands.append((f"params {method} {geometry}", ["params", "--config", f"{out}.json"],
+                             out))
+    # its router overflows, but the degeneracy probes read only A and C
+    overflow_router_checkpoint("overflow-router.tlkl")
+    commands.append(("analyze overflow-router.tlkl degeneracy", [
+        "analyze", "--checkpoint", "overflow-router.tlkl", "--report", "degeneracy",
+        "--out", "analyze-overflow-router"], "analyze-overflow-router"))
+    reports = {"lora": (), "moelora": ("routing",),
+               "talklora": ("stability", "nonexpansive", "routing", "heatmap", "degeneracy")}
+    for method, method_reports in reports.items():
+        out = f"train-{method}"
+        clip = 1.0 if method == "talklora" else None
+        Path(f"{out}.json").write_text(json.dumps({
+            "method": method, "seed": 3, "output_dir": out, "model_depth": 2,
+            "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "spectral_clip_c": clip},
+            "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
+            "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "warmup_steps": 2,
+                      "eval_every": 4}}))
+        commands.append((f"train {method}", ["train", "--config", f"{out}.json"], out))
+        for report in method_reports:
+            commands.append((f"analyze {out} {report}", ["analyze", "--checkpoint",
+                             f"{out}/checkpoint.tlkl", "--report", report,
+                             "--out", f"{out}-{report}"], f"{out}-{report}"))
+    return commands
+
+
+def artifact_digests(fixtures):
+    """SHA-256 of every output of one CLI session, run in the working directory.
+
+    The session copies the v1 checkpoints from ``fixtures`` and runs
+    ``ckpt inspect`` and ``ckpt roundtrip`` on each, and the nonexpansive
+    and heatmap reports on the TalkLoRA ones; the degeneracy report on
+    :func:`overflow_router_checkpoint`; ``params`` for three methods
+    on the three bundled geometries; and one small ``train`` per family,
+    with every report that its checkpoint supports.  Keys are
+    ``<command>: stdout`` and ``<command>: <file>`` for each file the
+    command writes.  Every path is relative to the working directory, so
+    no digest depends on where the session runs.
+    """
+    digests = {}
+    for label, argv, out in _artifact_session(Path(fixtures)):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code != 0:
+            raise AssertionError(f"{label} exited {code}")
+        digests[f"{label}: stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        for path in sorted(Path(out).iterdir()) if out else ():
+            digests[f"{label}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def overflow_router_checkpoint(path):
+    """``talklora-v1.tlkl`` with every router weight set to +-1.5e308 (random
+    signs), saved at ``path`` with a CLI run config: its gates overflow."""
+    stack, _ = load_checkpoint(Path(__file__).parent / "fixtures" / "talklora-v1.tlkl")
+    gen = RngState(0).generator()
+    for adapter in stack.adapters:
+        adapter.router_wg[:] = 1.5e308 * gen.choice([-1.0, 1.0], size=adapter.router_wg.shape)
+    save_checkpoint(path, stack, {
+        "method": "talklora", "model_depth": 2,
+        "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
+    })

@@ -14,15 +14,11 @@ from talklora.adapters import (
 )
 from talklora.analysis import (
     STABILITY_BLOCK,
-    certificate_to_dict,
     communication_heatmap,
     count_params,
     degeneracy_check,
-    heatmap_csv_lines,
     nonexpansive_audit,
-    nonexpansive_csv_lines,
     routing_load,
-    routing_load_csv_lines,
     shannon_entropy,
     stability_certificate,
 )
@@ -230,11 +226,6 @@ class TestStabilityCertificate:
         assert cert.bound_any_c == 0.5 * cert.bound
         assert 0.0 < cert.max_observed_ratio <= cert.bound_any_c * (1 + 1e-9)
 
-    def test_bound_any_c_is_emitted(self):
-        tl, _ = _layer(seed=9)
-        cert = stability_certificate(tl, trials=4, delta_scale=0.1, rng=RngState(9))
-        assert certificate_to_dict(cert)["bound_any_c"] == cert.bound_any_c
-
     def test_alpha_is_norm_of_stacked_projection(self):
         tl, _ = _layer(seed=5)
         cert = stability_certificate(tl, trials=1, delta_scale=0.1, rng=RngState(5))
@@ -293,13 +284,6 @@ class TestNonexpansiveAudit:
         with pytest.raises(ValueError):
             nonexpansive_audit(stack)
 
-    def test_csv_lines(self):
-        audit = nonexpansive_audit(self._stack(seed=3))
-        lines = nonexpansive_csv_lines(audit)
-        assert lines[0] == "#schema=nonexpansive-v1"
-        assert lines[1] == "layer,tag,sigma_max"
-        assert len(lines) == 2 + 3
-
 
 class TestRoutingLoad:
     def test_zero_router_is_uniform(self):
@@ -336,13 +320,6 @@ class TestRoutingLoad:
         frozen, stack, x, _ = make_setup("lora", seed=33)
         with pytest.raises(ValueError):
             routing_load(stack, frozen, x)
-
-    def test_csv_lines(self):
-        frozen, stack, x, _ = make_setup("talklora", n=2, seed=34)
-        report = routing_load(stack, frozen, x)
-        lines = routing_load_csv_lines(report)
-        assert lines[0] == "#schema=routing-load-v1"
-        assert len(lines) == 2 + report.mean_gates.size
 
     def test_entropy_helper(self):
         assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
@@ -469,8 +446,3 @@ class TestCommunicationHeatmap:
         twice = communication_heatmap(stack)
         for (_, _, c1), (_, _, c2) in zip(once, twice):
             assert np.array_equal(c1, c2)
-
-    def test_csv_lines(self):
-        lines = heatmap_csv_lines(communication_heatmap(self._stack()))
-        assert lines[0] == "#schema=heatmap-v1"
-        assert len(lines) == 2 + 3 * 4

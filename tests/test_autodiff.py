@@ -12,6 +12,9 @@ from talklora.adapters import (
     build_stack_from_slots,
 )
 from talklora.autodiff import (
+    ADAMW_BETA1,
+    ADAMW_BETA2,
+    ADAMW_EPS,
     AdamWHyper,
     AdamWState,
     LossSpec,
@@ -529,14 +532,14 @@ class TestAdamW:
             _, grads = backward(stack, frozen, (x, t), MSE)
             adamw_step(stack, grads, state, hyper)
             loop_grads = loop_stack.views(backward(loop_stack, frozen, (x, t), MSE)[1])
-            bc1, bc2 = 1.0 - hyper.beta1**step, 1.0 - hyper.beta2**step
+            bc1, bc2 = 1.0 - ADAMW_BETA1**step, 1.0 - ADAMW_BETA2**step
             for handle, arr in loop_stack.named_parameters():
                 g = loop_grads[handle]
-                m[handle] *= hyper.beta1
-                m[handle] += (1.0 - hyper.beta1) * g
-                v[handle] *= hyper.beta2
-                v[handle] += (1.0 - hyper.beta2) * (g * g)
-                arr -= hyper.lr * ((m[handle] / bc1) / (np.sqrt(v[handle] / bc2) + hyper.eps))
+                m[handle] *= ADAMW_BETA1
+                m[handle] += (1.0 - ADAMW_BETA1) * g
+                v[handle] *= ADAMW_BETA2
+                v[handle] += (1.0 - ADAMW_BETA2) * (g * g)
+                arr -= hyper.lr * ((m[handle] / bc1) / (np.sqrt(v[handle] / bc2) + ADAMW_EPS))
                 arr -= hyper.lr * hyper.weight_decay * arr
             assert np.array_equal(stack.flat, loop_stack.flat), step
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import struct
@@ -7,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import make_setup, set_first_value
+from _setup import artifact_digests, make_setup, overflow_router_checkpoint, set_first_value
 from talklora import analysis, cli
 from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
 from talklora.cli import main, parse_run_config
+from talklora.linalg import RngState
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# written by the code that still formatted each artifact in its own function
+ARTIFACT_DIGESTS = json.loads((FIXTURES / "artifacts-sha256.json").read_text())
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -309,6 +313,20 @@ class TestTrain:
         assert out == ""
         assert err == ("config error: config.adapter.total_rank 16 exceeds min(d_in, d_out) = 4 "
                        "at slot L00.4x4 with d_in 4, d_out 4 (low-rank regime)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_files_carry_schema_headers(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        out = tmp_path / "out"
+        loss_lines = (out / "loss.csv").read_text().splitlines()
+        routing_lines = (out / "routing.csv").read_text().splitlines()
+        log = json.loads((out / "trainlog.json").read_text())
+        assert loss_lines[0] == "#schema=loss-v1"
+        assert routing_lines[0] == "#schema=routing-v1"
+        assert len(loss_lines) == 2 + len(log["steps"])
+        gates_rows = sum(np.size(s["mean_gates"]) for s in log["snapshots"])
+        assert len(routing_lines) == 2 + gates_rows
 
     def test_cross_entropy_exits_2_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss="softmax-cross-entropy")
@@ -348,6 +366,33 @@ class TestAnalyze:
         assert code == 0
         assert (out / artifact).is_file()
         json.loads(stdout)
+
+    @pytest.mark.parametrize("report,artifact,schema,header,rows", [
+        ("nonexpansive", "nonexpansive.csv", "nonexpansive-v1", "layer,tag,sigma_max", 2),
+        ("routing", "routing_load.csv", "routing-load-v1",
+         "layer,expert,mean_gate,entropy,max_share", 2 * 2),
+        ("heatmap", "heatmap.csv", "heatmap-v1", "layer,tag,row,col,value", 2 * 2 * 2),
+    ])
+    def test_csv_schema_header_and_rows(self, checkpoint, capsys, tmp_path,
+                                        report, artifact, schema, header, rows):
+        # 2 layers of 2 experts
+        out = tmp_path / "reports"
+        assert run(capsys, "analyze", "--checkpoint", str(checkpoint),
+                   "--report", report, "--out", str(out))[0] == 0
+        lines = (out / artifact).read_text().splitlines()
+        assert lines[0] == f"#schema={schema}"
+        assert lines[1] == header
+        assert len(lines) == 2 + rows
+
+    def test_stability_json_emits_bound_any_c(self, checkpoint, capsys, tmp_path):
+        out = tmp_path / "reports"
+        assert run(capsys, "analyze", "--checkpoint", str(checkpoint), "--report", "stability",
+                   "--out", str(out), "--trials", "4")[0] == 0
+        doc = json.loads((out / "stability.json").read_text())["certificates"][0]
+        stack, _ = load_checkpoint(checkpoint)
+        cert = analysis.stability_certificate(stack.adapters[0], trials=4, delta_scale=0.1,
+                                              rng=RngState(0))
+        assert doc["bound_any_c"] == cert.bound_any_c
 
     def test_stability_on_clipped_checkpoint_passes(self, checkpoint, capsys, tmp_path):
         code, stdout, _ = run(
@@ -405,12 +450,7 @@ class TestAnalyzeLibraryCheckpoints:
     """Checkpoints saved through the library echo no CLI run config."""
 
     CHECKPOINTS = ["talklora-v1.tlkl", "talklora-train-v1.tlkl"]
-    STACK_REPORTS = {  # report -> (artifact, its CSV lines from the loaded stack)
-        "nonexpansive": ("nonexpansive.csv", lambda stack: analysis.nonexpansive_csv_lines(
-            analysis.nonexpansive_audit(stack))),
-        "heatmap": ("heatmap.csv", lambda stack: analysis.heatmap_csv_lines(
-            analysis.communication_heatmap(stack))),
-    }
+    STACK_REPORTS = {"nonexpansive": "nonexpansive.csv", "heatmap": "heatmap.csv"}
 
     @pytest.mark.parametrize("fixture", CHECKPOINTS)
     @pytest.mark.parametrize("report", list(STACK_REPORTS))
@@ -420,9 +460,9 @@ class TestAnalyzeLibraryCheckpoints:
                               "--report", report, "--out", str(out))
         assert code == 0
         assert json.loads(stdout)["report"] == report
-        artifact, lines = self.STACK_REPORTS[report]
-        stack, _ = load_checkpoint(FIXTURES / fixture)
-        assert (out / artifact).read_text() == "\n".join(lines(stack)) + "\n"
+        artifact = self.STACK_REPORTS[report]
+        digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+        assert digest == ARTIFACT_DIGESTS[f"analyze {fixture} {report}: {artifact}"]
 
     @pytest.mark.parametrize("fixture", CHECKPOINTS)
     @pytest.mark.parametrize("report", ["stability", "degeneracy", "routing"])
@@ -677,6 +717,45 @@ class TestCkptCommand:
         assert out == ""
         assert err == f"artifact corruption: malformed header: {message}\n"
         assert "Error(" not in err
+
+
+class TestArtifacts:
+    def test_session_outputs_match_recorded_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert artifact_digests(FIXTURES) == ARTIFACT_DIGESTS
+
+    @pytest.mark.parametrize("report,code,message", [
+        ("stability", 3, "stability.json: certificates[0].beta is inf"),
+        ("routing", 3, "routing_load.csv: row 1 mean_gate is nan"),
+        ("nonexpansive", 0, None),
+        ("heatmap", 0, None),
+        ("degeneracy", 0, None),
+    ])
+    def test_no_report_carries_a_non_finite_value(self, tmp_path, capsys, report, code, message):
+        ckpt = tmp_path / "overflow.tlkl"
+        overflow_router_checkpoint(ckpt)
+        out = tmp_path / "reports"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(capsys, "analyze", "--checkpoint", str(ckpt), "--report", report,
+                      "--out", str(out))
+        assert got[0] == code
+        if message is not None:
+            assert got[1:] == ("", f"numerical failure: {message}\n")
+            assert list(out.iterdir()) == []
+            return
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        json.loads(got[1], parse_constant=reject)
+        for path in out.iterdir():
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=reject)
+            else:
+                cells = {cell for line in text.splitlines()[2:] for cell in line.split(",")}
+                assert not cells & {"nan", "inf", "-inf"}
 
 
 class TestNonFinitePayload:

@@ -21,8 +21,6 @@ from talklora.tasks import (
     TrainConfig,
     evaluate,
     generate_cluster_task,
-    loss_csv_lines,
-    routing_csv_lines,
     train,
 )
 
@@ -297,17 +295,3 @@ class TestEvaluate:
             acc += float(np.mean((z[i] - t[i]) ** 2))
         assert evaluate(stack, frozen, data, MSE) == pytest.approx(acc / 3, rel=1e-14)
 
-
-class TestLogSerialization:
-    def test_csv_lines_carry_schema_headers(self):
-        data, frozen, stack, tc = _noiseless_setup(epochs=2)
-        log = train(stack, frozen, data, tc, MSE)
-        loss_lines = loss_csv_lines(log)
-        routing_lines = routing_csv_lines(log)
-        assert loss_lines[0] == "#schema=loss-v1"
-        assert routing_lines[0] == "#schema=routing-v1"
-        assert len(loss_lines) == 2 + len(log.steps)
-        gates_rows = sum(
-            s.mean_gates.size for s in log.snapshots if s.mean_gates is not None
-        )
-        assert len(routing_lines) == 2 + gates_rows
