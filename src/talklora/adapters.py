@@ -291,7 +291,6 @@ class LayerCache:
 
     x: np.ndarray  # (B, d) clean layer input
     xa: np.ndarray  # (B, d) adapter-path input (after dropout, == x otherwise)
-    drop_scale: Optional[np.ndarray]  # (B, d) mask/(1-p), None without dropout
     h: np.ndarray  # (n, B, r_e) per-expert representations; (B, r) for LoRA
     router_in: Optional[np.ndarray]  # what router_wg multiplied: (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n)
@@ -308,36 +307,33 @@ def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
 
 
 def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: AdapterConfig,
-                       xa: Optional[np.ndarray] = None,
-                       drop_scale: Optional[np.ndarray] = None) -> LayerCache:
+                       xa: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ ad.a.T
     delta = cfg.scaling * (h @ ad.b.T)
     return LayerCache(
-        x=x, xa=xa, drop_scale=drop_scale,
+        x=x, xa=xa,
         h=h, router_in=None, gates=None, p=None, yexp=None,
         delta=delta, z=x @ w0.T + delta,
     )
 
 
 def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
-                          xa: Optional[np.ndarray] = None,
-                          drop_scale: Optional[np.ndarray] = None) -> LayerCache:
+                          xa: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ ml.a.transpose(0, 2, 1)  # (n, B, r_e)
     gates = softmax_rows(xa @ ml.router_wg.T)  # router reads the raw input
     yexp = h @ ml.b.transpose(0, 2, 1)  # (n, B, k)
     delta = cfg.scaling * _gate_mix(gates, yexp)
     return LayerCache(
-        x=x, xa=xa, drop_scale=drop_scale,
+        x=x, xa=xa,
         h=h, router_in=xa, gates=gates, p=None, yexp=yexp,
         delta=delta, z=x @ w0.T + delta,
     )
 
 
 def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
-                           xa: Optional[np.ndarray] = None,
-                           drop_scale: Optional[np.ndarray] = None) -> LayerCache:
+                           xa: Optional[np.ndarray] = None) -> LayerCache:
     xa = x if xa is None else xa
     h = xa @ tl.a.transpose(0, 2, 1)  # (n, B, r_e)
     router_in, gates = _route(tl, h, cfg.talking_enabled)
@@ -345,19 +341,19 @@ def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg
     yexp = p @ tl.b.transpose(0, 2, 1)  # (n, B, k)
     delta = cfg.scaling * _gate_mix(gates, yexp)
     return LayerCache(
-        x=x, xa=xa, drop_scale=drop_scale,
+        x=x, xa=xa,
         h=h, router_in=router_in, gates=gates, p=p, yexp=yexp,
         delta=delta, z=x @ w0.T + delta,
     )
 
 
-def batch_forward(w0, adapter, x, cfg, xa=None, drop_scale=None) -> LayerCache:
+def batch_forward(w0, adapter, x, cfg, xa=None) -> LayerCache:
     if isinstance(adapter, LoRAAdapter):
-        return lora_batch_forward(w0, adapter, x, cfg, xa, drop_scale)
+        return lora_batch_forward(w0, adapter, x, cfg, xa)
     if isinstance(adapter, MoELoRALayer):
-        return moelora_batch_forward(w0, adapter, x, cfg, xa, drop_scale)
+        return moelora_batch_forward(w0, adapter, x, cfg, xa)
     if isinstance(adapter, TalkLoRALayer):
-        return talklora_batch_forward(w0, adapter, x, cfg, xa, drop_scale)
+        return talklora_batch_forward(w0, adapter, x, cfg, xa)
     raise TypeError(f"unknown adapter type {type(adapter).__name__}")
 
 

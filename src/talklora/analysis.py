@@ -191,9 +191,9 @@ def nonexpansive_audit(stack: AdapterStack) -> NonexpansiveAudit:
 
 
 def shannon_entropy(p: np.ndarray) -> float:
-    """Natural-log entropy with the 0 log 0 = 0 convention."""
+    """Natural-log entropy with the 0 log 0 = 0 convention; NaN if ``p`` holds NaN."""
     p = np.asarray(p, dtype=np.float64)
-    nz = p[p > 0]
+    nz = p[p != 0]
     return float(-(nz * np.log(nz)).sum())
 
 

@@ -134,7 +134,7 @@ def model_forward(
     for i, fl in enumerate(frozen_layers):
         scale = dropout_scales[i] if dropout_scales is not None else None
         xa = h * scale if scale is not None else None
-        cache = batch_forward(fl.w0, stack.adapters[i], h, stack.cfg, xa=xa, drop_scale=scale)
+        cache = batch_forward(fl.w0, stack.adapters[i], h, stack.cfg, xa=xa)
         caches.append(cache)
         h = cache.z if i == last else np.tanh(cache.z)
     return h, caches
@@ -195,17 +195,18 @@ def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz, want_gx
     return gxa, grads
 
 
-def _layer_backward(adapter, cfg, cache, gz, want_gx):
+def _layer_backward(adapter, cfg, cache, gz, want_gx, drop_scale):
     """Parameter gradients of one layer and, if ``want_gx``, the adapter
-    path's gradient at the layer input (``None`` otherwise)."""
+    path's gradient at the layer input (``None`` otherwise), through the
+    layer's dropout factors ``drop_scale`` when it has them."""
     if isinstance(adapter, LoRAAdapter):
         gxa, grads = _lora_backward(adapter, cfg, cache, gz, want_gx)
     elif isinstance(adapter, MoELoRALayer):
         gxa, grads = _moelora_backward(adapter, cfg, cache, gz, want_gx)
     else:
         gxa, grads = _talklora_backward(adapter, cfg, cache, gz, want_gx)
-    if gxa is not None and cache.drop_scale is not None:
-        gxa = gxa * cache.drop_scale
+    if gxa is not None and drop_scale is not None:
+        gxa = gxa * drop_scale
     return gxa, grads
 
 
@@ -239,8 +240,9 @@ def backward(
         if i < len(frozen_layers) - 1:
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
             gx = gx * (1.0 - act * act)
+        scale = dropout_scales[i] if dropout_scales is not None else None
         gxa, layer_grads = _layer_backward(
-            stack.adapters[i], stack.cfg, caches[i], gx, want_gx=i > 0
+            stack.adapters[i], stack.cfg, caches[i], gx, want_gx=i > 0, drop_scale=scale
         )
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)

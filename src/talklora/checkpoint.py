@@ -132,6 +132,9 @@ def _read_header(fh) -> dict:
     if not isinstance(header, dict):
         raise _malformed(f"the header must be an object, got {type(header).__name__}")
     header = read_fields(header, _HEADER_FIELDS, "", _malformed)
+    if header["format_version"] != version:
+        raise _malformed(f"format_version {header['format_version']} does not match "
+                         f"the prefix's version {version}")
     header["adapter_config"] = read_fields(
         header["adapter_config"], ADAPTER_FIELDS, "adapter_config.", _malformed, required=True
     )

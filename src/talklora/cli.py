@@ -360,10 +360,10 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
             raise ConfigError("checkpoint config carries no task; cannot rebuild data")
     if report == "stability" and trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {trials}")
-    out = Path(out_dir) if out_dir else Path(checkpoint).parent
-    out.mkdir(parents=True, exist_ok=True)
+    # each report is computed before --out is made, so one that fails on the
+    # checkpoint's config leaves nothing behind: ``artifact`` is its file name
+    # and its JSON document or CSV (schema, columns, rows)
     summary: dict = {"report": report, "checkpoint": checkpoint}
-
     if report == "stability":
         certs = []
         for i, adapter in enumerate(stack.adapters):
@@ -376,30 +376,31 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
             )
             certs.append({"schema": "stability-certificate-v1", **asdict(cert),
                           "layer": stack.slots[i].layer, "tag": stack.slots[i].tag})
-        _emit_json({"certificates": certs}, out / "stability.json")
         summary["all_verdicts_pass"] = all(c["verdict"] for c in certs)
         summary["max_observed_ratio"] = max(c["max_observed_ratio"] for c in certs)
+        artifact = "stability.json", {"certificates": certs}
     elif report == "nonexpansive":
         audit = analysis.nonexpansive_audit(stack)
-        _write_csv(out / "nonexpansive.csv", "nonexpansive-v1", ("layer", "tag", "sigma_max"),
-                   audit.rows)
         summary["fraction_within"] = audit.fraction_within
         summary["max_sigma"] = max(sigma for _, _, sigma in audit.rows)
+        artifact = "nonexpansive.csv", ("nonexpansive-v1", ("layer", "tag", "sigma_max"),
+                                        audit.rows)
     elif report == "routing":
         data, frozen = _task_and_host(config)
         rep = analysis.routing_load(stack, frozen, data.x_eval)
-        _write_csv(out / "routing_load.csv", "routing-load-v1",
-                   ("layer", "expert", "mean_gate", "entropy", "max_share"),
-                   ((layer, expert, gate, rep.entropy[layer], rep.max_share[layer])
-                    for (layer, expert), gate in np.ndenumerate(rep.mean_gates)))
         summary["mean_entropy"] = rep.mean_entropy
         summary["load_cv"] = rep.load_cv
+        artifact = "routing_load.csv", (
+            "routing-load-v1", ("layer", "expert", "mean_gate", "entropy", "max_share"),
+            ((layer, expert, gate, rep.entropy[layer], rep.max_share[layer])
+             for (layer, expert), gate in np.ndenumerate(rep.mean_gates)))
     elif report == "heatmap":
         heat = analysis.communication_heatmap(stack)
-        _write_csv(out / "heatmap.csv", "heatmap-v1", ("layer", "tag", "row", "col", "value"),
-                   ((layer, tag, i, j, value)
-                    for layer, tag, c in heat for (i, j), value in np.ndenumerate(c)))
         summary["layers"] = len(heat)
+        artifact = "heatmap.csv", (
+            "heatmap-v1", ("layer", "tag", "row", "col", "value"),
+            ((layer, tag, i, j, value)
+             for layer, tag, c in heat for (i, j), value in np.ndenumerate(c)))
     else:  # degeneracy
         reports = []
         for i, adapter in enumerate(stack.adapters):
@@ -411,8 +412,15 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                    "layer": stack.slots[i].layer, "tag": stack.slots[i].tag}
             del doc["trials"]
             reports.append(doc)
-        _emit_json({"layers": reports}, out / "degeneracy.json")
         summary["all_passed"] = all(r["passed"] for r in reports)
+        artifact = "degeneracy.json", {"layers": reports}
+    out = Path(out_dir) if out_dir else Path(checkpoint).parent
+    out.mkdir(parents=True, exist_ok=True)
+    name, content = artifact
+    if name.endswith(".json"):
+        _emit_json(content, out / name)
+    else:
+        _write_csv(out / name, *content)
     _emit_json(summary)
     return EXIT_OK
 

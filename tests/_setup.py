@@ -19,7 +19,7 @@ from talklora.adapters import (
     frozen_stack_slots,
 )
 from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK
-from talklora.checkpoint import load_checkpoint, save_checkpoint
+from talklora.checkpoint import _PREFIX, load_checkpoint, save_checkpoint
 from talklora.cli import main
 from talklora.linalg import RngState
 
@@ -97,22 +97,32 @@ def near_degenerate_c(seed=0):
     return 1.5 * (q1 * np.array([1.0, 1.0 - 1e-3, 0.5, 0.1])) @ q2.T
 
 
-def set_first_value(path, handle, value):
-    """Set the first scalar of tensor ``handle`` in the checkpoint at ``path``
-    to ``value`` and record the CRC-32 of the edited payload."""
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len])
-    payload = bytearray(raw[12 + header_len :])
-    start = 0
+def forge_checkpoint(src, dst, edit=None, values=()):
+    """Write the checkpoint at ``src`` to ``dst`` with the first scalar of
+    each ``(handle, value)`` of ``values`` set, that record's CRC-32
+    recomputed, and then ``edit(header)`` applied to the JSON header.
+
+    The prefix keeps its magic and version, and the header is written as
+    the program writes it, with sorted keys; every other payload byte is
+    kept.  ``src`` and ``dst`` may name the same file.
+    """
+    raw = Path(src).read_bytes()
+    magic, version, header_len = _PREFIX.unpack_from(raw)
+    start = _PREFIX.size + header_len
+    header = json.loads(raw[_PREFIX.size : start])
+    payload = bytearray(raw[start:])
+    firsts = dict(values)
+    offset = 0
     for rec in header["tensors"]:
         size = 8 * rec["rows"] * rec["cols"]
-        if rec["handle"] == handle:
-            payload[start : start + 8] = struct.pack("<d", value)
-            rec["crc32"] = zlib.crc32(payload[start : start + size]) & 0xFFFFFFFF
-        start += size
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + payload)
+        if rec["handle"] in firsts:
+            payload[offset : offset + 8] = struct.pack("<d", firsts[rec["handle"]])
+            rec["crc32"] = zlib.crc32(payload[offset : offset + size]) & 0xFFFFFFFF
+        offset += size
+    if edit is not None:
+        edit(header)
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(dst).write_bytes(_PREFIX.pack(magic, version, len(body)) + body + payload)
 
 
 ARTIFACT_FIXTURES = (

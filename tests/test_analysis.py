@@ -324,6 +324,15 @@ class TestRoutingLoad:
     def test_entropy_helper(self):
         assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
         assert shannon_entropy(np.full(8, 1 / 8)) == pytest.approx(np.log(8), abs=1e-12)
+        assert np.isnan(shannon_entropy(np.full(4, np.nan)))
+        assert np.isnan(shannon_entropy(np.array([0.5, np.nan, 0.5, 0.0])))
+
+    def test_nan_router_gives_nan_entropy(self):
+        frozen, stack, x, _ = make_setup("moelora", n=4, r=8, seed=34)
+        stack.adapters[-1].router_wg[:] = np.nan  # the last layer, so layer 0 stays finite
+        report = routing_load(stack, frozen, x)
+        assert np.isfinite(report.entropy[0])
+        assert np.isnan(report.entropy[-1])
 
 
 class TestDegeneracyCheck:

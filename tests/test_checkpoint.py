@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import balance_setup, make_setup, set_first_value
+from _setup import balance_setup, forge_checkpoint, make_setup
 from talklora import linalg
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
 from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
 from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
 from talklora.checkpoint import (
+    _PREFIX,
     CorruptCheckpointError,
     FORMAT_VERSION,
     MAGIC,
@@ -37,20 +38,6 @@ def _trained_stack(method):
         _, grads = backward(stack, frozen, (x, t), LossSpec())
         stack_adamw_step(stack, grads, state, AdamWHyper(lr=1e-2))
     return stack
-
-
-def _split(path):
-    """(header dict, payload bytes) of a checkpoint file."""
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    return json.loads(raw[12 : 12 + header_len]), raw[12 + header_len :]
-
-
-def _write(path, header, payload, **dumps_kw):
-    header_bytes = json.dumps(header, **dumps_kw).encode("utf-8")
-    path.write_bytes(
-        MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
-    )
 
 
 def _assert_stacks_equal(a, b):
@@ -165,17 +152,13 @@ class TestCorruptionDetection:
 
     def test_header_missing_field(self, tmp_path):
         path = self._saved(tmp_path)
-        header, payload = _split(path)
-        del header["slots"]
-        _write(path, header, payload, sort_keys=True)
+        forge_checkpoint(path, path, lambda header: header.pop("slots"))
         with pytest.raises(CorruptCheckpointError, match="slots"):
             load_checkpoint(path)
 
     def test_tensor_record_missing_field(self, tmp_path):
         path = self._saved(tmp_path)
-        header, payload = _split(path)
-        del header["tensors"][0]["crc32"]
-        _write(path, header, payload, sort_keys=True)
+        forge_checkpoint(path, path, lambda header: header["tensors"][0].pop("crc32"))
         with pytest.raises(CorruptCheckpointError, match="crc32"):
             load_checkpoint(path)
 
@@ -215,9 +198,7 @@ class TestCorruptionDetection:
             raise AssertionError("the stack was built from a forged header")
 
         path = self._saved(tmp_path)
-        header, payload = _split(path)
-        edit(header)
-        _write(path, header, payload, sort_keys=True)
+        forge_checkpoint(path, path, edit)
         monkeypatch.setattr("talklora.checkpoint.AdapterStack", must_not_run)
         with pytest.raises(CorruptCheckpointError, match=match):
             load_checkpoint(path)
@@ -226,8 +207,12 @@ class TestCorruptionDetection:
         _, stack, _, _ = make_setup("talklora", depth=2, seed=9)
         path = tmp_path / "indented.tlkl"
         save_checkpoint(path, stack, RUN_CONFIG)
-        header, payload = _split(path)
-        _write(path, header, payload, indent=1)  # valid JSON, another layout
+        raw = path.read_bytes()
+        magic, version, header_len = _PREFIX.unpack_from(raw)
+        start = _PREFIX.size + header_len
+        # valid JSON, another layout
+        body = json.dumps(json.loads(raw[_PREFIX.size : start]), indent=1).encode("utf-8")
+        path.write_bytes(_PREFIX.pack(magic, version, len(body)) + body + raw[start:])
         _assert_stacks_equal(stack, load_checkpoint(path)[0])
 
 
@@ -311,13 +296,12 @@ class TestLoadIntoFlat:
     @pytest.mark.parametrize("which", ["first", "middle", "last"])
     def test_flipped_byte_names_its_record(self, tmp_path, which):
         source = FIXTURES / "talklora-v1.tlkl"
-        header, payload = _split(source)
-        records = header["tensors"]
+        records = read_header(source)["tensors"]
         index = {"first": 0, "middle": len(records) // 2, "last": len(records) - 1}[which]
-        start = 8 * sum(r["rows"] * r["cols"] for r in records[:index])
-        size = 8 * records[index]["rows"] * records[index]["cols"]
+        sizes = [8 * r["rows"] * r["cols"] for r in records]
         raw = bytearray(source.read_bytes())
-        raw[len(raw) - len(payload) + start + size // 2] ^= 0x01
+        # the payloads end the file, in record order
+        raw[len(raw) - sum(sizes[index:]) + sizes[index] // 2] ^= 0x01
         path = tmp_path / "flipped.tlkl"
         path.write_bytes(bytes(raw))
         handle = records[index]["handle"]
@@ -333,11 +317,11 @@ class TestLoadIntoFlat:
     )
     def test_payload_size_messages(self, tmp_path, cut, message):
         source = FIXTURES / "moelora-v1.tlkl"
-        _, payload = _split(source)
+        payload = 8 * sum(r["rows"] * r["cols"] for r in read_header(source)["tensors"])
         raw = source.read_bytes()
         path = tmp_path / "resized.tlkl"
         path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
-        expected = message.format(n=len(payload), m=len(payload) + cut)
+        expected = message.format(n=payload, m=payload + cut)
         with pytest.raises(CorruptCheckpointError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == expected
@@ -346,10 +330,9 @@ class TestLoadIntoFlat:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the stack was built from a forged header")
 
-        header, payload = _split(FIXTURES / "talklora-v1.tlkl")
-        header["slots"][0]["d_in"] = 10**11
         path = tmp_path / "forged.tlkl"
-        _write(path, header, payload, sort_keys=True)
+        forge_checkpoint(FIXTURES / "talklora-v1.tlkl", path,
+                         lambda header: header["slots"][0].update(d_in=10**11))
         monkeypatch.setattr("talklora.checkpoint.AdapterStack", must_not_run)
         with pytest.raises(CorruptCheckpointError, match="implies L00"):
             load_checkpoint(path)
@@ -365,16 +348,15 @@ class TestNonFinitePayload:
     @pytest.mark.parametrize("handle", HANDLES)
     def test_load_names_the_tensor(self, tmp_path, handle, value):
         path = tmp_path / "nonfinite.tlkl"
-        path.write_bytes((FIXTURES / "talklora-v1.tlkl").read_bytes())
-        set_first_value(path, handle, value)
+        forge_checkpoint(FIXTURES / "talklora-v1.tlkl", path, values=[(handle, value)])
         with pytest.raises(CorruptCheckpointError,
                            match=f"^tensor {re.escape(repr(handle))} holds a non-finite value$"):
             load_checkpoint(path)
 
     def test_checksum_is_checked_first(self, tmp_path):
         path = tmp_path / "nonfinite.tlkl"
-        path.write_bytes((FIXTURES / "talklora-v1.tlkl").read_bytes())
-        set_first_value(path, self.HANDLES[-1], float("nan"))
+        forge_checkpoint(FIXTURES / "talklora-v1.tlkl", path,
+                         values=[(self.HANDLES[-1], float("nan"))])
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01  # the last tensor's CRC no longer matches
         path.write_bytes(bytes(raw))

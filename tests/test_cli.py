@@ -1,14 +1,13 @@
 import hashlib
 import json
 import shutil
-import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _setup import artifact_digests, make_setup, overflow_router_checkpoint, set_first_value
+from _setup import artifact_digests, forge_checkpoint, make_setup, overflow_router_checkpoint
 from talklora import analysis, cli
 from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
 from talklora.cli import main, parse_run_config
@@ -40,19 +39,6 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def rewrite_header(path, edit):
-    """Apply ``edit`` to the JSON header of a checkpoint, keeping its payloads."""
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len])
-    edit(header)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(
-        raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
-        + raw[12 + header_len :]
-    )
 
 
 def run(capsys, *argv):
@@ -403,28 +389,34 @@ class TestAnalyze:
         assert json.loads(stdout)["all_verdicts_pass"] is True
 
     @pytest.mark.parametrize(
-        "method, report, trials, drop_task, message",
+        "method, experts, report, trials, edit, message",
         [
-            ("lora", "stability", "200", False, "needs a talklora checkpoint"),
-            ("moelora", "heatmap", "200", False, "needs a talklora checkpoint"),
-            ("lora", "routing", "200", False, "needs a moelora or talklora checkpoint"),
-            ("talklora", "routing", "200", True, "carries no task"),
-            ("talklora", "stability", "0", False, "--trials must be at least 1"),
+            ("lora", 1, "stability", "200", None, "needs a talklora checkpoint"),
+            ("moelora", 2, "heatmap", "200", None, "needs a talklora checkpoint"),
+            ("lora", 1, "routing", "200", None, "needs a moelora or talklora checkpoint"),
+            ("talklora", 2, "routing", "200", lambda header: header["run_config"].pop("task"),
+             "carries no task"),
+            ("talklora", 2, "stability", "0", None, "--trials must be at least 1"),
+            ("talklora", 1, "degeneracy", "200", None,
+             "degeneracy probes need at least 2 experts"),
+            ("talklora", 2, "routing", "200",
+             lambda header: header["run_config"].update(model_depth=3),
+             "frozen stack has 3 layers but adapter stack has 2"),
         ],
         ids=["stability_on_lora", "heatmap_on_moelora", "routing_on_lora",
-             "routing_without_task", "zero_trials"],
+             "routing_without_task", "zero_trials", "degeneracy_on_one_expert",
+             "routing_on_a_deeper_host"],
     )
     def test_config_error_leaves_no_out_dir(
-        self, tmp_path, capsys, method, report, trials, drop_task, message
+        self, tmp_path, capsys, method, experts, report, trials, edit, message
     ):
-        experts = 1 if method == "lora" else 2
         cfg = write_config(tmp_path, method=method, adapter={
             "total_rank": 4, "experts": experts, "lora_alpha": 8.0,
         })
         assert run(capsys, "train", "--config", str(cfg))[0] == 0
         checkpoint = tmp_path / "out" / "checkpoint.tlkl"
-        if drop_task:
-            rewrite_header(checkpoint, lambda header: header["run_config"].pop("task"))
+        if edit is not None:
+            forge_checkpoint(checkpoint, checkpoint, edit)
         out = tmp_path / "new"
         code, _, err = run(
             capsys, "analyze", "--checkpoint", str(checkpoint),
@@ -494,9 +486,8 @@ class TestAnalyzeLibraryCheckpoints:
         })
         assert run(capsys, "train", "--config", str(cfg))[0] == 0
         checkpoint = tmp_path / "out" / "checkpoint.tlkl"
-        rewrite_header(
-            checkpoint, lambda header: header["run_config"]["adapter"].update(talking_enabled=True)
-        )
+        forge_checkpoint(checkpoint, checkpoint, lambda header: (
+            header["run_config"]["adapter"].update(talking_enabled=True)))
         assert read_header(checkpoint)["adapter_config"]["talking_enabled"] is False
         out = tmp_path / "reports"
         code, _, _ = run(capsys, "analyze", "--checkpoint", str(checkpoint),
@@ -655,8 +646,8 @@ class TestCkptCommand:
     def test_forged_slot_dims_exit_4(self, tmp_path, capsys, argv):
         # the header asks for a 10^11-wide slot the payload cannot hold
         ckpt = tmp_path / "forged.tlkl"
-        shutil.copy(Path(__file__).parent / "fixtures" / "lora-v1.tlkl", ckpt)
-        rewrite_header(ckpt, lambda header: header["slots"][0].update(d_in=10**11))
+        forge_checkpoint(FIXTURES / "lora-v1.tlkl", ckpt,
+                         lambda header: header["slots"][0].update(d_in=10**11))
         code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
         assert code == 4
         assert out == ""
@@ -675,7 +666,7 @@ class TestCkptCommand:
         cfg = write_config(tmp_path)
         assert run(capsys, "train", "--config", str(cfg))[0] == 0
         ckpt = tmp_path / "out" / "checkpoint.tlkl"
-        rewrite_header(ckpt, edit)
+        forge_checkpoint(ckpt, ckpt, edit)
         code, _, err = run(capsys, "ckpt", action, "--checkpoint", str(ckpt))
         assert code == 4
         assert "malformed header" in err
@@ -700,6 +691,8 @@ class TestCkptCommand:
                      "slots must be a list of objects, got list"),
         "extra_key": (lambda h: h["adapter_config"].update(bogus=1),
                       "unknown field adapter_config.bogus"),
+        "version_7": (lambda h: h.update(format_version=7),
+                      "format_version 7 does not match the prefix's version 1"),
     }
 
     @pytest.mark.parametrize("argv", [("ckpt", "inspect"), ("ckpt", "roundtrip"),
@@ -709,8 +702,7 @@ class TestCkptCommand:
     def test_retyped_header_field_exits_4_naming_it(self, tmp_path, capsys, argv, case):
         edit, message = self.RETYPED[case]
         ckpt = tmp_path / "retyped.tlkl"
-        shutil.copy(FIXTURES / "talklora-v1.tlkl", ckpt)
-        rewrite_header(ckpt, edit)
+        forge_checkpoint(FIXTURES / "talklora-v1.tlkl", ckpt, edit)
         code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt), *(
             ("--out", str(tmp_path / "reports")) if argv[0] == "analyze" else ()))
         assert code == 4
@@ -769,8 +761,7 @@ class TestNonFinitePayload:
         self, tmp_path, capsys, handle, value
     ):
         ckpt = tmp_path / "nonfinite.tlkl"
-        shutil.copy(FIXTURES / "talklora-v1.tlkl", ckpt)
-        set_first_value(ckpt, handle, value)
+        forge_checkpoint(FIXTURES / "talklora-v1.tlkl", ckpt, values=[(handle, value)])
         out_dir = tmp_path / "reports"
         for argv in [("ckpt", "roundtrip")] + [("analyze", "--report", report, "--out",
                                                 str(out_dir)) for report in cli.ANALYZE_REPORTS]:

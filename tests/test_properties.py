@@ -8,7 +8,6 @@ import contextlib
 import copy
 import io
 import json
-import struct
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _setup import make_setup
+from _setup import forge_checkpoint, make_setup
 from talklora import checkpoint
 from talklora.adapters import METHODS
 from talklora.checkpoint import (
@@ -174,15 +173,7 @@ class TestHeaderEdits:
         """The stack loaded from the edited fixture, which holds the same
         arrays as the fixture's, or None when the edit is rejected before
         any stack is built."""
-        raw = (FIXTURES / f"{method}-v1.tlkl").read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12 : 12 + header_len])
-        edit(header)
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        victim.write_bytes(
-            raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
-            + raw[12 + header_len :]
-        )
+        forge_checkpoint(FIXTURES / f"{method}-v1.tlkl", victim, edit)
         built = []
         real_build = checkpoint.AdapterStack
 
