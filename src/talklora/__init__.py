@@ -24,7 +24,6 @@ from .adapters import (
     lora_forward,
     lora_merge,
     moelora_forward,
-    talking_mix,
     talklora_forward,
 )
 from .analysis import (
@@ -118,7 +117,6 @@ __all__ = [
     "spectral_norm",
     "stability_certificate",
     "stack_adamw_step",
-    "talking_mix",
     "talklora_forward",
     "train",
 ]

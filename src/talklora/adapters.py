@@ -9,9 +9,14 @@ and shares the B_i matrices across adaptation layers of the same
 projection type.
 
 Expert outputs always use the uncommunicated h_i; the communicated
-representations feed only the router.  All math is float64 and every
-random draw comes from a named :class:`~talklora.linalg.RngState` stream,
-so construction is bit-reproducible.
+representations feed only the router.  Both gated families run one
+forward (:func:`_gated_forward`) and one backward, and the arrays a layer
+holds (E or not, C or not) set what differs.  So TalkLoRA with C = I and
+E = I is exactly MoELoRA with the router W_g A_stack, where A_stack is
+the (r, d) stack of the A_i: TalkLoRA generalizes MoELoRA whose router
+rows lie in rowspace(A_stack), not MoELoRA with a generic (n, d) router.
+All math is float64 and every random draw comes from a named
+:class:`~talklora.linalg.RngState` stream, so construction is bit-reproducible.
 
 Expert layout: :func:`layer_layout` states each family's arrays and the
 rule on a layer's dims (:func:`check_low_rank`) once.  Initializers,
@@ -62,10 +67,6 @@ class AdapterConfig:
             raise ValueError(f"total_rank must be positive, got {self.total_rank}")
         if self.experts < 1:
             raise ValueError(f"experts must be positive, got {self.experts}")
-        if self.total_rank % self.experts != 0:
-            raise ValueError(
-                f"experts ({self.experts}) must divide total_rank ({self.total_rank})"
-            )
         if self.lora_alpha <= 0:
             raise ValueError(f"lora_alpha must be positive, got {self.lora_alpha}")
         if self.spectral_clip_c is not None and self.spectral_clip_c <= 0:
@@ -148,7 +149,8 @@ _LAYER_TYPES = {"lora": LoRAAdapter, "moelora": MoELoRALayer, "talklora": TalkLo
 
 
 class LowRankError(ValueError):
-    """``total_rank`` above a layer's min(d_in, d_out); the message starts with the field."""
+    """A rank that a layer cannot hold: ``total_rank`` above its min(d_in, d_out),
+    or a gated layer's ``experts`` not dividing it.  The message starts with the field."""
 
 
 def check_low_rank(cfg: AdapterConfig, d_in: int, d_out: int, site: str) -> None:
@@ -185,23 +187,28 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
     """The trainable arrays of one ``method`` layer at a d_in -> d_out site.
 
     Listed in buffer and handle order.  This is where the families differ:
-    LoRA holds A (r, d) and B (k, r); MoELoRA stacks n experts of rank r_e
-    and routes the raw input through Wg (n, d); TalkLoRA adds E and the
-    n x n C, routes the r-dim communicated h~, and with ``share_b`` holds
-    one B per projection tag.  Allocates nothing; first checks the dims
-    with :func:`check_low_rank`, naming ``site``.
+    LoRA holds A (r, d) and B (k, r) and ignores ``experts``; MoELoRA stacks
+    n experts of rank r_e = r / n, so n must divide r, and routes the raw
+    input through Wg (n, d); TalkLoRA adds E and the n x n C, routes the
+    r-dim communicated h~, and with ``share_b`` holds one B per projection
+    tag.  The gated forward and backward read these differences off the
+    arrays a layer holds.  Allocates nothing; first checks the dims with
+    :func:`check_low_rank`, naming ``site``.
     """
     check_low_rank(cfg, d_in, d_out, site)
-    r, n, r_e = cfg.total_rank, cfg.experts, cfg.expert_rank
+    r, n = cfg.total_rank, cfg.experts
     if method == "lora":
         return Field("a", "A", (r, d_in)), Field("b", "B", (d_out, r))
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if r % n != 0:
+        raise LowRankError(f"experts ({n}) must divide total_rank ({r}) at {site}")
+    r_e = cfg.expert_rank
     a, b = Field("a", "A", (n, r_e, d_in)), Field("b", "B", (n, d_out, r_e))
     if method == "moelora":
         return a, b, Field("router_wg", "Wg", (n, d_in))
-    if method == "talklora":
-        return (a, Field("e", "E", (n, r_e, r_e)), Field("c", "C", (n, n)),
-                Field("router_wg", "Wg", (n, r)), b._replace(shared=cfg.share_b))
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return (a, Field("e", "E", (n, r_e, r_e)), Field("c", "C", (n, n)),
+            Field("router_wg", "Wg", (n, r)), b._replace(shared=cfg.share_b))
 
 
 class Site(NamedTuple):
@@ -294,7 +301,7 @@ class LayerCache:
     h: np.ndarray  # (n, B, r_e) per-expert representations; (B, r) for LoRA
     router_in: Optional[np.ndarray]  # what router_wg multiplied: (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n)
-    p: Optional[np.ndarray]  # talklora only: (n, B, r_e) E_i h_i
+    p: Optional[np.ndarray]  # (n, B, r_e) E_i h_i when the layer holds E
     yexp: Optional[np.ndarray]  # (n, B, k) unweighted expert outputs; None for LoRA
     delta: np.ndarray  # (B, k)
     z: np.ndarray  # (B, k) = x @ w0.T + delta
@@ -318,33 +325,37 @@ def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: Adap
     )
 
 
-def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
-                          xa: Optional[np.ndarray] = None) -> LayerCache:
-    xa = x if xa is None else xa
-    h = xa @ ml.a.transpose(0, 2, 1)  # (n, B, r_e)
-    gates = softmax_rows(xa @ ml.router_wg.T)  # router reads the raw input
-    yexp = h @ ml.b.transpose(0, 2, 1)  # (n, B, k)
-    delta = cfg.scaling * _gate_mix(gates, yexp)
-    return LayerCache(
-        x=x, xa=xa,
-        h=h, router_in=xa, gates=gates, p=None, yexp=yexp,
-        delta=delta, z=x @ w0.T + delta,
-    )
+def _gated_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
+                   xa: Optional[np.ndarray]) -> LayerCache:
+    """The batched forward of both gated families.
 
-
-def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
-                           xa: Optional[np.ndarray] = None) -> LayerCache:
+    The arrays the layer holds set what differs: its router reads what
+    :func:`_router_input` gives, and each expert reads its h_i, or
+    p_i = E_i h_i when the layer holds E.
+    """
     xa = x if xa is None else xa
-    h = xa @ tl.a.transpose(0, 2, 1)  # (n, B, r_e)
-    router_in, gates = _route(tl, h, cfg.talking_enabled)
-    p = h @ tl.e.transpose(0, 2, 1)  # experts use the uncommunicated h
-    yexp = p @ tl.b.transpose(0, 2, 1)  # (n, B, k)
+    h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
+    router_in = _router_input(layer, xa, h, cfg.talking_enabled)
+    gates = softmax_rows(router_in @ layer.router_wg.T)
+    e = getattr(layer, "e", None)
+    p = None if e is None else h @ e.transpose(0, 2, 1)  # experts use the uncommunicated h
+    yexp = (h if p is None else p) @ layer.b.transpose(0, 2, 1)  # (n, B, k)
     delta = cfg.scaling * _gate_mix(gates, yexp)
     return LayerCache(
         x=x, xa=xa,
         h=h, router_in=router_in, gates=gates, p=p, yexp=yexp,
         delta=delta, z=x @ w0.T + delta,
     )
+
+
+def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
+                          xa: Optional[np.ndarray] = None) -> LayerCache:
+    return _gated_forward(w0, ml, x, cfg, xa)
+
+
+def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
+                           xa: Optional[np.ndarray] = None) -> LayerCache:
+    return _gated_forward(w0, tl, x, cfg, xa)
 
 
 def batch_forward(w0, adapter, x, cfg, xa=None) -> LayerCache:
@@ -418,27 +429,9 @@ def moelora_forward(layer: FrozenLinear, ml: MoELoRALayer, x,
     return cache.z[0], _trace_from_cache(cache)
 
 
-def talking_mix(c, h) -> np.ndarray:
-    """Communicated representations h~_i = sum_j C_ij h_j.
-
-    ``h`` is an array carrying the n expert representations along its
-    leading axis, (n, r_e) or batched (n, B, r_e); the result has its
-    shape.  Equivalent to (C kron I) applied to the stacked representation.
-    """
-    c = as_matrix(c, "c")
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim < 2:
-        raise ValueError(
-            f"h must stack the expert representations on axis 0, got shape {h.shape}"
-        )
-    n = h.shape[0]
-    if c.shape != (n, n):
-        raise ValueError(f"communication matrix is {c.shape}, expected ({n}, {n})")
-    return _c_mix(c, h)
-
-
 def _c_mix(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`talking_mix` unchecked, for the step path: the layout fixes its shapes."""
+    """Communicated representations h~_i = sum_j C_ij h_j of ``h`` stacked on
+    axis 0, (n, r_e) or (n, B, r_e): (C kron I) applied to the stacked h."""
     return (c @ h.reshape(h.shape[0], -1)).reshape(h.shape)
 
 
@@ -454,19 +447,21 @@ def talklora_forward(layer: FrozenLinear, tl: TalkLoRALayer, x,
     return cache.z[0], _trace_from_cache(cache)
 
 
-def _route(tl: TalkLoRALayer, h: np.ndarray, talking_enabled: bool) -> tuple:
-    """TalkLoRA routing of stacked h (n, B, r_e): C-mix, concatenate, softmax.
-
-    Returns the router input [h~_1, ..., h~_n] (B, r) and the gates (B, n).
-    """
-    h_tilde = _c_mix(tl.c, h) if talking_enabled else h
-    router_in = h_tilde.transpose(1, 0, 2).reshape(h.shape[1], -1)
-    return router_in, softmax_rows(router_in @ tl.router_wg.T)
+def _router_input(layer, xa: np.ndarray, h: np.ndarray, talking_enabled: bool) -> np.ndarray:
+    """What a gated layer's router reads: the raw adapter input ``xa`` (B, d),
+    or, when the layer holds C, the concatenation [h~_1, ..., h~_n] (B, r) of
+    the C-mixed stacked h (n, B, r_e), which is h itself with talking off."""
+    c = getattr(layer, "c", None)
+    if c is None:
+        return xa
+    h_tilde = _c_mix(c, h) if talking_enabled else h
+    return h_tilde.transpose(1, 0, 2).reshape(h.shape[1], -1)
 
 
 def router_gates(tl: TalkLoRALayer, x: np.ndarray, talking_enabled: bool = True) -> np.ndarray:
     """Routing function alone: gates for a batch of inputs (B, d) -> (B, n)."""
-    return _route(tl, x @ tl.a.transpose(0, 2, 1), talking_enabled)[1]
+    router_in = _router_input(tl, x, x @ tl.a.transpose(0, 2, 1), talking_enabled)
+    return softmax_rows(router_in @ tl.router_wg.T)
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,8 @@ def degeneracy_check(
 
     # The probes run on (trials, n, r_e) stacks.  Each projection is one
     # (r_e, d) @ (d, 1) product per trial and expert, and each mix one
-    # (n, n) @ (n, r_e) product per trial: the products talking_mix forms for
-    # one trial, so the bits equal a per-trial loop.  (talking_mix on the
+    # (n, n) @ (n, r_e) product per trial: the products adapters._c_mix forms
+    # for one trial, so the bits equal a per-trial loop.  (_c_mix on the
     # whole stack is one (n, n) @ (n, trials * r_e) product, which BLAS may
     # round differently.)
     cols = x[:, None, :, None]

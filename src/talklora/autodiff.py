@@ -31,15 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import (
-    AdapterConfig,
-    AdapterStack,
-    LoRAAdapter,
-    MoELoRALayer,
-    TalkLoRALayer,
-    _c_mix,
-    batch_forward,
-)
+from .adapters import AdapterConfig, AdapterStack, LoRAAdapter, _c_mix, batch_forward
 from .linalg import _all_finite, softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
@@ -162,49 +154,43 @@ def _gate_backward(cache, gd):
     return g_logits, cache.gates.T[:, :, None] * gd
 
 
-def _moelora_backward(ml: MoELoRALayer, cfg: AdapterConfig, cache, gz, want_gx):
+def _gated_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
+    """Both gated families, read off the arrays the layer holds, as the
+    forward does: E when it holds ``e``, and a router that read the
+    (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa."""
+    e, c = getattr(layer, "e", None), getattr(layer, "c", None)
     g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
-    gh = gy @ ml.b  # (n, B, r_e)
-    gxa = None
-    if want_gx:
-        # router term first, then each expert's in order: a fixed float summation order
-        gxa = np.concatenate(((g_logits @ ml.router_wg)[None], gh @ ml.a)).sum(axis=0)
-    return gxa, {
-        "router_wg": g_logits.T @ cache.router_in,
-        "b": gy.transpose(0, 2, 1) @ cache.h,
-        "a": gh.transpose(0, 2, 1) @ cache.xa,
-    }
-
-
-def _talklora_backward(tl: TalkLoRALayer, cfg: AdapterConfig, cache, gz, want_gx):
-    n, batch, r_e = cache.h.shape
-    g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
-    ght = g_logits @ tl.router_wg  # (B, r) gradient at the router input
-    ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
-    grads = {"router_wg": g_logits.T @ cache.router_in}
-    gh_router = ght  # without talking, C gets no gradient and keeps its zero
-    if cfg.talking_enabled:
-        grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
-        gh_router = _c_mix(tl.c.T, ght)
-    gp = gy @ tl.b  # (n, B, r_e)
-    gh = gh_router + gp @ tl.e
-    grads["b"] = gy.transpose(0, 2, 1) @ cache.p
-    grads["e"] = gp.transpose(0, 2, 1) @ cache.h
+    gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
+    grads = {"router_wg": g_logits.T @ cache.router_in,
+             "b": gy.transpose(0, 2, 1) @ (cache.h if e is None else cache.p)}
+    if e is not None:
+        grads["e"] = gh.transpose(0, 2, 1) @ cache.h
+        gh = gh @ e
+    if c is not None:
+        n, batch, r_e = cache.h.shape
+        ght = g_logits @ layer.router_wg  # (B, r) gradient at the router input
+        ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
+        if cfg.talking_enabled:  # without talking, C gets no gradient and keeps its zero
+            grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
+            ght = _c_mix(c.T, ght)
+        gh = ght + gh
     grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
-    gxa = (gh @ tl.a).sum(axis=0) if want_gx else None
-    return gxa, grads
+    if not want_gx:
+        return None, grads
+    terms = gh @ layer.a  # (n, B, d)
+    if c is None:
+        # the router read xa: its term first, then each expert's in order,
+        # a fixed float summation order
+        terms = np.concatenate(((g_logits @ layer.router_wg)[None], terms))
+    return terms.sum(axis=0), grads
 
 
 def _layer_backward(adapter, cfg, cache, gz, want_gx, drop_scale):
     """Parameter gradients of one layer and, if ``want_gx``, the adapter
     path's gradient at the layer input (``None`` otherwise), through the
     layer's dropout factors ``drop_scale`` when it has them."""
-    if isinstance(adapter, LoRAAdapter):
-        gxa, grads = _lora_backward(adapter, cfg, cache, gz, want_gx)
-    elif isinstance(adapter, MoELoRALayer):
-        gxa, grads = _moelora_backward(adapter, cfg, cache, gz, want_gx)
-    else:
-        gxa, grads = _talklora_backward(adapter, cfg, cache, gz, want_gx)
+    layer_backward = _lora_backward if isinstance(adapter, LoRAAdapter) else _gated_backward
+    gxa, grads = layer_backward(adapter, cfg, cache, gz, want_gx)
     if gxa is not None and drop_scale is not None:
         gxa = gxa * drop_scale
     return gxa, grads

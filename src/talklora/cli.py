@@ -43,8 +43,8 @@ from .adapters import (
     LowRankError,
     build_frozen_stack,
     build_stack_from_slots,
-    check_low_rank,
     frozen_stack_slots,
+    layer_layout,
 )
 from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
 from .checkpoint import (
@@ -427,7 +427,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
 
 def _gradcheck_host(config: RunConfig) -> list:
     """The frozen host of every gradcheck combination, once the task's dims
-    have passed the gradcheck cap and each of its slots the adapter's rank."""
+    have passed the gradcheck cap and each of its slots every family's layout."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
     d, k = config.task.input_dim, config.task.output_dim
@@ -438,7 +438,8 @@ def _gradcheck_host(config: RunConfig) -> list:
         )
     frozen = build_frozen_stack(d, k, config.model_depth, RngState(config.seed))
     for slot in frozen_stack_slots(frozen):
-        check_low_rank(config.adapter, slot.d_in, slot.d_out, f"slot {slot.name}")
+        for method in METHODS:
+            layer_layout(method, config.adapter, slot.d_in, slot.d_out, f"slot {slot.name}")
     return frozen
 
 
@@ -601,7 +602,7 @@ def main(argv=None) -> int:
     except (CorruptCheckpointError, VersionMismatchError) as exc:
         print(f"artifact corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except LowRankError as exc:  # the config's total_rank against a slot's or target's dims
+    except LowRankError as exc:  # the config's rank against a slot's or target's dims
         print(f"config error: config.adapter.{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

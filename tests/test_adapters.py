@@ -10,11 +10,13 @@ import pytest
 from _setup import balance_setup, geometry_slots
 from talklora import linalg
 from talklora.adapters import (
+    _c_mix,
     AdapterConfig,
     FrozenLinear,
     LoRAAdapter,
     LowRankError,
     METHODS,
+    MoELoRALayer,
     TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
@@ -25,9 +27,9 @@ from talklora.adapters import (
     LayerSlot,
     lora_forward,
     lora_merge,
+    moelora_batch_forward,
     moelora_forward,
     router_gates,
-    talking_mix,
     talklora_batch_forward,
     talklora_forward,
 )
@@ -47,10 +49,6 @@ class TestAdapterConfig:
         cfg = small_cfg(lora_alpha=16.0)
         assert cfg.expert_rank == 2
         assert cfg.scaling == 4.0
-
-    def test_experts_must_divide_rank(self):
-        with pytest.raises(ValueError, match="divide"):
-            AdapterConfig(total_rank=4, experts=3, input_dim=8, output_dim=8)
 
     def test_low_rank_regime_enforced(self):
         with pytest.raises(ValueError, match="low-rank"):
@@ -244,12 +242,12 @@ class TestTalkingMix:
     def test_identity_passthrough_is_bit_exact(self):
         gen = RngState(11).generator()
         h = gen.normal(size=(3, 5))
-        assert np.array_equal(talking_mix(np.eye(3), h), h)
+        assert np.array_equal(_c_mix(np.eye(3), h), h)
 
     def test_diagonal_scaling(self):
         gen = RngState(12).generator()
         h = gen.normal(size=(2, 4))
-        out = talking_mix(2.0 * np.eye(2), h)
+        out = _c_mix(2.0 * np.eye(2), h)
         assert np.array_equal(out, 2.0 * h)
 
     def test_against_kronecker_oracle(self):
@@ -257,15 +255,7 @@ class TestTalkingMix:
         c = gen.normal(size=(3, 3))
         h = gen.normal(size=(3, 4))
         oracle = (np.kron(c, np.eye(4)) @ h.reshape(-1)).reshape(3, 4)
-        assert np.max(np.abs(talking_mix(c, h) - oracle)) < 1e-12
-
-    def test_unstacked_h_rejected(self):
-        with pytest.raises(ValueError, match="axis 0"):
-            talking_mix(np.eye(2), np.ones(2))
-
-    def test_wrong_c_shape_rejected(self):
-        with pytest.raises(ValueError):
-            talking_mix(np.eye(2), np.ones((3, 4)))
+        assert np.max(np.abs(_c_mix(c, h) - oracle)) < 1e-12
 
 
 class TestTalkLoRAForward:
@@ -384,6 +374,60 @@ class TestTalkLoRAForward:
             _, t2 = talklora_forward(layer, tl, x, cfg2)
             assert np.array_equal(t2.delta, 2.0 * t1.delta)
             assert np.array_equal(t1.gates, t2.gates)
+
+
+class TestTalkLoRAGeneralizesMoELoRA:
+    """TalkLoRA with C = I and E = I is MoELoRA with its router confined to
+    rowspace(A_stack), where A_stack is the (r, d) stack of the A_i: the
+    TalkLoRA router W_g acts on [h_1, ..., h_n] = A_stack x, so it is the
+    MoELoRA router W_g A_stack.  A generic (n, d) MoELoRA router is not."""
+
+    D, K, R, N = 16, 12, 8, 4
+    EPS = np.finfo(np.float64).eps
+
+    def _pair(self, seed):
+        """A TalkLoRA layer with C = I, E = I and random B; the stacked A; a
+        frozen weight; 200 inputs."""
+        cfg = AdapterConfig(total_rank=self.R, experts=self.N, input_dim=self.D,
+                            output_dim=self.K)
+        gen = RngState(seed).generator()
+        tl = init_talklora(cfg, RngState(seed))
+        tl.b[:] = gen.normal(size=tl.b.shape)
+        tl.c[:] = np.eye(self.N)
+        tl.e[:] = np.eye(self.R // self.N)
+        w0, x = gen.normal(size=(self.K, self.D)), gen.normal(size=(200, self.D))
+        return cfg, tl, tl.a.reshape(self.R, self.D), w0, x, gen
+
+    @staticmethod
+    def _gap(tl_cache, ml_cache):
+        """Largest relative difference of the adapter outputs and of the gates."""
+        return max(np.abs(tl_cache.delta - ml_cache.delta).max() / np.abs(ml_cache.delta).max(),
+                   np.abs(tl_cache.gates - ml_cache.gates).max())
+
+    def test_identity_talklora_is_moelora_with_router_wg_a_stack(self):
+        cfg, tl, a_stack, w0, x, _ = self._pair(seed=3)
+        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=tl.router_wg @ a_stack)
+        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
+                        moelora_batch_forward(w0, ml, x, cfg))
+        assert gap < 32 * self.EPS  # the two logit products associate differently
+
+    def test_rowspace_moelora_is_talklora_with_router_wg_pinv(self):
+        cfg, tl, a_stack, w0, x, gen = self._pair(seed=4)
+        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.R)) @ a_stack)
+        tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)
+        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
+                        moelora_batch_forward(w0, ml, x, cfg))
+        assert gap < 64 * np.linalg.cond(a_stack) * self.EPS
+
+    def test_generic_router_leaves_a_residual_outside_the_rowspace(self):
+        cfg, tl, a_stack, w0, x, gen = self._pair(seed=5)
+        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.D)))
+        tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)  # its nearest TalkLoRA router
+        residual = ml.router_wg - tl.router_wg @ a_stack
+        assert np.linalg.norm(residual) / np.linalg.norm(ml.router_wg) > 0.1
+        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
+                        moelora_batch_forward(w0, ml, x, cfg))
+        assert gap > 1e-3
 
 
 class TestBuildAdapterStack:
@@ -511,6 +555,15 @@ class TestLayerShapeRule:
                            match=r"config dims \(8, 6\) do not match w0's d_in 8, d_out 8"):
             lora_forward(FrozenLinear(np.eye(8)), init_lora(small_cfg(), RngState(43)),
                          np.ones(8), cfg)
+
+    def test_experts_must_divide_rank(self):
+        # the config takes it, since LoRA ignores experts; a gated layout rejects it
+        cfg = AdapterConfig(total_rank=6, experts=4, input_dim=8, output_dim=8)
+        assert [field.shape for field in layer_layout("lora", cfg, 8, 8)] == [(6, 8), (8, 6)]
+        for method in ("moelora", "talklora"):
+            with pytest.raises(LowRankError,
+                               match=r"^experts \(4\) must divide total_rank \(6\) at the layer$"):
+                layer_layout(method, cfg, 8, 8)
 
     def test_every_reader_of_the_layout_enforces_the_rank_rule(self):
         cfg = AdapterConfig(total_rank=8, experts=4)

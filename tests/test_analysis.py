@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from _setup import geometry_slots, make_setup, near_degenerate_c
 from talklora.adapters import (
+    _c_mix,
     AdapterConfig,
     LayerSlot,
     build_stack_from_slots,
     init_talklora,
     router_gates,
-    talking_mix,
 )
 from talklora.analysis import (
     STABILITY_BLOCK,
@@ -357,7 +357,7 @@ class TestDegeneracyCheck:
 
 
 def _per_trial_degeneracy(tl, trials, rng):
-    """The three probes one trial at a time through ``talking_mix``: the reference."""
+    """The three probes one trial at a time through ``_c_mix``: the reference."""
     n, _, d = tl.a.shape
     gen = rng.generator()
     identity_max = 0.0
@@ -371,12 +371,12 @@ def _per_trial_degeneracy(tl, trials, rng):
     for _ in range(trials):
         x = gen.normal(size=d)
         h = tl.a @ x
-        identity_max = max(identity_max, float(np.abs(talking_mix(eye, h) - h).max()))
+        identity_max = max(identity_max, float(np.abs(_c_mix(eye, h) - h).max()))
         j = int(gen.integers(0, n))
         perturbed = tl.a.copy()
         perturbed[j] += gen.normal(size=perturbed[j].shape)
-        before = talking_mix(diagonal_c, h)
-        after = talking_mix(diagonal_c, perturbed @ x)
+        before = _c_mix(diagonal_c, h)
+        after = _c_mix(diagonal_c, perturbed @ x)
         others = [i for i in range(n) if i != j]
         isolation_max = max(
             isolation_max, float(np.abs(after[others] - before[others]).max())
@@ -384,7 +384,7 @@ def _per_trial_degeneracy(tl, trials, rng):
         delta_a2 = gen.normal(size=tl.a[1].shape)
         h_cross = h.copy()
         h_cross[1] = (tl.a[1] + delta_a2) @ x
-        change = np.abs(talking_mix(cross_c, h_cross)[0] - talking_mix(cross_c, h)[0])
+        change = np.abs(_c_mix(cross_c, h_cross)[0] - _c_mix(cross_c, h)[0])
         cross_min = min(cross_min, float(change.max()))
     return identity_max, isolation_max, float(cross_min)
 

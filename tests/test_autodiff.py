@@ -1,7 +1,8 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
-
-import itertools
 
 from _setup import make_setup, near_degenerate_c
 from talklora import autodiff
@@ -135,6 +136,31 @@ class TestBackwardStructure:
         assert [fl.reads for fl in counting] == [1, 2, 2]
         assert got[0] == expected[0]
         assert np.array_equal(got[1], expected[1])
+
+
+# SHA-256 of the gradient vector of make_setup(method, share_b, talking,
+# seed=5, depth=3, batch=8) under _fixed_dropout_scales(seed=6), recorded
+# while MoELoRA and TalkLoRA still ran separate backward functions: the one
+# gated backward must reproduce each family's gradient bit for bit
+GRADIENT_DIGESTS = {
+    ("lora", True, True): "adac2c08f9b666f6f9be1ce3aaf95a02c409e3b6a70622e0e339f440c98c95af",
+    ("moelora", True, True): "9609b5072fdce665694b906e580870cf207064071b67ba5c5ed69cd7ec5d2b75",
+    ("talklora", True, True): "6c22ea6a3eca34b8b4a06611fbc8c38d3dc2d46a90478df1c32171d9c6ffd8a1",
+    ("talklora", False, True): "b24bc6caae07bd0342c9faf63b0861750ea1d439168a0c52b88c8e504226bedd",
+    ("talklora", True, False): "09a99975e840211d37a4a2603ff1b02449242be0343f8fecbf730512f387a09a",
+    ("talklora", False, False): "190fab7a532e2a13360757dbe617994166e091c366808dbe06a66a242afdd0d6",
+}
+
+
+class TestGradientDigests:
+    @pytest.mark.parametrize("method, share_b, talking", list(GRADIENT_DIGESTS))
+    def test_gradient_matches_recorded_digest(self, method, share_b, talking):
+        frozen, stack, x, t = make_setup(method, share_b=share_b, talking=talking, seed=5,
+                                         depth=3, batch=8)
+        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=6)
+        _, grad = backward(stack, frozen, (x, t), MSE, scales)
+        digest = hashlib.sha256(grad.tobytes()).hexdigest()
+        assert digest == GRADIENT_DIGESTS[method, share_b, talking]
 
 
 class _CountingFrozen:

@@ -301,6 +301,32 @@ class TestTrain:
                        "at slot L00.4x4 with d_in 4, d_out 4 (low-rank regime)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_lora_rank_need_not_be_a_multiple_of_experts(self, tmp_path, capsys):
+        # LoRA never reads experts, so the default 4 need not divide its rank 6
+        cfg = write_config(tmp_path, method="lora", adapter={"total_rank": 6})
+        out = tmp_path / "out"
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        code, out_text, _ = run(capsys, "ckpt", "roundtrip", "--checkpoint",
+                                str(out / "checkpoint.tlkl"))
+        assert code == 0 and '"roundtrip_bit_identical": true' in out_text
+
+    @pytest.mark.parametrize("method, command", [
+        ("moelora", "train"), ("talklora", "train"),
+        ("lora", "gradcheck"), ("talklora", "gradcheck"),  # gradcheck runs every family
+    ])
+    def test_experts_not_dividing_the_rank_exits_2_naming_them(self, tmp_path, capsys, method,
+                                                                 command):
+        cfg = write_config(tmp_path, method=method, adapter={"total_rank": 6})
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: config.adapter.experts (4) must divide total_rank (6) "
+                       "at slot L00.8x8\n")
+        assert not (tmp_path / "out").exists()
+
     def test_csv_files_carry_schema_headers(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run(capsys, "train", "--config", str(cfg))[0] == 0
@@ -652,6 +678,16 @@ class TestCkptCommand:
         assert code == 4
         assert out == ""
         assert err.startswith("artifact corruption: slot L00.8x8")
+
+    @pytest.mark.parametrize("fixture", ["moelora-v1.tlkl", "talklora-v1.tlkl"])
+    def test_forged_experts_not_dividing_the_rank_exit_4(self, tmp_path, capsys, fixture):
+        ckpt = tmp_path / "forged.tlkl"
+        forge_checkpoint(FIXTURES / fixture, ckpt, lambda h: h["adapter_config"].update(experts=3))
+        code, out, err = run(capsys, "ckpt", "roundtrip", "--checkpoint", str(ckpt))
+        assert code == 4
+        assert out == ""
+        assert err == ("artifact corruption: malformed header: experts (3) must divide "
+                       "total_rank (4) at slot L00.8x8\n")
 
     @pytest.mark.parametrize("action", ["inspect", "roundtrip"])
     @pytest.mark.parametrize(
