@@ -21,7 +21,7 @@ from talklora import (
 )
 from talklora.cli import parse_run_config, run_gradcheck_suite
 
-print("=== gradcheck across {lora, moelora, talklora} x {share_b} x {talking} ===")
+print("=== gradcheck of a talklora config: lora, moelora, talklora x {share_b} x {talking} ===")
 config = parse_run_config({
     "method": "talklora",
     "seed": 0,

@@ -54,7 +54,6 @@ from .geometry import ModelGeometry, bundled_geometry, load_geometry
 from .linalg import (
     RngState,
     kaiming_init,
-    softmax,
     spectral_norm,
 )
 from .tasks import (
@@ -113,7 +112,6 @@ __all__ = [
     "routing_balance_experiment",
     "routing_load",
     "save_checkpoint",
-    "softmax",
     "spectral_norm",
     "stability_certificate",
     "stack_adamw_step",

@@ -7,8 +7,9 @@ train      synthetic cluster-task training run (loss CSV, routing CSV,
            trainlog JSON, binary checkpoint)
 analyze    stability / nonexpansive / routing / heatmap / degeneracy
            reports from a checkpoint
-gradcheck  analytic-vs-numeric gradient verification across all families
-           and ablation flags
+gradcheck  analytic-vs-numeric gradient verification of the config's
+           family and each family it generalizes (TalkLoRA at every
+           sharing x talking setting)
 ckpt       checkpoint roundtrip verification and header inspection
 
 Every command reads a single JSON config (see ``parse_run_config``; its
@@ -425,9 +426,17 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
     return EXIT_OK
 
 
-def _gradcheck_host(config: RunConfig) -> list:
-    """The frozen host of every gradcheck combination, once the task's dims
-    have passed the gradcheck cap and each of its slots every family's layout."""
+def _gradcheck_plan(config: RunConfig) -> tuple:
+    """The frozen host and the (method, share_b, talking_enabled) of each
+    gradcheck combination, once the task's dims have passed the gradcheck
+    cap and each of its slots the layout of every family checked.
+
+    The families checked are the config's and each family it generalizes,
+    in METHODS order.  A family whose layout holds a shared B (at
+    ``share_b`` true) reads ``share_b``, and one that holds C reads
+    ``talking_enabled``: a flag a family reads is checked at both settings,
+    any other once, at the config's own value.
+    """
     if config.task is None:
         raise ConfigError("missing required field config.task")
     d, k = config.task.input_dim, config.task.output_dim
@@ -437,22 +446,30 @@ def _gradcheck_host(config: RunConfig) -> list:
             f"(got input_dim={d}, output_dim={k})"
         )
     frozen = build_frozen_stack(d, k, config.model_depth, RngState(config.seed))
-    for slot in frozen_stack_slots(frozen):
-        for method in METHODS:
-            layer_layout(method, config.adapter, slot.d_in, slot.d_out, f"slot {slot.name}")
-    return frozen
+    shareable = replace(config.adapter, share_b=True)
+    combos = []
+    for method in METHODS[:METHODS.index(config.method) + 1]:
+        for slot in frozen_stack_slots(frozen):  # every slot's layout holds the same arrays
+            fields = layer_layout(method, shareable, slot.d_in, slot.d_out, f"slot {slot.name}")
+        shares = (False, True) if any(f.shared for f in fields) else (config.adapter.share_b,)
+        talks = ((False, True) if any(f.name == "c" for f in fields)
+                 else (config.adapter.talking_enabled,))
+        combos += [(method, share_b, talking) for share_b in shares for talking in talks]
+    return frozen, combos
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_gradcheck_suite(config: RunConfig) -> dict:
-    """Gradcheck every family x sharing x talking combination.
+    """Gradcheck the config's family and each family it generalizes.
 
-    Uses the config's task dims, rank/expert counts and model depth on a
-    small random batch; returns per-combination max relative errors.  A
-    non-finite loss or relative error raises NonFiniteResultError, naming
-    the combination (and the handle).
+    TalkLoRA is checked at every ``share_b`` x ``talking_enabled`` setting,
+    LoRA and MoELoRA once, at the config's flags, which they do not read
+    (see ``_gradcheck_plan``).  Uses the config's task dims, rank/expert
+    counts and model depth on a small random batch; returns per-combination
+    max relative errors.  A non-finite loss or relative error raises
+    NonFiniteResultError, naming the combination (and the handle).
     """
-    frozen = _gradcheck_host(config)
+    frozen, plan = _gradcheck_plan(config)
     d, k = frozen[0].d_in, frozen[-1].d_out
     rng = RngState(config.seed)
     gen = rng.split("gradcheck.data").generator()
@@ -461,45 +478,35 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     class_targets = gen.integers(0, k, size=4)
     combos = []
     worst = 0.0
-    for method in METHODS:
-        for share_b in (False, True):
-            for talking in (False, True):
-                cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
-                              spectral_clip_c=None)
-                stack = build_stack_from_slots(
-                    method, cfg, frozen_stack_slots(frozen), rng
-                )
-                for handle, arr in stack.named_parameters():
-                    if ".B" in handle:  # nonzero B so every path carries gradient
-                        g = rng.split(f"fill.{method}.{share_b}.{talking}.{handle}")
-                        arr[:] = 0.3 * g.generator().normal(size=arr.shape)
-                if config.loss.kind == "mean-squared-error":
-                    # targets near the model output: a small loss, with
-                    # gradient on every path
-                    z0, _ = model_forward(frozen, stack, x)
-                    targets = z0 + 0.3 * target_noise
-                else:
-                    targets = class_targets
-                combo = f"gradcheck {method} share_b={share_b} talking_enabled={talking}"
-                try:
-                    report = gradcheck(stack, frozen, (x, targets), config.loss)
-                except NonFiniteLossError as exc:
-                    raise NonFiniteResultError(f"{combo}: {exc}") from exc
-                if not math.isfinite(report.max_relative_error):
-                    raise NonFiniteResultError(
-                        f"{combo}: relative error {report.max_relative_error} "
-                        f"at {report.worst_handle}")
-                combos.append(
-                    {
-                        "method": method,
-                        "share_b": share_b,
-                        "talking_enabled": talking,
-                        "max_relative_error": report.max_relative_error,
-                        "worst_handle": report.worst_handle,
-                    }
-                )
-                worst = max(worst, report.max_relative_error)
+    for method, share_b, talking in plan:
+        cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
+                      spectral_clip_c=None)
+        stack = build_stack_from_slots(method, cfg, frozen_stack_slots(frozen), rng)
+        for handle, arr in stack.named_parameters():
+            if ".B" in handle:  # nonzero B so every path carries gradient
+                g = rng.split(f"fill.{method}.{share_b}.{talking}.{handle}")
+                arr[:] = 0.3 * g.generator().normal(size=arr.shape)
+        if config.loss.kind == "mean-squared-error":
+            # targets near the model output: a small loss, with gradient on every path
+            z0, _ = model_forward(frozen, stack, x)
+            targets = z0 + 0.3 * target_noise
+        else:
+            targets = class_targets
+        combo = f"gradcheck {method} share_b={share_b} talking_enabled={talking}"
+        try:
+            report = gradcheck(stack, frozen, (x, targets), config.loss)
+        except NonFiniteLossError as exc:
+            raise NonFiniteResultError(f"{combo}: {exc}") from exc
+        if not math.isfinite(report.max_relative_error):
+            raise NonFiniteResultError(
+                f"{combo}: relative error {report.max_relative_error} "
+                f"at {report.worst_handle}")
+        combos.append({"method": method, "share_b": share_b, "talking_enabled": talking,
+                       "max_relative_error": report.max_relative_error,
+                       "worst_handle": report.worst_handle})
+        worst = max(worst, report.max_relative_error)
     return {
+        "method": config.method,
         "tolerance": GRADCHECK_TOL,
         "max_relative_error": worst,
         "passed": worst < GRADCHECK_TOL,
@@ -508,13 +515,13 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
 
 
 def cmd_gradcheck(config: RunConfig) -> int:
-    _gradcheck_host(config)
+    _gradcheck_plan(config)
     # an unusable output_dir fails here, before the suite runs
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_gradcheck_suite(config)
     _emit_json(result, out / "gradcheck.json")
-    _emit_json({k: result[k] for k in ("tolerance", "max_relative_error", "passed")})
+    _emit_json({k: result[k] for k in ("method", "tolerance", "max_relative_error", "passed")})
     return EXIT_OK if result["passed"] else EXIT_NUMERIC
 
 

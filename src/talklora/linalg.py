@@ -107,20 +107,9 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def softmax(v) -> np.ndarray:
-    """Stable softmax of a vector, computed with max-subtraction.
-
-    Output entries are positive and sum to 1 within 1e-12.  Shifting every
-    logit by the same constant leaves the result unchanged.
-    """
-    v = as_vector(v, "softmax input")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for a batch of logit vectors."""
+    """Row-wise stable softmax of a batch of logit vectors, each row shifted by
+    its max so that no exp overflows."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)

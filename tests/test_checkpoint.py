@@ -23,6 +23,7 @@ from talklora.checkpoint import (
     read_header,
     save_checkpoint,
 )
+from talklora.cli import main
 from talklora.linalg import RngState
 from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
@@ -238,6 +239,23 @@ class TestFormatV1Fixtures:
         resaved = tmp_path / "resaved.tlkl"
         save_checkpoint(resaved, loaded, run_config)
         assert resaved.read_bytes() == path.read_bytes()
+
+
+class TestLoRAHeaderExperts:
+    """A LoRA layer reads no ``experts``, and no tensor implies it: a header
+    naming any count loads the fixture's arrays and re-encodes to its own bytes."""
+
+    @pytest.mark.parametrize("experts", [1, 3, 4])  # the fixture holds 2, of total_rank 4
+    def test_any_count_loads_the_same_flat_and_roundtrips(self, tmp_path, capsys, experts):
+        source, forged = FIXTURES / "lora-v1.tlkl", tmp_path / "forged.tlkl"
+        forge_checkpoint(source, forged, lambda h: h["adapter_config"].update(experts=experts))
+        stack, _ = load_checkpoint(forged)
+        expected, _ = load_checkpoint(source)
+        assert stack.cfg.experts == experts
+        assert stack.handles == expected.handles
+        assert stack.flat.tobytes() == expected.flat.tobytes()
+        assert main(["ckpt", "roundtrip", "--checkpoint", str(forged)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"roundtrip_bit_identical": True}
 
 
 V1_FIXTURES = sorted(FIXTURES.glob("*-v1.tlkl"))

@@ -12,6 +12,7 @@ from talklora import analysis, cli
 from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
 from talklora.cli import main, parse_run_config
 from talklora.linalg import RngState
+from test_autodiff import GRADIENT_DIGESTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # written by the code that still formatted each artifact in its own function
@@ -312,10 +313,15 @@ class TestTrain:
         code, out_text, _ = run(capsys, "ckpt", "roundtrip", "--checkpoint",
                                 str(out / "checkpoint.tlkl"))
         assert code == 0 and '"roundtrip_bit_identical": true' in out_text
+        # its gradcheck checks lora alone
+        code, out_text, _ = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 0 and json.loads(out_text)["method"] == "lora"
+        report = json.loads((out / "gradcheck.json").read_text())
+        assert [combo["method"] for combo in report["combinations"]] == ["lora"]
 
     @pytest.mark.parametrize("method, command", [
         ("moelora", "train"), ("talklora", "train"),
-        ("lora", "gradcheck"), ("talklora", "gradcheck"),  # gradcheck runs every family
+        ("moelora", "gradcheck"), ("talklora", "gradcheck"),
     ])
     def test_experts_not_dividing_the_rank_exits_2_naming_them(self, tmp_path, capsys, method,
                                                                  command):
@@ -571,8 +577,13 @@ class TestGradcheckCommand:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["max_relative_error"] < 1e-6
+        assert doc["method"] == "talklora"
         report = json.loads((tmp_path / "out" / "gradcheck.json").read_text())
-        assert len(report["combinations"]) == 12
+        # the talklora family at every flag setting, and the families it
+        # generalizes once: the configurations whose gradients are pinned
+        assert len(report["combinations"]) == 6
+        keys = [(c["method"], c["share_b"], c["talking_enabled"]) for c in report["combinations"]]
+        assert sorted(keys) == sorted(GRADIENT_DIGESTS)
 
     def test_single_expert_collapse_config_passes(self, tmp_path, capsys):
         cfg = write_config(
@@ -607,8 +618,8 @@ class TestGradcheckCommand:
             code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
         assert code == 3
         assert '"passed": true' not in out
-        assert err.startswith("numerical failure: gradcheck lora share_b=False "
-                              "talking_enabled=False: relative error nan at L")
+        assert err.startswith("numerical failure: gradcheck lora share_b=True "
+                              "talking_enabled=True: relative error nan at L")
         assert err.count("\n") == 1
 
         def reject(token):

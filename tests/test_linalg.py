@@ -15,7 +15,6 @@ from talklora.linalg import (
     as_matrix,
     as_vector,
     kaiming_init,
-    softmax,
     softmax_rows,
     spectral_norm,
     spectral_norms,
@@ -24,60 +23,48 @@ from talklora.linalg import (
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(softmax_rows(np.zeros((1, 2))), [[0.5, 0.5]], atol=1e-15)
 
     def test_ln2_case(self):
-        out = softmax([np.log(2.0), 0.0])
-        assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        out = softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_large_logits_do_not_overflow(self):
-        out = softmax([1000.0, 1000.0, 999.0])
+        out = softmax_rows(np.array([[1000.0, 1000.0, 999.0], [-1000.0, 0.0, 1000.0]]))
         assert np.isfinite(out).all()
-        assert abs(out.sum() - 1.0) < 1e-12
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
 
     def test_simplex_on_random_inputs(self):
         gen = RngState(5).generator()
         for _ in range(50):
-            v = gen.normal(size=gen.integers(1, 9)) * 10
-            out = softmax(v)
+            logits = gen.normal(size=(3, gen.integers(1, 9))) * 10
+            out = softmax_rows(logits)
             assert (out > 0).all()
-            assert abs(out.sum() - 1.0) < 1e-12
+            assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
 
     def test_shift_invariance_exact(self):
         # shifts chosen so v + c is exactly representable: the max-subtraction
-        # then cancels the shift bit for bit
+        # then cancels the shift bit for bit, whichever row it shifts
         gen = RngState(6).generator()
-        v = gen.integers(-512, 512, size=7) * 2.0**-10
-        for c in (2.0, -64.0, 1024.0, -0.5):
-            assert np.array_equal(softmax(v + c), softmax(v))
+        v = gen.integers(-512, 512, size=(3, 7)) * 2.0**-10
+        for c in (2.0, -64.0, 1024.0, -0.5, np.array([[2.0], [-0.5], [1024.0]])):
+            assert np.array_equal(softmax_rows(v + c), softmax_rows(v))
 
     def test_shift_invariance_generic(self):
         gen = RngState(7).generator()
         for _ in range(20):
-            v = gen.normal(size=5)
+            v = gen.normal(size=(4, 5))
             c = gen.normal() * 100
-            assert np.allclose(softmax(v + c), softmax(v), rtol=1e-12, atol=1e-15)
+            assert np.allclose(softmax_rows(v + c), softmax_rows(v), rtol=1e-12, atol=1e-15)
 
     def test_l2_nonexpansive(self):
         # supports the routing-stability proof: softmax is 1-Lipschitz in l2
         gen = RngState(8).generator()
-        for _ in range(200):
-            u = gen.normal(size=6) * 5
-            v = gen.normal(size=6) * 5
-            lhs = np.linalg.norm(softmax(u) - softmax(v))
-            rhs = np.linalg.norm(u - v)
-            assert lhs <= rhs + 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([]))
-
-    def test_rows_variant_matches_vector_softmax(self):
-        gen = RngState(9).generator()
-        logits = gen.normal(size=(4, 3))
-        rows = softmax_rows(logits)
-        for i in range(4):
-            assert np.array_equal(rows[i], softmax(logits[i]))
+        u = gen.normal(size=(200, 6)) * 5
+        v = gen.normal(size=(200, 6)) * 5
+        lhs = np.linalg.norm(softmax_rows(u) - softmax_rows(v), axis=1)
+        rhs = np.linalg.norm(u - v, axis=1)
+        assert np.all(lhs <= rhs + 1e-12)
 
 
 class TestInitializers:

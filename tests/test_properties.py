@@ -8,6 +8,8 @@ import contextlib
 import copy
 import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -86,6 +88,13 @@ def _mutated(raw: bytes, data) -> bytes:
     return raw[:at] + bytes([byte]) + raw[at + 1 :]
 
 
+def _run_cli(*argv) -> int:
+    """``main(argv)``'s exit code, its stdout and stderr swallowed."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main(list(argv))
+
+
 class TestCheckpointMutations:
     @PROPERTY
     @given(data=st.data())
@@ -101,10 +110,7 @@ class TestCheckpointMutations:
     @given(data=st.data())
     def test_ckpt_inspect_exits_0_or_4(self, checkpoint_bytes, victim, data):
         victim.write_bytes(_mutated(checkpoint_bytes, data))
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main(["ckpt", "inspect", "--checkpoint", str(victim)])
-        assert code in (0, 4)
+        assert _run_cli("ckpt", "inspect", "--checkpoint", str(victim)) in (0, 4)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,3 +239,29 @@ class TestConfigValues:
         tasks = [config.task] if config.task is not None else []
         for seed in [config.seed, config.train.seed] + [task.seed for task in tasks]:
             RngState(seed)
+
+
+class TestCliContract:
+    """Small random run configs through ``train`` and ``gradcheck`` in process."""
+
+    @PROPERTY
+    @given(method=st.sampled_from(METHODS), total_rank=st.integers(1, 8),
+           experts=st.integers(1, 4), input_dim=st.integers(1, 16),
+           output_dim=st.integers(1, 16), model_depth=st.integers(1, 2))
+    @example(method="lora", total_rank=6, experts=4, input_dim=8, output_dim=8, model_depth=2)
+    def test_gradcheck_accepts_what_train_accepts(self, method, total_rank, experts, input_dim,
+                                                   output_dim, model_depth):
+        doc = {"method": method, "seed": 2, "model_depth": model_depth,
+               "adapter": {"total_rank": total_rank, "experts": experts, "lora_alpha": 8.0},
+               "task": {"clusters": 2, "input_dim": input_dim, "output_dim": output_dim,
+                        "samples_per_cluster": 4},
+               "train": {"epochs": 1, "batch_size": 4, "warmup_steps": 1, "eval_every": 2}}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({**doc, "output_dir": str(Path(tmp) / "out")}))
+            trained = _run_cli("train", "--config", str(config))
+            checked = _run_cli("gradcheck", "--config", str(config))
+        assert {trained, checked} <= {0, 2, 3, 4}
+        if trained == 0:  # the dims are below the gradcheck cap
+            assert checked in (0, 3)
