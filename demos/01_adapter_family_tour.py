@@ -53,7 +53,7 @@ for b_i in talk.b:
 y_moe, tr_moe = moelora_forward(layer, moe, x, cfg)
 print(f"MoELoRA routes on the raw input x; gates = {np.round(tr_moe.gates, 4)}")
 print(f"  per-expert h_i shapes: {[h.shape for h in tr_moe.h]}"
-      f"  (r_e = r/n = {cfg.expert_rank})")
+      f"  (r_e = r/n = {moe.a.shape[1]})")
 
 y_talk, tr_talk = talklora_forward(layer, talk, x, cfg)
 print("\nTalkLoRA first mixes the low-rank representations through C")

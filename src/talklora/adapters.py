@@ -9,25 +9,29 @@ and shares the B_i matrices across adaptation layers of the same
 projection type.
 
 Expert outputs always use the uncommunicated h_i; the communicated
-representations feed only the router.  Both gated families run one
-forward (:func:`_gated_forward`) and one backward, and the arrays a layer
-holds (E or not, C or not) set what differs.  So TalkLoRA with C = I and
-E = I is exactly MoELoRA with the router W_g A_stack, where A_stack is
-the (r, d) stack of the A_i: TalkLoRA generalizes MoELoRA whose router
-rows lie in rowspace(A_stack), not MoELoRA with a generic (n, d) router.
+representations feed only the router.  All three families run one
+forward (:func:`_layer_forward`) and one backward, and the arrays a layer
+holds (a router or not, E or not, C or not) set what differs.  LoRA is
+the one-expert layer without a router, so its delta is its expert's
+output: it is exactly MoELoRA with one expert, whose softmax over one
+logit is 1.  TalkLoRA with C = I and E = I is exactly MoELoRA with the
+router W_g A_stack, where A_stack is the (r, d) stack of the A_i:
+TalkLoRA generalizes MoELoRA whose router rows lie in rowspace(A_stack),
+not MoELoRA with a generic (n, d) router.
 All math is float64 and every random draw comes from a named
 :class:`~talklora.linalg.RngState` stream, so construction is bit-reproducible.
 
 Expert layout: :func:`layer_layout` states each family's arrays and the
 rule on a layer's dims (:func:`check_low_rank`) once.  Initializers,
 stacks, budgets, checkpoints and the single-sample forwards all read it.
-MoELoRA and TalkLoRA stack their experts along a leading axis, one array
-per role: A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e).  Forwards (and
-the backward in :mod:`talklora.autodiff`) batch over that axis with
-``np.matmul``, so neither loops over experts.  An :class:`AdapterStack`
-keeps one config and every trainable scalar in one float64 buffer
-``flat``; layer arrays are views of it, a shared B is stored once, and
-per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name views ``a[j]``.
+Every family stacks its experts along a leading axis, one array per
+role: A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e), with n = 1 and
+r_e = r for LoRA.  Forwards (and the backward in :mod:`talklora.autodiff`)
+batch over that axis with ``np.matmul``, so neither loops over experts.
+An :class:`AdapterStack` keeps one config and every trainable scalar in
+one float64 buffer ``flat``; layer arrays are views of it, a shared B is
+stored once, and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name
+views ``a[j]``.
 """
 
 from __future__ import annotations
@@ -77,10 +81,6 @@ class AdapterConfig:
             check_low_rank(self, self.input_dim, self.output_dim, "the config")
 
     @property
-    def expert_rank(self) -> int:
-        return self.total_rank // self.experts
-
-    @property
     def scaling(self) -> float:
         """Multiplier lora_alpha / total_rank applied to the adapter delta."""
         return self.lora_alpha / self.total_rank
@@ -125,8 +125,8 @@ class FrozenLinear:
 
 @dataclass
 class LoRAAdapter:
-    a: np.ndarray  # (r, d), Kaiming at construction
-    b: np.ndarray  # (k, r), zero at construction
+    a: np.ndarray  # (1, r, d), the one expert's A; Kaiming at construction
+    b: np.ndarray  # (1, k, r), zero at construction
 
 
 @dataclass
@@ -175,11 +175,11 @@ class Field(NamedTuple):
     shared: bool = False
 
     def parts(self):
-        """(handle role, shape) per handle, lazily: one per expert of a stacked (n, ...)
-        array (``A0``, ``A1``, ...), LoRA's single expert (``A0``), else the role."""
+        """(handle role, shape) per handle, lazily: one per expert of a stacked
+        (n, ...) array (``A0``, ``A1``, ...), else the role (``C``, ``Wg``)."""
         if len(self.shape) == 3:
             return ((f"{self.role}{j}", self.shape[1:]) for j in range(self.shape[0]))
-        return iter([(self.role + ("0" if self.role in ("A", "B") else ""), self.shape)])
+        return iter([(self.role, self.shape)])
 
 
 def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
@@ -187,23 +187,23 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
     """The trainable arrays of one ``method`` layer at a d_in -> d_out site.
 
     Listed in buffer and handle order.  This is where the families differ:
-    LoRA holds A (r, d) and B (k, r) and ignores ``experts``; MoELoRA stacks
-    n experts of rank r_e = r / n, so n must divide r, and routes the raw
-    input through Wg (n, d); TalkLoRA adds E and the n x n C, routes the
-    r-dim communicated h~, and with ``share_b`` holds one B per projection
-    tag.  The gated forward and backward read these differences off the
-    arrays a layer holds.  Allocates nothing; first checks the dims with
+    LoRA holds one expert, A (1, r, d) and B (1, k, r), and no router, and
+    ignores ``experts``; MoELoRA stacks n experts of rank r_e = r / n, so n
+    must divide r, and routes the raw input through Wg (n, d); TalkLoRA
+    adds E and the n x n C, routes the r-dim communicated h~, and with
+    ``share_b`` holds one B per projection tag.  The one forward and
+    backward read these differences off the arrays a layer holds.  Allocates nothing; first checks the dims with
     :func:`check_low_rank`, naming ``site``.
     """
     check_low_rank(cfg, d_in, d_out, site)
     r, n = cfg.total_rank, cfg.experts
     if method == "lora":
-        return Field("a", "A", (r, d_in)), Field("b", "B", (d_out, r))
+        return Field("a", "A", (1, r, d_in)), Field("b", "B", (1, d_out, r))
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if r % n != 0:
         raise LowRankError(f"experts ({n}) must divide total_rank ({r}) at {site}")
-    r_e = cfg.expert_rank
+    r_e = r // n
     a, b = Field("a", "A", (n, r_e, d_in)), Field("b", "B", (n, d_out, r_e))
     if method == "moelora":
         return a, b, Field("router_wg", "Wg", (n, d_in))
@@ -298,11 +298,11 @@ class LayerCache:
 
     x: np.ndarray  # (B, d) clean layer input
     xa: np.ndarray  # (B, d) adapter-path input (after dropout, == x otherwise)
-    h: np.ndarray  # (n, B, r_e) per-expert representations; (B, r) for LoRA
-    router_in: Optional[np.ndarray]  # what router_wg multiplied: (B, r) or (B, d)
-    gates: Optional[np.ndarray]  # (B, n)
+    h: np.ndarray  # (n, B, r_e) per-expert representations
+    router_in: Optional[np.ndarray]  # what router_wg multiplied, (B, r) or (B, d)
+    gates: Optional[np.ndarray]  # (B, n); both None for a layer without a router
     p: Optional[np.ndarray]  # (n, B, r_e) E_i h_i when the layer holds E
-    yexp: Optional[np.ndarray]  # (n, B, k) unweighted expert outputs; None for LoRA
+    yexp: np.ndarray  # (n, B, k) unweighted expert outputs
     delta: np.ndarray  # (B, k)
     z: np.ndarray  # (B, k) = x @ w0.T + delta
 
@@ -313,34 +313,25 @@ def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
     return (gates.T[:, :, None] * yexp).sum(axis=0)
 
 
-def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: AdapterConfig,
-                       xa: Optional[np.ndarray] = None) -> LayerCache:
-    xa = x if xa is None else xa
-    h = xa @ ad.a.T
-    delta = cfg.scaling * (h @ ad.b.T)
-    return LayerCache(
-        x=x, xa=xa,
-        h=h, router_in=None, gates=None, p=None, yexp=None,
-        delta=delta, z=x @ w0.T + delta,
-    )
-
-
-def _gated_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
+def _layer_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
                    xa: Optional[np.ndarray]) -> LayerCache:
-    """The batched forward of both gated families.
+    """The batched forward of every family.
 
-    The arrays the layer holds set what differs: its router reads what
-    :func:`_router_input` gives, and each expert reads its h_i, or
-    p_i = E_i h_i when the layer holds E.
+    The arrays the layer holds set what differs: each expert reads its
+    h_i, or p_i = E_i h_i when the layer holds E; a layer with a router
+    mixes the experts by the gates of what :func:`_router_input` gives,
+    and one without (LoRA's one expert) adds that expert's output.
     """
     xa = x if xa is None else xa
     h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
-    router_in = _router_input(layer, xa, h, cfg.talking_enabled)
-    gates = softmax_rows(router_in @ layer.router_wg.T)
     e = getattr(layer, "e", None)
     p = None if e is None else h @ e.transpose(0, 2, 1)  # experts use the uncommunicated h
     yexp = (h if p is None else p) @ layer.b.transpose(0, 2, 1)  # (n, B, k)
-    delta = cfg.scaling * _gate_mix(gates, yexp)
+    router_in = gates = None
+    if hasattr(layer, "router_wg"):
+        router_in = _router_input(layer, xa, h, cfg.talking_enabled)
+        gates = softmax_rows(router_in @ layer.router_wg.T)
+    delta = cfg.scaling * (yexp[0] if gates is None else _gate_mix(gates, yexp))
     return LayerCache(
         x=x, xa=xa,
         h=h, router_in=router_in, gates=gates, p=p, yexp=yexp,
@@ -348,14 +339,19 @@ def _gated_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
     )
 
 
+def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: AdapterConfig,
+                       xa: Optional[np.ndarray] = None) -> LayerCache:
+    return _layer_forward(w0, ad, x, cfg, xa)
+
+
 def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
                           xa: Optional[np.ndarray] = None) -> LayerCache:
-    return _gated_forward(w0, ml, x, cfg, xa)
+    return _layer_forward(w0, ml, x, cfg, xa)
 
 
 def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
                            xa: Optional[np.ndarray] = None) -> LayerCache:
-    return _gated_forward(w0, tl, x, cfg, xa)
+    return _layer_forward(w0, tl, x, cfg, xa)
 
 
 def batch_forward(w0, adapter, x, cfg, xa=None) -> LayerCache:
@@ -402,7 +398,7 @@ def lora_forward(layer: FrozenLinear, ad: LoRAAdapter, x, cfg: AdapterConfig) ->
 def lora_merge(layer: FrozenLinear, ad: LoRAAdapter, cfg: AdapterConfig) -> np.ndarray:
     """Fold the low-rank update into the frozen weight: w0 + (alpha/r) B A."""
     _check_layer("lora", layer, ad, cfg)
-    return layer.w0 + cfg.scaling * (ad.b @ ad.a)
+    return layer.w0 + cfg.scaling * (ad.b[0] @ ad.a[0])
 
 
 def _trace_from_cache(cache: LayerCache) -> ForwardTrace:

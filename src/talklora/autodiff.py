@@ -1,8 +1,10 @@
 """Analytic reverse-mode gradients for every trainable adapter parameter.
 
 ``backward`` runs the exact chain rule through the frozen host stack and
-whichever adapter family is attached: gate gradients pass through the full
-softmax Jacobian diag(g) - g g^T, the communication matrix receives
+whichever adapter family is attached, in one layer backward for all
+three that reads what differs off the arrays a layer holds, as the
+forward does.  Gate gradients pass through the full softmax Jacobian
+diag(g) - g g^T (LoRA holds no router), the communication matrix receives
 gradient through the router path only (experts consume the uncommunicated
 representations), and shared B matrices accumulate the sum of all aliasing
 layers' contributions in their one slice.  Only adapter parameters train,
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterStack, LoRAAdapter, _c_mix, batch_forward
+from .adapters import AdapterConfig, AdapterStack, _c_mix, batch_forward
 from .linalg import _all_finite, softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
@@ -138,15 +140,6 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
     return gates * (g_gates - inner)
 
 
-def _lora_backward(ad: LoRAAdapter, cfg: AdapterConfig, cache, gz, want_gx):
-    gd = cfg.scaling * gz
-    gb = gd.T @ cache.h
-    gh = gd @ ad.b
-    ga = gh.T @ cache.xa
-    gxa = gh @ ad.a if want_gx else None
-    return gxa, {"a": ga, "b": gb}
-
-
 def _gate_backward(cache, gd):
     """Gradients at the gate logits (B, n) and at each expert's output (n, B, k)."""
     g_gates = (gd * cache.yexp).sum(axis=2).T  # (B, n)
@@ -154,15 +147,24 @@ def _gate_backward(cache, gd):
     return g_logits, cache.gates.T[:, :, None] * gd
 
 
-def _gated_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
-    """Both gated families, read off the arrays the layer holds, as the
-    forward does: E when it holds ``e``, and a router that read the
-    (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa."""
+def _layer_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
+    """Parameter gradients of one layer and, if ``want_gx``, the adapter
+    path's gradient at its (dropped-out) input ``xa`` (``None`` otherwise).
+
+    Every family, read off the arrays the layer holds, as the forward
+    does: gates when it holds ``router_wg`` (without one, the delta is the
+    one expert's output), E when it holds ``e``, and a router that read
+    the (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa.
+    """
     e, c = getattr(layer, "e", None), getattr(layer, "c", None)
-    g_logits, gy = _gate_backward(cache, cfg.scaling * gz)
+    gd = cfg.scaling * gz
+    if cache.gates is None:
+        gy, grads = gd[None], {}  # (1, B, k) at the one expert's output
+    else:
+        g_logits, gy = _gate_backward(cache, gd)
+        grads = {"router_wg": g_logits.T @ cache.router_in}
     gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
-    grads = {"router_wg": g_logits.T @ cache.router_in,
-             "b": gy.transpose(0, 2, 1) @ (cache.h if e is None else cache.p)}
+    grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if e is None else cache.p)
     if e is not None:
         grads["e"] = gh.transpose(0, 2, 1) @ cache.h
         gh = gh @ e
@@ -178,22 +180,13 @@ def _gated_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
     if not want_gx:
         return None, grads
     terms = gh @ layer.a  # (n, B, d)
+    if cache.gates is None:  # the one expert's term, as its output is the delta
+        return terms[0], grads
     if c is None:
         # the router read xa: its term first, then each expert's in order,
         # a fixed float summation order
         terms = np.concatenate(((g_logits @ layer.router_wg)[None], terms))
     return terms.sum(axis=0), grads
-
-
-def _layer_backward(adapter, cfg, cache, gz, want_gx, drop_scale):
-    """Parameter gradients of one layer and, if ``want_gx``, the adapter
-    path's gradient at the layer input (``None`` otherwise), through the
-    layer's dropout factors ``drop_scale`` when it has them."""
-    layer_backward = _lora_backward if isinstance(adapter, LoRAAdapter) else _gated_backward
-    gxa, grads = layer_backward(adapter, cfg, cache, gz, want_gx)
-    if gxa is not None and drop_scale is not None:
-        gxa = gxa * drop_scale
-    return gxa, grads
 
 
 def backward(
@@ -226,13 +219,13 @@ def backward(
         if i < len(frozen_layers) - 1:
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
             gx = gx * (1.0 - act * act)
-        scale = dropout_scales[i] if dropout_scales is not None else None
-        gxa, layer_grads = _layer_backward(
-            stack.adapters[i], stack.cfg, caches[i], gx, want_gx=i > 0, drop_scale=scale
-        )
+        gxa, layer_grads = _layer_backward(stack.adapters[i], stack.cfg, caches[i], gx,
+                                           want_gx=i > 0)
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)
         if i > 0:
+            if dropout_scales is not None:
+                gxa = gxa * dropout_scales[i]  # back through the adapter path's dropout
             gx = gx @ frozen_layers[i].w0 + gxa
     return value, grad
 

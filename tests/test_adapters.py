@@ -20,6 +20,7 @@ from talklora.adapters import (
     TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
+    frozen_stack_slots,
     init_lora,
     init_moelora,
     init_talklora,
@@ -34,8 +35,10 @@ from talklora.adapters import (
     talklora_forward,
 )
 from talklora.analysis import count_params
+from talklora.autodiff import LossSpec, backward
 from talklora.geometry import bundled_geometry
 from talklora.linalg import RngState, kaiming_init
+from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
 
 def small_cfg(**kw):
@@ -45,9 +48,8 @@ def small_cfg(**kw):
 
 
 class TestAdapterConfig:
-    def test_expert_rank_and_scaling(self):
+    def test_scaling(self):
         cfg = small_cfg(lora_alpha=16.0)
-        assert cfg.expert_rank == 2
         assert cfg.scaling == 4.0
 
     def test_low_rank_regime_enforced(self):
@@ -128,7 +130,7 @@ class TestLoRAForward:
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(np.eye(8))
         ad = init_lora(cfg, RngState(0))
-        assert np.array_equal(ad.b, np.zeros((8, 4)))
+        assert np.array_equal(ad.b, np.zeros((1, 8, 4)))
         x = RngState(1).generator().normal(size=8)
         assert np.array_equal(lora_forward(layer, ad, x, cfg), x)
 
@@ -137,7 +139,7 @@ class TestLoRAForward:
             total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
         )  # alpha/r = 1
         layer = FrozenLinear(np.zeros((2, 2)))
-        ad = LoRAAdapter(a=np.eye(2), b=np.eye(2))
+        ad = LoRAAdapter(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(lora_forward(layer, ad, [3.0, 4.0], cfg), [3.0, 4.0])
 
     def test_against_dense_chain_oracle(self):
@@ -147,9 +149,9 @@ class TestLoRAForward:
         gen = RngState(2).generator()
         w0 = gen.normal(size=(4, 4))
         layer = FrozenLinear(w0)
-        ad = LoRAAdapter(a=gen.normal(size=(4, 4)), b=gen.normal(size=(4, 4)))
+        ad = LoRAAdapter(a=gen.normal(size=(1, 4, 4)), b=gen.normal(size=(1, 4, 4)))
         x = gen.normal(size=4)
-        oracle = w0 @ x + (cfg.lora_alpha / cfg.total_rank) * (ad.b @ (ad.a @ x))
+        oracle = w0 @ x + (cfg.lora_alpha / cfg.total_rank) * (ad.b[0] @ (ad.a[0] @ x))
         assert np.max(np.abs(lora_forward(layer, ad, x, cfg) - oracle)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
@@ -172,7 +174,7 @@ class TestLoRAMerge:
             total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
         )
         layer = FrozenLinear(np.diag([2.0, 3.0]))
-        ad = LoRAAdapter(a=np.eye(2), b=np.eye(2))
+        ad = LoRAAdapter(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(lora_merge(layer, ad, cfg), np.diag([3.0, 4.0]))
 
     def test_merged_matches_forward_on_50_inputs(self):
@@ -181,7 +183,7 @@ class TestLoRAMerge:
         )
         gen = RngState(4).generator()
         layer = FrozenLinear(gen.normal(size=(5, 6)))
-        ad = LoRAAdapter(a=gen.normal(size=(3, 6)), b=gen.normal(size=(5, 3)))
+        ad = LoRAAdapter(a=gen.normal(size=(1, 3, 6)), b=gen.normal(size=(1, 5, 3)))
         merged = lora_merge(layer, ad, cfg)
         for _ in range(50):
             x = gen.normal(size=6)
@@ -207,10 +209,10 @@ class TestMoELoRAForward:
         rng = RngState(8)
         ml = init_moelora(cfg, rng)
         ad = init_lora(cfg, rng)  # same stream labels => same A draw
-        assert np.array_equal(ml.a[0], ad.a)
+        assert np.array_equal(ml.a, ad.a)
         gen = RngState(9).generator()
         ml.b[0][:] = gen.normal(size=(8, 4))
-        ad.b[:] = ml.b[0]
+        ad.b[:] = ml.b
         x = gen.normal(size=8)
         y_moe, trace = moelora_forward(layer, ml, x, cfg)
         assert trace.gates[0] == 1.0
@@ -379,6 +381,40 @@ class TestTalkLoRAForward:
             assert np.array_equal(t1.gates, t2.gates)
 
 
+class TestMoELoRAGeneralizesLoRA:
+    """LoRA is MoELoRA with one expert.  Built from one seed, the two hold
+    the same A0/B0 draws; a softmax over one logit is exactly 1, so the
+    router neither changes the delta nor receives a gradient, and training
+    both gives the same losses and the same A and B bytes."""
+
+    def _trained(self, method):
+        rng = RngState(11)
+        frozen = build_frozen_stack(8, 8, 2, rng.split("host"))
+        cfg = AdapterConfig(total_rank=4, experts=1, lora_alpha=8.0)
+        stack = build_stack_from_slots(method, cfg, frozen_stack_slots(frozen), rng.split("init"))
+        data = generate_cluster_task(ClusterTaskSpec(clusters=2, input_dim=8, output_dim=8,
+                                                     samples_per_cluster=40, seed=12))
+        tc = TrainConfig(epochs=4, batch_size=8, lr=1e-2, warmup_steps=5, eval_every=8,
+                         dropout=0.05, weight_decay=0.01)
+        return frozen, stack, data, train(stack, frozen, data, tc, LossSpec())
+
+    def test_one_expert_moelora_trains_as_lora(self):
+        _, lora, _, lora_log = self._trained("lora")
+        frozen, moe, data, moe_log = self._trained("moelora")
+        assert len(lora_log.steps) >= 24
+        assert [s.loss for s in moe_log.steps] == [s.loss for s in lora_log.steps]
+        assert all((snap.mean_gates == 1.0).all() for snap in moe_log.snapshots)
+        moe_params = dict(moe.named_parameters())
+        for handle, arr in lora.named_parameters():
+            assert moe_params.pop(handle).tobytes() == arr.tobytes(), handle
+        assert sorted(moe_params) == ["L00.8x8.Wg", "L01.8x8.Wg"]
+        gen = RngState(13).generator()
+        x, y = data.x_train[:16], data.y_train[:16]
+        scales = [(gen.uniform(size=x.shape) >= 0.05) / 0.95 for _ in frozen]
+        views = moe.views(backward(moe, frozen, (x, y), LossSpec(), scales)[1])
+        assert not any(views[handle].any() for handle in moe_params)
+
+
 class TestTalkLoRAGeneralizesMoELoRA:
     """TalkLoRA with C = I and E = I is MoELoRA with its router confined to
     rowspace(A_stack), where A_stack is the (r, d) stack of the A_i: the
@@ -529,7 +565,7 @@ class TestLayerShapeRule:
     def test_adapter_of_other_dims_rejected_naming_the_array(self, method):
         init, forward = FORWARDS[method]
         ad = init(small_cfg(input_dim=16, output_dim=16), RngState(40))
-        shape = "(4, 16)" if method == "lora" else "(2, 2, 16)"
+        shape = "(1, 4, 16)" if method == "lora" else "(2, 2, 16)"
         expected = (rf"^{type(ad).__name__}\.a has shape {re.escape(shape)}, but w0 \(8, 8\) "
                     r"at total_rank 4, experts 2 implies")
         with pytest.raises(ValueError, match=expected):
@@ -548,7 +584,7 @@ class TestLayerShapeRule:
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
         ad = init_lora(small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
-        with pytest.raises(ValueError, match=r"^LoRAAdapter\.a has shape \(4, 6\)"):
+        with pytest.raises(ValueError, match=r"^LoRAAdapter\.a has shape \(1, 4, 6\)"):
             lora_merge(FrozenLinear(np.eye(8)), ad, small_cfg(experts=1, input_dim=None,
                                                                 output_dim=None))
 
@@ -562,7 +598,7 @@ class TestLayerShapeRule:
     def test_experts_must_divide_rank(self):
         # the config takes it, since LoRA ignores experts; a gated layout rejects it
         cfg = AdapterConfig(total_rank=6, experts=4, input_dim=8, output_dim=8)
-        assert [field.shape for field in layer_layout("lora", cfg, 8, 8)] == [(6, 8), (8, 6)]
+        assert [field.shape for field in layer_layout("lora", cfg, 8, 8)] == [(1, 6, 8), (1, 8, 6)]
         for method in ("moelora", "talklora"):
             with pytest.raises(LowRankError,
                                match=r"^experts \(4\) must divide total_rank \(6\) at the layer$"):

@@ -242,7 +242,7 @@ class TestConfigValues:
 
 
 class TestCliContract:
-    """Small random run configs through ``train`` and ``gradcheck`` in process."""
+    """Small random run configs through ``train``, ``ckpt`` and ``gradcheck`` in process."""
 
     @PROPERTY
     @given(method=st.sampled_from(METHODS), total_rank=st.integers(1, 8),
@@ -261,7 +261,11 @@ class TestCliContract:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps({**doc, "output_dir": str(Path(tmp) / "out")}))
             trained = _run_cli("train", "--config", str(config))
+            stored = [_run_cli("ckpt", action, "--checkpoint",
+                               str(Path(tmp) / "out" / "checkpoint.tlkl"))
+                      for action in ("roundtrip", "inspect") if trained == 0]
             checked = _run_cli("gradcheck", "--config", str(config))
         assert {trained, checked} <= {0, 2, 3, 4}
         if trained == 0:  # the dims are below the gradcheck cap
+            assert stored == [0, 0]
             assert checked in (0, 3)
