@@ -9,12 +9,10 @@ audits, degeneracy checks, and routing-load statistics.
 
 from .adapters import (
     AdapterConfig,
+    AdapterLayer,
     AdapterStack,
     ForwardTrace,
     FrozenLinear,
-    LoRAAdapter,
-    MoELoRALayer,
-    TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -67,21 +65,19 @@ from .tasks import (
 
 __all__ = [
     "AdapterConfig",
+    "AdapterLayer",
     "AdapterStack",
     "AdamWHyper",
     "AdamWState",
     "ClusterTaskSpec",
     "ForwardTrace",
     "FrozenLinear",
-    "LoRAAdapter",
     "LossSpec",
-    "MoELoRALayer",
     "ModelGeometry",
     "ParamBudget",
     "RngState",
     "RoutingLoadReport",
     "StabilityCertificate",
-    "TalkLoRALayer",
     "TrainConfig",
     "TrainLog",
     "adamw_step",

@@ -21,13 +21,16 @@ not MoELoRA with a generic (n, d) router.
 All math is float64 and every random draw comes from a named
 :class:`~talklora.linalg.RngState` stream, so construction is bit-reproducible.
 
-Expert layout: :func:`layer_layout` states each family's arrays and the
-rule on a layer's dims (:func:`check_low_rank`) once.  Initializers,
-stacks, budgets, checkpoints and the single-sample forwards all read it.
-Every family stacks its experts along a leading axis, one array per
-role: A (n, r_e, d), E (n, r_e, r_e) and B (n, k, r_e), with n = 1 and
-r_e = r for LoRA.  Forwards (and the backward in :mod:`talklora.autodiff`)
-batch over that axis with ``np.matmul``, so neither loops over experts.
+Expert layout: every family's layer is one :class:`AdapterLayer`, and the
+arrays it holds are its family.  :func:`layer_layout` states each
+family's arrays and the rule on a layer's dims (:func:`check_low_rank`)
+once.  Initializers, stacks, budgets, checkpoints and the single-sample
+forwards all read it; the single-sample forwards also reject an array
+the family does not hold.  Every family stacks its experts along a
+leading axis, one array per role: A (n, r_e, d), E (n, r_e, r_e) and
+B (n, k, r_e), with n = 1 and r_e = r for LoRA.  Forwards (and the
+backward in :mod:`talklora.autodiff`) batch over that axis with
+``np.matmul``, so neither loops over experts.
 An :class:`AdapterStack` keeps one config and every trainable scalar in
 one float64 buffer ``flat``; layer arrays are views of it, a shared B is
 stored once, and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name
@@ -37,7 +40,7 @@ views ``a[j]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -124,28 +127,21 @@ class FrozenLinear:
 
 
 @dataclass
-class LoRAAdapter:
-    a: np.ndarray  # (1, r, d), the one expert's A; Kaiming at construction
-    b: np.ndarray  # (1, k, r), zero at construction
+class AdapterLayer:
+    """One adapter layer of any family; the arrays it holds are its family.
 
+    Every family holds A and B.  LoRA holds nothing else, MoELoRA adds a
+    router ``router_wg`` over the raw input, and TalkLoRA adds E, the
+    communication matrix C and a router over the C-mixed h.  An array the
+    family does not hold is ``None``; :func:`layer_layout` states each
+    family's arrays and their shapes.
+    """
 
-@dataclass
-class MoELoRALayer:
-    a: np.ndarray  # (n, r_e, d) stacked expert down-projections
-    b: np.ndarray  # (n, k, r_e) stacked expert up-projections
-    router_wg: np.ndarray  # (n, d)
-
-
-@dataclass
-class TalkLoRALayer:
-    a: np.ndarray  # (n, r_e, d)
-    e: np.ndarray  # (n, r_e, r_e)
-    b: np.ndarray  # (n, k, r_e); in a stack with share_b, one array per projection tag
-    c: np.ndarray  # (n, n) communication matrix
-    router_wg: np.ndarray  # (n, r)
-
-
-_LAYER_TYPES = {"lora": LoRAAdapter, "moelora": MoELoRALayer, "talklora": TalkLoRALayer}
+    a: np.ndarray
+    b: np.ndarray
+    router_wg: Optional[np.ndarray] = None
+    e: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
 
 
 class LowRankError(ValueError):
@@ -191,8 +187,9 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
     ignores ``experts``; MoELoRA stacks n experts of rank r_e = r / n, so n
     must divide r, and routes the raw input through Wg (n, d); TalkLoRA
     adds E and the n x n C, routes the r-dim communicated h~, and with
-    ``share_b`` holds one B per projection tag.  The one forward and
-    backward read these differences off the arrays a layer holds.  Allocates nothing; first checks the dims with
+    ``share_b`` holds one B per projection tag.  An :class:`AdapterLayer`
+    holds exactly these arrays, and the one forward and backward read the
+    differences off them.  Allocates nothing; first checks the dims with
     :func:`check_low_rank`, naming ``site``.
     """
     check_low_rank(cfg, d_in, d_out, site)
@@ -261,15 +258,15 @@ def alias_table(sites) -> dict:
             for site in sites if site.field.shared for role, handle, _ in site.handles()}
 
 
-def init_lora(cfg: AdapterConfig, rng: RngState) -> LoRAAdapter:
+def init_lora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
     return _init_layer("lora", cfg, rng)
 
 
-def init_moelora(cfg: AdapterConfig, rng: RngState) -> MoELoRALayer:
+def init_moelora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
     return _init_layer("moelora", cfg, rng)
 
 
-def init_talklora(cfg: AdapterConfig, rng: RngState) -> TalkLoRALayer:
+def init_talklora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
     return _init_layer("talklora", cfg, rng)
 
 
@@ -313,7 +310,7 @@ def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
     return (gates.T[:, :, None] * yexp).sum(axis=0)
 
 
-def _layer_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
+def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
                    xa: Optional[np.ndarray]) -> LayerCache:
     """The batched forward of every family.
 
@@ -324,11 +321,11 @@ def _layer_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
     """
     xa = x if xa is None else xa
     h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
-    e = getattr(layer, "e", None)
-    p = None if e is None else h @ e.transpose(0, 2, 1)  # experts use the uncommunicated h
+    # experts use the uncommunicated h
+    p = None if layer.e is None else h @ layer.e.transpose(0, 2, 1)
     yexp = (h if p is None else p) @ layer.b.transpose(0, 2, 1)  # (n, B, k)
     router_in = gates = None
-    if hasattr(layer, "router_wg"):
+    if layer.router_wg is not None:
         router_in = _router_input(layer, xa, h, cfg.talking_enabled)
         gates = softmax_rows(router_in @ layer.router_wg.T)
     delta = cfg.scaling * (yexp[0] if gates is None else _gate_mix(gates, yexp))
@@ -339,45 +336,49 @@ def _layer_forward(w0: np.ndarray, layer, x: np.ndarray, cfg: AdapterConfig,
     )
 
 
-def lora_batch_forward(w0: np.ndarray, ad: LoRAAdapter, x: np.ndarray, cfg: AdapterConfig,
+def lora_batch_forward(w0: np.ndarray, ad: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
                        xa: Optional[np.ndarray] = None) -> LayerCache:
     return _layer_forward(w0, ad, x, cfg, xa)
 
 
-def moelora_batch_forward(w0: np.ndarray, ml: MoELoRALayer, x: np.ndarray, cfg: AdapterConfig,
+def moelora_batch_forward(w0: np.ndarray, ml: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
                           xa: Optional[np.ndarray] = None) -> LayerCache:
     return _layer_forward(w0, ml, x, cfg, xa)
 
 
-def talklora_batch_forward(w0: np.ndarray, tl: TalkLoRALayer, x: np.ndarray, cfg: AdapterConfig,
+def talklora_batch_forward(w0: np.ndarray, tl: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
                            xa: Optional[np.ndarray] = None) -> LayerCache:
     return _layer_forward(w0, tl, x, cfg, xa)
 
 
-def batch_forward(w0, adapter, x, cfg, xa=None) -> LayerCache:
-    if isinstance(adapter, LoRAAdapter):
-        return lora_batch_forward(w0, adapter, x, cfg, xa)
-    if isinstance(adapter, MoELoRALayer):
-        return moelora_batch_forward(w0, adapter, x, cfg, xa)
-    if isinstance(adapter, TalkLoRALayer):
+def batch_forward(w0, adapter: AdapterLayer, x, cfg, xa=None) -> LayerCache:
+    """:func:`_layer_forward` through the entry point of the layer's family,
+    read off the arrays it holds: C (TalkLoRA), else a router (MoELoRA),
+    else neither (LoRA)."""
+    if adapter.c is not None:
         return talklora_batch_forward(w0, adapter, x, cfg, xa)
-    raise TypeError(f"unknown adapter type {type(adapter).__name__}")
+    if adapter.router_wg is not None:
+        return moelora_batch_forward(w0, adapter, x, cfg, xa)
+    return lora_batch_forward(w0, adapter, x, cfg, xa)
 
 
 def _check_layer(method: str, layer: FrozenLinear, adapter, cfg: AdapterConfig) -> None:
     """The single-sample API's one shape check: the config's dims against w0,
-    then each array of ``adapter`` against the :func:`layer_layout` they imply."""
+    then each array of ``adapter`` against the :func:`layer_layout` they
+    imply, where an array the ``method`` layer does not hold must be None."""
     if cfg.input_dim is not None and (cfg.input_dim, cfg.output_dim) != (layer.d_in, layer.d_out):
         raise ValueError(f"config dims ({cfg.input_dim}, {cfg.output_dim}) do not match "
                          f"w0's d_in {layer.d_in}, d_out {layer.d_out}")
-    for field in layer_layout(method, cfg, layer.d_in, layer.d_out, f"w0 {layer.w0.shape}"):
-        shape = np.shape(getattr(adapter, field.name))
-        if shape != field.shape:
-            raise ValueError(
-                f"{type(adapter).__name__}.{field.name} has shape {shape}, but w0 "
-                f"{layer.w0.shape} at total_rank {cfg.total_rank}, experts {cfg.experts} "
-                f"implies {field.shape}"
-            )
+    layout = layer_layout(method, cfg, layer.d_in, layer.d_out, f"w0 {layer.w0.shape}")
+    implied = {field.name: field.shape for field in layout}
+    for field in fields(AdapterLayer):
+        held = getattr(adapter, field.name)
+        shape = None if held is None else np.shape(held)
+        if shape != implied.get(field.name):
+            what = "is None" if shape is None else f"has shape {shape}"
+            raise ValueError(f"{method} layer's {field.name} {what}, but w0 {layer.w0.shape} at "
+                             f"total_rank {cfg.total_rank}, experts {cfg.experts} implies "
+                             f"{implied.get(field.name)}")
 
 
 def _forward_one(method: str, layer: FrozenLinear, adapter, x, cfg: AdapterConfig) -> LayerCache:
@@ -390,35 +391,27 @@ def _forward_one(method: str, layer: FrozenLinear, adapter, x, cfg: AdapterConfi
     return batch_forward(layer.w0, adapter, x[None, :], cfg)
 
 
-def lora_forward(layer: FrozenLinear, ad: LoRAAdapter, x, cfg: AdapterConfig) -> np.ndarray:
+def lora_forward(layer: FrozenLinear, ad: AdapterLayer, x, cfg: AdapterConfig) -> np.ndarray:
     """y = w0 x + (alpha/r) B A x."""
     return _forward_one("lora", layer, ad, x, cfg).z[0]
 
 
-def lora_merge(layer: FrozenLinear, ad: LoRAAdapter, cfg: AdapterConfig) -> np.ndarray:
+def lora_merge(layer: FrozenLinear, ad: AdapterLayer, cfg: AdapterConfig) -> np.ndarray:
     """Fold the low-rank update into the frozen weight: w0 + (alpha/r) B A."""
     _check_layer("lora", layer, ad, cfg)
     return layer.w0 + cfg.scaling * (ad.b[0] @ ad.a[0])
 
 
 def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
+    """The one sample's trace.  h~ is the communicated h the router read when
+    the layer holds E (TalkLoRA); without communication it mirrors h."""
     h = cache.h[:, 0]
-    if cache.p is not None:
-        # talklora: router input is the concatenated communicated h~
-        h_tilde = cache.router_in[0].reshape(h.shape)
-    else:
-        h_tilde = h.copy()  # no communication exists: mirrors h
-    return ForwardTrace(
-        h=h,
-        h_tilde=h_tilde,
-        gates=cache.gates[0].copy(),
-        expert_outputs=cache.yexp[:, 0],
-        y=cache.z[0],
-        delta=cache.delta[0],
-    )
+    h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
+    return ForwardTrace(h=h, h_tilde=h_tilde, gates=cache.gates[0].copy(),
+                        expert_outputs=cache.yexp[:, 0], y=cache.z[0], delta=cache.delta[0])
 
 
-def moelora_forward(layer: FrozenLinear, ml: MoELoRALayer, x,
+def moelora_forward(layer: FrozenLinear, ml: AdapterLayer, x,
                     cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
     """y = w0 x + (alpha/r) sum_i g_i(x) B_i A_i x with g = softmax(W_g x)."""
     cache = _forward_one("moelora", layer, ml, x, cfg)
@@ -431,7 +424,7 @@ def _c_mix(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (c @ h.reshape(h.shape[0], -1)).reshape(h.shape)
 
 
-def talklora_forward(layer: FrozenLinear, tl: TalkLoRALayer, x,
+def talklora_forward(layer: FrozenLinear, tl: AdapterLayer, x,
                      cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
     """Full TalkLoRA layer forward.
 
@@ -447,14 +440,13 @@ def _router_input(layer, xa: np.ndarray, h: np.ndarray, talking_enabled: bool) -
     """What a gated layer's router reads: the raw adapter input ``xa`` (B, d),
     or, when the layer holds C, the concatenation [h~_1, ..., h~_n] (B, r) of
     the C-mixed stacked h (n, B, r_e), which is h itself with talking off."""
-    c = getattr(layer, "c", None)
-    if c is None:
+    if layer.c is None:
         return xa
-    h_tilde = _c_mix(c, h) if talking_enabled else h
+    h_tilde = _c_mix(layer.c, h) if talking_enabled else h
     return h_tilde.transpose(1, 0, 2).reshape(h.shape[1], -1)
 
 
-def router_gates(tl: TalkLoRALayer, x: np.ndarray, talking_enabled: bool = True) -> np.ndarray:
+def router_gates(tl: AdapterLayer, x: np.ndarray, talking_enabled: bool = True) -> np.ndarray:
     """Routing function alone: gates for a batch of inputs (B, d) -> (B, n)."""
     router_in = _router_input(tl, x, x @ tl.a.transpose(0, 2, 1), talking_enabled)
     return softmax_rows(router_in @ tl.router_wg.T)
@@ -514,7 +506,7 @@ class AdapterStack:
                     self._by_handle[handle] = arr
         if end != flat.size:
             raise ValueError(f"the layout holds {end} scalars, flat {flat.size}")
-        self.adapters = [_LAYER_TYPES[method](**fields) for fields in arrays]
+        self.adapters = [AdapterLayer(**held) for held in arrays]
 
     def slot_cfg(self, i: int) -> AdapterConfig:
         """The config of slot i: :attr:`cfg`, as for every slot.  Nothing in the

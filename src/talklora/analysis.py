@@ -16,8 +16,8 @@ import numpy as np
 
 from .adapters import (
     AdapterConfig,
+    AdapterLayer,
     AdapterStack,
-    TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -115,7 +115,7 @@ class StabilityCertificate:
 
 
 def stability_certificate(
-    tl: TalkLoRALayer,
+    tl: AdapterLayer,
     trials: int,
     delta_scale: float,
     rng: RngState,
@@ -132,8 +132,11 @@ def stability_certificate(
     a last block of one row joins the block before it, because a one-row
     product takes BLAS's matrix-vector path.  So the result equals a
     one-shot evaluation of all rows bit for bit.  Pairs with dx = 0 are
-    skipped; if every pair has dx = 0 the observed ratio is 0.
+    skipped; if every pair has dx = 0 the observed ratio is 0.  TalkLoRA only:
+    the proof needs g = softmax(W_g (C kron I) A x), so a layer without C raises.
     """
+    if tl.c is None:
+        raise ValueError("stability_certificate needs a TalkLoRA layer, one that holds c")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if delta_scale < 0:
@@ -256,8 +259,12 @@ class DegeneracyReport:
 
 
 def degeneracy_check(
-    tl: TalkLoRALayer, trials: int, rng: RngState
+    tl: AdapterLayer, trials: int, rng: RngState
 ) -> DegeneracyReport:
+    """The :class:`DegeneracyReport` probes of a layer's C over ``trials`` draws.
+    TalkLoRA only: a layer that holds no C raises."""
+    if tl.c is None:
+        raise ValueError("degeneracy_check needs a TalkLoRA layer, one that holds c")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n, r_e, d = tl.a.shape

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterStack, _c_mix, batch_forward
+from .adapters import AdapterConfig, AdapterLayer, AdapterStack, _c_mix, batch_forward
 from .linalg import _all_finite, softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
@@ -147,7 +147,7 @@ def _gate_backward(cache, gd):
     return g_logits, cache.gates.T[:, :, None] * gd
 
 
-def _layer_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
+def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx):
     """Parameter gradients of one layer and, if ``want_gx``, the adapter
     path's gradient at its (dropped-out) input ``xa`` (``None`` otherwise).
 
@@ -156,33 +156,32 @@ def _layer_backward(layer, cfg: AdapterConfig, cache, gz, want_gx):
     one expert's output), E when it holds ``e``, and a router that read
     the (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa.
     """
-    e, c = getattr(layer, "e", None), getattr(layer, "c", None)
     gd = cfg.scaling * gz
-    if cache.gates is None:
+    if layer.router_wg is None:
         gy, grads = gd[None], {}  # (1, B, k) at the one expert's output
     else:
         g_logits, gy = _gate_backward(cache, gd)
         grads = {"router_wg": g_logits.T @ cache.router_in}
     gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
-    grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if e is None else cache.p)
-    if e is not None:
+    grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p)
+    if layer.e is not None:
         grads["e"] = gh.transpose(0, 2, 1) @ cache.h
-        gh = gh @ e
-    if c is not None:
+        gh = gh @ layer.e
+    if layer.c is not None:
         n, batch, r_e = cache.h.shape
         ght = g_logits @ layer.router_wg  # (B, r) gradient at the router input
         ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
         if cfg.talking_enabled:  # without talking, C gets no gradient and keeps its zero
             grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
-            ght = _c_mix(c.T, ght)
+            ght = _c_mix(layer.c.T, ght)
         gh = ght + gh
     grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
     if not want_gx:
         return None, grads
     terms = gh @ layer.a  # (n, B, d)
-    if cache.gates is None:  # the one expert's term, as its output is the delta
+    if layer.router_wg is None:  # the one expert's term, as its output is the delta
         return terms[0], grads
-    if c is None:
+    if layer.c is None:
         # the router read xa: its term first, then each expert's in order,
         # a fixed float summation order
         terms = np.concatenate(((g_logits @ layer.router_wg)[None], terms))

@@ -283,9 +283,10 @@ def cmd_params(config: RunConfig) -> int:
     doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
            "geometry": geom.name, "targets": sorted(config.targets),
            "config": config.effective_dict()}
-    _emit_json(doc)
+    # an unusable output_dir fails here, before the summary is printed
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _emit_json(doc)
     _emit_json(doc, out / "param_budget.json")
     return EXIT_OK
 

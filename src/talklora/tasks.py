@@ -52,6 +52,9 @@ class ClusterTaskSpec:
             raise ValueError("clusters and dims must be positive")
         if self.samples_per_cluster < 1:
             raise ValueError("samples_per_cluster must be positive")
+        if self.clusters * self.samples_per_cluster < 2:  # the eval split takes the first sample
+            raise ValueError("clusters * samples_per_cluster must be at least 2, got "
+                             f"{self.clusters} * {self.samples_per_cluster}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
@@ -167,10 +170,10 @@ class TrainLog:
 
 
 def _schedule_lr(step: int, total: int, tc: TrainConfig) -> float:
+    """Linear warmup to ``tc.lr``, then linear decay to 0 at ``total``.  ``train``
+    calls it with 1 <= step <= total, so past the warmup total > warmup_steps."""
     if step <= tc.warmup_steps:
         return tc.lr * step / tc.warmup_steps
-    if total <= tc.warmup_steps:
-        return tc.lr
     return tc.lr * (total - step) / (total - tc.warmup_steps)
 
 

@@ -12,12 +12,10 @@ from talklora import linalg
 from talklora.adapters import (
     _c_mix,
     AdapterConfig,
+    AdapterLayer,
     FrozenLinear,
-    LoRAAdapter,
     LowRankError,
     METHODS,
-    MoELoRALayer,
-    TalkLoRALayer,
     build_frozen_stack,
     build_stack_from_slots,
     frozen_stack_slots,
@@ -139,7 +137,7 @@ class TestLoRAForward:
             total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
         )  # alpha/r = 1
         layer = FrozenLinear(np.zeros((2, 2)))
-        ad = LoRAAdapter(a=np.eye(2)[None], b=np.eye(2)[None])
+        ad = AdapterLayer(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(lora_forward(layer, ad, [3.0, 4.0], cfg), [3.0, 4.0])
 
     def test_against_dense_chain_oracle(self):
@@ -149,7 +147,7 @@ class TestLoRAForward:
         gen = RngState(2).generator()
         w0 = gen.normal(size=(4, 4))
         layer = FrozenLinear(w0)
-        ad = LoRAAdapter(a=gen.normal(size=(1, 4, 4)), b=gen.normal(size=(1, 4, 4)))
+        ad = AdapterLayer(a=gen.normal(size=(1, 4, 4)), b=gen.normal(size=(1, 4, 4)))
         x = gen.normal(size=4)
         oracle = w0 @ x + (cfg.lora_alpha / cfg.total_rank) * (ad.b[0] @ (ad.a[0] @ x))
         assert np.max(np.abs(lora_forward(layer, ad, x, cfg) - oracle)) < 1e-12
@@ -174,7 +172,7 @@ class TestLoRAMerge:
             total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
         )
         layer = FrozenLinear(np.diag([2.0, 3.0]))
-        ad = LoRAAdapter(a=np.eye(2)[None], b=np.eye(2)[None])
+        ad = AdapterLayer(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(lora_merge(layer, ad, cfg), np.diag([3.0, 4.0]))
 
     def test_merged_matches_forward_on_50_inputs(self):
@@ -183,7 +181,7 @@ class TestLoRAMerge:
         )
         gen = RngState(4).generator()
         layer = FrozenLinear(gen.normal(size=(5, 6)))
-        ad = LoRAAdapter(a=gen.normal(size=(1, 3, 6)), b=gen.normal(size=(1, 5, 3)))
+        ad = AdapterLayer(a=gen.normal(size=(1, 3, 6)), b=gen.normal(size=(1, 5, 3)))
         merged = lora_merge(layer, ad, cfg)
         for _ in range(50):
             x = gen.normal(size=6)
@@ -445,14 +443,14 @@ class TestTalkLoRAGeneralizesMoELoRA:
 
     def test_identity_talklora_is_moelora_with_router_wg_a_stack(self):
         cfg, tl, a_stack, w0, x, _ = self._pair(seed=3)
-        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=tl.router_wg @ a_stack)
+        ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=tl.router_wg @ a_stack)
         gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
                         moelora_batch_forward(w0, ml, x, cfg))
         assert gap < 32 * self.EPS  # the two logit products associate differently
 
     def test_rowspace_moelora_is_talklora_with_router_wg_pinv(self):
         cfg, tl, a_stack, w0, x, gen = self._pair(seed=4)
-        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.R)) @ a_stack)
+        ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.R)) @ a_stack)
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)
         gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
                         moelora_batch_forward(w0, ml, x, cfg))
@@ -460,7 +458,7 @@ class TestTalkLoRAGeneralizesMoELoRA:
 
     def test_generic_router_leaves_a_residual_outside_the_rowspace(self):
         cfg, tl, a_stack, w0, x, gen = self._pair(seed=5)
-        ml = MoELoRALayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.D)))
+        ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.D)))
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)  # its nearest TalkLoRA router
         residual = ml.router_wg - tl.router_wg @ a_stack
         assert np.linalg.norm(residual) / np.linalg.norm(ml.router_wg) > 0.1
@@ -565,9 +563,10 @@ class TestLayerShapeRule:
     def test_adapter_of_other_dims_rejected_naming_the_array(self, method):
         init, forward = FORWARDS[method]
         ad = init(small_cfg(input_dim=16, output_dim=16), RngState(40))
-        shape = "(1, 4, 16)" if method == "lora" else "(2, 2, 16)"
-        expected = (rf"^{type(ad).__name__}\.a has shape {re.escape(shape)}, but w0 \(8, 8\) "
-                    r"at total_rank 4, experts 2 implies")
+        shape, implied = ("(1, 4, 16)", "(1, 4, 8)") if method == "lora" else ("(2, 2, 16)",
+                                                                              "(2, 2, 8)")
+        expected = (rf"^{method} layer's a has shape {re.escape(shape)}, but w0 \(8, 8\) "
+                    rf"at total_rank 4, experts 2 implies {re.escape(implied)}$")
         with pytest.raises(ValueError, match=expected):
             forward(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg(input_dim=None,
                                                                        output_dim=None))
@@ -578,13 +577,33 @@ class TestLayerShapeRule:
         cfg = small_cfg()
         for field in layer_layout(method, cfg, 8, 8):
             ad = init(cfg, RngState(41))
-            setattr(ad, field.name, np.zeros(field.shape[:-1] + (field.shape[-1] + 1,)))
-            with pytest.raises(ValueError, match=rf"^{type(ad).__name__}\.{field.name} has shape"):
+            held = field.shape[:-1] + (field.shape[-1] + 1,)
+            setattr(ad, field.name, np.zeros(held))
+            expected = (rf"^{method} layer's {field.name} has shape {re.escape(str(held))}, "
+                        rf"but .* implies {re.escape(str(field.shape))}$")
+            with pytest.raises(ValueError, match=expected):
                 forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+
+    @pytest.mark.parametrize("held, experts, method, name, message", [
+        ("talklora", 2, "moelora", "e", r"has shape \(2, 4, 4\), but .* implies None$"),
+        ("moelora", 2, "talklora", "e", r"is None, but .* implies \(2, 4, 4\)$"),
+        ("moelora", 1, "lora", "router_wg", r"has shape \(1, 8\), but .* implies None$"),
+    ])
+    def test_a_layer_of_another_family_is_rejected_naming_the_array(self, held, experts, method,
+                                                                     name, message):
+        # at r = d a TalkLoRA router (n, r) has a MoELoRA router's shape (n, d),
+        # and a one-expert MoELoRA layer has LoRA's A and B: only the arrays
+        # one family holds and the other does not tell the two apart
+        cfg = small_cfg(total_rank=8, experts=experts)
+        ad = FORWARDS[held][0](cfg, RngState(47))
+        with pytest.raises(ValueError, match=rf"^{method} layer's {name} {message}"):
+            FORWARDS[method][1](FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
         ad = init_lora(small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
-        with pytest.raises(ValueError, match=r"^LoRAAdapter\.a has shape \(1, 4, 6\)"):
+        with pytest.raises(ValueError, match=r"^lora layer's a has shape \(1, 4, 6\), but w0 "
+                                             r"\(8, 8\) at total_rank 4, experts 1 implies "
+                                             r"\(1, 4, 8\)$"):
             lora_merge(FrozenLinear(np.eye(8)), ad, small_cfg(experts=1, input_dim=None,
                                                                 output_dim=None))
 

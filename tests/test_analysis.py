@@ -9,6 +9,7 @@ from talklora.adapters import (
     AdapterConfig,
     LayerSlot,
     build_stack_from_slots,
+    init_moelora,
     init_talklora,
     router_gates,
 )
@@ -226,6 +227,16 @@ class TestStabilityCertificate:
         assert cert.bound_any_c == 0.5 * cert.bound
         assert 0.0 < cert.max_observed_ratio <= cert.bound_any_c * (1 + 1e-9)
 
+    @pytest.mark.parametrize("talking", [True, False])
+    def test_moelora_layer_rejected(self, talking):
+        # the proof needs g = softmax(W_g (C kron I) A x), and a MoELoRA router
+        # reads x itself: with talking off the bound would not hold for it
+        ml = init_moelora(AdapterConfig(total_rank=8, experts=4, input_dim=16, output_dim=16),
+                          RngState(9))
+        with pytest.raises(ValueError, match=r"^stability_certificate needs a TalkLoRA layer"):
+            stability_certificate(ml, trials=16, delta_scale=0.1, rng=RngState(9),
+                                  talking_enabled=talking)
+
     def test_alpha_is_norm_of_stacked_projection(self):
         tl, _ = _layer(seed=5)
         cert = stability_certificate(tl, trials=1, delta_scale=0.1, rng=RngState(5))
@@ -354,6 +365,12 @@ class TestDegeneracyCheck:
         tl, _ = _layer(seed=42, n=1)
         with pytest.raises(ValueError):
             degeneracy_check(tl, trials=10, rng=RngState(42))
+
+    def test_moelora_layer_rejected(self):
+        ml = init_moelora(AdapterConfig(total_rank=4, experts=2, input_dim=12, output_dim=12),
+                          RngState(43))
+        with pytest.raises(ValueError, match=r"^degeneracy_check needs a TalkLoRA layer"):
+            degeneracy_check(ml, trials=10, rng=RngState(43))
 
 
 def _per_trial_degeneracy(tl, trials, rng):

@@ -152,6 +152,14 @@ class TestParams:
         assert code == 2
         assert "bogus_field" in err
 
+    def test_output_dir_under_a_file_exits_2_printing_nothing(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = self._params_config(tmp_path, output_dir=str(tmp_path / "file" / "out"))
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("path error: ")
+
     def test_seed_override_is_echoed(self, tmp_path, capsys):
         cfg = self._params_config(tmp_path)
         code, out, _ = run(capsys, "params", "--config", str(cfg), "--seed", "99")
@@ -345,6 +353,16 @@ class TestTrain:
         assert len(loss_lines) == 2 + len(log["steps"])
         gates_rows = sum(np.size(s["mean_gates"]) for s in log["snapshots"])
         assert len(routing_lines) == 2 + gates_rows
+
+    def test_one_sample_task_exits_2_naming_the_field(self, tmp_path, capsys):
+        # the eval split takes the first sample, so one sample leaves none to train on
+        cfg = write_config(tmp_path, task={"clusters": 1, "samples_per_cluster": 1})
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: config.task: clusters * samples_per_cluster must be "
+                       "at least 2, got 1 * 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_cross_entropy_exits_2_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss="softmax-cross-entropy")
