@@ -448,6 +448,8 @@ def _router_input(layer, xa: np.ndarray, h: np.ndarray, talking_enabled: bool) -
 
 def router_gates(tl: AdapterLayer, x: np.ndarray, talking_enabled: bool = True) -> np.ndarray:
     """Routing function alone: gates for a batch of inputs (B, d) -> (B, n)."""
+    if tl.router_wg is None:
+        raise ValueError("router_gates needs a gated layer, but this layer's router_wg is None")
     router_in = _router_input(tl, x, x @ tl.a.transpose(0, 2, 1), talking_enabled)
     return softmax_rows(router_in @ tl.router_wg.T)
 

@@ -379,12 +379,13 @@ def routing_balance_experiment(seeds=(0, 1, 2, 3, 4)) -> BalanceResult:
     ent_on, ent_off = [], []
     for seed in seeds:
         data = generate_cluster_task(ClusterTaskSpec(seed=seed, **BALANCE_TASK))
+        # split() consumes nothing and host weights are read-only, so one
+        # host and one rng serve both arms
+        rng = RngState(1000 + seed)
+        frozen = build_frozen_stack(
+            BALANCE_TASK["input_dim"], BALANCE_TASK["output_dim"], BALANCE_DEPTH, rng
+        )
         for talking, sink in ((True, ent_on), (False, ent_off)):
-            rng = RngState(1000 + seed)
-            frozen = build_frozen_stack(
-                BALANCE_TASK["input_dim"], BALANCE_TASK["output_dim"],
-                BALANCE_DEPTH, rng,
-            )
             cfg = AdapterConfig(talking_enabled=talking, **BALANCE_ADAPTER)
             stack = build_stack_from_slots(
                 "talklora", cfg, frozen_stack_slots(frozen), rng

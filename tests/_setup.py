@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -175,6 +176,67 @@ def _artifact_session(fixtures):
     return commands
 
 
+EXIT_PREFIXES = {  # a failing exit code -> the prefixes of its one stderr line
+    2: ("config error: ", "path error: ", "input not found: "),
+    3: ("numerical failure: ",),
+    4: ("artifact corruption: ",),
+}
+
+
+def _tree(root):
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in Path(root).rglob("*")}
+
+
+def _reject(token):
+    raise AssertionError(f"non-JSON constant {token}")
+
+
+def run_cli(root, *argv):
+    """``main(argv)`` in process as ``(code, stdout, stderr)``, with the exit
+    contract asserted on what it printed and on what it left under ``root``.
+
+    Warnings are errors.  A malformed command line exits 2 with argparse's
+    usage text and writes nothing.  Any other failure prints one stderr
+    line with its code's prefix and nothing on stdout; exits 2 and 4 leave
+    ``root`` as it was, and exit 3 can add directories but no file.  A
+    success prints strict JSON, and every ``.json`` and ``.csv`` it writes
+    holds no NaN or infinity.
+    """
+    before = _tree(root)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+            parsed = True
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+    out, err = out.getvalue(), err.getvalue()
+    after = _tree(root)
+    new = {path for path, held in after.items() if before.get(path, ...) != held}
+    assert code in (0, 2, 3, 4), (argv, code)
+    if not parsed:
+        assert (code, out) == (2, "") and err.startswith("usage: "), (argv, code, out, err)
+    elif code != 0:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, out, err)
+        assert err.startswith(EXIT_PREFIXES[code]), (argv, err)
+    if code != 0:
+        assert before.keys() <= after.keys(), (argv, sorted(before.keys() - after.keys()))
+        assert all(after[path] is None for path in new) if code == 3 else not new, \
+            (argv, sorted(new))
+        return code, out, err
+    json.loads(out, parse_constant=_reject)
+    for path in new:
+        if path.suffix == ".json":
+            json.loads(after[path], parse_constant=_reject)
+        elif path.suffix == ".csv":
+            cells = {cell for line in after[path].decode().splitlines() for cell in line.split(",")}
+            assert not cells & {"nan", "inf", "-inf"}, (argv, path)
+    return code, out, err
+
+
 def artifact_digests(fixtures):
     """SHA-256 of every output of one CLI session, run in the working directory.
 
@@ -190,12 +252,10 @@ def artifact_digests(fixtures):
     """
     digests = {}
     for label, argv, out in _artifact_session(Path(fixtures)):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
+        code, stdout, _ = run_cli(".", *argv)
         if code != 0:
             raise AssertionError(f"{label} exited {code}")
-        digests[f"{label}: stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        digests[f"{label}: stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
         for path in sorted(Path(out).iterdir()) if out else ():
             digests[f"{label}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests

@@ -159,6 +159,11 @@ class TestLoRAForward:
         with pytest.raises(ValueError):
             lora_forward(layer, ad, np.ones(5), cfg)
 
+    def test_router_gates_rejects_a_routerless_layer(self):
+        ad = init_lora(small_cfg(experts=1), RngState(0))
+        with pytest.raises(ValueError, match="router_wg is None"):
+            router_gates(ad, np.ones((2, 8)))
+
 
 class TestLoRAMerge:
     def test_zero_b_merge_is_w0(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import balance_setup, forge_checkpoint, make_setup
+from _setup import balance_setup, forge_checkpoint, make_setup, run_cli
 from talklora import linalg
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
 from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
@@ -23,7 +23,6 @@ from talklora.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from talklora.cli import main
 from talklora.linalg import RngState
 from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
@@ -246,7 +245,7 @@ class TestLoRAHeaderExperts:
     naming any count loads the fixture's arrays and re-encodes to its own bytes."""
 
     @pytest.mark.parametrize("experts", [1, 3, 4])  # the fixture holds 2, of total_rank 4
-    def test_any_count_loads_the_same_flat_and_roundtrips(self, tmp_path, capsys, experts):
+    def test_any_count_loads_the_same_flat_and_roundtrips(self, tmp_path, experts):
         source, forged = FIXTURES / "lora-v1.tlkl", tmp_path / "forged.tlkl"
         forge_checkpoint(source, forged, lambda h: h["adapter_config"].update(experts=experts))
         stack, _ = load_checkpoint(forged)
@@ -254,8 +253,8 @@ class TestLoRAHeaderExperts:
         assert stack.cfg.experts == experts
         assert stack.handles == expected.handles
         assert stack.flat.tobytes() == expected.flat.tobytes()
-        assert main(["ckpt", "roundtrip", "--checkpoint", str(forged)]) == 0
-        assert json.loads(capsys.readouterr().out) == {"roundtrip_bit_identical": True}
+        code, out, _ = run_cli(tmp_path, "ckpt", "roundtrip", "--checkpoint", str(forged))
+        assert (code, json.loads(out)) == (0, {"roundtrip_bit_identical": True})
 
 
 V1_FIXTURES = sorted(FIXTURES.glob("*-v1.tlkl"))

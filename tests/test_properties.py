@@ -4,12 +4,9 @@ Every example set is derandomized and uses no example database, so the
 suite stays reproducible from run to run.
 """
 
-import contextlib
 import copy
-import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _setup import forge_checkpoint, make_setup
+from _setup import forge_checkpoint, make_setup, run_cli
 from talklora import checkpoint
 from talklora.adapters import METHODS
 from talklora.checkpoint import (
@@ -27,7 +24,7 @@ from talklora.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from talklora.cli import ConfigError, main, parse_run_config
+from talklora.cli import ANALYZE_REPORTS, ConfigError, parse_run_config
 from talklora.linalg import RngState
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -88,13 +85,6 @@ def _mutated(raw: bytes, data) -> bytes:
     return raw[:at] + bytes([byte]) + raw[at + 1 :]
 
 
-def _run_cli(*argv) -> int:
-    """``main(argv)``'s exit code, its stdout and stderr swallowed."""
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        return main(list(argv))
-
-
 class TestCheckpointMutations:
     @PROPERTY
     @given(data=st.data())
@@ -110,7 +100,7 @@ class TestCheckpointMutations:
     @given(data=st.data())
     def test_ckpt_inspect_exits_0_or_4(self, checkpoint_bytes, victim, data):
         victim.write_bytes(_mutated(checkpoint_bytes, data))
-        assert _run_cli("ckpt", "inspect", "--checkpoint", str(victim)) in (0, 4)
+        assert run_cli(victim.parent, "ckpt", "inspect", "--checkpoint", str(victim))[0] in (0, 4)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -242,7 +232,8 @@ class TestConfigValues:
 
 
 class TestCliContract:
-    """Small random run configs through ``train``, ``ckpt`` and ``gradcheck`` in process."""
+    """Small random run configs through ``train``, ``ckpt``, every ``analyze``
+    report and ``gradcheck`` in process, each call held to ``run_cli``'s contract."""
 
     @PROPERTY
     @given(method=st.sampled_from(METHODS), total_rank=st.integers(1, 8),
@@ -256,16 +247,19 @@ class TestCliContract:
                "task": {"clusters": 2, "input_dim": input_dim, "output_dim": output_dim,
                         "samples_per_cluster": 4},
                "train": {"epochs": 1, "batch_size": 4, "warmup_steps": 1, "eval_every": 2}}
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = Path(tmp) / "config.json"
-            config.write_text(json.dumps({**doc, "output_dir": str(Path(tmp) / "out")}))
-            trained = _run_cli("train", "--config", str(config))
-            stored = [_run_cli("ckpt", action, "--checkpoint",
-                               str(Path(tmp) / "out" / "checkpoint.tlkl"))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = root / "config.json"
+            config.write_text(json.dumps({**doc, "output_dir": str(root / "out")}))
+            trained = run_cli(root, "train", "--config", str(config))[0]
+            ckpt = str(root / "out" / "checkpoint.tlkl")
+            stored = [run_cli(root, "ckpt", action, "--checkpoint", ckpt)[0]
                       for action in ("roundtrip", "inspect") if trained == 0]
-            checked = _run_cli("gradcheck", "--config", str(config))
-        assert {trained, checked} <= {0, 2, 3, 4}
+            reported = {run_cli(root, "analyze", "--checkpoint", ckpt, "--report", report,
+                                "--out", str(root / "reports"), "--trials", "50")[0]
+                        for report in ANALYZE_REPORTS if trained == 0}
+            checked = run_cli(root, "gradcheck", "--config", str(config))[0]
         if trained == 0:  # the dims are below the gradcheck cap
             assert stored == [0, 0]
+            assert reported <= {0, 2}  # a report the family cannot take exits 2
             assert checked in (0, 3)
