@@ -17,10 +17,10 @@ step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
 naive forward kept deliberately independent of the production path and
 evaluated in complex128.  Nothing is subtracted, so the oracle is exact
 to rounding; its one +ih copy per scalar is packed across handles into
-blocks of ``ORACLE_BLOCK``, one call per block.  ``gradcheck`` compares
-the two.  ``adamw_step`` is the
-decoupled-weight-decay update of the training loop: one vector update of
-``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
+blocks of ``ORACLE_BLOCK``, one call per block, and its gradient is laid
+out as ``backward``'s.  ``gradcheck`` compares the two vectors.
+``adamw_step`` is the decoupled-weight-decay update of the training loop:
+one vector update of ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
 batched SVD.  ``stack_adamw_step`` runs the two, and between them raises
 :class:`NonFiniteUpdateError` if the update left ``flat`` non-finite.
@@ -326,8 +326,9 @@ def finite_difference_oracle(
     batch: tuple,
     loss: LossSpec,
     dropout_scales: Optional[list] = None,
-) -> dict:
-    """Complex-step gradients of every trainable scalar.
+) -> np.ndarray:
+    """Complex-step gradients of every trainable scalar, as one float64
+    vector laid out like ``stack.flat``, as :func:`backward` returns it.
 
     Evaluates a naive reference forward (independent of both the
     production forward and the analytic backward) with every parameter in
@@ -353,14 +354,11 @@ def finite_difference_oracle(
     x = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets)
     base = {h: arr.astype(np.complex128) for h, arr in stack.named_parameters()}
-    spans = []  # (handle, first scalar, end) in handle order
-    total = 0
-    for handle, arr in base.items():
-        spans.append((handle, total, total + arr.size))
-        total += arr.size
-    grad = np.zeros(total)
-    for lo in range(0, total, ORACLE_BLOCK):
-        hi = min(lo + ORACLE_BLOCK, total)
+    ends = np.cumsum([arr.size for arr in base.values()])  # base is in flat's order
+    spans = [(handle, end - arr.size, end) for (handle, arr), end in zip(base.items(), ends)]
+    grad = np.zeros(stack.flat.size)
+    for lo in range(0, grad.size, ORACLE_BLOCK):
+        hi = min(lo + ORACLE_BLOCK, grad.size)
         m = hi - lo
         params = dict(base)
         for handle, start, end in spans:
@@ -373,27 +371,13 @@ def finite_difference_oracle(
                 params[handle] = copies.reshape(m, *arr.shape)
         f = _reference_loss(stack, frozen_layers, params, x, targets, loss, dropout_scales)
         grad[lo:hi] = np.broadcast_to(f, (m,)).imag / _COMPLEX_STEP
-    return {handle: grad[start:end].reshape(base[handle].shape)
-            for handle, start, end in spans}
-
-
-def relative_errors(analytic: dict, numeric: dict) -> dict:
-    """Symmetric relative error |ga - gn| / max(1e-8, |ga| + |gn|), per handle."""
-    if set(analytic) != set(numeric):
-        raise ValueError("gradient sets carry different handles")
-    out = {}
-    for handle in analytic:
-        ga, gn = analytic[handle], numeric[handle]
-        denom = np.maximum(1e-8, np.abs(ga) + np.abs(gn))
-        out[handle] = float(np.max(np.abs(ga - gn) / denom)) if ga.size else 0.0
-    return out
+    return grad
 
 
 @dataclass
 class GradcheckReport:
     max_relative_error: float
     worst_handle: str
-    per_handle: dict
 
 
 def gradcheck(
@@ -403,16 +387,15 @@ def gradcheck(
     loss: LossSpec,
     dropout_scales: Optional[list] = None,
 ) -> GradcheckReport:
-    """Compare analytic gradients against the complex-step oracle."""
-    _, grad = backward(stack, frozen_layers, batch, loss, dropout_scales)
-    analytic = stack.views(grad)
+    """The worst handle's symmetric relative error |ga - gn| / max(1e-8, |ga| + |gn|)
+    between ``backward``'s gradient ga and the complex-step oracle's gn."""
+    _, analytic = backward(stack, frozen_layers, batch, loss, dropout_scales)
     numeric = finite_difference_oracle(stack, frozen_layers, batch, loss, dropout_scales)
-    errs = relative_errors(analytic, numeric)
+    errs = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    per_handle = {handle: float(err.max(initial=0.0)) for handle, err in stack.views(errs).items()}
     # NaN compares false both ways, so it is ranked above every number
-    worst = max(errs, key=lambda handle: np.inf if np.isnan(errs[handle]) else errs[handle])
-    return GradcheckReport(
-        max_relative_error=errs[worst], worst_handle=worst, per_handle=errs
-    )
+    worst = max(per_handle, key=lambda h: np.inf if np.isnan(per_handle[h]) else per_handle[h])
+    return GradcheckReport(max_relative_error=per_handle[worst], worst_handle=worst)
 
 
 # AdamW's moment decay rates and denominator floor, the same for every run

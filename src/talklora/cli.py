@@ -81,9 +81,9 @@ class ConfigError(ValueError):
     """Invalid or missing configuration field; names the offending key."""
 
 
-class NonFiniteResultError(ArithmeticError):
-    """A result that is not finite: a gradcheck combination's loss or relative
-    error, or a value bound for an artifact or a summary."""
+class NumericalResultError(ArithmeticError):
+    """A gradcheck combination's loss or relative error that is not finite or
+    not below ``GRADCHECK_TOL``, or a non-finite value bound for an output."""
 
 
 _RUN_SEED = object()  # a seed field that defaults to the run's seed
@@ -237,7 +237,7 @@ def _emit_json(doc: dict, path: Optional[Path] = None) -> None:
 
     The one JSON form of every artifact and summary: sorted keys, so field
     order cannot move a byte, two-space indent and arrays as lists.  A
-    value that is NaN or infinite raises NonFiniteResultError naming the
+    value that is NaN or infinite raises NumericalResultError naming the
     artifact and the field, before anything is written.
     """
     try:
@@ -245,7 +245,7 @@ def _emit_json(doc: dict, path: Optional[Path] = None) -> None:
                           default=np.ndarray.tolist)
     except ValueError:
         where = path.name if path else "stdout"
-        raise NonFiniteResultError(f"{where}: {_non_finite_field(doc)}") from None
+        raise NumericalResultError(f"{where}: {_non_finite_field(doc)}") from None
     if path is None:
         print(text)
     else:
@@ -257,7 +257,7 @@ def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
 
     The one CSV form of every artifact: a float as %.17g, so the bytes
     are stable, anything else as str.  A float that is NaN or infinite
-    raises NonFiniteResultError naming the artifact, the row (counted
+    raises NumericalResultError naming the artifact, the row (counted
     from 1 below the header) and the column, before the file is opened.
     """
     lines = [f"#schema={schema}", ",".join(columns)]
@@ -266,7 +266,7 @@ def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
         for column, value in zip(columns, row):
             if isinstance(value, float):
                 if not math.isfinite(value):
-                    raise NonFiniteResultError(f"{path.name}: row {i} {column} is {value}")
+                    raise NumericalResultError(f"{path.name}: row {i} {column} is {value}")
                 value = f"{value:.17g}"
             cells.append(str(value))
         lines.append(",".join(cells))
@@ -277,7 +277,8 @@ def cmd_params(config: RunConfig) -> int:
     if config.geometry is None:
         raise ConfigError("missing required field config.geometry")
     if not config.targets:
-        raise ConfigError("missing required field config.targets")
+        raise ConfigError("config.targets is empty" if config.targets == []
+                          else "missing required field config.targets")
     geom = _resolve_geometry(config.geometry)
     budget = analysis.count_params(geom, config.method, config.adapter, config.targets)
     doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
@@ -389,6 +390,13 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                                         audit.rows)
     elif report == "routing":
         data, frozen = _task_and_host(config)
+        host = [(slot.d_in, slot.d_out) for slot in frozen_stack_slots(frozen)]
+        held = [(slot.d_in, slot.d_out) for slot in stack.slots]
+        if host != held:  # dims only: a library checkpoint's tags may differ
+            field = ("model_depth" if len(host) != len(held) else
+                     "task.input_dim" if host[0][0] != held[0][0] else "task.output_dim")
+            raise ConfigError(f"the checkpoint config's {field} rebuilds a host of (d_in, d_out) "
+                              f"layers {host}, but the checkpoint's slots are {held}")
         rep = analysis.routing_load(stack, frozen, data.x_eval)
         summary["mean_entropy"] = rep.mean_entropy
         summary["load_cv"] = rep.load_cv
@@ -459,6 +467,15 @@ def _gradcheck_plan(config: RunConfig) -> tuple:
     return frozen, combos
 
 
+def _gradcheck_failure(combo: dict, why: str = "") -> NumericalResultError:
+    """The one form of every gradcheck failure: ``gradcheck <method> share_b=<b>
+    talking_enabled=<b>: [relative error <e> at <worst handle>]<why>``."""
+    if "worst_handle" in combo:
+        why = f"relative error {combo['max_relative_error']} at {combo['worst_handle']}{why}"
+    return NumericalResultError(f"gradcheck {combo['method']} share_b={combo['share_b']} "
+                                f"talking_enabled={combo['talking_enabled']}: {why}")
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_gradcheck_suite(config: RunConfig) -> dict:
     """Gradcheck the config's family and each family it generalizes.
@@ -468,7 +485,7 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     (see ``_gradcheck_plan``).  Uses the config's task dims, rank/expert
     counts and model depth on a small random batch; returns per-combination
     max relative errors.  A non-finite loss or relative error raises
-    NonFiniteResultError, naming the combination (and the handle).
+    NumericalResultError (see ``_gradcheck_failure``).
     """
     frozen, plan = _gradcheck_plan(config)
     d, k = frozen[0].d_in, frozen[-1].d_out
@@ -478,7 +495,6 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     target_noise = gen.normal(size=(4, k))
     class_targets = gen.integers(0, k, size=4)
     combos = []
-    worst = 0.0
     for method, share_b, talking in plan:
         cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
                       spectral_clip_c=None)
@@ -493,19 +509,16 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
             targets = z0 + 0.3 * target_noise
         else:
             targets = class_targets
-        combo = f"gradcheck {method} share_b={share_b} talking_enabled={talking}"
+        combo = {"method": method, "share_b": share_b, "talking_enabled": talking}
         try:
             report = gradcheck(stack, frozen, (x, targets), config.loss)
         except NonFiniteLossError as exc:
-            raise NonFiniteResultError(f"{combo}: {exc}") from exc
+            raise _gradcheck_failure(combo, str(exc)) from exc
+        combo.update(asdict(report))  # max_relative_error, worst_handle
         if not math.isfinite(report.max_relative_error):
-            raise NonFiniteResultError(
-                f"{combo}: relative error {report.max_relative_error} "
-                f"at {report.worst_handle}")
-        combos.append({"method": method, "share_b": share_b, "talking_enabled": talking,
-                       "max_relative_error": report.max_relative_error,
-                       "worst_handle": report.worst_handle})
-        worst = max(worst, report.max_relative_error)
+            raise _gradcheck_failure(combo)
+        combos.append(combo)
+    worst = max(combo["max_relative_error"] for combo in combos)
     return {
         "method": config.method,
         "tolerance": GRADCHECK_TOL,
@@ -521,9 +534,12 @@ def cmd_gradcheck(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_gradcheck_suite(config)
+    if not result["passed"]:  # before anything is written or printed
+        worst = max(result["combinations"], key=lambda combo: combo["max_relative_error"])
+        raise _gradcheck_failure(worst, f", not below the tolerance {GRADCHECK_TOL}")
     _emit_json(result, out / "gradcheck.json")
     _emit_json({k: result[k] for k in ("method", "tolerance", "max_relative_error", "passed")})
-    return EXIT_OK if result["passed"] else EXIT_NUMERIC
+    return EXIT_OK
 
 
 def cmd_ckpt(action: str, checkpoint: str) -> int:
@@ -595,16 +611,13 @@ def main(argv=None) -> int:
         if args.command == "ckpt":
             return cmd_ckpt(args.action, args.checkpoint)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"input not found: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
         print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonFiniteLossError, NonFiniteResultError) as exc:
+    except (DivergenceError, NonFiniteLossError, NumericalResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CorruptCheckpointError, VersionMismatchError) as exc:

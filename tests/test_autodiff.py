@@ -30,7 +30,6 @@ from talklora.autodiff import (
     gradcheck,
     loss_value,
     model_forward,
-    relative_errors,
     stack_adamw_step,
 )
 from talklora.linalg import RngState, spectral_norm
@@ -200,8 +199,9 @@ class TestFiniteDifferenceOracle:
         stack.parameter("L00.1x1.A0")[:] = 1.0
         stack.parameter("L00.1x1.B0")[:] = 3.0
         batch = (np.array([[1.0]]), np.array([[0.0]]))
-        grads = finite_difference_oracle(stack, frozen, batch, MSE)
-        assert abs(grads["L00.1x1.B0"][0, 0] - 6.0) < 1e-9
+        grad = finite_difference_oracle(stack, frozen, batch, MSE)
+        assert grad.shape == stack.flat.shape == (2,)
+        assert abs(stack.views(grad)["L00.1x1.B0"][0, 0] - 6.0) < 1e-9
 
     def test_oracle_leaves_parameters_untouched(self):
         frozen, stack, x, t = make_setup("talklora")
@@ -234,17 +234,19 @@ def _per_scalar_oracle(stack, frozen, batch, loss, scales):
     return grads
 
 
-def _assert_matches_per_scalar(got, expected):
-    """Equal to rounding at each handle's scale.
+def _assert_matches_per_scalar(stack, got, expected):
+    """The oracle's vector ``got`` is laid out like ``stack.flat`` and equals
+    the per-scalar gradients ``expected`` to rounding at each handle's scale.
 
     Not bitwise: complex ufunc loops are vectorized, so an entry's last bits
     depend on its position in the stacked array.  Nor entry by entry: an
     entry 1e-4 of its handle's largest is a cancelling sum of larger terms,
     so those last bits alone reach about 1e-12 of it.
     """
+    assert got.shape == stack.flat.shape and got.dtype == np.float64
+    got = stack.views(got)
     assert list(got) == list(expected)
     for handle, exp in expected.items():
-        assert got[handle].dtype == np.float64, handle
         gap = np.abs(got[handle] - exp).max(initial=0.0)
         assert gap <= 1e-13 * np.abs(exp).max(initial=0.0), handle
 
@@ -275,7 +277,7 @@ class TestBlockedOracle:
             )
             expected = _per_scalar_oracle(stack, frozen, batch, loss, scales)
             got = finite_difference_oracle(stack, frozen, batch, loss, scales)
-            _assert_matches_per_scalar(got, expected)
+            _assert_matches_per_scalar(stack, got, expected)
 
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
     def test_handle_larger_than_one_block(self, method):
@@ -286,7 +288,7 @@ class TestBlockedOracle:
         assert max(sizes.values()) > ORACLE_BLOCK
         expected = _per_scalar_oracle(stack, frozen, batch, loss, scales)
         got = finite_difference_oracle(stack, frozen, batch, loss, scales)
-        _assert_matches_per_scalar(got, expected)
+        _assert_matches_per_scalar(stack, got, expected)
 
     @pytest.mark.parametrize("block", [2, 6, 7])
     def test_partial_blocks_and_call_count(self, monkeypatch, block):
@@ -304,7 +306,7 @@ class TestBlockedOracle:
         monkeypatch.setattr(autodiff, "ORACLE_BLOCK", block)
         monkeypatch.setattr(autodiff, "_reference_loss", counting)
         got = finite_difference_oracle(stack, frozen, batch, loss, scales)
-        _assert_matches_per_scalar(got, expected)
+        _assert_matches_per_scalar(stack, got, expected)
         assert len(calls) == -(-stack.flat.size // block)
         assert set(calls) == {3}  # every call carries stacked (m, ...) handles
 
@@ -317,7 +319,7 @@ class TestBlockedOracle:
             params[h] = np.stack([params[h]] * 4)
         # the forward never reads C with talking off: one loss for the stack
         assert np.ndim(_reference_loss(stack, frozen, params, *batch, loss, None)) == 0
-        got = finite_difference_oracle(stack, frozen, batch, loss)
+        got = stack.views(finite_difference_oracle(stack, frozen, batch, loss))
         for h in c_handles:
             assert np.array_equal(got[h], np.zeros_like(got[h])), h
             assert not np.signbit(got[h]).any(), h
@@ -416,22 +418,22 @@ class TestGradcheck:
         report = gradcheck(stack, frozen, (x, t), MSE, dropout_scales=scales)
         assert report.max_relative_error < 1e-6, report.worst_handle
 
-    def test_detects_injected_sign_flip(self):
+    def test_detects_injected_sign_flip(self, monkeypatch):
         frozen, stack, x, t = make_setup("talklora", seed=16)
-        analytic = stack.views(backward(stack, frozen, (x, t), MSE)[1])
-        numeric = finite_difference_oracle(stack, frozen, (x, t), MSE)
-        handle = next(h for h in analytic if h.endswith(".Wg"))
-        analytic[handle] = -analytic[handle]  # negative control
-        errs = relative_errors(analytic, numeric)
-        assert max(errs, key=errs.get) == handle
-        assert errs[handle] > 1e-3
+        value, grad = backward(stack, frozen, (x, t), MSE)
+        handle = next(h for h in stack.handles if h.endswith(".Wg"))
+        stack.views(grad)[handle] *= -1.0  # negative control
+        monkeypatch.setattr(autodiff, "backward", lambda *args: (value, grad))
+        report = gradcheck(stack, frozen, (x, t), MSE)
+        assert report.worst_handle == handle
+        assert report.max_relative_error > 1e-3
 
     def test_nan_error_is_the_worst(self, monkeypatch):
-        # NaN compares false both ways, so a plain max would report 0.5
+        # NaN compares false both ways, so a plain max would report a 0.0
         frozen, stack, x, t = make_setup("lora", seed=17)
-        errs = dict.fromkeys(stack.handles, 0.5)
-        errs[stack.handles[-1]] = float("nan")
-        monkeypatch.setattr(autodiff, "relative_errors", lambda analytic, numeric: errs)
+        numeric = backward(stack, frozen, (x, t), MSE)[1]
+        stack.views(numeric)[stack.handles[-1]][0, 0] = np.nan
+        monkeypatch.setattr(autodiff, "finite_difference_oracle", lambda *args: numeric)
         report = gradcheck(stack, frozen, (x, t), MSE)
         assert report.worst_handle == stack.handles[-1]
         assert np.isnan(report.max_relative_error)

@@ -150,6 +150,12 @@ class TestParams:
         assert code == 2
         assert "bogus_field" in err
 
+    def test_empty_targets_exit_2_saying_so(self, tmp_path):
+        cfg = self._params_config(tmp_path, targets=[])
+        code, _, err = run_cli(tmp_path, "params", "--config", str(cfg))
+        assert code == 2
+        assert err == "config error: config.targets is empty\n"
+
     def test_seed_override_is_echoed(self, tmp_path):
         cfg = self._params_config(tmp_path)
         code, out, _ = run_cli(tmp_path, "params", "--config", str(cfg), "--seed", "99")
@@ -427,11 +433,23 @@ class TestAnalyze:
              "degeneracy probes need at least 2 experts"),
             ("talklora", 2, "routing", "200",
              lambda header: header["run_config"].update(model_depth=3),
-             "frozen stack has 3 layers but adapter stack has 2"),
+             "config error: the checkpoint config's model_depth rebuilds a host of (d_in, d_out) "
+             "layers [(8, 8), (8, 8), (8, 8)], but the checkpoint's slots are [(8, 8), (8, 8)]\n"),
+            ("moelora", 2, "routing", "200",
+             lambda header: header["run_config"]["task"].update(input_dim=6),
+             "config error: the checkpoint config's task.input_dim rebuilds a host of "
+             "(d_in, d_out) layers [(6, 6), (6, 8)], but the checkpoint's slots are "
+             "[(8, 8), (8, 8)]\n"),
+            ("talklora", 2, "routing", "200",
+             lambda header: header["run_config"]["task"].update(output_dim=6),
+             "config error: the checkpoint config's task.output_dim rebuilds a host of "
+             "(d_in, d_out) layers [(8, 8), (8, 6)], but the checkpoint's slots are "
+             "[(8, 8), (8, 8)]\n"),
         ],
         ids=["stability_on_lora", "heatmap_on_moelora", "routing_on_lora",
              "routing_without_task", "zero_trials", "degeneracy_on_one_expert",
-             "routing_on_a_deeper_host"],
+             "routing_on_a_deeper_host", "routing_on_another_input_dim",
+             "routing_on_another_output_dim"],
     )
     def test_config_error_leaves_no_out_dir(
         self, tmp_path, method, experts, report, trials, edit, message
@@ -607,6 +625,19 @@ class TestGradcheckCommand:
         assert code == 3
         assert err.startswith("numerical failure: gradcheck lora share_b=True "
                               "talking_enabled=True: relative error nan at L")
+
+    def test_error_above_tolerance_exits_3_writing_no_file(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        combos = cli.run_gradcheck_suite(parse_run_config(json.loads(cfg.read_text())))
+        worst = max(combos["combinations"], key=lambda combo: combo["max_relative_error"])
+        monkeypatch.setattr(cli, "GRADCHECK_TOL", 0.0)
+        code, _, err = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
+        assert code == 3
+        assert err == (f"numerical failure: gradcheck {worst['method']} "
+                       f"share_b={worst['share_b']} talking_enabled={worst['talking_enabled']}: "
+                       f"relative error {worst['max_relative_error']} at {worst['worst_handle']}, "
+                       "not below the tolerance 0.0\n")
+        assert not (tmp_path / "out" / "gradcheck.json").exists()
 
     def test_dim_cap_enforced(self, tmp_path):
         cfg = write_config(

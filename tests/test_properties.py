@@ -231,6 +231,34 @@ class TestConfigValues:
             RngState(seed)
 
 
+EDGE_FLOATS = (0.0, -0.0, 1e-300, 1.0, 1e10, 1e150, 1e308)
+
+
+def _edge_floats(accepts):
+    """The values of ``EDGE_FLOATS`` that a float field ``accepts``."""
+    return st.sampled_from([value for value in EDGE_FLOATS if accepts(value)])
+
+
+def _cli_session(doc: dict) -> tuple:
+    """Exit codes of ``train``, of ``ckpt roundtrip`` and ``ckpt inspect`` and
+    of every ``analyze`` report on its checkpoint (when it trained), and of
+    ``gradcheck``, run on ``doc`` in a fresh directory, each call through
+    ``run_cli``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "config.json"
+        config.write_text(json.dumps({**doc, "output_dir": str(root / "out")}))
+        trained = run_cli(root, "train", "--config", str(config))[0]
+        ckpt = str(root / "out" / "checkpoint.tlkl")
+        stored = [run_cli(root, "ckpt", action, "--checkpoint", ckpt)[0]
+                  for action in ("roundtrip", "inspect") if trained == 0]
+        reported = {run_cli(root, "analyze", "--checkpoint", ckpt, "--report", report,
+                            "--out", str(root / "reports"), "--trials", "50")[0]
+                    for report in ANALYZE_REPORTS if trained == 0}
+        checked = run_cli(root, "gradcheck", "--config", str(config))[0]
+    return trained, stored, reported, checked
+
+
 class TestCliContract:
     """Small random run configs through ``train``, ``ckpt``, every ``analyze``
     report and ``gradcheck`` in process, each call held to ``run_cli``'s contract."""
@@ -242,24 +270,40 @@ class TestCliContract:
     @example(method="lora", total_rank=6, experts=4, input_dim=8, output_dim=8, model_depth=2)
     def test_gradcheck_accepts_what_train_accepts(self, method, total_rank, experts, input_dim,
                                                    output_dim, model_depth):
-        doc = {"method": method, "seed": 2, "model_depth": model_depth,
-               "adapter": {"total_rank": total_rank, "experts": experts, "lora_alpha": 8.0},
-               "task": {"clusters": 2, "input_dim": input_dim, "output_dim": output_dim,
-                        "samples_per_cluster": 4},
-               "train": {"epochs": 1, "batch_size": 4, "warmup_steps": 1, "eval_every": 2}}
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            config = root / "config.json"
-            config.write_text(json.dumps({**doc, "output_dir": str(root / "out")}))
-            trained = run_cli(root, "train", "--config", str(config))[0]
-            ckpt = str(root / "out" / "checkpoint.tlkl")
-            stored = [run_cli(root, "ckpt", action, "--checkpoint", ckpt)[0]
-                      for action in ("roundtrip", "inspect") if trained == 0]
-            reported = {run_cli(root, "analyze", "--checkpoint", ckpt, "--report", report,
-                                "--out", str(root / "reports"), "--trials", "50")[0]
-                        for report in ANALYZE_REPORTS if trained == 0}
-            checked = run_cli(root, "gradcheck", "--config", str(config))[0]
+        trained, stored, reported, checked = _cli_session({
+            "method": method, "seed": 2, "model_depth": model_depth,
+            "adapter": {"total_rank": total_rank, "experts": experts, "lora_alpha": 8.0},
+            "task": {"clusters": 2, "input_dim": input_dim, "output_dim": output_dim,
+                     "samples_per_cluster": 4},
+            "train": {"epochs": 1, "batch_size": 4, "warmup_steps": 1, "eval_every": 2}})
         if trained == 0:  # the dims are below the gradcheck cap
             assert stored == [0, 0]
             assert reported <= {0, 2}  # a report the family cannot take exits 2
             assert checked in (0, 3)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(method=st.sampled_from(METHODS), experts=st.integers(1, 2),
+           expert_rank=st.integers(1, 2), lora_alpha=_edge_floats(lambda v: v > 0),
+           spectral_clip_c=st.none() | _edge_floats(lambda v: v > 0),
+           noise_std=_edge_floats(lambda v: v >= 0), lr=_edge_floats(lambda v: v >= 0),
+           weight_decay=_edge_floats(lambda v: v >= 0),
+           dropout=_edge_floats(lambda v: 0 <= v < 1),
+           samples_per_cluster=st.sampled_from([1, 4]), batch_size=st.sampled_from([2, 9]))
+    # the oracle's forward and backward round apart at this scaling: exit 3
+    @example(method="talklora", experts=2, expert_rank=1, lora_alpha=1e10, spectral_clip_c=None,
+             noise_std=1.0, lr=1.0, weight_decay=0.0, dropout=0.0, samples_per_cluster=4,
+             batch_size=2)
+    def test_edge_floats_and_counts_keep_the_contract(
+            self, method, experts, expert_rank, lora_alpha, spectral_clip_c, noise_std, lr,
+            weight_decay, dropout, samples_per_cluster, batch_size):
+        # batch_size 9 exceeds the 2 * samples_per_cluster samples; expert_rank 1 is r_e = 1
+        trained, stored, _, checked = _cli_session({
+            "method": method, "seed": 2, "model_depth": 2,
+            "adapter": {"total_rank": experts * expert_rank, "experts": experts,
+                        "lora_alpha": lora_alpha, "spectral_clip_c": spectral_clip_c},
+            "task": {"clusters": 2, "input_dim": 4, "output_dim": 4,
+                     "samples_per_cluster": samples_per_cluster, "noise_std": noise_std},
+            "train": {"epochs": 1, "batch_size": batch_size, "lr": lr, "warmup_steps": 1,
+                      "eval_every": 2, "weight_decay": weight_decay, "dropout": dropout}})
+        assert stored == ([0, 0] if trained == 0 else [])
+        assert checked in (0, 3)
