@@ -45,10 +45,6 @@ class ParamBudget:
     percent: float
     breakdown: dict
 
-    def __post_init__(self):
-        if sum(self.breakdown.values()) != self.trainable:
-            raise ValueError("breakdown does not reconcile with the trainable count")
-
 
 def count_params(
     geom: ModelGeometry, method: str, cfg: AdapterConfig, targets
@@ -244,7 +240,6 @@ class DegeneracyReport:
     perturbing A_2 once C_12 != 0 (must be strictly positive).
     """
 
-    trials: int
     identity_max_diff: float
     isolation_max_diff: float
     cross_influence_min: float
@@ -313,7 +308,6 @@ def degeneracy_check(
     cross_min = change.max(axis=-1).min()
 
     return DegeneracyReport(
-        trials=trials,
         identity_max_diff=identity_max,
         isolation_max_diff=isolation_max,
         cross_influence_min=float(cross_min),

@@ -45,10 +45,11 @@ _RECORD_FIELDS = (("handle", str, REQUIRED), ("rows", int, REQUIRED), ("cols", i
 
 
 class CorruptCheckpointError(Exception):
-    """Bad magic, malformed header, checksum mismatch, or a non-finite payload."""
+    """Bad magic, an unsupported format version (:class:`VersionMismatchError`),
+    malformed header, checksum mismatch, or a non-finite payload."""
 
 
-class VersionMismatchError(Exception):
+class VersionMismatchError(CorruptCheckpointError):
     def __init__(self, found: int, expected: int):
         self.found = found
         self.expected = expected

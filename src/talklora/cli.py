@@ -50,7 +50,6 @@ from .adapters import (
 from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
 from .checkpoint import (
     CorruptCheckpointError,
-    VersionMismatchError,
     encode_checkpoint,
     load_checkpoint,
     read_header,
@@ -304,21 +303,16 @@ def _task_and_host(config: RunConfig):
     return data, frozen
 
 
-def _build_training_pieces(config: RunConfig):
-    data, frozen = _task_and_host(config)
-    stack = build_stack_from_slots(
-        config.method, config.adapter, frozen_stack_slots(frozen), RngState(config.seed)
-    )
-    return data, frozen, stack
-
-
 def cmd_train(config: RunConfig) -> int:
     if config.loss.kind != "mean-squared-error":
         raise ConfigError(
             f"config.loss must be mean-squared-error for train, got {config.loss.kind!r}: "
             "the cluster task's targets are real-valued (softmax-cross-entropy is for gradcheck)"
         )
-    data, frozen, stack = _build_training_pieces(config)
+    data, frozen = _task_and_host(config)
+    stack = build_stack_from_slots(
+        config.method, config.adapter, frozen_stack_slots(frozen), RngState(config.seed)
+    )
     # an unusable output_dir fails here, before any training
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -347,8 +341,7 @@ def cmd_train(config: RunConfig) -> int:
 # an overflow or NaN on the way is not reported as a numpy warning: the
 # writers refuse every non-finite value that reaches a report
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
-                trials: int = 1000) -> int:
+def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str], trials: int) -> int:
     stack, echoed = load_checkpoint(checkpoint)
     # stability and degeneracy draw their probes from the run's seed, and
     # routing rebuilds the task data and the frozen host; the adapter's own
@@ -356,11 +349,8 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
     config = parse_run_config(echoed) if report in ("stability", "routing", "degeneracy") else None
     if report != "routing" and stack.method != "talklora":
         raise ConfigError(f"report {report!r} needs a talklora checkpoint")
-    if report == "routing":
-        if stack.method == "lora":
-            raise ConfigError("report 'routing' needs a moelora or talklora checkpoint")
-        if config.task is None:
-            raise ConfigError("checkpoint config carries no task; cannot rebuild data")
+    if report == "routing" and stack.method == "lora":
+        raise ConfigError("report 'routing' needs a moelora or talklora checkpoint")
     if report == "stability" and trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {trials}")
     # each report is computed before --out is made, so one that fails on the
@@ -418,10 +408,8 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str],
                 adapter, trials=100,
                 rng=RngState(config.seed).split(f"degeneracy.L{i:02d}"),
             )
-            doc = {**asdict(rep), "passed": rep.passed,
-                   "layer": stack.slots[i].layer, "tag": stack.slots[i].tag}
-            del doc["trials"]
-            reports.append(doc)
+            reports.append({**asdict(rep), "passed": rep.passed,
+                            "layer": stack.slots[i].layer, "tag": stack.slots[i].tag})
         summary["all_passed"] = all(r["passed"] for r in reports)
         artifact = "degeneracy.json", {"layers": reports}
     out = Path(out_dir) if out_dir else Path(checkpoint).parent
@@ -608,19 +596,17 @@ def main(argv=None) -> int:
             return cmd_gradcheck(_load_config_file(args.config, None))
         if args.command == "analyze":
             return cmd_analyze(args.checkpoint, args.report, args.out, args.trials)
-        if args.command == "ckpt":
-            return cmd_ckpt(args.action, args.checkpoint)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_ckpt(args.action, args.checkpoint)
     except FileNotFoundError as exc:
         print(f"input not found: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
         print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonFiniteLossError, NumericalResultError) as exc:
+    except (DivergenceError, NumericalResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorruptCheckpointError, VersionMismatchError) as exc:
+    except CorruptCheckpointError as exc:  # a version mismatch included
         print(f"artifact corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
     except LowRankError as exc:  # the config's rank against a slot's or target's dims

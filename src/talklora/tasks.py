@@ -48,8 +48,9 @@ class ClusterTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clusters < 1 or self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("clusters and dims must be positive")
+        for name in ("clusters", "input_dim", "output_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.samples_per_cluster < 1:
             raise ValueError("samples_per_cluster must be positive")
         if self.clusters * self.samples_per_cluster < 2:  # the eval split takes the first sample
@@ -127,8 +128,9 @@ class TrainConfig:
     dropout: float = 0.05
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("epochs, batch_size and eval_every must be positive")
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be positive")
         if self.lr < 0:
@@ -212,10 +214,10 @@ def train(
     """AdamW training with per-step loss logging and periodic routing snapshots.
 
     Deterministic given the config seed and the dataset; aborts with
-    :class:`DivergenceError` if the loss ever goes non-finite (the stack
+    :class:`DivergenceError` if a batch's loss goes non-finite (the stack
     keeps the last step's parameters), or if an update does, an overflowed
-    gradient included (the stack keeps that update).  The frozen weights
-    and the dataset are never mutated.
+    gradient included, or the eval loss after it (the stack keeps that
+    update).  The frozen weights and the dataset are never mutated.
     """
     rng = RngState(tc.seed)
     n_train = data.x_train.shape[0]
@@ -248,7 +250,10 @@ def train(
                     raise DivergenceError(step, "parameters") from exc
                 log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
                 if step % tc.eval_every == 0 or step == total_steps:
-                    eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
+                    try:
+                        eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
+                    except NonFiniteLossError as exc:
+                        raise DivergenceError(step, "eval loss") from exc
                     log.snapshots.append(
                         RoutingSnapshot(
                             step=step, eval_loss=eval_loss, mean_gates=_mean_gates(caches)

@@ -231,6 +231,78 @@ class TestConfigValues:
         assert "--seed must" in err
 
 
+class TestInputErrors:
+    ADAPTER = TestConfigTypes.ADAPTER
+    TASK = TestConfigTypes.TASK
+    TRAIN = {"epochs": 1, "batch_size": 16, "warmup_steps": 10, "eval_every": 4}
+    CONFIG = ["train", "--config", "{config}"]
+    # case -> (argv, the config's overrides or its text, the stderr line's start);
+    # "{tmp}" is the test's directory and "{config}" the config file there
+    CASES = {
+        "config_file_missing": (["train", "--config", "{tmp}/absent.json"], {},
+                                "config error: config file not found: {tmp}/absent.json\n"),
+        "config_not_json": (CONFIG, "{method: lora}",
+                            "config error: config file {config} is not valid JSON: "),
+        "analyze_checkpoint_missing": (
+            ["analyze", "--checkpoint", "{tmp}/absent.tlkl", "--report", "heatmap"], {},
+            "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
+        "ckpt_roundtrip_checkpoint_missing": (
+            ["ckpt", "roundtrip", "--checkpoint", "{tmp}/absent.tlkl"], {},
+            "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
+        "ckpt_inspect_checkpoint_missing": (
+            ["ckpt", "inspect", "--checkpoint", "{tmp}/absent.tlkl"], {},
+            "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
+        "params_without_geometry": (["params", "--config", "{config}"], {"targets": ["Q"]},
+                                    "config error: missing required field config.geometry\n"),
+        "gradcheck_without_task": (["gradcheck", "--config", "{config}"], {"task": None},
+                                   "config error: missing required field config.task\n"),
+        "model_depth": (CONFIG, {"model_depth": 0},
+                        "config error: config.model_depth must be positive\n"),
+        "task.clusters": (CONFIG, {"task": {**TASK, "clusters": 0}},
+                          "config error: config.task: clusters must be positive, got 0\n"),
+        "task.input_dim": (CONFIG, {"task": {**TASK, "input_dim": 0}},
+                           "config error: config.task: input_dim must be positive, got 0\n"),
+        "task.output_dim": (CONFIG, {"task": {**TASK, "output_dim": 0}},
+                            "config error: config.task: output_dim must be positive, got 0\n"),
+        "task.samples_per_cluster": (
+            CONFIG, {"task": {**TASK, "samples_per_cluster": 0}},
+            "config error: config.task: samples_per_cluster must be positive\n"),
+        "task.noise_std": (CONFIG, {"task": {**TASK, "noise_std": -1.0}},
+                           "config error: config.task: noise_std must be nonnegative\n"),
+        "train.epochs": (CONFIG, {"train": {**TRAIN, "epochs": 0}},
+                         "config error: config.train: epochs must be positive, got 0\n"),
+        "train.batch_size": (CONFIG, {"train": {**TRAIN, "batch_size": 0}},
+                             "config error: config.train: batch_size must be positive, got 0\n"),
+        "train.eval_every": (CONFIG, {"train": {**TRAIN, "eval_every": 0}},
+                             "config error: config.train: eval_every must be positive, got 0\n"),
+        "train.warmup_steps": (CONFIG, {"train": {**TRAIN, "warmup_steps": 0}},
+                               "config error: config.train: warmup_steps must be positive\n"),
+        "train.lr": (CONFIG, {"train": {**TRAIN, "lr": -1.0}},
+                     "config error: config.train: lr must be nonnegative\n"),
+        "train.lr_schedule": (CONFIG, {"train": {**TRAIN, "lr_schedule": "cosine"}},
+                              "config error: config.train: unsupported lr_schedule 'cosine'\n"),
+        "adapter.lora_alpha": (CONFIG, {"adapter": {**ADAPTER, "lora_alpha": 0.0}},
+                               "config error: config.adapter: lora_alpha must be positive, "
+                               "got 0.0\n"),
+        "adapter.spectral_clip_c": (CONFIG, {"adapter": {**ADAPTER, "spectral_clip_c": 0.0}},
+                                    "config error: config.adapter: spectral_clip_c must be "
+                                    "positive when set\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_naming_the_field(self, tmp_path, case):
+        argv, config, line = self.CASES[case]
+        if isinstance(config, str):
+            path = tmp_path / "config.json"
+            path.write_text(config)
+        else:
+            path = write_config(tmp_path, **config)
+        names = {"tmp": str(tmp_path), "config": str(path)}
+        code, _, err = run_cli(tmp_path, *(arg.format(**names) for arg in argv))
+        assert code == 2
+        assert err.startswith(line.format(**names)), err
+
+
 class TestTrain:
     def test_outputs_and_determinism(self, tmp_path):
         out_a = tmp_path / "a"
@@ -274,6 +346,19 @@ class TestTrain:
         "train": {"epochs": 5, "batch_size": 16, "lr": 1e50, "warmup_steps": 1,
                   "eval_every": 4},
     }
+
+    def test_non_finite_eval_loss_exits_3_naming_step(self, tmp_path):
+        # the first batch's loss is finite; the eval split's is not
+        cfg = write_config(
+            tmp_path, seed=2, model_depth=2, adapter={"total_rank": 2, "experts": 2},
+            task={"clusters": 2, "input_dim": 4, "output_dim": 4, "samples_per_cluster": 20,
+                  "noise_std": 3e153},
+            train={"epochs": 1, "batch_size": 1, "lr": 0.0, "warmup_steps": 1,
+                   "eval_every": 1, "dropout": 0.0},
+        )
+        code, _, err = run_cli(tmp_path, "train", "--config", str(cfg))
+        assert code == 3
+        assert err == "numerical failure: training diverged (non-finite eval loss) at step 1\n"
 
     def test_overflowing_gradient_exits_3_naming_step(self, tmp_path):
         # the loss is still finite at step 7 when the gradient overflows
@@ -427,7 +512,7 @@ class TestAnalyze:
             ("moelora", 2, "heatmap", "200", None, "needs a talklora checkpoint"),
             ("lora", 1, "routing", "200", None, "needs a moelora or talklora checkpoint"),
             ("talklora", 2, "routing", "200", lambda header: header["run_config"].pop("task"),
-             "carries no task"),
+             "config error: missing required field config.task\n"),
             ("talklora", 2, "stability", "0", None, "--trials must be at least 1"),
             ("talklora", 1, "degeneracy", "200", None,
              "degeneracy probes need at least 2 experts"),
@@ -578,8 +663,9 @@ class TestDegeneracyReport:
 
 
 class TestGradcheckCommand:
-    def test_small_config_passes(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("loss", ["mean-squared-error", "softmax-cross-entropy"])
+    def test_small_config_passes(self, tmp_path, loss):
+        cfg = write_config(tmp_path, loss=loss)
         code, out, _ = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
         assert code == 0
         doc = json.loads(out)

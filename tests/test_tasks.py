@@ -175,6 +175,16 @@ class TestTrain:
             train(stack, frozen, data, tc, MSE)
         assert exc.value.step == 1
 
+    def test_non_finite_eval_loss_aborts_with_step_index(self):
+        # the train split is finite, so only the eval forward at the last step,
+        # 11 (324 samples in batches of 32), meets a non-finite loss
+        data, frozen, stack, tc = _noiseless_setup(epochs=1)
+        data.y_eval[:] = np.inf
+        with pytest.raises(DivergenceError) as exc:
+            train(stack, frozen, data, tc, MSE)
+        assert exc.value.step == 11
+        assert str(exc.value) == "training diverged (non-finite eval loss) at step 11"
+
     @staticmethod
     def _overflow_setup(**train_fields):
         """The small talklora run of the CLI's diverged-run config, at seed 0."""
