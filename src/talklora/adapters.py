@@ -77,7 +77,8 @@ class AdapterConfig:
         if self.lora_alpha <= 0:
             raise ValueError(f"lora_alpha must be positive, got {self.lora_alpha}")
         if self.spectral_clip_c is not None and self.spectral_clip_c <= 0:
-            raise ValueError("spectral_clip_c must be positive when set")
+            raise ValueError("spectral_clip_c must be positive when set, "
+                             f"got {self.spectral_clip_c}")
         if (self.input_dim is None) != (self.output_dim is None):
             raise ValueError("input_dim and output_dim must be set together")
         if self.input_dim is not None:

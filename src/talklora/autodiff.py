@@ -23,7 +23,11 @@ out as ``backward``'s.  ``gradcheck`` compares the two vectors.
 one vector update of ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
 batched SVD.  ``stack_adamw_step`` runs the two, and between them raises
-:class:`NonFiniteUpdateError` if the update left ``flat`` non-finite.
+:class:`NumericalError` if the update left ``flat`` non-finite.
+
+Every numerical failure is a :class:`NumericalError` (``tasks.DivergenceError``
+included): an ``ArithmeticError``, never a ``ValueError``, so no caller can
+take it for a rejected input.
 """
 
 from __future__ import annotations
@@ -47,22 +51,13 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected {LOSS_KINDS}")
+            raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.kind!r}")
 
 
-class NonFiniteLossError(ValueError):
-    """Loss became NaN/Inf; carries the index of the offending sample."""
-
-    def __init__(self, sample_index: int):
-        self.sample_index = sample_index
-        super().__init__(f"non-finite loss at sample index {sample_index}")
-
-
-class NonFiniteUpdateError(ValueError):
-    """An AdamW update left NaN/Inf in the parameters."""
-
-    def __init__(self):
-        super().__init__("AdamW update left non-finite parameters")
+class NumericalError(ArithmeticError):
+    """A numerical failure: a non-finite loss (the message names the first
+    such sample) or AdamW update, a diverged run (``tasks.DivergenceError``),
+    or in the CLI a failed gradcheck or a non-finite value bound for an output."""
 
 
 def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np.ndarray:
@@ -85,7 +80,8 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
 def loss_value(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> float:
     per_sample = _per_sample_losses(z, targets, spec)
     if not np.isfinite(per_sample).all():
-        raise NonFiniteLossError(int(np.argmax(~np.isfinite(per_sample))))
+        index = int(np.argmax(~np.isfinite(per_sample)))
+        raise NumericalError(f"non-finite loss at sample index {index}")
     return float(per_sample.mean())
 
 
@@ -467,12 +463,12 @@ def stack_adamw_step(
 ) -> None:
     """AdamW over a whole stack, then the configured C projection.
 
-    Raises :class:`NonFiniteUpdateError`, before the projection and with
+    Raises :class:`NumericalError`, before the projection and with
     the update kept in ``flat``, if the update is not finite.  A gradient
     that overflowed to inf turns the Adam ratio m / sqrt(v) into NaN, so
     this one check on the parameters also catches it.
     """
     adamw_step(stack, grad, state, hyper)
     if not _all_finite(stack.flat):
-        raise NonFiniteUpdateError()
+        raise NumericalError("AdamW update left non-finite parameters")
     apply_spectral_clip(stack)

@@ -17,9 +17,11 @@ fields, JSON kinds and defaults are in ``_CONFIG_FIELDS`` and ``_SECTIONS``,
 the adapter's in ``adapters.ADAPTER_FIELDS``, which the checkpoint header
 shares).  ``--seed`` is the only flag override and is echoed into all
 outputs.  Exit codes are a stable contract: 0 success, 2 config/input
-error, 3 numerical failure, 4 artifact corruption.  Every artifact and
-printed summary goes through one CSV writer (``_write_csv``) or one JSON
-emitter (``_emit_json``), which refuse NaN and infinity.
+error, 3 numerical failure (``autodiff.NumericalError``), 4 artifact
+corruption; a rejected config value is named ``config.<section>.<field>``.
+Every artifact and printed summary goes through one CSV writer
+(``_write_csv``) or one JSON emitter (``_emit_json``), which refuse NaN
+and infinity.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .adapters import (
     frozen_stack_slots,
     layer_layout,
 )
-from .autodiff import LossSpec, NonFiniteLossError, gradcheck, model_forward
+from .autodiff import LossSpec, NumericalError, gradcheck, model_forward
 from .checkpoint import (
     CorruptCheckpointError,
     encode_checkpoint,
@@ -57,13 +59,7 @@ from .checkpoint import (
 )
 from .geometry import BUNDLED_GEOMETRIES, bundled_geometry, load_geometry
 from .linalg import RngState
-from .tasks import (
-    ClusterTaskSpec,
-    DivergenceError,
-    TrainConfig,
-    generate_cluster_task,
-    train,
-)
+from .tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,11 +74,6 @@ ANALYZE_REPORTS = ("stability", "nonexpansive", "routing", "heatmap", "degenerac
 
 class ConfigError(ValueError):
     """Invalid or missing configuration field; names the offending key."""
-
-
-class NumericalResultError(ArithmeticError):
-    """A gradcheck combination's loss or relative error that is not finite or
-    not below ``GRADCHECK_TOL``, or a non-finite value bound for an output."""
 
 
 _RUN_SEED = object()  # a seed field that defaults to the run's seed
@@ -117,12 +108,12 @@ def _seed(seed: int, name: str) -> int:
     return seed
 
 
-def _build(cls, section: str, **fields):
-    """``cls(**fields)``, reporting a rejected value as a ConfigError."""
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``; a rejected value raises ConfigError(``where`` + its message)."""
     try:
         return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"config.{section}: {exc}") from exc
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _section(config: dict, name: str, seed: int) -> tuple:
@@ -131,11 +122,12 @@ def _section(config: dict, name: str, seed: int) -> tuple:
     if config[name] is None:
         return None, None
     cls, fields = _SECTIONS[name]
-    values = read_fields(config[name], fields, f"{name}.", ConfigError)
+    where = f"config.{name}."
+    values = read_fields(config[name], fields, where, ConfigError)
     if "seed" in values:
         values["seed"] = _seed(seed if values["seed"] is _RUN_SEED else values["seed"],
-                               f"{name}.seed")
-    return values, _build(cls, name, **values)
+                               f"{where}seed")
+    return values, _build(cls, where, **values)
 
 
 @dataclass(frozen=True)
@@ -186,9 +178,9 @@ def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     values["adapter"], adapter = _section(values, "adapter", seed)
     values["task"], task = _section(values, "task", seed)
     if values["model_depth"] < 1:
-        raise ConfigError("config.model_depth must be positive")
+        raise ConfigError(f"config.model_depth must be positive, got {values['model_depth']}")
     values["train"], train_cfg = _section(values, "train", seed)
-    loss = _build(LossSpec, "loss", kind=values["loss"])
+    loss = _build(LossSpec, "config.", kind=values["loss"])
     values = {key: value for key, value in values.items() if value is not None}
     return RunConfig(values, adapter, task, train_cfg, loss)
 
@@ -236,7 +228,7 @@ def _emit_json(doc: dict, path: Optional[Path] = None) -> None:
 
     The one JSON form of every artifact and summary: sorted keys, so field
     order cannot move a byte, two-space indent and arrays as lists.  A
-    value that is NaN or infinite raises NumericalResultError naming the
+    value that is NaN or infinite raises NumericalError naming the
     artifact and the field, before anything is written.
     """
     try:
@@ -244,7 +236,7 @@ def _emit_json(doc: dict, path: Optional[Path] = None) -> None:
                           default=np.ndarray.tolist)
     except ValueError:
         where = path.name if path else "stdout"
-        raise NumericalResultError(f"{where}: {_non_finite_field(doc)}") from None
+        raise NumericalError(f"{where}: {_non_finite_field(doc)}") from None
     if path is None:
         print(text)
     else:
@@ -256,7 +248,7 @@ def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
 
     The one CSV form of every artifact: a float as %.17g, so the bytes
     are stable, anything else as str.  A float that is NaN or infinite
-    raises NumericalResultError naming the artifact, the row (counted
+    raises NumericalError naming the artifact, the row (counted
     from 1 below the header) and the column, before the file is opened.
     """
     lines = [f"#schema={schema}", ",".join(columns)]
@@ -265,7 +257,7 @@ def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
         for column, value in zip(columns, row):
             if isinstance(value, float):
                 if not math.isfinite(value):
-                    raise NumericalResultError(f"{path.name}: row {i} {column} is {value}")
+                    raise NumericalError(f"{path.name}: row {i} {column} is {value}")
                 value = f"{value:.17g}"
             cells.append(str(value))
         lines.append(",".join(cells))
@@ -278,6 +270,9 @@ def cmd_params(config: RunConfig) -> int:
     if not config.targets:
         raise ConfigError("config.targets is empty" if config.targets == []
                           else "missing required field config.targets")
+    for i, tag in enumerate(config.targets):
+        if tag in config.targets[:i]:
+            raise ConfigError(f"config.targets repeats {tag!r}")
     geom = _resolve_geometry(config.geometry)
     budget = analysis.count_params(geom, config.method, config.adapter, config.targets)
     doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
@@ -295,7 +290,7 @@ def _task_and_host(config: RunConfig):
     """The task data and the frozen host model, regenerated from the config's seeds."""
     if config.task is None:
         raise ConfigError("missing required field config.task")
-    data = _build(generate_cluster_task, "task", spec=config.task)
+    data = _build(generate_cluster_task, "config.task.", spec=config.task)
     frozen = build_frozen_stack(
         config.task.input_dim, config.task.output_dim, config.model_depth,
         RngState(config.seed),
@@ -347,15 +342,9 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str], trials: in
     # routing rebuilds the task data and the frozen host; the adapter's own
     # settings come from the stack, which was built from them
     config = parse_run_config(echoed) if report in ("stability", "routing", "degeneracy") else None
-    if report != "routing" and stack.method != "talklora":
-        raise ConfigError(f"report {report!r} needs a talklora checkpoint")
-    if report == "routing" and stack.method == "lora":
-        raise ConfigError("report 'routing' needs a moelora or talklora checkpoint")
-    if report == "stability" and trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {trials}")
-    # each report is computed before --out is made, so one that fails on the
-    # checkpoint's config leaves nothing behind: ``artifact`` is its file name
-    # and its JSON document or CSV (schema, columns, rows)
+    # each report is computed before --out is made, so one that the analysis
+    # or the checkpoint's config rejects leaves nothing behind: ``artifact``
+    # is its file name and its JSON document or CSV (schema, columns, rows)
     summary: dict = {"report": report, "checkpoint": checkpoint}
     if report == "stability":
         certs = []
@@ -455,13 +444,13 @@ def _gradcheck_plan(config: RunConfig) -> tuple:
     return frozen, combos
 
 
-def _gradcheck_failure(combo: dict, why: str = "") -> NumericalResultError:
+def _gradcheck_failure(combo: dict, why: str = "") -> NumericalError:
     """The one form of every gradcheck failure: ``gradcheck <method> share_b=<b>
     talking_enabled=<b>: [relative error <e> at <worst handle>]<why>``."""
     if "worst_handle" in combo:
         why = f"relative error {combo['max_relative_error']} at {combo['worst_handle']}{why}"
-    return NumericalResultError(f"gradcheck {combo['method']} share_b={combo['share_b']} "
-                                f"talking_enabled={combo['talking_enabled']}: {why}")
+    return NumericalError(f"gradcheck {combo['method']} share_b={combo['share_b']} "
+                          f"talking_enabled={combo['talking_enabled']}: {why}")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -473,7 +462,7 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     (see ``_gradcheck_plan``).  Uses the config's task dims, rank/expert
     counts and model depth on a small random batch; returns per-combination
     max relative errors.  A non-finite loss or relative error raises
-    NumericalResultError (see ``_gradcheck_failure``).
+    NumericalError (see ``_gradcheck_failure``).
     """
     frozen, plan = _gradcheck_plan(config)
     d, k = frozen[0].d_in, frozen[-1].d_out
@@ -500,7 +489,7 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
         combo = {"method": method, "share_b": share_b, "talking_enabled": talking}
         try:
             report = gradcheck(stack, frozen, (x, targets), config.loss)
-        except NonFiniteLossError as exc:
+        except NumericalError as exc:
             raise _gradcheck_failure(combo, str(exc)) from exc
         combo.update(asdict(report))  # max_relative_error, worst_handle
         if not math.isfinite(report.max_relative_error):
@@ -603,7 +592,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # e.g. output_dir names a file, --checkpoint a directory
         print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NumericalResultError) as exc:
+    except NumericalError as exc:  # a divergence included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CorruptCheckpointError as exc:  # a version mismatch included

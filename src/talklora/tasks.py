@@ -5,6 +5,10 @@ stack is adapted on a clustered linear-regression task whose heterogeneity
 (one ground-truth map per cluster) is what gives the router something to
 specialize on.  Everything is deterministic given the seeds, down to byte
 identity of the logs.
+
+A rejected spec's ValueError starts with its field.  A run whose loss,
+update or eval loss goes non-finite raises :class:`DivergenceError`, an
+``autodiff.NumericalError`` carrying the step.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from .autodiff import (
     AdamWHyper,
     AdamWState,
     LossSpec,
-    NonFiniteLossError,
-    NonFiniteUpdateError,
+    NumericalError,
     backward,
     loss_value,
     model_forward,
@@ -48,16 +51,14 @@ class ClusterTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("clusters", "input_dim", "output_dim"):
+        for name in ("clusters", "input_dim", "output_dim", "samples_per_cluster"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.samples_per_cluster < 1:
-            raise ValueError("samples_per_cluster must be positive")
         if self.clusters * self.samples_per_cluster < 2:  # the eval split takes the first sample
-            raise ValueError("clusters * samples_per_cluster must be at least 2, got "
-                             f"{self.clusters} * {self.samples_per_cluster}")
+            raise ValueError("samples_per_cluster times clusters must be at least 2, got "
+                             f"{self.samples_per_cluster} * {self.clusters}")
         if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
 
 
 @dataclass
@@ -128,22 +129,20 @@ class TrainConfig:
     dropout: float = 0.05
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "eval_every"):
+        for name in ("epochs", "batch_size", "eval_every", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.warmup_steps < 1:
-            raise ValueError("warmup_steps must be positive")
         if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
         if self.lr_schedule != "linear":
-            raise ValueError(f"unsupported lr_schedule {self.lr_schedule!r}")
+            raise ValueError(f"lr_schedule must be 'linear', got {self.lr_schedule!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
-class DivergenceError(RuntimeError):
-    """Training loss or parameters became non-finite; carries the offending
-    step."""
+class DivergenceError(NumericalError):
+    """Training loss, parameters or eval loss became non-finite; carries the
+    offending step."""
 
     def __init__(self, step: int, quantity: str = "loss"):
         self.step = step
@@ -241,18 +240,18 @@ def train(
                 scales = _dropout_scales(frozen_layers, xb.shape[0], tc.dropout, rng, step)
                 try:
                     loss_val, grad = backward(stack, frozen_layers, (xb, yb), loss, scales)
-                except NonFiniteLossError as exc:
+                except NumericalError as exc:
                     raise DivergenceError(step) from exc
                 hyper = AdamWHyper(lr=lr_t, weight_decay=tc.weight_decay)
                 try:
                     stack_adamw_step(stack, grad, state, hyper)
-                except NonFiniteUpdateError as exc:
+                except NumericalError as exc:
                     raise DivergenceError(step, "parameters") from exc
                 log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
                 if step % tc.eval_every == 0 or step == total_steps:
                     try:
                         eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
-                    except NonFiniteLossError as exc:
+                    except NumericalError as exc:
                         raise DivergenceError(step, "eval loss") from exc
                     log.snapshots.append(
                         RoutingSnapshot(

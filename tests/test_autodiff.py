@@ -21,8 +21,7 @@ from talklora.autodiff import (
     LossSpec,
     ORACLE_BLOCK,
     _reference_loss,
-    NonFiniteLossError,
-    NonFiniteUpdateError,
+    NumericalError,
     adamw_step,
     apply_spectral_clip,
     backward,
@@ -47,9 +46,11 @@ class TestLossSpec:
         frozen, stack, x, t = make_setup("talklora")
         t = t.copy()
         t[2, 0] = np.inf
-        with pytest.raises(NonFiniteLossError) as exc:
+        with pytest.raises(NumericalError) as exc:
             backward(stack, frozen, (x, t), MSE)
-        assert exc.value.sample_index == 2
+        # an exit-3 class, never read as a rejected input
+        assert not isinstance(exc.value, ValueError)
+        assert str(exc.value) == "non-finite loss at sample index 2"
 
     @pytest.mark.parametrize(
         "targets",
@@ -574,9 +575,10 @@ class TestAdamW:
     def test_overflowed_gradient_raises_a_non_finite_update(self):
         # inf / sqrt(inf) is NaN, so the one check on the parameters sees it
         stack = _scalar_stack(1.0, 2.0)
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteUpdateError):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
             stack_adamw_step(stack, _scalar_grads(np.inf, 0.0), AdamWState(stack),
                              AdamWHyper(lr=0.1))
+        assert not isinstance(exc.value, ValueError)
         assert np.isnan(stack.flat[0]) and stack.flat[1] == 2.0
 
     def test_gradient_of_another_shape_rejected(self):

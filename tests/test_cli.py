@@ -256,37 +256,52 @@ class TestInputErrors:
                                     "config error: missing required field config.geometry\n"),
         "gradcheck_without_task": (["gradcheck", "--config", "{config}"], {"task": None},
                                    "config error: missing required field config.task\n"),
+        "params_repeated_target": (["params", "--config", "{config}"],
+                                   {"geometry": "llama3-8b", "targets": ["Q", "Q"]},
+                                   "config error: config.targets repeats 'Q'\n"),
         "model_depth": (CONFIG, {"model_depth": 0},
-                        "config error: config.model_depth must be positive\n"),
+                        "config error: config.model_depth must be positive, got 0\n"),
         "task.clusters": (CONFIG, {"task": {**TASK, "clusters": 0}},
-                          "config error: config.task: clusters must be positive, got 0\n"),
+                          "config error: config.task.clusters must be positive, got 0\n"),
         "task.input_dim": (CONFIG, {"task": {**TASK, "input_dim": 0}},
-                           "config error: config.task: input_dim must be positive, got 0\n"),
+                           "config error: config.task.input_dim must be positive, got 0\n"),
         "task.output_dim": (CONFIG, {"task": {**TASK, "output_dim": 0}},
-                            "config error: config.task: output_dim must be positive, got 0\n"),
+                            "config error: config.task.output_dim must be positive, got 0\n"),
         "task.samples_per_cluster": (
             CONFIG, {"task": {**TASK, "samples_per_cluster": 0}},
-            "config error: config.task: samples_per_cluster must be positive\n"),
+            "config error: config.task.samples_per_cluster must be positive, got 0\n"),
         "task.noise_std": (CONFIG, {"task": {**TASK, "noise_std": -1.0}},
-                           "config error: config.task: noise_std must be nonnegative\n"),
+                           "config error: config.task.noise_std must be nonnegative, got -1.0\n"),
         "train.epochs": (CONFIG, {"train": {**TRAIN, "epochs": 0}},
-                         "config error: config.train: epochs must be positive, got 0\n"),
+                         "config error: config.train.epochs must be positive, got 0\n"),
         "train.batch_size": (CONFIG, {"train": {**TRAIN, "batch_size": 0}},
-                             "config error: config.train: batch_size must be positive, got 0\n"),
+                             "config error: config.train.batch_size must be positive, got 0\n"),
         "train.eval_every": (CONFIG, {"train": {**TRAIN, "eval_every": 0}},
-                             "config error: config.train: eval_every must be positive, got 0\n"),
+                             "config error: config.train.eval_every must be positive, got 0\n"),
         "train.warmup_steps": (CONFIG, {"train": {**TRAIN, "warmup_steps": 0}},
-                               "config error: config.train: warmup_steps must be positive\n"),
+                               "config error: config.train.warmup_steps must be positive, "
+                               "got 0\n"),
         "train.lr": (CONFIG, {"train": {**TRAIN, "lr": -1.0}},
-                     "config error: config.train: lr must be nonnegative\n"),
+                     "config error: config.train.lr must be nonnegative, got -1.0\n"),
         "train.lr_schedule": (CONFIG, {"train": {**TRAIN, "lr_schedule": "cosine"}},
-                              "config error: config.train: unsupported lr_schedule 'cosine'\n"),
+                              "config error: config.train.lr_schedule must be 'linear', "
+                              "got 'cosine'\n"),
+        "train.dropout": (CONFIG, {"train": {**TRAIN, "dropout": 1.0}},
+                          "config error: config.train.dropout must lie in [0, 1), got 1.0\n"),
+        "adapter.total_rank": (CONFIG, {"adapter": {**ADAPTER, "total_rank": 0}},
+                               "config error: config.adapter.total_rank must be positive, "
+                               "got 0\n"),
+        "adapter.experts": (CONFIG, {"adapter": {**ADAPTER, "experts": 0}},
+                            "config error: config.adapter.experts must be positive, got 0\n"),
         "adapter.lora_alpha": (CONFIG, {"adapter": {**ADAPTER, "lora_alpha": 0.0}},
-                               "config error: config.adapter: lora_alpha must be positive, "
+                               "config error: config.adapter.lora_alpha must be positive, "
                                "got 0.0\n"),
         "adapter.spectral_clip_c": (CONFIG, {"adapter": {**ADAPTER, "spectral_clip_c": 0.0}},
-                                    "config error: config.adapter: spectral_clip_c must be "
-                                    "positive when set\n"),
+                                    "config error: config.adapter.spectral_clip_c must be "
+                                    "positive when set, got 0.0\n"),
+        "loss": (CONFIG, {"loss": "hinge"},
+                 "config error: config.loss must be one of ('mean-squared-error', "
+                 "'softmax-cross-entropy'), got 'hinge'\n"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -373,7 +388,7 @@ class TestTrain:
         cfg = write_config(tmp_path, task={"noise_std": 1e308})
         code, _, err = run_cli(tmp_path, "train", "--config", str(cfg))
         assert code == 2
-        assert err == "config error: config.task: noise_std 1e+308 makes the task data non-finite\n"
+        assert err == "config error: config.task.noise_std 1e+308 makes the task data non-finite\n"
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_rank_beyond_the_task_dims_exits_2_naming_the_field(self, tmp_path, command):
@@ -431,7 +446,7 @@ class TestTrain:
         cfg = write_config(tmp_path, task={"clusters": 1, "samples_per_cluster": 1})
         code, _, err = run_cli(tmp_path, "train", "--config", str(cfg))
         assert code == 2
-        assert err == ("config error: config.task: clusters * samples_per_cluster must be "
+        assert err == ("config error: config.task.samples_per_cluster times clusters must be "
                        "at least 2, got 1 * 1\n")
 
     def test_cross_entropy_exits_2_before_any_output(self, tmp_path):
@@ -508,12 +523,15 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "method, experts, report, trials, edit, message",
         [
-            ("lora", 1, "stability", "200", None, "needs a talklora checkpoint"),
-            ("moelora", 2, "heatmap", "200", None, "needs a talklora checkpoint"),
-            ("lora", 1, "routing", "200", None, "needs a moelora or talklora checkpoint"),
+            ("lora", 1, "stability", "200", None,
+             "config error: stability_certificate needs a TalkLoRA layer, one that holds c\n"),
+            ("moelora", 2, "heatmap", "200", None,
+             "config error: communication heatmap applies to TalkLoRA stacks only\n"),
+            ("lora", 1, "routing", "200", None,
+             "config error: routing_load needs a gated stack (moelora or talklora)\n"),
             ("talklora", 2, "routing", "200", lambda header: header["run_config"].pop("task"),
              "config error: missing required field config.task\n"),
-            ("talklora", 2, "stability", "0", None, "--trials must be at least 1"),
+            ("talklora", 2, "stability", "0", None, "config error: trials must be at least 1\n"),
             ("talklora", 1, "degeneracy", "200", None,
              "degeneracy probes need at least 2 experts"),
             ("talklora", 2, "routing", "200",

@@ -11,7 +11,7 @@ from talklora.adapters import (
     build_stack_from_slots,
     frozen_stack_slots,
 )
-from talklora.autodiff import LossSpec, model_forward
+from talklora.autodiff import LossSpec, NumericalError, model_forward
 from talklora import tasks
 from talklora.linalg import RngState
 from talklora.tasks import (
@@ -174,6 +174,8 @@ class TestTrain:
         with pytest.raises(DivergenceError) as exc:
             train(stack, frozen, data, tc, MSE)
         assert exc.value.step == 1
+        # an exit-3 class, never read as a rejected input
+        assert isinstance(exc.value, NumericalError) and not isinstance(exc.value, ValueError)
 
     def test_non_finite_eval_loss_aborts_with_step_index(self):
         # the train split is finite, so only the eval forward at the last step,
