@@ -5,6 +5,7 @@ parameter accounting against published model geometries, the routing
 Lipschitz certificate (observed gate perturbations vs the alpha*beta
 bound), spectral-norm audits of the communication matrices, the
 degeneracy / expressive-power probes, and routing-load balance reports.
+Each analysis reads a layer's family off the arrays it holds.
 """
 
 from __future__ import annotations
@@ -53,18 +54,23 @@ def count_params(
 
     Each target contributes the sizes of :func:`layer_layout`'s arrays at
     its dims once per layer, or once in all for an array shared across
-    the layers of a tag (TalkLoRA's B under ``share_b``).  The layout checks
-    each target's dims, so a rank that no stack could hold raises here too.
+    the layers of a tag (TalkLoRA's B under ``share_b``).  ``targets`` must be
+    nonempty, repeat no tag and name only projections of ``geom``.  The layout
+    checks each target's dims, so a rank that no stack could hold raises too.
     """
-    targets = set(targets)
+    targets = list(targets)
     if not targets:
         raise ValueError("targets must be nonempty")
-    unknown = targets - set(geom.tags)
+    for i, tag in enumerate(targets):
+        if tag in targets[:i]:
+            raise ValueError(f"targets repeats {tag!r}")
+    projections = {p.tag: p for p in geom.projections}
+    unknown = sorted(set(targets) - projections.keys())
     if unknown:
-        raise ValueError(f"unknown target tags {sorted(unknown)} for {geom.name!r}")
+        raise ValueError(f"targets holds tags {unknown} unknown to {geom.name!r}")
     breakdown: dict = {}
     for tag in sorted(targets):
-        proj = geom.projection(tag)
+        proj = projections[tag]
         for field in layer_layout(method, cfg, proj.d_in, proj.d_out, f"target {tag}"):
             copies = 1 if field.shared else geom.layers
             breakdown[field.role] = breakdown.get(field.role, 0) + copies * math.prod(field.shape)
@@ -134,9 +140,9 @@ def stability_certificate(
     if tl.c is None:
         raise ValueError("stability_certificate needs a TalkLoRA layer, one that holds c")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if delta_scale < 0:
-        raise ValueError("delta_scale must be nonnegative")
+        raise ValueError(f"delta_scale must be nonnegative, got {delta_scale}")
     d = tl.a.shape[2]
     alpha = spectral_norm(tl.a.reshape(-1, d))
     beta = spectral_norm(tl.router_wg)
@@ -181,8 +187,8 @@ class NonexpansiveAudit:
 
 
 def nonexpansive_audit(stack: AdapterStack) -> NonexpansiveAudit:
-    if stack.method != "talklora":
-        raise ValueError("non-expansive audit applies to TalkLoRA stacks only")
+    if any(adapter.c is None for adapter in stack.adapters):
+        raise ValueError("nonexpansive_audit needs a TalkLoRA layer, one that holds c")
     sigmas = spectral_norms(np.stack([adapter.c for adapter in stack.adapters])).tolist()
     rows = [(slot.layer, slot.tag, sigma) for slot, sigma in zip(stack.slots, sigmas)]
     within = sum(sigma <= 1.0 + NONEXPANSIVE_SLACK for sigma in sigmas)
@@ -212,10 +218,10 @@ class RoutingLoadReport:
 
 def routing_load(stack: AdapterStack, frozen_layers: list, x) -> RoutingLoadReport:
     """Mean gate vectors over the (N, d) inputs ``x``, their entropies and
-    the global load spread.  Plain LoRA stacks have no router and are rejected.
+    the global load spread.  Plain LoRA layers have no router and are rejected.
     """
-    if stack.method == "lora":
-        raise ValueError("routing_load needs a gated stack (moelora or talklora)")
+    if any(adapter.router_wg is None for adapter in stack.adapters):
+        raise ValueError("routing_load needs a gated layer, one that holds router_wg")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a nonempty (N, d) array")
@@ -261,7 +267,7 @@ def degeneracy_check(
     if tl.c is None:
         raise ValueError("degeneracy_check needs a TalkLoRA layer, one that holds c")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     n, r_e, d = tl.a.shape
     if n < 2:
         raise ValueError("degeneracy probes need at least 2 experts")
@@ -320,8 +326,8 @@ def communication_heatmap(stack: AdapterStack) -> list:
     Zero matrices pass through unchanged; the operation is idempotent.
     Returns (layer, tag, normalized C) triples.
     """
-    if stack.method != "talklora":
-        raise ValueError("communication heatmap applies to TalkLoRA stacks only")
+    if any(adapter.c is None for adapter in stack.adapters):
+        raise ValueError("communication_heatmap needs a TalkLoRA layer, one that holds c")
     out = []
     for slot, adapter in zip(stack.slots, stack.adapters):
         peak = np.abs(adapter.c).max()

@@ -442,17 +442,17 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
 def apply_spectral_clip(stack: AdapterStack) -> None:
     """Project every communication matrix onto the spectral-norm ball.
 
-    No-op unless the stack is TalkLoRA with ``spectral_clip_c`` set; when a
-    C matrix exceeds the clip, it is rescaled by clip / sigma_max, which
+    No-op unless ``spectral_clip_c`` is set and the layers hold C (TalkLoRA).
+    A C matrix that exceeds the clip is rescaled by clip / sigma_max, which
     enforces the non-expansiveness assumption by construction.  The exact
     sigma_max of every C comes from one batched LAPACK SVD
     (:func:`~talklora.linalg.spectral_norms`), equal bit for bit to one
     SVD per matrix.
     """
     clip = stack.cfg.spectral_clip_c
-    if clip is None or stack.method != "talklora":
+    cs = [adapter.c for adapter in stack.adapters if adapter.c is not None]
+    if clip is None or not cs:
         return
-    cs = [adapter.c for adapter in stack.adapters]
     for c, sigma in zip(cs, spectral_norms(np.stack(cs))):
         if sigma > clip:
             c *= clip / sigma

@@ -57,7 +57,7 @@ from .checkpoint import (
     read_header,
     save_checkpoint,
 )
-from .geometry import BUNDLED_GEOMETRIES, bundled_geometry, load_geometry
+from .geometry import bundled_geometry, load_geometry
 from .linalg import RngState
 from .tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
@@ -109,9 +109,12 @@ def _seed(seed: int, name: str) -> int:
 
 
 def _build(cls, where: str, **fields):
-    """``cls(**fields)``; a rejected value raises ConfigError(``where`` + its message)."""
+    """``cls(**fields)``; a rejected value raises ConfigError(``where`` + its message),
+    except a LowRankError, which ``main`` names under ``config.adapter.``."""
     try:
         return cls(**fields)
+    except LowRankError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from exc
 
@@ -197,9 +200,11 @@ def _load_config_file(path: str, seed_override: Optional[int]) -> RunConfig:
 
 
 def _resolve_geometry(name_or_path: str):
-    if name_or_path.lower() in BUNDLED_GEOMETRIES:
+    """The bundled geometry of that name, else the fixture at that path."""
+    try:
         return bundled_geometry(name_or_path)
-    path = Path(name_or_path)
+    except KeyError:
+        path = Path(name_or_path)
     if not path.is_file():
         raise ConfigError(f"geometry fixture not found: {name_or_path}")
     return load_geometry(path)
@@ -267,14 +272,11 @@ def _write_csv(path: Path, schema: str, columns: tuple, rows) -> None:
 def cmd_params(config: RunConfig) -> int:
     if config.geometry is None:
         raise ConfigError("missing required field config.geometry")
-    if not config.targets:
-        raise ConfigError("config.targets is empty" if config.targets == []
-                          else "missing required field config.targets")
-    for i, tag in enumerate(config.targets):
-        if tag in config.targets[:i]:
-            raise ConfigError(f"config.targets repeats {tag!r}")
+    if config.targets is None:
+        raise ConfigError("missing required field config.targets")
     geom = _resolve_geometry(config.geometry)
-    budget = analysis.count_params(geom, config.method, config.adapter, config.targets)
+    budget = _build(analysis.count_params, "config.", geom=geom, method=config.method,
+                    cfg=config.adapter, targets=config.targets)
     doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
            "geometry": geom.name, "targets": sorted(config.targets),
            "config": config.effective_dict()}
@@ -374,7 +376,7 @@ def cmd_analyze(checkpoint: str, report: str, out_dir: Optional[str], trials: in
         if host != held:  # dims only: a library checkpoint's tags may differ
             field = ("model_depth" if len(host) != len(held) else
                      "task.input_dim" if host[0][0] != held[0][0] else "task.output_dim")
-            raise ConfigError(f"the checkpoint config's {field} rebuilds a host of (d_in, d_out) "
+            raise ConfigError(f"config.{field} rebuilds a host of (d_in, d_out) "
                               f"layers {host}, but the checkpoint's slots are {held}")
         rep = analysis.routing_load(stack, frozen, data.x_eval)
         summary["mean_entropy"] = rep.mean_entropy
@@ -426,11 +428,10 @@ def _gradcheck_plan(config: RunConfig) -> tuple:
     if config.task is None:
         raise ConfigError("missing required field config.task")
     d, k = config.task.input_dim, config.task.output_dim
-    if d > GRADCHECK_DIM_CAP or k > GRADCHECK_DIM_CAP:
-        raise ConfigError(
-            f"gradcheck dims capped at {GRADCHECK_DIM_CAP} "
-            f"(got input_dim={d}, output_dim={k})"
-        )
+    for field, dim in (("input_dim", d), ("output_dim", k)):
+        if dim > GRADCHECK_DIM_CAP:
+            raise ConfigError(f"config.task.{field} must be at most {GRADCHECK_DIM_CAP} "
+                              f"for gradcheck, got {dim}")
     frozen = build_frozen_stack(d, k, config.model_depth, RngState(config.seed))
     shareable = replace(config.adapter, share_b=True)
     combos = []

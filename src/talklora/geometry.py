@@ -3,8 +3,9 @@
 A geometry records the per-projection input/output dimensions and the
 total parameter count of a published transformer, loaded from small JSON
 fixture files.  Bundled fixtures cover Qwen2.5-7B, LLaMA2-7B and
-LLaMA3-8B; each fixture carries a ``source`` note naming where the values
-come from (public model cards / config files).
+LLaMA3-8B, and :func:`bundled_geometry` alone resolves their names; each
+carries a ``source`` note naming where the values come from (public model
+cards / config files).  Each rule on a geometry names its field.
 """
 
 from __future__ import annotations
@@ -34,24 +35,15 @@ class ModelGeometry:
     projections: tuple[Projection, ...]
 
     def __post_init__(self):
-        tags = [p.tag for p in self.projections]
-        if len(set(tags)) != len(tags):
-            raise ValueError(f"duplicate projection tags in geometry {self.name!r}")
-        for p in self.projections:
-            if p.d_in < 1 or p.d_out < 1:
-                raise ValueError(f"projection {p.tag!r} has non-positive dims")
-        if self.total_params < 1 or self.layers < 1:
-            raise ValueError("total_params and layers must be positive")
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(p.tag for p in self.projections)
-
-    def projection(self, tag: str) -> Projection:
-        for p in self.projections:
-            if p.tag == tag:
-                return p
-        raise KeyError(f"geometry {self.name!r} has no projection {tag!r}")
+        for i, p in enumerate(self.projections):
+            if p.tag in (q.tag for q in self.projections[:i]):
+                raise ValueError(f"projections repeats tag {p.tag!r}")
+            for field, value in (("d_in", p.d_in), ("d_out", p.d_out)):
+                if value < 1:
+                    raise ValueError(f"projections[{i}].{field} must be positive, got {value}")
+        for field, value in (("total_params", self.total_params), ("layers", self.layers)):
+            if value < 1:
+                raise ValueError(f"{field} must be positive, got {value}")
 
 
 _FIXTURE_FIELDS = (("name", str, REQUIRED), ("total_params", int, REQUIRED),
@@ -73,7 +65,10 @@ def geometry_from_dict(doc: dict) -> ModelGeometry:
         Projection(**read_fields(p, _PROJECTION_FIELDS, f"projections[{i}].", _bad_fixture))
         for i, p in enumerate(fields["projections"])
     )
-    return ModelGeometry(fields["name"], fields["total_params"], fields["layers"], projections)
+    try:
+        return ModelGeometry(fields["name"], fields["total_params"], fields["layers"], projections)
+    except ValueError as exc:
+        raise _bad_fixture(str(exc)) from exc
 
 
 def load_geometry(path: str | Path) -> ModelGeometry:
@@ -83,11 +78,12 @@ def load_geometry(path: str | Path) -> ModelGeometry:
 
 
 def bundled_geometry(name: str) -> ModelGeometry:
-    """Load one of the geometries shipped with the package."""
-    fname = name.lower().replace("_", "-") + ".json"
-    ref = resources.files("talklora.fixtures").joinpath(fname)
-    if not ref.is_file():
-        raise KeyError(
-            f"no bundled geometry {name!r}; available: {', '.join(BUNDLED_GEOMETRIES)}"
-        )
+    """Load one of the geometries shipped with the package, named as in
+    ``BUNDLED_GEOMETRIES`` in any case and with ``_`` for ``-``; any other
+    string raises KeyError."""
+    key = name.lower().replace("_", "-")
+    if key not in BUNDLED_GEOMETRIES:
+        raise KeyError(f"no bundled geometry {name!r}; "
+                       f"available: {', '.join(BUNDLED_GEOMETRIES)}")
+    ref = resources.files("talklora.fixtures").joinpath(key + ".json")
     return geometry_from_dict(json.loads(ref.read_text(encoding="utf-8")))

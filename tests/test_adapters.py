@@ -161,7 +161,8 @@ class TestLoRAForward:
 
     def test_router_gates_rejects_a_routerless_layer(self):
         ad = init_lora(small_cfg(experts=1), RngState(0))
-        with pytest.raises(ValueError, match="router_wg is None"):
+        with pytest.raises(ValueError, match="router_gates needs a gated layer, "
+                                             "one that holds router_wg"):
             router_gates(ad, np.ones((2, 8)))
 
 
@@ -527,8 +528,9 @@ class TestBuildAdapterStack:
             "talklora", cfg, geometry_slots(geom, {"Q", "K", "V", "Up", "Down"}), RngState(25)
         )
         assert len(stack.slots) == 32 * 5
+        projections = {p.tag: p for p in geom.projections}
         for slot, ad in zip(stack.slots, stack.adapters):
-            proj = geom.projection(slot.tag)
+            proj = projections[slot.tag]
             for a_i in ad.a:
                 assert a_i.shape == (2, proj.d_in)
             for e_i in ad.e:
@@ -587,6 +589,18 @@ class TestLayerShapeRule:
             expected = (rf"^{method} layer's {field.name} has shape {re.escape(str(held))}, "
                         rf"but .* implies {re.escape(str(field.shape))}$")
             with pytest.raises(ValueError, match=expected):
+                forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_non_finite_array_is_rejected_naming_it(self, method, bad):
+        init, forward = FORWARDS[method]
+        cfg = small_cfg()
+        for field in layer_layout(method, cfg, 8, 8):
+            ad = init(cfg, RngState(42))
+            getattr(ad, field.name).flat[-1] = bad
+            with pytest.raises(ValueError, match=rf"^{method} layer's {field.name} contains "
+                                                 "non-finite entries$"):
                 forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
 
     @pytest.mark.parametrize("held, experts, method, name, message", [

@@ -112,6 +112,14 @@ class TestCountParams:
         with pytest.raises(ValueError, match="unknown"):
             count_params(TOY_GEOM, "lora", AdapterConfig(total_rank=4), {"Y"})
 
+    @pytest.mark.parametrize("targets, message", [
+        ([], r"^targets must be nonempty$"),
+        (["X", "X"], r"^targets repeats 'X'$"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_targets_rejected(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            count_params(TOY_GEOM, "lora", AdapterConfig(total_rank=4), targets)
+
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
     def test_rank_no_stack_could_hold_rejected(self, method):
         # K of llama3-8b maps 4096 -> 1024: a build or a load rejects rank 8192 there
@@ -127,6 +135,14 @@ def _layer(seed=0, d=12, r=4, n=2, clip=None):
         lora_alpha=8.0, spectral_clip_c=clip,
     )
     return init_talklora(cfg, RngState(seed)), cfg
+
+
+class TestBundledGeometry:
+    @pytest.mark.parametrize("name", ["../fixtures/llama3-8b", "llama3-8b.json", "llama3",
+                                      "../../../../probe/outside", ""])
+    def test_any_other_string_raises_key_error(self, name):
+        with pytest.raises(KeyError, match="no bundled geometry"):
+            bundled_geometry(name)
 
 
 class TestStabilityCertificate:
@@ -236,6 +252,15 @@ class TestStabilityCertificate:
         with pytest.raises(ValueError, match=r"^stability_certificate needs a TalkLoRA layer"):
             stability_certificate(ml, trials=16, delta_scale=0.1, rng=RngState(9),
                                   talking_enabled=talking)
+
+    @pytest.mark.parametrize("trials, delta_scale, message", [
+        (0, 0.1, r"^trials must be at least 1, got 0$"),
+        (16, -0.5, r"^delta_scale must be nonnegative, got -0.5$"),
+    ], ids=["zero_trials", "negative_delta_scale"])
+    def test_probe_settings_rejected(self, trials, delta_scale, message):
+        tl, _ = _layer(seed=10)
+        with pytest.raises(ValueError, match=message):
+            stability_certificate(tl, trials=trials, delta_scale=delta_scale, rng=RngState(10))
 
     def test_alpha_is_norm_of_stacked_projection(self):
         tl, _ = _layer(seed=5)
@@ -371,6 +396,11 @@ class TestDegeneracyCheck:
                           RngState(43))
         with pytest.raises(ValueError, match=r"^degeneracy_check needs a TalkLoRA layer"):
             degeneracy_check(ml, trials=10, rng=RngState(43))
+
+    def test_zero_trials_rejected(self):
+        tl, _ = _layer(seed=44)
+        with pytest.raises(ValueError, match=r"^trials must be at least 1, got 0$"):
+            degeneracy_check(tl, trials=0, rng=RngState(44))
 
 
 def _per_trial_degeneracy(tl, trials, rng):

@@ -65,6 +65,12 @@ class TestLossSpec:
 
 
 class TestBackwardStructure:
+    def test_host_of_another_depth_rejected(self):
+        frozen, stack, x, _ = make_setup("lora")
+        with pytest.raises(ValueError,
+                           match=r"^frozen stack has 1 layers but adapter stack has 2$"):
+            model_forward(frozen[:1], stack, x)
+
     def test_zero_residual_gives_zero_gradients(self):
         frozen, stack, x, _ = make_setup("talklora", randomize_b=False)
         z, _ = model_forward(frozen, stack, x)

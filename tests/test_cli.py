@@ -17,7 +17,7 @@ from _setup import (
     run_cli,
 )
 from talklora import analysis, cli
-from talklora.checkpoint import load_checkpoint, read_header, save_checkpoint
+from talklora.checkpoint import _PREFIX, load_checkpoint, read_header, save_checkpoint
 from talklora.cli import parse_run_config
 from talklora.linalg import RngState
 from test_autodiff import GRADIENT_DIGESTS
@@ -114,6 +114,13 @@ class TestParams:
                            "missing required field layers"),
         "d_out_missing": ({**TOY, "projections": [{"tag": "X", "d_in": 8}]},
                           "missing required field projections[0].d_out"),
+        "tag_repeated": ({**TOY, "projections": [{"tag": "X", "d_in": 8, "d_out": 8}] * 2},
+                         "geometry fixture projections repeats tag 'X'\n"),
+        "d_out_zero": ({**TOY, "projections": [{"tag": "X", "d_in": 8, "d_out": 0}]},
+                       "geometry fixture projections[0].d_out must be positive, got 0\n"),
+        "total_params_zero": ({**TOY, "total_params": 0},
+                              "geometry fixture total_params must be positive, got 0\n"),
+        "layers_zero": ({**TOY, "layers": 0}, "geometry fixture layers must be positive, got 0\n"),
         "unknown_field": ({**TOY, "vocab": 32000}, "unknown field vocab"),
         "source_int": ({**TOY, "source": 1}, "source"),
     }
@@ -150,11 +157,22 @@ class TestParams:
         assert code == 2
         assert "bogus_field" in err
 
+    def test_bundled_name_in_another_spelling(self, tmp_path):
+        budgets = []
+        for name in ("llama3-8b", "LLaMA3_8B"):
+            cfg = self._params_config(tmp_path, geometry=name)
+            code, out, _ = run_cli(tmp_path, "params", "--config", str(cfg))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc.pop("config")["geometry"] == name
+            budgets.append(doc)
+        assert budgets[0] == budgets[1]
+
     def test_empty_targets_exit_2_saying_so(self, tmp_path):
         cfg = self._params_config(tmp_path, targets=[])
         code, _, err = run_cli(tmp_path, "params", "--config", str(cfg))
         assert code == 2
-        assert err == "config error: config.targets is empty\n"
+        assert err == "config error: config.targets must be nonempty\n"
 
     def test_seed_override_is_echoed(self, tmp_path):
         cfg = self._params_config(tmp_path)
@@ -259,6 +277,12 @@ class TestInputErrors:
         "params_repeated_target": (["params", "--config", "{config}"],
                                    {"geometry": "llama3-8b", "targets": ["Q", "Q"]},
                                    "config error: config.targets repeats 'Q'\n"),
+        "params_unknown_target": (["params", "--config", "{config}"],
+                                  {"geometry": "llama3-8b", "targets": ["Q", "q"]},
+                                  "config error: config.targets holds tags ['q'] unknown to "
+                                  "'LLaMA3-8B'\n"),
+        "lr_out_of_float_range": (CONFIG, '{"method": "lora", "train": {"lr": 1%s}}' % ("0" * 400),
+                                  "config error: config.train.lr is out of float range\n"),
         "model_depth": (CONFIG, {"model_depth": 0},
                         "config error: config.model_depth must be positive, got 0\n"),
         "task.clusters": (CONFIG, {"task": {**TASK, "clusters": 0}},
@@ -526,30 +550,36 @@ class TestAnalyze:
             ("lora", 1, "stability", "200", None,
              "config error: stability_certificate needs a TalkLoRA layer, one that holds c\n"),
             ("moelora", 2, "heatmap", "200", None,
-             "config error: communication heatmap applies to TalkLoRA stacks only\n"),
+             "config error: communication_heatmap needs a TalkLoRA layer, one that holds c\n"),
+            ("moelora", 2, "nonexpansive", "200", None,
+             "config error: nonexpansive_audit needs a TalkLoRA layer, one that holds c\n"),
+            ("moelora", 2, "degeneracy", "200", None,
+             "config error: degeneracy_check needs a TalkLoRA layer, one that holds c\n"),
             ("lora", 1, "routing", "200", None,
-             "config error: routing_load needs a gated stack (moelora or talklora)\n"),
+             "config error: routing_load needs a gated layer, one that holds router_wg\n"),
             ("talklora", 2, "routing", "200", lambda header: header["run_config"].pop("task"),
              "config error: missing required field config.task\n"),
-            ("talklora", 2, "stability", "0", None, "config error: trials must be at least 1\n"),
+            ("talklora", 2, "stability", "0", None,
+             "config error: trials must be at least 1, got 0\n"),
             ("talklora", 1, "degeneracy", "200", None,
              "degeneracy probes need at least 2 experts"),
             ("talklora", 2, "routing", "200",
              lambda header: header["run_config"].update(model_depth=3),
-             "config error: the checkpoint config's model_depth rebuilds a host of (d_in, d_out) "
+             "config error: config.model_depth rebuilds a host of (d_in, d_out) "
              "layers [(8, 8), (8, 8), (8, 8)], but the checkpoint's slots are [(8, 8), (8, 8)]\n"),
             ("moelora", 2, "routing", "200",
              lambda header: header["run_config"]["task"].update(input_dim=6),
-             "config error: the checkpoint config's task.input_dim rebuilds a host of "
+             "config error: config.task.input_dim rebuilds a host of "
              "(d_in, d_out) layers [(6, 6), (6, 8)], but the checkpoint's slots are "
              "[(8, 8), (8, 8)]\n"),
             ("talklora", 2, "routing", "200",
              lambda header: header["run_config"]["task"].update(output_dim=6),
-             "config error: the checkpoint config's task.output_dim rebuilds a host of "
+             "config error: config.task.output_dim rebuilds a host of "
              "(d_in, d_out) layers [(8, 8), (8, 6)], but the checkpoint's slots are "
              "[(8, 8), (8, 8)]\n"),
         ],
-        ids=["stability_on_lora", "heatmap_on_moelora", "routing_on_lora",
+        ids=["stability_on_lora", "heatmap_on_moelora", "nonexpansive_on_moelora",
+             "degeneracy_on_moelora", "routing_on_lora",
              "routing_without_task", "zero_trials", "degeneracy_on_one_expert",
              "routing_on_a_deeper_host", "routing_on_another_input_dim",
              "routing_on_another_output_dim"],
@@ -752,7 +782,8 @@ class TestGradcheckCommand:
         )
         code, _, err = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
         assert code == 2
-        assert "32" in err
+        assert err == ("config error: config.task.input_dim must be at most 32 for gradcheck, "
+                       "got 64\n")
 
 
 class TestCkptCommand:
@@ -829,6 +860,31 @@ class TestCkptCommand:
         code, _, err = run_cli(tmp_path, "ckpt", action, "--checkpoint", str(ckpt))
         assert code == 4
         assert "malformed header" in err
+
+    @pytest.mark.parametrize("action", ["inspect", "roundtrip"])
+    def test_header_not_an_object_exits_4(self, tmp_path, action):
+        raw = (FIXTURES / "lora-v1.tlkl").read_bytes()
+        magic, version, header_len = _PREFIX.unpack_from(raw)
+        body = json.dumps([{"format_version": version}]).encode()
+        ckpt = tmp_path / "listed.tlkl"
+        ckpt.write_bytes(_PREFIX.pack(magic, version, len(body)) + body
+                         + raw[_PREFIX.size + header_len:])
+        code, _, err = run_cli(tmp_path, "ckpt", action, "--checkpoint", str(ckpt))
+        assert code == 4
+        assert err == ("artifact corruption: malformed header: the header must be an object, "
+                       "got list\n")
+
+    def test_tensor_record_beyond_the_slots_exits_4_on_roundtrip(self, tmp_path):
+        ckpt = tmp_path / "extra.tlkl"
+        forge_checkpoint(FIXTURES / "lora-v1.tlkl", ckpt, lambda header: header["tensors"].append(
+            dict(header["tensors"][-1], handle="L02.8x8.A0")))
+        code, _, err = run_cli(tmp_path, "ckpt", "roundtrip", "--checkpoint", str(ckpt))
+        assert code == 4
+        assert err == "artifact corruption: tensor record 4 is not implied by the slots\n"
+        # inspect reads only the header, whose every field has its kind
+        code, out, _ = run_cli(tmp_path, "ckpt", "inspect", "--checkpoint", str(ckpt))
+        assert code == 0
+        assert json.loads(out)["tensors"] == 5
 
     RETYPED = {  # case -> (header edit, the field the message names)
         "total_rank_float": (lambda h: h["adapter_config"].update(total_rank=4.0),
