@@ -280,7 +280,6 @@ class ForwardTrace:
     h_tilde: np.ndarray  # (n, r_e) communicated representations (== h without talking)
     gates: np.ndarray  # (n,) softmax routing weights
     expert_outputs: np.ndarray  # (n, k), unweighted B_i E_i h_i (or B_i A_i x)
-    y: np.ndarray  # (k,) full layer output
     delta: np.ndarray  # (k,) adapter contribution, y - w0 @ x computed exactly
 
 
@@ -405,7 +404,7 @@ def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
     h = cache.h[:, 0]
     h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
     return ForwardTrace(h=h, h_tilde=h_tilde, gates=cache.gates[0].copy(),
-                        expert_outputs=cache.yexp[:, 0], y=cache.z[0], delta=cache.delta[0])
+                        expert_outputs=cache.yexp[:, 0], delta=cache.delta[0])
 
 
 def moelora_forward(layer: FrozenLinear, ml: AdapterLayer, x,

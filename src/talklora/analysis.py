@@ -5,7 +5,10 @@ parameter accounting against published model geometries, the routing
 Lipschitz certificate (observed gate perturbations vs the alpha*beta
 bound), spectral-norm audits of the communication matrices, the
 degeneracy / expressive-power probes, and routing-load balance reports.
-Each analysis reads a layer's family off the arrays it holds.
+Each analysis reads a layer's family off the arrays it holds, never the
+stack's method name, and a refusal reads ``<function> needs a TalkLoRA
+layer, one that holds c`` or ``<function> needs a gated layer, one that
+holds router_wg``.
 """
 
 from __future__ import annotations
@@ -55,9 +58,12 @@ def count_params(
     Each target contributes the sizes of :func:`layer_layout`'s arrays at
     its dims once per layer, or once in all for an array shared across
     the layers of a tag (TalkLoRA's B under ``share_b``).  ``targets`` must be
-    nonempty, repeat no tag and name only projections of ``geom``.  The layout
-    checks each target's dims, so a rank that no stack could hold raises too.
+    a nonempty collection of tags, never a string, that repeats no tag and
+    names only projections of ``geom``.  The layout checks each target's dims,
+    so a rank that no stack could hold raises too.
     """
+    if isinstance(targets, str):  # list("QK") would read as ["Q", "K"]
+        raise ValueError(f"targets must be a collection of tags, got {targets!r}")
     targets = list(targets)
     if not targets:
         raise ValueError("targets must be nonempty")
@@ -209,7 +215,7 @@ class RoutingLoadReport:
     mean_gates: np.ndarray  # (layers, experts)
     entropy: np.ndarray  # (layers,), in [0, ln n]
     max_share: np.ndarray  # (layers,)
-    load_cv: float  # coefficient of variation of global expert loads
+    load_cv: float  # mean over layers of the CV of the layer's expert loads
 
     @property
     def mean_entropy(self) -> float:
@@ -218,7 +224,12 @@ class RoutingLoadReport:
 
 def routing_load(stack: AdapterStack, frozen_layers: list, x) -> RoutingLoadReport:
     """Mean gate vectors over the (N, d) inputs ``x``, their entropies and
-    the global load spread.  Plain LoRA layers have no router and are rejected.
+    the load spread.  Plain LoRA layers have no router and are rejected.
+
+    ``load_cv`` is per-layer load balance (as in Switch Transformer,
+    arXiv:2101.03961): the coefficient of variation of each layer's mean
+    gates, averaged over the layers.  Expert j of one layer is unrelated to
+    expert j of another, so loads are never pooled across layers.
     """
     if any(adapter.router_wg is None for adapter in stack.adapters):
         raise ValueError("routing_load needs a gated layer, one that holds router_wg")
@@ -228,8 +239,7 @@ def routing_load(stack: AdapterStack, frozen_layers: list, x) -> RoutingLoadRepo
     mean_gates = _mean_gates(model_forward(frozen_layers, stack, x)[1])
     entropy = np.array([shannon_entropy(row) for row in mean_gates])
     max_share = mean_gates.max(axis=1)
-    loads = mean_gates.mean(axis=0)
-    load_cv = float(loads.std() / loads.mean())
+    load_cv = float((mean_gates.std(axis=1) / mean_gates.mean(axis=1)).mean())
     return RoutingLoadReport(
         mean_gates=mean_gates, entropy=entropy, max_share=max_share, load_cv=load_cv
     )

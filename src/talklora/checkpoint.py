@@ -45,18 +45,8 @@ _RECORD_FIELDS = (("handle", str, REQUIRED), ("rows", int, REQUIRED), ("cols", i
 
 
 class CorruptCheckpointError(Exception):
-    """Bad magic, an unsupported format version (:class:`VersionMismatchError`),
-    malformed header, checksum mismatch, or a non-finite payload."""
-
-
-class VersionMismatchError(CorruptCheckpointError):
-    def __init__(self, found: int, expected: int):
-        self.found = found
-        self.expected = expected
-        super().__init__(
-            f"checkpoint format version {found} does not match supported "
-            f"version {expected}"
-        )
+    """Bad magic, an unsupported format version, malformed header, checksum
+    mismatch, or a non-finite payload."""
 
 
 def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
@@ -122,7 +112,10 @@ def _read_header(fh) -> dict:
         raise CorruptCheckpointError("truncated file: incomplete fixed-size prefix")
     _, version, header_len = _PREFIX.unpack(prefix)
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(version, FORMAT_VERSION)
+        raise CorruptCheckpointError(
+            f"checkpoint format version {version} does not match supported "
+            f"version {FORMAT_VERSION}"
+        )
     raw = fh.read(header_len)
     if len(raw) != header_len:
         raise CorruptCheckpointError("truncated header")

@@ -19,15 +19,15 @@ shares).  ``--seed`` is the only flag override and is echoed into all
 outputs.  Exit codes are a stable contract: 0 success, 2 config/input
 error, 3 numerical failure (``autodiff.NumericalError``), 4 artifact
 corruption; a rejected config value is named ``config.<section>.<field>``.
-Every artifact and printed summary goes through one CSV writer
-(``_write_csv``) or one JSON emitter (``_emit_json``), which refuse NaN
-and infinity.
+This is the only module that writes files or stdout; ``tasks`` and
+``analysis`` return only their dataclasses and arrays.  Every artifact and
+printed summary goes through one CSV writer (``_write_csv``) or one JSON
+emitter (``_emit_json``), which refuse NaN and infinity.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -139,7 +139,7 @@ class RunConfig:
 
     ``values`` is every value the parser took, defaults applied, with each
     section as the dict of its fields; ``adapter``, ``task``, ``train`` and
-    ``loss`` are built from them.
+    ``loss`` are built from them, and ``params`` and the checkpoint echo it.
     """
 
     values: dict
@@ -154,10 +154,6 @@ class RunConfig:
     targets = property(lambda self: self.values.get("targets"))
     geometry = property(lambda self: self.values.get("geometry"))
     model_depth = property(lambda self: self.values["model_depth"])
-
-    def effective_dict(self) -> dict:
-        """The full configuration with every default applied, for echoing."""
-        return copy.deepcopy(self.values)
 
 
 def parse_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
@@ -279,7 +275,7 @@ def cmd_params(config: RunConfig) -> int:
                     cfg=config.adapter, targets=config.targets)
     doc = {"schema": "param-budget-v1", **asdict(budget), "method": config.method,
            "geometry": geom.name, "targets": sorted(config.targets),
-           "config": config.effective_dict()}
+           "config": config.values}
     # an unusable output_dir fails here, before the summary is printed
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -315,15 +311,15 @@ def cmd_train(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log = train(stack, frozen, data, config.train, config.loss)
     ckpt_path = out / "checkpoint.tlkl"
-    save_checkpoint(ckpt_path, stack, config.effective_dict())
-    log.checkpoint = str(ckpt_path)
+    save_checkpoint(ckpt_path, stack, config.values)
     _write_csv(out / "loss.csv", "loss-v1", ("step", "lr", "loss"),
                ((s.step, s.lr, s.loss) for s in log.steps))
     _write_csv(out / "routing.csv", "routing-v1", ("step", "layer", "expert", "mean_gate"),
                ((snap.step, layer, expert, gate) for snap in log.snapshots
                 if snap.mean_gates is not None
                 for (layer, expert), gate in np.ndenumerate(snap.mean_gates)))
-    _emit_json({"schema": "trainlog-v1", **asdict(log)}, out / "trainlog.json")
+    _emit_json({"schema": "trainlog-v1", **asdict(log), "checkpoint": str(ckpt_path)},
+               out / "trainlog.json")
     summary = {
         "steps": log.steps[-1].step,
         "final_loss": log.steps[-1].loss,

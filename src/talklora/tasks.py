@@ -167,7 +167,6 @@ class RoutingSnapshot:
 class TrainLog:
     steps: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    checkpoint: Optional[str] = None
 
 
 def _schedule_lr(step: int, total: int, tc: TrainConfig) -> float:
@@ -210,7 +209,8 @@ def train(
     tc: TrainConfig,
     loss: LossSpec,
 ) -> TrainLog:
-    """AdamW training with per-step loss logging and periodic routing snapshots.
+    """AdamW training with per-step loss logging and periodic routing snapshots,
+    each taken by one :func:`evaluate`.
 
     Deterministic given the config seed and the dataset; aborts with
     :class:`DivergenceError` if a batch's loss goes non-finite (the stack
@@ -250,7 +250,7 @@ def train(
                 log.steps.append(StepRecord(step=step, lr=lr_t, loss=loss_val))
                 if step % tc.eval_every == 0 or step == total_steps:
                     try:
-                        eval_loss, caches = _eval_forward(stack, frozen_layers, data, loss)
+                        eval_loss, caches = evaluate(stack, frozen_layers, data, loss)
                     except NumericalError as exc:
                         raise DivergenceError(step, "eval loss") from exc
                     log.snapshots.append(
@@ -261,17 +261,12 @@ def train(
     return log
 
 
-def _eval_forward(stack, frozen_layers, data, loss) -> tuple[float, list]:
-    """Eval-split loss and the forward caches it came from."""
+def evaluate(
+    stack: AdapterStack, frozen_layers: list, data: ClusterDataset, loss: LossSpec
+) -> tuple[float, list]:
+    """Mean loss over the eval split and the forward caches it came from;
+    pure, no dropout, no mutation."""
     if data.x_eval.shape[0] == 0:
         raise ValueError("eval split is empty")
     z, caches = model_forward(frozen_layers, stack, data.x_eval)
     return loss_value(z, data.y_eval, loss), caches
-
-
-def evaluate(
-    stack: AdapterStack, frozen_layers: list, data: ClusterDataset, loss: LossSpec
-) -> float:
-    """Mean loss over the eval split; pure, no dropout, no mutation."""
-    return _eval_forward(stack, frozen_layers, data, loss)[0]
-

@@ -7,6 +7,7 @@ from _setup import geometry_slots, make_setup, near_degenerate_c
 from talklora.adapters import (
     _c_mix,
     AdapterConfig,
+    FrozenLinear,
     LayerSlot,
     build_stack_from_slots,
     init_moelora,
@@ -115,7 +116,8 @@ class TestCountParams:
     @pytest.mark.parametrize("targets, message", [
         ([], r"^targets must be nonempty$"),
         (["X", "X"], r"^targets repeats 'X'$"),
-    ], ids=["empty", "repeated"])
+        ("X", r"^targets must be a collection of tags, got 'X'$"),
+    ], ids=["empty", "repeated", "string"])
     def test_empty_or_repeated_targets_rejected(self, targets, message):
         with pytest.raises(ValueError, match=message):
             count_params(TOY_GEOM, "lora", AdapterConfig(total_rank=4), targets)
@@ -345,6 +347,20 @@ class TestRoutingLoad:
         report = routing_load(stack, frozen, x)
         assert np.allclose(report.max_share, 1.0)
         assert np.allclose(report.entropy, 0.0, atol=1e-12)
+
+    def test_per_layer_collapse_is_unbalanced(self):
+        # layer i sends every input to expert i: pooled over the layers every
+        # expert carries a quarter of the load, yet each layer uses one expert
+        frozen, stack, x, _ = make_setup("moelora", n=4, r=8, seed=35, depth=4,
+                                         randomize_b=False)
+        frozen = [FrozenLinear(np.abs(fl.w0)) for fl in frozen]  # positive at every layer
+        x = np.abs(x) + 0.1
+        for i, ad in enumerate(stack.adapters):
+            ad.router_wg[:] = 0.0
+            ad.router_wg[i, :] = 1e6
+        report = routing_load(stack, frozen, x)
+        assert np.array_equal(report.mean_gates, np.eye(4))
+        assert report.load_cv == pytest.approx(np.sqrt(3), rel=1e-15)
 
     def test_entropy_bounds_hold(self):
         frozen, stack, x, _ = make_setup("moelora", n=4, r=8, seed=32)

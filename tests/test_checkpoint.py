@@ -17,7 +17,6 @@ from talklora.checkpoint import (
     CorruptCheckpointError,
     FORMAT_VERSION,
     MAGIC,
-    VersionMismatchError,
     encode_checkpoint,
     load_checkpoint,
     read_header,
@@ -132,10 +131,10 @@ class TestCorruptionDetection:
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError) as exc:
+        with pytest.raises(CorruptCheckpointError) as exc:
             load_checkpoint(path)
-        assert exc.value.found == 99
-        assert exc.value.expected == FORMAT_VERSION
+        assert str(exc.value) == (
+            f"checkpoint format version 99 does not match supported version {FORMAT_VERSION}")
 
     def test_truncated_file_detected(self, tmp_path):
         path = self._saved(tmp_path)

@@ -669,10 +669,10 @@ class TestAnalyzeLibraryCheckpoints:
         assert [cert["c_norm"] for cert in certs] == [1.0, 1.0]
 
 
-class TestEffectiveDict:
+class TestConfigEcho:
     def test_every_default_is_echoed(self):
         # the run-config block of the README, without the params-only fields
-        assert parse_run_config({"method": "talklora", "task": {}}).effective_dict() == {
+        assert parse_run_config({"method": "talklora", "task": {}}).values == {
             "method": "talklora",
             "seed": 0,
             "output_dir": "out",

@@ -307,12 +307,9 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
-    def test_ones_vector_in_nullspace_falls_back(self):
-        # the all-ones start vector is annihilated here; the deterministic
-        # basis-vector fallback must still find sigma = sqrt(2)
+    def test_one_row_norm_is_its_length(self):
         m = np.array([[1.0, -1.0]])
         assert spectral_norm(m) == pytest.approx(np.sqrt(2.0), abs=1e-10)
-
 
 
 class TestSpectralNorms:

@@ -124,7 +124,7 @@ class TestTrain:
         assert oracle_mse < 1e-3
         log = train(stack, frozen, data, tc, MSE)
         assert log.steps[-1].step <= 2000
-        assert evaluate(stack, frozen, data, MSE) < 1e-3
+        assert evaluate(stack, frozen, data, MSE)[0] < 1e-3
 
     def test_identical_seeds_identical_logs(self):
         logs = []
@@ -155,18 +155,22 @@ class TestTrain:
         windows = losses[: len(losses) // 50 * 50].reshape(-1, 50).mean(axis=1)
         assert np.all(np.diff(windows) <= 1e-12)
 
-    def test_one_eval_forward_per_snapshot(self, monkeypatch):
+    def test_one_evaluate_and_forward_per_snapshot(self, monkeypatch):
         data, frozen, stack, tc = _noiseless_setup(epochs=10)  # snapshots at 100, 110
-        forwards = []
+        calls = {"model_forward": 0, "evaluate": 0}
 
-        def counted(*args, **kwargs):
-            forwards.append(args)
-            return model_forward(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(tasks, "model_forward", counted)
+        # train snapshots through tasks.evaluate, the function a profiler times
+        for name in calls:
+            monkeypatch.setattr(tasks, name, counted(name, getattr(tasks, name)))
         log = train(stack, frozen, data, tc, MSE)
         assert [snap.step for snap in log.snapshots] == [100, 110]
-        assert len(forwards) == 2
+        assert calls == {"model_forward": 2, "evaluate": 2}
 
     def test_divergence_aborts_with_step_index(self):
         data, frozen, stack, tc = _noiseless_setup(epochs=1)
@@ -283,7 +287,7 @@ class TestEvaluate:
 
     def test_zero_init_stack_on_frozen_targets(self):
         frozen, stack, data = self._zero_residual_data()
-        assert evaluate(stack, frozen, data, MSE) == 0.0
+        assert evaluate(stack, frozen, data, MSE)[0] == 0.0
 
     def test_evaluate_is_pure(self):
         frozen, stack, x, t = make_setup("moelora", batch=20)
@@ -291,8 +295,8 @@ class TestEvaluate:
             x_train=x[:10], y_train=t[:10], cluster_train=np.zeros(10),
             x_eval=x[10:], y_eval=t[10:], cluster_eval=np.zeros(10),
         )
-        first = evaluate(stack, frozen, data, MSE)
-        second = evaluate(stack, frozen, data, MSE)
+        first, _ = evaluate(stack, frozen, data, MSE)
+        second, _ = evaluate(stack, frozen, data, MSE)
         assert first == second
 
     def test_matches_hand_computed_mean_on_three_samples(self):
@@ -305,5 +309,5 @@ class TestEvaluate:
         acc = 0.0
         for i in range(3):
             acc += float(np.mean((z[i] - t[i]) ** 2))
-        assert evaluate(stack, frozen, data, MSE) == pytest.approx(acc / 3, rel=1e-14)
+        assert evaluate(stack, frozen, data, MSE)[0] == pytest.approx(acc / 3, rel=1e-14)
 
