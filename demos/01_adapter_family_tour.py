@@ -2,7 +2,9 @@
 
 Walks LoRA -> MoELoRA -> TalkLoRA on the same 8x8 frozen weight: the
 zero-init contract, what each forward computes, what the router sees, and
-how plain LoRA merges into the frozen weight for free inference.
+how plain LoRA merges into the frozen weight for free inference.  Every
+family is built by ``init_layer`` and run by ``forward_one``, which reads
+the family off the arrays the layer holds.
 """
 
 import numpy as np
@@ -11,13 +13,9 @@ from talklora import (
     AdapterConfig,
     FrozenLinear,
     RngState,
-    init_lora,
-    init_moelora,
-    init_talklora,
-    lora_forward,
+    forward_one,
+    init_layer,
     lora_merge,
-    moelora_forward,
-    talklora_forward,
 )
 
 rng = RngState(0)
@@ -31,16 +29,13 @@ print("=== zero-init contract ===")
 print("Every family starts with all B_i = 0, so the adapted model is")
 print("exactly the frozen model until training moves the B's.\n")
 
-lora = init_lora(cfg, rng.split("lora"))
-moe = init_moelora(cfg, rng.split("moe"))
-talk = init_talklora(cfg, rng.split("talk"))
+lora = init_layer("lora", cfg, rng.split("lora"))
+moe = init_layer("moelora", cfg, rng.split("moe"))
+talk = init_layer("talklora", cfg, rng.split("talk"))
 
 y_frozen = layer.w0 @ x
-for name, y in [
-    ("lora", lora_forward(layer, lora, x, cfg)),
-    ("moelora", moelora_forward(layer, moe, x, cfg)[0]),
-    ("talklora", talklora_forward(layer, talk, x, cfg)[0]),
-]:
+for name, ad in [("lora", lora), ("moelora", moe), ("talklora", talk)]:
+    y, _ = forward_one(layer, ad, x, cfg)
     print(f"  {name:9s} output == w0 @ x exactly: {np.array_equal(y, y_frozen)}")
 
 print("\n=== what the gated families compute ===")
@@ -50,12 +45,12 @@ for b_i in moe.b:
 for b_i in talk.b:
     b_i[:] = 0.3 * fill.normal(size=b_i.shape)
 
-y_moe, tr_moe = moelora_forward(layer, moe, x, cfg)
+y_moe, tr_moe = forward_one(layer, moe, x, cfg)
 print(f"MoELoRA routes on the raw input x; gates = {np.round(tr_moe.gates, 4)}")
 print(f"  per-expert h_i shapes: {[h.shape for h in tr_moe.h]}"
       f"  (r_e = r/n = {moe.a.shape[1]})")
 
-y_talk, tr_talk = talklora_forward(layer, talk, x, cfg)
+y_talk, tr_talk = forward_one(layer, talk, x, cfg)
 print("\nTalkLoRA first mixes the low-rank representations through C")
 print(f"  h      = {np.round(tr_talk.h.ravel(), 3)}")
 print(f"  h~     = {np.round(tr_talk.h_tilde.ravel(), 3)}   (= C-mixed h)")
@@ -66,7 +61,7 @@ print("\n=== merge-at-inference (plain LoRA only) ===")
 lora.b[:] = 0.3 * fill.normal(size=lora.b.shape)
 merged = lora_merge(layer, lora, cfg)
 worst = max(
-    float(np.abs(merged @ v - lora_forward(layer, lora, v, cfg)).max())
+    float(np.abs(merged @ v - forward_one(layer, lora, v, cfg)[0]).max())
     for v in rng.split("probe").generator().normal(size=(50, 8))
 )
 print(f"W' = w0 + (alpha/r) B A reproduces the forward path on 50 random")

@@ -14,7 +14,7 @@ from talklora import (
     AdapterConfig,
     RngState,
     degeneracy_check,
-    init_talklora,
+    init_layer,
     spectral_norm,
     stability_certificate,
 )
@@ -24,7 +24,7 @@ cfg = AdapterConfig(
 )
 
 print("=== Lipschitz certificate on a clipped layer ===")
-tl = init_talklora(cfg, RngState(1))
+tl = init_layer("talklora", cfg, RngState(1))
 sigma = spectral_norm(tl.c)
 print(f"fresh Kaiming C has sigma_max = {sigma:.3f}; projecting to the unit ball")
 if sigma > 1.0:
@@ -40,7 +40,7 @@ print(f"  verdict: {cert.verdict} (observed stays under the bound; softmax's")
 print("  own 1-Lipschitz slack is why the gap is comfortable)")
 
 print("\n=== the same layer with C inflated past the assumption ===")
-tl_bad = init_talklora(cfg, RngState(1))
+tl_bad = init_layer("talklora", cfg, RngState(1))
 tl_bad.c *= 5.0
 cert_bad = stability_certificate(
     tl_bad, trials=10_000, delta_scale=0.1, rng=RngState(2)
@@ -52,7 +52,7 @@ print(f"  the observed ratio ({cert_bad.max_observed_ratio:.4f}) may still "
 print("  the guarantee simply does not cover expansive communication.")
 
 print("\n=== degeneracy probes: what C structurally does ===")
-rep = degeneracy_check(init_talklora(cfg, RngState(7)), trials=100, rng=RngState(8))
+rep = degeneracy_check(init_layer("talklora", cfg, RngState(7)), trials=100, rng=RngState(8))
 print(f"  C = I            -> h~ == h bit-exact "
       f"(max diff {rep.identity_max_diff})")
 print(f"  diagonal C       -> perturbing A_j never reaches h~_i, i != j "

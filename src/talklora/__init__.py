@@ -15,14 +15,10 @@ from .adapters import (
     FrozenLinear,
     build_frozen_stack,
     build_stack_from_slots,
+    forward_one,
     frozen_stack_slots,
-    init_lora,
-    init_moelora,
-    init_talklora,
-    lora_forward,
+    init_layer,
     lora_merge,
-    moelora_forward,
-    talklora_forward,
 )
 from .analysis import (
     count_params,
@@ -50,21 +46,17 @@ __all__ = [
     "bundled_geometry",
     "count_params",
     "degeneracy_check",
+    "forward_one",
     "frozen_stack_slots",
     "generate_cluster_task",
-    "init_lora",
-    "init_moelora",
-    "init_talklora",
+    "init_layer",
     "load_checkpoint",
-    "lora_forward",
     "lora_merge",
-    "moelora_forward",
     "nonexpansive_audit",
     "routing_balance_experiment",
     "save_checkpoint",
     "spectral_norm",
     "stability_certificate",
-    "talklora_forward",
     "train",
 ]
 

@@ -25,8 +25,9 @@ Expert layout: every family's layer is one :class:`AdapterLayer`, and the
 arrays it holds are its family.  :func:`layer_layout` states each
 family's arrays and the rule on a layer's dims (:func:`check_low_rank`)
 once.  Initializers, stacks, budgets, checkpoints and the single-sample
-forwards all read it; the single-sample forwards also reject an array
-the family does not hold, or one holding NaN or infinity.  Every family
+:func:`forward_one` all read it; :func:`forward_one` takes the family its
+arrays imply and rejects an array of another shape than that family's
+layout at w0's dims, or one holding NaN or infinity.  Every family
 stacks its experts along a leading axis, one array per role: A (n, r_e,
 d), E (n, r_e, r_e) and B (n, k, r_e), with n = 1 and r_e = r for LoRA.
 Forwards (and the backward in :mod:`talklora.autodiff`) batch over that
@@ -58,7 +59,7 @@ class AdapterConfig:
 
     ``input_dim``/``output_dim`` may stay ``None`` for configs used to
     build stacks over a model geometry (each slot has its own dims);
-    single-layer constructors require them, and :func:`check_low_rank`.
+    :func:`init_layer` requires them, and :func:`check_low_rank`.
     """
 
     total_rank: int
@@ -260,25 +261,13 @@ def alias_table(sites) -> dict:
             for site in sites if site.field.shared for role, handle, _ in site.handles()}
 
 
-def init_lora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
-    return _init_layer("lora", cfg, rng)
-
-
-def init_moelora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
-    return _init_layer("moelora", cfg, rng)
-
-
-def init_talklora(cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
-    return _init_layer("talklora", cfg, rng)
-
-
 @dataclass
 class ForwardTrace:
-    """Intermediate quantities of one gated-adapter forward pass."""
+    """Intermediate quantities of one single-sample forward, in any family."""
 
     h: np.ndarray  # (n, r_e) per-expert low-rank representations
     h_tilde: np.ndarray  # (n, r_e) communicated representations (== h without talking)
-    gates: np.ndarray  # (n,) softmax routing weights
+    gates: Optional[np.ndarray]  # (n,) softmax routing weights; None for LoRA (no router)
     expert_outputs: np.ndarray  # (n, k), unweighted B_i E_i h_i (or B_i A_i x)
     delta: np.ndarray  # (k,) adapter contribution, y - w0 @ x computed exactly
 
@@ -345,13 +334,21 @@ def talklora_batch_forward(w0: np.ndarray, tl: AdapterLayer, x: np.ndarray, cfg:
     return _layer_forward(w0, tl, x, cfg, xa)
 
 
-def batch_forward(w0, adapter: AdapterLayer, x, cfg, xa=None) -> LayerCache:
-    """:func:`_layer_forward` through the entry point of the layer's family,
-    read off the arrays it holds: C (TalkLoRA), else a router (MoELoRA),
-    else neither (LoRA)."""
+def _family(adapter: AdapterLayer) -> str:
+    """The family a layer's arrays imply: C (TalkLoRA), else a router
+    (MoELoRA), else neither (LoRA)."""
     if adapter.c is not None:
+        return "talklora"
+    return "lora" if adapter.router_wg is None else "moelora"
+
+
+def batch_forward(w0, adapter: AdapterLayer, x, cfg, xa=None) -> LayerCache:
+    """:func:`_layer_forward` through the entry point of the layer's
+    :func:`_family`."""
+    family = _family(adapter)
+    if family == "talklora":
         return talklora_batch_forward(w0, adapter, x, cfg, xa)
-    if adapter.router_wg is not None:
+    if family == "moelora":
         return moelora_batch_forward(w0, adapter, x, cfg, xa)
     return lora_batch_forward(w0, adapter, x, cfg, xa)
 
@@ -377,59 +374,41 @@ def _check_layer(method: str, layer: FrozenLinear, adapter, cfg: AdapterConfig) 
             raise ValueError(f"{method} layer's {field.name} contains non-finite entries")
 
 
-def _forward_one(method: str, layer: FrozenLinear, adapter, x, cfg: AdapterConfig) -> LayerCache:
-    """The batched forward of the one sample ``x``, after checking it and
-    (:func:`_check_layer`) the adapter against w0."""
+def forward_one(layer: FrozenLinear, adapter: AdapterLayer, x,
+                cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
+    """One sample ``x`` through a layer of any family: (y, trace).
+
+    y = w0 x + (alpha/r) sum_i g_i B_i E_i h_i with h_i = A_i x, where E_i
+    is I for a layer without E and g is 1 for LoRA's one expert.  The
+    router reads x (MoELoRA) or the C-mixed h~ (TalkLoRA, h itself with
+    talking off); the experts always use h.  Checks ``x``, and the adapter
+    against w0 under the family its arrays imply (:func:`_check_layer`).
+    """
     x = as_vector(x, "x")
     if x.shape[0] != layer.d_in:
         raise ValueError(f"input length {x.shape[0]} does not match w0 input dim {layer.d_in}")
-    _check_layer(method, layer, adapter, cfg)
-    return batch_forward(layer.w0, adapter, x[None, :], cfg)
-
-
-def lora_forward(layer: FrozenLinear, ad: AdapterLayer, x, cfg: AdapterConfig) -> np.ndarray:
-    """y = w0 x + (alpha/r) B A x."""
-    return _forward_one("lora", layer, ad, x, cfg).z[0]
+    _check_layer(_family(adapter), layer, adapter, cfg)
+    cache = batch_forward(layer.w0, adapter, x[None, :], cfg)
+    h = cache.h[:, 0]
+    # h~ is what the router read when the layer holds E; without communication it mirrors h
+    h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
+    gates = None if cache.gates is None else cache.gates[0].copy()
+    return cache.z[0], ForwardTrace(h=h, h_tilde=h_tilde, gates=gates,
+                                    expert_outputs=cache.yexp[:, 0], delta=cache.delta[0])
 
 
 def lora_merge(layer: FrozenLinear, ad: AdapterLayer, cfg: AdapterConfig) -> np.ndarray:
     """Fold the low-rank update into the frozen weight: w0 + (alpha/r) B A."""
+    if ad.router_wg is not None:
+        raise ValueError("lora_merge needs a LoRA layer, one that holds no router_wg")
     _check_layer("lora", layer, ad, cfg)
     return layer.w0 + cfg.scaling * (ad.b[0] @ ad.a[0])
-
-
-def _trace_from_cache(cache: LayerCache) -> ForwardTrace:
-    """The one sample's trace.  h~ is the communicated h the router read when
-    the layer holds E (TalkLoRA); without communication it mirrors h."""
-    h = cache.h[:, 0]
-    h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
-    return ForwardTrace(h=h, h_tilde=h_tilde, gates=cache.gates[0].copy(),
-                        expert_outputs=cache.yexp[:, 0], delta=cache.delta[0])
-
-
-def moelora_forward(layer: FrozenLinear, ml: AdapterLayer, x,
-                    cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
-    """y = w0 x + (alpha/r) sum_i g_i(x) B_i A_i x with g = softmax(W_g x)."""
-    cache = _forward_one("moelora", layer, ml, x, cfg)
-    return cache.z[0], _trace_from_cache(cache)
 
 
 def _c_mix(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Communicated representations h~_i = sum_j C_ij h_j of ``h`` stacked on
     axis 0, (n, r_e) or (n, B, r_e): (C kron I) applied to the stacked h."""
     return (c @ h.reshape(h.shape[0], -1)).reshape(h.shape)
-
-
-def talklora_forward(layer: FrozenLinear, tl: AdapterLayer, x,
-                     cfg: AdapterConfig) -> tuple[np.ndarray, ForwardTrace]:
-    """Full TalkLoRA layer forward.
-
-    h_i = A_i x feeds the experts directly; the communicated h~ = C-mixed h
-    (identity when talking is disabled) feeds only the router.  Output is
-    w0 x + (alpha/r) sum_i g_i B_i E_i h_i.
-    """
-    cache = _forward_one("talklora", layer, tl, x, cfg)
-    return cache.z[0], _trace_from_cache(cache)
 
 
 def _router_input(layer, xa: np.ndarray, h: np.ndarray, talking_enabled: bool) -> np.ndarray:
@@ -553,11 +532,11 @@ def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -
     return stack
 
 
-def _init_layer(method: str, cfg: AdapterConfig, rng: RngState):
+def init_layer(method: str, cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
     """A fresh ``method`` layer for a config with dims, drawn from ``rng``:
     the one layer of a one-slot stack, its arrays views of that stack's buffer."""
     if cfg.input_dim is None:
-        raise ValueError("this operation needs input_dim/output_dim on the config")
+        raise ValueError("init_layer needs input_dim/output_dim on the config")
     slot = LayerSlot(0, "layer", cfg.input_dim, cfg.output_dim)
     return _init_stack(method, cfg, [slot], [rng]).adapters[0]
 

@@ -15,14 +15,10 @@ from talklora.adapters import (
     FrozenLinear,
     build_frozen_stack,
     build_stack_from_slots,
+    forward_one,
     frozen_stack_slots,
-    init_lora,
-    init_moelora,
-    init_talklora,
-    lora_forward,
+    init_layer,
     lora_merge,
-    moelora_forward,
-    talklora_forward,
 )
 from talklora.analysis import (
     degeneracy_check,
@@ -118,7 +114,7 @@ class TestAcceptance:
                 total_rank=8, experts=4, input_dim=16, output_dim=16,
                 lora_alpha=16.0,
             )
-            tl = init_talklora(cfg, RngState(5000 + layer_seed))
+            tl = init_layer("talklora", cfg, RngState(5000 + layer_seed))
             sigma = spectral_norm(tl.c)
             if sigma > 1.0:
                 tl.c *= 1.0 / sigma  # enforce the non-expansive assumption
@@ -183,7 +179,7 @@ class TestAcceptance:
                 total_rank=8, experts=4, input_dim=12, output_dim=12,
                 lora_alpha=16.0,
             )
-            tl = init_talklora(cfg, RngState(7000 + seed))
+            tl = init_layer("talklora", cfg, RngState(7000 + seed))
             rep = degeneracy_check(tl, trials=1, rng=RngState(seed))
             worst_identity = max(worst_identity, rep.identity_max_diff)
             worst_isolation = max(worst_isolation, rep.isolation_max_diff)
@@ -205,19 +201,10 @@ class TestAcceptance:
         gen = RngState(82).generator()
         exact = True
         for family in ("lora", "moelora", "talklora"):
-            rng = RngState(83)
-            if family == "lora":
-                ad = init_lora(cfg, rng)
-                fwd = lambda x: lora_forward(layer, ad, x, cfg)
-            elif family == "moelora":
-                ml = init_moelora(cfg, rng)
-                fwd = lambda x: moelora_forward(layer, ml, x, cfg)[0]
-            else:
-                tl = init_talklora(cfg, rng)
-                fwd = lambda x: talklora_forward(layer, tl, x, cfg)[0]
+            ad = init_layer(family, cfg, RngState(83))
             for _ in range(1000):
                 x = gen.normal(size=16)
-                if not np.array_equal(fwd(x), w0 @ x):
+                if not np.array_equal(forward_one(layer, ad, x, cfg)[0], w0 @ x):
                     exact = False
         with capsys.disabled():
             report(
@@ -245,13 +232,13 @@ class TestAcceptance:
         )
         gen = RngState(91).generator()
         layer = FrozenLinear(gen.normal(size=(12, 24)))
-        ad = init_lora(cfg, RngState(92))
+        ad = init_layer("lora", cfg, RngState(92))
         ad.b[:] = gen.normal(size=ad.b.shape)
         merged = lora_merge(layer, ad, cfg)
         worst = 0.0
         for _ in range(50):
             x = gen.normal(size=24)
-            diff = np.abs(merged @ x - lora_forward(layer, ad, x, cfg)).max()
+            diff = np.abs(merged @ x - forward_one(layer, ad, x, cfg)[0]).max()
             worst = max(worst, diff)
         with capsys.disabled():
             report(

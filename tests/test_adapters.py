@@ -16,21 +16,16 @@ from talklora.adapters import (
     FrozenLinear,
     LowRankError,
     METHODS,
+    batch_forward,
     build_frozen_stack,
     build_stack_from_slots,
+    forward_one,
     frozen_stack_slots,
-    init_lora,
-    init_moelora,
-    init_talklora,
+    init_layer,
     layer_layout,
     LayerSlot,
-    lora_forward,
     lora_merge,
-    moelora_batch_forward,
-    moelora_forward,
     router_gates,
-    talklora_batch_forward,
-    talklora_forward,
 )
 from talklora.analysis import count_params
 from talklora.autodiff import LossSpec, backward
@@ -127,10 +122,10 @@ class TestLoRAForward:
     def test_fresh_init_preserves_output(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(np.eye(8))
-        ad = init_lora(cfg, RngState(0))
+        ad = init_layer("lora", cfg, RngState(0))
         assert np.array_equal(ad.b, np.zeros((1, 8, 4)))
         x = RngState(1).generator().normal(size=8)
-        assert np.array_equal(lora_forward(layer, ad, x, cfg), x)
+        assert np.array_equal(forward_one(layer, ad, x, cfg)[0], x)
 
     def test_identity_chain(self):
         cfg = AdapterConfig(
@@ -138,7 +133,7 @@ class TestLoRAForward:
         )  # alpha/r = 1
         layer = FrozenLinear(np.zeros((2, 2)))
         ad = AdapterLayer(a=np.eye(2)[None], b=np.eye(2)[None])
-        assert np.array_equal(lora_forward(layer, ad, [3.0, 4.0], cfg), [3.0, 4.0])
+        assert np.array_equal(forward_one(layer, ad, [3.0, 4.0], cfg)[0], [3.0, 4.0])
 
     def test_against_dense_chain_oracle(self):
         cfg = AdapterConfig(
@@ -150,17 +145,17 @@ class TestLoRAForward:
         ad = AdapterLayer(a=gen.normal(size=(1, 4, 4)), b=gen.normal(size=(1, 4, 4)))
         x = gen.normal(size=4)
         oracle = w0 @ x + (cfg.lora_alpha / cfg.total_rank) * (ad.b[0] @ (ad.a[0] @ x))
-        assert np.max(np.abs(lora_forward(layer, ad, x, cfg) - oracle)) < 1e-12
+        assert np.max(np.abs(forward_one(layer, ad, x, cfg)[0] - oracle)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(np.eye(8))
-        ad = init_lora(cfg, RngState(0))
+        ad = init_layer("lora", cfg, RngState(0))
         with pytest.raises(ValueError):
-            lora_forward(layer, ad, np.ones(5), cfg)
+            forward_one(layer, ad, np.ones(5), cfg)
 
     def test_router_gates_rejects_a_routerless_layer(self):
-        ad = init_lora(small_cfg(experts=1), RngState(0))
+        ad = init_layer("lora", small_cfg(experts=1), RngState(0))
         with pytest.raises(ValueError, match="router_gates needs a gated layer, "
                                              "one that holds router_wg"):
             router_gates(ad, np.ones((2, 8)))
@@ -170,7 +165,7 @@ class TestLoRAMerge:
     def test_zero_b_merge_is_w0(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(RngState(3).generator().normal(size=(8, 8)))
-        ad = init_lora(cfg, RngState(3))
+        ad = init_layer("lora", cfg, RngState(3))
         assert np.array_equal(lora_merge(layer, ad, cfg), layer.w0)
 
     def test_identity_chain_merge(self):
@@ -191,19 +186,26 @@ class TestLoRAMerge:
         merged = lora_merge(layer, ad, cfg)
         for _ in range(50):
             x = gen.normal(size=6)
-            diff = merged @ x - lora_forward(layer, ad, x, cfg)
+            diff = merged @ x - forward_one(layer, ad, x, cfg)[0]
             assert np.max(np.abs(diff)) < 1e-10
+
+    @pytest.mark.parametrize("method", ["moelora", "talklora"])
+    def test_merge_refuses_a_gated_layer(self, method):
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match=r"^lora_merge needs a LoRA layer, one that holds "
+                                             r"no router_wg$"):
+            lora_merge(FrozenLinear(np.eye(8)), init_layer(method, cfg, RngState(49)), cfg)
 
 
 class TestMoELoRAForward:
     def test_zero_init_preserves_output(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(5).generator().normal(size=(8, 8)))
-        ml = init_moelora(cfg, RngState(5))
+        ml = init_layer("moelora", cfg, RngState(5))
         gen = RngState(6).generator()
         for _ in range(20):
             x = gen.normal(size=8)
-            y, trace = moelora_forward(layer, ml, x, cfg)
+            y, trace = forward_one(layer, ml, x, cfg)
             assert np.array_equal(y, layer.w0 @ x)
             assert np.array_equal(trace.h_tilde, trace.h)
 
@@ -211,16 +213,16 @@ class TestMoELoRAForward:
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(RngState(7).generator().normal(size=(8, 8)))
         rng = RngState(8)
-        ml = init_moelora(cfg, rng)
-        ad = init_lora(cfg, rng)  # same stream labels => same A draw
+        ml = init_layer("moelora", cfg, rng)
+        ad = init_layer("lora", cfg, rng)  # same stream labels => same A draw
         assert np.array_equal(ml.a, ad.a)
         gen = RngState(9).generator()
         ml.b[0][:] = gen.normal(size=(8, 4))
         ad.b[:] = ml.b
         x = gen.normal(size=8)
-        y_moe, trace = moelora_forward(layer, ml, x, cfg)
+        y_moe, trace = forward_one(layer, ml, x, cfg)
         assert trace.gates[0] == 1.0
-        assert np.array_equal(y_moe, lora_forward(layer, ad, x, cfg))
+        assert np.array_equal(y_moe, forward_one(layer, ad, x, cfg)[0])
 
     def test_hand_set_two_expert_oracle(self):
         cfg = AdapterConfig(
@@ -228,7 +230,7 @@ class TestMoELoRAForward:
         )
         w0 = np.array([[0.5, -0.25], [1.0, 0.75]])
         layer = FrozenLinear(w0)
-        ml = init_moelora(cfg, RngState(10))
+        ml = init_layer("moelora", cfg, RngState(10))
         ml.a[0][:] = [[1.0, 2.0]]
         ml.a[1][:] = [[-1.0, 0.5]]
         ml.b[0][:] = [[0.3], [-0.2]]
@@ -241,7 +243,7 @@ class TestMoELoRAForward:
         expected = w0 @ x + 1.0 * (
             gates[0] * ml.b[0] @ (ml.a[0] @ x) + gates[1] * ml.b[1] @ (ml.a[1] @ x)
         )
-        y, trace = moelora_forward(layer, ml, x, cfg)
+        y, trace = forward_one(layer, ml, x, cfg)
         assert np.max(np.abs(y - expected)) < 1e-12
         assert np.allclose(trace.gates, gates)
 
@@ -270,11 +272,11 @@ class TestTalkLoRAForward:
     def test_fresh_init_preserves_output(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(14).generator().normal(size=(8, 8)))
-        tl = init_talklora(cfg, RngState(14))
+        tl = init_layer("talklora", cfg, RngState(14))
         gen = RngState(15).generator()
         for _ in range(20):
             x = gen.normal(size=8)
-            y, trace = talklora_forward(layer, tl, x, cfg)
+            y, trace = forward_one(layer, tl, x, cfg)
             assert np.array_equal(y, layer.w0 @ x)
             assert (trace.gates > 0).all()
             assert abs(trace.gates.sum() - 1.0) <= 1e-12
@@ -283,8 +285,8 @@ class TestTalkLoRAForward:
         # float64 softmax underflows to exact zero gates on a large input
         cfg = small_cfg()
         layer = FrozenLinear(RngState(14).generator().normal(size=(8, 8)))
-        tl = init_talklora(cfg, RngState(14))
-        _, trace = talklora_forward(layer, tl, 1e3 * np.ones(8), cfg)
+        tl = init_layer("talklora", cfg, RngState(14))
+        _, trace = forward_one(layer, tl, 1e3 * np.ones(8), cfg)
         assert (trace.gates >= 0).all()
         assert (trace.gates == 0).any()
         assert abs(trace.gates.sum() - 1.0) <= 1e-12
@@ -293,25 +295,25 @@ class TestTalkLoRAForward:
     def test_router_gates_match_batch_forward_bitwise(self, talking):
         cfg = small_cfg(talking_enabled=talking)
         gen = RngState(26).generator()
-        tl = init_talklora(cfg, RngState(26))
+        tl = init_layer("talklora", cfg, RngState(26))
         tl.b[:] = gen.normal(size=tl.b.shape)
         x = gen.normal(size=(16, 8))
-        cache = talklora_batch_forward(gen.normal(size=(8, 8)), tl, x, cfg)
+        cache = batch_forward(gen.normal(size=(8, 8)), tl, x, cfg)
         assert np.array_equal(router_gates(tl, x, talking), cache.gates)
 
     def test_identity_c_equals_talking_disabled_bitwise(self):
         cfg_on = small_cfg(talking_enabled=True)
         cfg_off = small_cfg(talking_enabled=False)
         layer = FrozenLinear(RngState(16).generator().normal(size=(8, 8)))
-        tl = init_talklora(cfg_on, RngState(16))
+        tl = init_layer("talklora", cfg_on, RngState(16))
         gen = RngState(17).generator()
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
         tl.c[:] = np.eye(cfg_on.experts)
         for _ in range(20):
             x = gen.normal(size=8)
-            y_on, tr_on = talklora_forward(layer, tl, x, cfg_on)
-            y_off, tr_off = talklora_forward(layer, tl, x, cfg_off)
+            y_on, tr_on = forward_one(layer, tl, x, cfg_on)
+            y_off, tr_off = forward_one(layer, tl, x, cfg_off)
             assert np.array_equal(y_on, y_off)
             assert np.array_equal(tr_on.gates, tr_off.gates)
             assert np.array_equal(tr_on.h_tilde, tr_off.h_tilde)
@@ -322,7 +324,7 @@ class TestTalkLoRAForward:
         )
         w0 = np.array([[1.0, 0.0], [0.2, -0.5]])
         layer = FrozenLinear(w0)
-        tl = init_talklora(cfg, RngState(18))
+        tl = init_layer("talklora", cfg, RngState(18))
         tl.a[0][:] = [[0.6, -0.3]]
         tl.a[1][:] = [[-0.2, 0.9]]
         tl.e[0][:] = [[1.5]]
@@ -347,22 +349,22 @@ class TestTalkLoRAForward:
         y2 = np.array([-0.4, 0.1]) * (-0.7 * h2)
         expected = w0 @ x + 1.0 * (g[0] * y1 + g[1] * y2)
 
-        y, trace = talklora_forward(layer, tl, x, cfg)
+        y, trace = forward_one(layer, tl, x, cfg)
         assert np.max(np.abs(y - expected)) < 1e-12
         assert np.max(np.abs(trace.h_tilde.ravel() - [ht1, ht2])) < 1e-12
 
     def test_diagonal_c_expert_isolation(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(19).generator().normal(size=(8, 8)))
-        tl = init_talklora(cfg, RngState(19))
+        tl = init_layer("talklora", cfg, RngState(19))
         gen = RngState(20).generator()
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
         tl.c[:] = np.diag([0.7, -1.3])
         x = gen.normal(size=8)
-        _, before = talklora_forward(layer, tl, x, cfg)
+        _, before = forward_one(layer, tl, x, cfg)
         tl.a[1][:] = tl.a[1] + gen.normal(size=tl.a[1].shape)
-        _, after = talklora_forward(layer, tl, x, cfg)
+        _, after = forward_one(layer, tl, x, cfg)
         # expert 0 untouched: structural zeros keep its path bit-identical
         assert np.array_equal(before.h_tilde[0], after.h_tilde[0])
         assert np.array_equal(before.expert_outputs[0], after.expert_outputs[0])
@@ -374,13 +376,13 @@ class TestTalkLoRAForward:
         gen = RngState(22).generator()
         cfg1 = small_cfg(lora_alpha=3.7)
         cfg2 = small_cfg(lora_alpha=7.4)
-        tl = init_talklora(cfg1, RngState(21))
+        tl = init_layer("talklora", cfg1, RngState(21))
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
         for _ in range(10):
             x = gen.normal(size=8)
-            _, t1 = talklora_forward(layer, tl, x, cfg1)
-            _, t2 = talklora_forward(layer, tl, x, cfg2)
+            _, t1 = forward_one(layer, tl, x, cfg1)
+            _, t2 = forward_one(layer, tl, x, cfg2)
             assert np.array_equal(t2.delta, 2.0 * t1.delta)
             assert np.array_equal(t1.gates, t2.gates)
 
@@ -434,7 +436,7 @@ class TestTalkLoRAGeneralizesMoELoRA:
         cfg = AdapterConfig(total_rank=self.R, experts=self.N, input_dim=self.D,
                             output_dim=self.K)
         gen = RngState(seed).generator()
-        tl = init_talklora(cfg, RngState(seed))
+        tl = init_layer("talklora", cfg, RngState(seed))
         tl.b[:] = gen.normal(size=tl.b.shape)
         tl.c[:] = np.eye(self.N)
         tl.e[:] = np.eye(self.R // self.N)
@@ -450,16 +452,14 @@ class TestTalkLoRAGeneralizesMoELoRA:
     def test_identity_talklora_is_moelora_with_router_wg_a_stack(self):
         cfg, tl, a_stack, w0, x, _ = self._pair(seed=3)
         ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=tl.router_wg @ a_stack)
-        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
-                        moelora_batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
         assert gap < 32 * self.EPS  # the two logit products associate differently
 
     def test_rowspace_moelora_is_talklora_with_router_wg_pinv(self):
         cfg, tl, a_stack, w0, x, gen = self._pair(seed=4)
         ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.R)) @ a_stack)
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)
-        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
-                        moelora_batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
         assert gap < 64 * np.linalg.cond(a_stack) * self.EPS
 
     def test_generic_router_leaves_a_residual_outside_the_rowspace(self):
@@ -468,8 +468,7 @@ class TestTalkLoRAGeneralizesMoELoRA:
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)  # its nearest TalkLoRA router
         residual = ml.router_wg - tl.router_wg @ a_stack
         assert np.linalg.norm(residual) / np.linalg.norm(ml.router_wg) > 0.1
-        gap = self._gap(talklora_batch_forward(w0, tl, x, cfg),
-                        moelora_batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
         assert gap > 1e-3
 
 
@@ -501,6 +500,17 @@ class TestBuildAdapterStack:
         params = np.concatenate([a.ravel() for _, a in stack.named_parameters()])
         assert params.tobytes() == stack.flat.tobytes()
         assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_stack_from_slots("lora", small_cfg(), [], RngState(0)),
+         "^at least one slot is required$"),
+        (lambda: build_frozen_stack(8, 8, 0, RngState(0)), "^depth must be positive, got 0$"),
+        (lambda: init_layer("lora", small_cfg(input_dim=None, output_dim=None), RngState(0)),
+         "^init_layer needs input_dim/output_dim on the config$"),
+    ], ids=["stack_without_slots", "host_of_depth_0", "layer_without_dims"])
+    def test_construction_input_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_shared_b_of_clashing_shapes_named_in_error(self):
         # one B per tag: a later slot of the tag may not imply another shape
@@ -559,67 +569,84 @@ class TestBuildAdapterStack:
         assert sorted(shared) == ["shared.Q.B0", "shared.Q.B1"]
 
 
-FORWARDS = {"lora": (init_lora, lora_forward), "moelora": (init_moelora, moelora_forward),
-            "talklora": (init_talklora, talklora_forward)}
-
-
 class TestLayerShapeRule:
-    """One rule on a layer's dims, and one shape check of the single-sample API."""
+    """One rule on a layer's dims, and the single-sample API: one shape check
+    of a layer under the family its arrays imply, then the batched forward."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_adapter_of_other_dims_rejected_naming_the_array(self, method):
-        init, forward = FORWARDS[method]
-        ad = init(small_cfg(input_dim=16, output_dim=16), RngState(40))
+        ad = init_layer(method, small_cfg(input_dim=16, output_dim=16), RngState(40))
         shape, implied = ("(1, 4, 16)", "(1, 4, 8)") if method == "lora" else ("(2, 2, 16)",
                                                                               "(2, 2, 8)")
         expected = (rf"^{method} layer's a has shape {re.escape(shape)}, but w0 \(8, 8\) "
                     rf"at total_rank 4, experts 2 implies {re.escape(implied)}$")
         with pytest.raises(ValueError, match=expected):
-            forward(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg(input_dim=None,
-                                                                       output_dim=None))
+            forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg(input_dim=None,
+                                                                           output_dim=None))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_each_array_is_checked(self, method):
-        init, forward = FORWARDS[method]
         cfg = small_cfg()
         for field in layer_layout(method, cfg, 8, 8):
-            ad = init(cfg, RngState(41))
+            ad = init_layer(method, cfg, RngState(41))
             held = field.shape[:-1] + (field.shape[-1] + 1,)
             setattr(ad, field.name, np.zeros(held))
             expected = (rf"^{method} layer's {field.name} has shape {re.escape(str(held))}, "
                         rf"but .* implies {re.escape(str(field.shape))}$")
             with pytest.raises(ValueError, match=expected):
-                forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+                forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     @pytest.mark.parametrize("method", METHODS)
     def test_each_non_finite_array_is_rejected_naming_it(self, method, bad):
-        init, forward = FORWARDS[method]
         cfg = small_cfg()
         for field in layer_layout(method, cfg, 8, 8):
-            ad = init(cfg, RngState(42))
+            ad = init_layer(method, cfg, RngState(42))
             getattr(ad, field.name).flat[-1] = bad
             with pytest.raises(ValueError, match=rf"^{method} layer's {field.name} contains "
                                                  "non-finite entries$"):
-                forward(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+                forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
 
-    @pytest.mark.parametrize("held, experts, method, name, message", [
-        ("talklora", 2, "moelora", "e", r"has shape \(2, 4, 4\), but .* implies None$"),
-        ("moelora", 2, "talklora", "e", r"is None, but .* implies \(2, 4, 4\)$"),
-        ("moelora", 1, "lora", "router_wg", r"has shape \(1, 8\), but .* implies None$"),
-    ])
-    def test_a_layer_of_another_family_is_rejected_naming_the_array(self, held, experts, method,
-                                                                     name, message):
-        # at r = d a TalkLoRA router (n, r) has a MoELoRA router's shape (n, d),
-        # and a one-expert MoELoRA layer has LoRA's A and B: only the arrays
-        # one family holds and the other does not tell the two apart
+    @pytest.mark.parametrize("held, experts, name, array, message", [
+        ("talklora", 2, "e", None, r"^talklora layer's e is None, but .* implies \(2, 4, 4\)$"),
+        ("moelora", 2, "e", np.zeros((2, 4, 4)),
+         r"^moelora layer's e has shape \(2, 4, 4\), but .* implies None$"),
+        ("lora", 1, "c", np.zeros((1, 1)),
+         r"^talklora layer's router_wg is None, but .* implies \(1, 8\)$"),
+    ], ids=["talklora_without_e", "moelora_with_e", "lora_with_c"])
+    def test_a_malformed_layer_is_named_by_the_family_its_arrays_imply(self, held, experts, name,
+                                                                       array, message):
+        # C makes a layer TalkLoRA, else a router makes it MoELoRA: a missing
+        # or stray array is reported against that family's layout
         cfg = small_cfg(total_rank=8, experts=experts)
-        ad = FORWARDS[held][0](cfg, RngState(47))
-        with pytest.raises(ValueError, match=rf"^{method} layer's {name} {message}"):
-            FORWARDS[method][1](FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+        ad = init_layer(held, cfg, RngState(47))
+        setattr(ad, name, array)
+        with pytest.raises(ValueError, match=message):
+            forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
+
+    @pytest.mark.parametrize("talking", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_forward_one_is_row_0_of_batch_forward(self, method, talking):
+        cfg = small_cfg(talking_enabled=talking)
+        gen = RngState(48).generator()
+        ad = init_layer(method, cfg, RngState(48))
+        ad.b[:] = gen.normal(size=ad.b.shape)
+        layer, x = FrozenLinear(gen.normal(size=(8, 8))), gen.normal(size=8)
+        y, trace = forward_one(layer, ad, x, cfg)
+        cache = batch_forward(layer.w0, ad, x[None, :], cfg)
+        h_tilde = cache.h if method != "talklora" else cache.router_in.reshape(cache.h.shape)
+        assert y.tobytes() == cache.z[0].tobytes()
+        assert trace.h.tobytes() == cache.h[:, 0].tobytes()
+        assert trace.h_tilde.tobytes() == h_tilde[:, 0].tobytes()
+        assert trace.expert_outputs.tobytes() == cache.yexp[:, 0].tobytes()
+        assert trace.delta.tobytes() == cache.delta[0].tobytes()
+        if method == "lora":
+            assert trace.gates is None
+        else:
+            assert trace.gates.tobytes() == cache.gates[0].tobytes()
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
-        ad = init_lora(small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
+        ad = init_layer("lora", small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
         with pytest.raises(ValueError, match=r"^lora layer's a has shape \(1, 4, 6\), but w0 "
                                              r"\(8, 8\) at total_rank 4, experts 1 implies "
                                              r"\(1, 4, 8\)$"):
@@ -630,8 +657,8 @@ class TestLayerShapeRule:
         cfg = small_cfg(output_dim=6)
         with pytest.raises(ValueError,
                            match=r"config dims \(8, 6\) do not match w0's d_in 8, d_out 8"):
-            lora_forward(FrozenLinear(np.eye(8)), init_lora(small_cfg(), RngState(43)),
-                         np.ones(8), cfg)
+            forward_one(FrozenLinear(np.eye(8)), init_layer("lora", small_cfg(), RngState(43)),
+                        np.ones(8), cfg)
 
     def test_experts_must_divide_rank(self):
         # the config takes it, since LoRA ignores experts; a gated layout rejects it
@@ -673,24 +700,15 @@ class TestLayerShapeRule:
 
 
 class TestZeroInitContractAllFamilies:
-    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_output_equals_frozen_path(self, method):
         cfg = small_cfg()
         gen = RngState(28).generator()
         layer = FrozenLinear(gen.normal(size=(8, 8)))
-        rng = RngState(29)
-        if method == "lora":
-            ad = init_lora(cfg, rng)
-            fwd = lambda x: lora_forward(layer, ad, x, cfg)
-        elif method == "moelora":
-            ml = init_moelora(cfg, rng)
-            fwd = lambda x: moelora_forward(layer, ml, x, cfg)[0]
-        else:
-            tl = init_talklora(cfg, rng)
-            fwd = lambda x: talklora_forward(layer, tl, x, cfg)[0]
+        ad = init_layer(method, cfg, RngState(29))
         for _ in range(50):
             x = gen.normal(size=8)
-            assert np.array_equal(fwd(x), layer.w0 @ x)
+            assert np.array_equal(forward_one(layer, ad, x, cfg)[0], layer.w0 @ x)
 
 
 FLAT_DIGESTS = json.loads(
@@ -737,9 +755,8 @@ class TestInPlaceBuild:
 
     def test_single_layers_draw_as_a_one_slot_stack(self):
         cfg, rng, slot = small_cfg(), RngState(31), LayerSlot(0, "Q", 8, 8)
-        for init, method in ((init_lora, "lora"), (init_moelora, "moelora"),
-                             (init_talklora, "talklora")):
-            layer = init(cfg, rng.split("init.L00.Q"))
+        for method in METHODS:
+            layer = init_layer(method, cfg, rng.split("init.L00.Q"))
             (built,) = build_stack_from_slots(method, cfg, [slot], rng).adapters
             for field in layer_layout(method, cfg, 8, 8):
                 assert getattr(layer, field.name).tobytes() == getattr(built, field.name).tobytes()

@@ -10,8 +10,7 @@ from talklora.adapters import (
     FrozenLinear,
     LayerSlot,
     build_stack_from_slots,
-    init_moelora,
-    init_talklora,
+    init_layer,
     router_gates,
 )
 from talklora.analysis import (
@@ -136,7 +135,7 @@ def _layer(seed=0, d=12, r=4, n=2, clip=None):
         total_rank=r, experts=n, input_dim=d, output_dim=d,
         lora_alpha=8.0, spectral_clip_c=clip,
     )
-    return init_talklora(cfg, RngState(seed)), cfg
+    return init_layer("talklora", cfg, RngState(seed)), cfg
 
 
 class TestBundledGeometry:
@@ -249,8 +248,8 @@ class TestStabilityCertificate:
     def test_moelora_layer_rejected(self, talking):
         # the proof needs g = softmax(W_g (C kron I) A x), and a MoELoRA router
         # reads x itself: with talking off the bound would not hold for it
-        ml = init_moelora(AdapterConfig(total_rank=8, experts=4, input_dim=16, output_dim=16),
-                          RngState(9))
+        cfg = AdapterConfig(total_rank=8, experts=4, input_dim=16, output_dim=16)
+        ml = init_layer("moelora", cfg, RngState(9))
         with pytest.raises(ValueError, match=r"^stability_certificate needs a TalkLoRA layer"):
             stability_certificate(ml, trials=16, delta_scale=0.1, rng=RngState(9),
                                   talking_enabled=talking)
@@ -368,10 +367,15 @@ class TestRoutingLoad:
         assert (report.entropy >= 0).all()
         assert (report.entropy <= np.log(4) + 1e-12).all()
 
-    def test_lora_rejected(self):
-        frozen, stack, x, _ = make_setup("lora", seed=33)
-        with pytest.raises(ValueError):
-            routing_load(stack, frozen, x)
+    @pytest.mark.parametrize("method, rows, message", [
+        ("lora", slice(None), r"^routing_load needs a gated layer, one that holds router_wg$"),
+        ("moelora", 0, r"^x must be a nonempty \(N, d\) array$"),
+        ("moelora", slice(0), r"^x must be a nonempty \(N, d\) array$"),
+    ], ids=["lora", "one_dim_x", "empty_x"])
+    def test_stack_or_input_rejected(self, method, rows, message):
+        frozen, stack, x, _ = make_setup(method, seed=33)
+        with pytest.raises(ValueError, match=message):
+            routing_load(stack, frozen, x[rows])
 
     def test_entropy_helper(self):
         assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
@@ -408,8 +412,8 @@ class TestDegeneracyCheck:
             degeneracy_check(tl, trials=10, rng=RngState(42))
 
     def test_moelora_layer_rejected(self):
-        ml = init_moelora(AdapterConfig(total_rank=4, experts=2, input_dim=12, output_dim=12),
-                          RngState(43))
+        cfg = AdapterConfig(total_rank=4, experts=2, input_dim=12, output_dim=12)
+        ml = init_layer("moelora", cfg, RngState(43))
         with pytest.raises(ValueError, match=r"^degeneracy_check needs a TalkLoRA layer"):
             degeneracy_check(ml, trials=10, rng=RngState(43))
 
@@ -470,7 +474,7 @@ class TestBatchedDegeneracyProbes:
         cfg = AdapterConfig(
             total_rank=n * r_e, experts=n, input_dim=d, output_dim=d, lora_alpha=8.0
         )
-        tl = init_talklora(cfg, RngState(seed))
+        tl = init_layer("talklora", cfg, RngState(seed))
         c = RngState(seed).split("c").generator().normal(size=(n, n))
         tl.c[:] = np.diag(np.diag(c)) if diagonal else c
         report = degeneracy_check(tl, trials, RngState(seed).split("probes"))

@@ -71,6 +71,13 @@ class TestBackwardStructure:
                            match=r"^frozen stack has 1 layers but adapter stack has 2$"):
             model_forward(frozen[:1], stack, x)
 
+    @pytest.mark.parametrize("rows", [slice(0), 0], ids=["empty", "one_dim"])
+    def test_malformed_batch_rejected(self, rows):
+        frozen, stack, x, t = make_setup("lora")
+        with pytest.raises(ValueError,
+                           match=r"^batch inputs must be a nonempty \(batch, d\) array$"):
+            backward(stack, frozen, (x[rows], t[rows]), MSE)
+
     def test_zero_residual_gives_zero_gradients(self):
         frozen, stack, x, _ = make_setup("talklora", randomize_b=False)
         z, _ = model_forward(frozen, stack, x)

@@ -272,6 +272,8 @@ class TestInputErrors:
             "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
         "params_without_geometry": (["params", "--config", "{config}"], {"targets": ["Q"]},
                                     "config error: missing required field config.geometry\n"),
+        "params_without_targets": (["params", "--config", "{config}"], {"geometry": "llama3-8b"},
+                                   "config error: missing required field config.targets\n"),
         "gradcheck_without_task": (["gradcheck", "--config", "{config}"], {"task": None},
                                    "config error: missing required field config.task\n"),
         "params_repeated_target": (["params", "--config", "{config}"],
@@ -283,6 +285,8 @@ class TestInputErrors:
                                   "'LLaMA3-8B'\n"),
         "lr_out_of_float_range": (CONFIG, '{"method": "lora", "train": {"lr": 1%s}}' % ("0" * 400),
                                   "config error: config.train.lr is out of float range\n"),
+        "method": (CONFIG, {"method": "foo"},
+                   "config error: config.method must be lora|moelora|talklora, got 'foo'\n"),
         "model_depth": (CONFIG, {"model_depth": 0},
                         "config error: config.model_depth must be positive, got 0\n"),
         "task.clusters": (CONFIG, {"task": {**TASK, "clusters": 0}},
@@ -749,16 +753,23 @@ class TestGradcheckCommand:
         assert code == 0
         assert json.loads(out)["max_relative_error"] < 1e-8
 
-    def test_non_finite_error_exits_3_writing_no_file(self, tmp_path):
+    @pytest.mark.parametrize("config, failure", [
         # lora_alpha 1e308 overflows the oracle's loss: its gradient, and so
         # the relative error, is NaN, which must fail rather than pass
+        ({"adapter": {"lora_alpha": 1e308}, "task": {}}, "relative error nan at L"),
+        # the production cross-entropy loss itself overflows on one sample
+        ({"adapter": {**TestConfigTypes.ADAPTER, "lora_alpha": 1e3},
+          "task": TestConfigTypes.TASK, "model_depth": 1, "loss": "softmax-cross-entropy"},
+         "non-finite loss at sample index 1\n"),
+    ], ids=["relative_error_nan", "non_finite_loss"])
+    def test_non_finite_error_exits_3_writing_no_file(self, tmp_path, config, failure):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"method": "talklora", "output_dir": str(tmp_path / "out"),
-                                   "adapter": {"lora_alpha": 1e308}, "task": {}}))
+                                   **config}))
         code, _, err = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
         assert code == 3
         assert err.startswith("numerical failure: gradcheck lora share_b=True "
-                              "talking_enabled=True: relative error nan at L")
+                              f"talking_enabled=True: {failure}")
 
     def test_error_above_tolerance_exits_3_writing_no_file(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -93,6 +93,11 @@ class TestInitializers:
         with pytest.raises(ValueError):
             kaiming_init(0, 3, RngState(0))
 
+    def test_fill_rejects_a_non_contiguous_view(self):
+        with pytest.raises(ValueError, match=r"^kaiming_fill needs a C-contiguous matrix, "
+                                             r"got shape \(4, 2\)$"):
+            linalg.kaiming_fill(np.zeros((4, 4))[:, ::2], RngState(0))
+
 
 def _uniform_oracle(rows, cols, seed):
     """numpy's own He-uniform draw, independent of the chunked fill.
@@ -205,6 +210,17 @@ class TestFiniteChecks:
             as_matrix(m, "m")
         with pytest.raises(ValueError, match="v contains non-finite entries"):
             as_vector(m.reshape(-1), "v")
+
+    @pytest.mark.parametrize("check, arg, message", [
+        (as_matrix, np.ones(3), r"^m must be 2-d, got shape \(3,\)$"),
+        (as_matrix, np.ones((2, 2, 2)), r"^m must be 2-d, got shape \(2, 2, 2\)$"),
+        (as_matrix, np.ones((0, 3)), r"^m must be nonempty, got shape \(0, 3\)$"),
+        (as_vector, np.ones((2, 2)), r"^m must be 1-d, got shape \(2, 2\)$"),
+        (as_vector, np.ones(0), r"^m must be nonempty$"),
+    ], ids=["matrix_1d", "matrix_3d", "matrix_empty", "vector_2d", "vector_empty"])
+    def test_wrong_ndim_or_empty_rejected(self, check, arg, message):
+        with pytest.raises(ValueError, match=message):
+            check(arg, "m")
 
     def test_validation_allocates_no_mask(self):
         m = np.ones((1024, 1024))

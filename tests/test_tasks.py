@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,18 @@ class TestEvaluate:
         first, _ = evaluate(stack, frozen, data, MSE)
         second, _ = evaluate(stack, frozen, data, MSE)
         assert first == second
+
+    @pytest.mark.parametrize("split, run, message", [
+        ("train", lambda *args: train(*args, TrainConfig(epochs=1), MSE),
+         "^training split is empty$"),
+        ("eval", lambda *args: evaluate(*args, MSE), "^eval split is empty$"),
+    ], ids=["train", "evaluate"])
+    def test_empty_split_rejected(self, split, run, message):
+        frozen, stack, data = self._zero_residual_data()
+        empty = {f"{name}_{split}": getattr(data, f"{name}_{split}")[:0]
+                 for name in ("x", "y", "cluster")}
+        with pytest.raises(ValueError, match=message):
+            run(stack, frozen, replace(data, **empty))
 
     def test_matches_hand_computed_mean_on_three_samples(self):
         frozen, stack, x, t = make_setup("talklora", batch=3)
