@@ -3,8 +3,8 @@
 Walks LoRA -> MoELoRA -> TalkLoRA on the same 8x8 frozen weight: the
 zero-init contract, what each forward computes, what the router sees, and
 how plain LoRA merges into the frozen weight for free inference.  Every
-family is built by ``init_layer`` and run by ``forward_one``, which reads
-the family off the arrays the layer holds.
+family is built by ``init_layer`` at the frozen weight's dims and run by
+``forward_one``, which reads the family off the arrays the layer holds.
 """
 
 import numpy as np
@@ -19,9 +19,7 @@ from talklora import (
 )
 
 rng = RngState(0)
-cfg = AdapterConfig(
-    total_rank=4, experts=2, input_dim=8, output_dim=8, lora_alpha=8.0
-)
+cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0)
 layer = FrozenLinear(rng.split("w0").generator().normal(size=(8, 8)))
 x = rng.split("x").generator().normal(size=8)
 
@@ -29,9 +27,9 @@ print("=== zero-init contract ===")
 print("Every family starts with all B_i = 0, so the adapted model is")
 print("exactly the frozen model until training moves the B's.\n")
 
-lora = init_layer("lora", cfg, rng.split("lora"))
-moe = init_layer("moelora", cfg, rng.split("moe"))
-talk = init_layer("talklora", cfg, rng.split("talk"))
+lora = init_layer("lora", cfg, 8, 8, rng.split("lora"))
+moe = init_layer("moelora", cfg, 8, 8, rng.split("moe"))
+talk = init_layer("talklora", cfg, 8, 8, rng.split("talk"))
 
 y_frozen = layer.w0 @ x
 for name, ad in [("lora", lora), ("moelora", moe), ("talklora", talk)]:

@@ -19,12 +19,10 @@ from talklora import (
     stability_certificate,
 )
 
-cfg = AdapterConfig(
-    total_rank=8, experts=4, input_dim=16, output_dim=16, lora_alpha=16.0
-)
+cfg = AdapterConfig(total_rank=8, experts=4, lora_alpha=16.0)
 
 print("=== Lipschitz certificate on a clipped layer ===")
-tl = init_layer("talklora", cfg, RngState(1))
+tl = init_layer("talklora", cfg, 16, 16, RngState(1))
 sigma = spectral_norm(tl.c)
 print(f"fresh Kaiming C has sigma_max = {sigma:.3f}; projecting to the unit ball")
 if sigma > 1.0:
@@ -40,7 +38,7 @@ print(f"  verdict: {cert.verdict} (observed stays under the bound; softmax's")
 print("  own 1-Lipschitz slack is why the gap is comfortable)")
 
 print("\n=== the same layer with C inflated past the assumption ===")
-tl_bad = init_layer("talklora", cfg, RngState(1))
+tl_bad = init_layer("talklora", cfg, 16, 16, RngState(1))
 tl_bad.c *= 5.0
 cert_bad = stability_certificate(
     tl_bad, trials=10_000, delta_scale=0.1, rng=RngState(2)
@@ -52,7 +50,8 @@ print(f"  the observed ratio ({cert_bad.max_observed_ratio:.4f}) may still "
 print("  the guarantee simply does not cover expansive communication.")
 
 print("\n=== degeneracy probes: what C structurally does ===")
-rep = degeneracy_check(init_layer("talklora", cfg, RngState(7)), trials=100, rng=RngState(8))
+rep = degeneracy_check(init_layer("talklora", cfg, 16, 16, RngState(7)), trials=100,
+                       rng=RngState(8))
 print(f"  C = I            -> h~ == h bit-exact "
       f"(max diff {rep.identity_max_diff})")
 print(f"  diagonal C       -> perturbing A_j never reaches h~_i, i != j "

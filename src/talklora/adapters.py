@@ -23,8 +23,9 @@ All math is float64 and every random draw comes from a named
 
 Expert layout: every family's layer is one :class:`AdapterLayer`, and the
 arrays it holds are its family.  :func:`layer_layout` states each
-family's arrays and the rule on a layer's dims (:func:`check_low_rank`)
-once.  Initializers, stacks, budgets, checkpoints and the single-sample
+family's arrays and the rule on a layer's dims once; the dims come from
+what the layer adapts (a slot, or w0), never from the config.
+Initializers, stacks, budgets, checkpoints and the single-sample
 :func:`forward_one` all read it; :func:`forward_one` takes the family its
 arrays imply and rejects an array of another shape than that family's
 layout at w0's dims, or one holding NaN or infinity.  Every family
@@ -55,17 +56,10 @@ METHODS = ("lora", "moelora", "talklora")
 
 @dataclass(frozen=True)
 class AdapterConfig:
-    """Family-level hyperparameters shared by all adapter constructors.
-
-    ``input_dim``/``output_dim`` may stay ``None`` for configs used to
-    build stacks over a model geometry (each slot has its own dims);
-    :func:`init_layer` requires them, and :func:`check_low_rank`.
-    """
+    """Family-level hyperparameters shared by all adapter constructors."""
 
     total_rank: int
     experts: int = 1
-    input_dim: Optional[int] = None
-    output_dim: Optional[int] = None
     lora_alpha: float = 16.0
     share_b: bool = True
     talking_enabled: bool = True
@@ -81,10 +75,6 @@ class AdapterConfig:
         if self.spectral_clip_c is not None and self.spectral_clip_c <= 0:
             raise ValueError("spectral_clip_c must be positive when set, "
                              f"got {self.spectral_clip_c}")
-        if (self.input_dim is None) != (self.output_dim is None):
-            raise ValueError("input_dim and output_dim must be set together")
-        if self.input_dim is not None:
-            check_low_rank(self, self.input_dim, self.output_dim, "the config")
 
     @property
     def scaling(self) -> float:
@@ -92,8 +82,8 @@ class AdapterConfig:
         return self.lora_alpha / self.total_rank
 
 
-# (name, JSON kind, run-config default) of each field that a run config's
-# ``adapter`` section and a checkpoint header's ``adapter_config`` hold
+# (name, JSON kind, run-config default) of each AdapterConfig field: what a
+# run config's ``adapter`` section and a checkpoint header's ``adapter_config`` hold
 ADAPTER_FIELDS = (("total_rank", int, 16), ("experts", int, 4), ("lora_alpha", float, 16.0),
                   ("share_b", bool, True), ("talking_enabled", bool, True),
                   ("spectral_clip_c", float, None))
@@ -152,18 +142,6 @@ class LowRankError(ValueError):
     or a gated layer's ``experts`` not dividing it.  The message starts with the field."""
 
 
-def check_low_rank(cfg: AdapterConfig, d_in: int, d_out: int, site: str) -> None:
-    """The rule on a layer's dims in every family: both positive, and total_rank
-    <= min(d_in, d_out).  ``site`` names the layer (``slot L00.Q``, ``target K``)."""
-    if d_in < 1 or d_out < 1:
-        raise ValueError(f"{site} needs positive dims, got d_in {d_in}, d_out {d_out}")
-    if cfg.total_rank > min(d_in, d_out):
-        raise LowRankError(
-            f"total_rank {cfg.total_rank} exceeds min(d_in, d_out) = {min(d_in, d_out)} "
-            f"at {site} with d_in {d_in}, d_out {d_out} (low-rank regime)"
-        )
-
-
 class Field(NamedTuple):
     """One trainable array of a layer: attribute, handle role, shape, and
     whether a stack holds it once for all layers of a projection tag."""
@@ -192,11 +170,16 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
     adds E and the n x n C, routes the r-dim communicated h~, and with
     ``share_b`` holds one B per projection tag.  An :class:`AdapterLayer`
     holds exactly these arrays, and the one forward and backward read the
-    differences off them.  Allocates nothing; first checks the dims with
-    :func:`check_low_rank`, naming ``site``.
+    differences off them.  Allocates nothing; first checks the rule on the
+    dims of every family, naming ``site`` (``slot L00.Q``, ``target K``):
+    both positive, and total_rank <= min(d_in, d_out).
     """
-    check_low_rank(cfg, d_in, d_out, site)
     r, n = cfg.total_rank, cfg.experts
+    if d_in < 1 or d_out < 1:
+        raise ValueError(f"{site} needs positive dims, got d_in {d_in}, d_out {d_out}")
+    if r > min(d_in, d_out):
+        raise LowRankError(f"total_rank {r} exceeds min(d_in, d_out) = {min(d_in, d_out)} "
+                           f"at {site} with d_in {d_in}, d_out {d_out} (low-rank regime)")
     if method == "lora":
         return Field("a", "A", (1, r, d_in)), Field("b", "B", (1, d_out, r))
     if method not in METHODS:
@@ -237,7 +220,7 @@ def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
 
     Sites come in buffer order and allocate nothing, so a caller can stop
     at the first one that disagrees with what it holds.  A slot whose dims
-    break :func:`check_low_rank`, a slot repeated, or a tag whose slots
+    break :func:`layer_layout`'s rule, a slot repeated, or a tag whose slots
     imply different shapes for a shared array, raises.
     """
     holders = {}  # (owner, attribute) -> the site that holds the array
@@ -354,12 +337,9 @@ def batch_forward(w0, adapter: AdapterLayer, x, cfg, xa=None) -> LayerCache:
 
 
 def _check_layer(method: str, layer: FrozenLinear, adapter, cfg: AdapterConfig) -> None:
-    """The single-sample API's one adapter check: the config's dims against w0,
-    then each array of ``adapter`` against the :func:`layer_layout` they imply
-    (None where the ``method`` layer holds no such array), and for finiteness."""
-    if cfg.input_dim is not None and (cfg.input_dim, cfg.output_dim) != (layer.d_in, layer.d_out):
-        raise ValueError(f"config dims ({cfg.input_dim}, {cfg.output_dim}) do not match "
-                         f"w0's d_in {layer.d_in}, d_out {layer.d_out}")
+    """The single-sample API's one adapter check: each array of ``adapter``
+    against the :func:`layer_layout` that w0's dims imply (None where the
+    ``method`` layer holds no such array), and for finiteness."""
     layout = layer_layout(method, cfg, layer.d_in, layer.d_out, f"w0 {layer.w0.shape}")
     implied = {field.name: field.shape for field in layout}
     for field in fields(AdapterLayer):
@@ -532,12 +512,11 @@ def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -
     return stack
 
 
-def init_layer(method: str, cfg: AdapterConfig, rng: RngState) -> AdapterLayer:
-    """A fresh ``method`` layer for a config with dims, drawn from ``rng``:
+def init_layer(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
+               rng: RngState) -> AdapterLayer:
+    """A fresh ``method`` layer at a d_in -> d_out site, drawn from ``rng``:
     the one layer of a one-slot stack, its arrays views of that stack's buffer."""
-    if cfg.input_dim is None:
-        raise ValueError("init_layer needs input_dim/output_dim on the config")
-    slot = LayerSlot(0, "layer", cfg.input_dim, cfg.output_dim)
+    slot = LayerSlot(0, "layer", d_in, d_out)
     return _init_stack(method, cfg, [slot], [rng]).adapters[0]
 
 

@@ -73,8 +73,10 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
                 f"softmax-cross-entropy needs one integer class index in [0, {k}) per row "
                 f"({batch} rows), got {targets.dtype} targets of shape {targets.shape}"
             )
-        probs = softmax_rows(z)
-        return -np.log(probs[np.arange(batch), targets])
+        # log-sum-exp minus the target's logit, both shifted by the row max,
+        # stays finite where the target's softmax probability underflows
+        shifted = z - z.max(axis=1, keepdims=True)
+        return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(batch), targets]
 
 
 def loss_value(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> float:
@@ -250,7 +252,8 @@ def _reference_loss(
     carries the derivative: no ``abs`` and no branch on a value that
     depends on the parameters.  The softmax max-shift is the one
     value-dependent choice, and it cancels exactly: exp(l - s) / sum
-    exp(l - s) is the same function of l for any s, complex s included.
+    exp(l - s), and the cross-entropy log sum exp(l - s) - (l_t - s), are
+    the same functions of l for any s, complex s included.
 
     Any entry of ``params`` may carry a leading perturbation axis,
     ``(P, *shape)`` instead of ``shape``; every operation broadcasts over
@@ -298,10 +301,9 @@ def _reference_loss(
     if loss.kind == "mean-squared-error":
         return np.mean((h - targets) ** 2, axis=(-2, -1))
     shifted = h - h.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
     idx = np.arange(h.shape[-2])
-    return np.mean(-np.log(probs[..., idx, targets.astype(int)]), axis=-1)
+    return np.mean(lse - shifted[..., idx, targets.astype(int)], axis=-1)
 
 
 # Copies per reference-loss call in the oracle: one +ih copy per scalar,

@@ -21,6 +21,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def encode_checkpoint(stack: AdapterStack, run_config: dict) -> list:
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "method": stack.method,
-        "adapter_config": {name: getattr(stack.cfg, name) for name, _, _ in ADAPTER_FIELDS},
+        "adapter_config": asdict(stack.cfg),
         "slots": [{"layer": s.layer, "tag": s.tag, "d_in": s.d_in, "d_out": s.d_out}
                   for s in stack.slots],
         "tensors": records,

@@ -110,11 +110,8 @@ class TestAcceptance:
         worst_ratio_over_bound = 0.0
         violations = 0
         for layer_seed in range(20):
-            cfg = AdapterConfig(
-                total_rank=8, experts=4, input_dim=16, output_dim=16,
-                lora_alpha=16.0,
-            )
-            tl = init_layer("talklora", cfg, RngState(5000 + layer_seed))
+            cfg = AdapterConfig(total_rank=8, experts=4, lora_alpha=16.0)
+            tl = init_layer("talklora", cfg, 16, 16, RngState(5000 + layer_seed))
             sigma = spectral_norm(tl.c)
             if sigma > 1.0:
                 tl.c *= 1.0 / sigma  # enforce the non-expansive assumption
@@ -175,11 +172,8 @@ class TestAcceptance:
         worst_isolation = 0.0
         min_cross = np.inf
         for seed in range(100):
-            cfg = AdapterConfig(
-                total_rank=8, experts=4, input_dim=12, output_dim=12,
-                lora_alpha=16.0,
-            )
-            tl = init_layer("talklora", cfg, RngState(7000 + seed))
+            cfg = AdapterConfig(total_rank=8, experts=4, lora_alpha=16.0)
+            tl = init_layer("talklora", cfg, 12, 12, RngState(7000 + seed))
             rep = degeneracy_check(tl, trials=1, rng=RngState(seed))
             worst_identity = max(worst_identity, rep.identity_max_diff)
             worst_isolation = max(worst_isolation, rep.isolation_max_diff)
@@ -193,15 +187,13 @@ class TestAcceptance:
             )
 
     def test_06_zero_init_contract(self, capsys):
-        cfg = AdapterConfig(
-            total_rank=8, experts=4, input_dim=16, output_dim=16, lora_alpha=16.0
-        )
+        cfg = AdapterConfig(total_rank=8, experts=4, lora_alpha=16.0)
         w0 = RngState(81).generator().normal(size=(16, 16))
         layer = FrozenLinear(w0)
         gen = RngState(82).generator()
         exact = True
         for family in ("lora", "moelora", "talklora"):
-            ad = init_layer(family, cfg, RngState(83))
+            ad = init_layer(family, cfg, 16, 16, RngState(83))
             for _ in range(1000):
                 x = gen.normal(size=16)
                 if not np.array_equal(forward_one(layer, ad, x, cfg)[0], w0 @ x):
@@ -227,12 +219,10 @@ class TestAcceptance:
             )
 
     def test_08_lora_merge_equivalence(self, capsys):
-        cfg = AdapterConfig(
-            total_rank=8, experts=1, input_dim=24, output_dim=12, lora_alpha=16.0
-        )
+        cfg = AdapterConfig(total_rank=8, experts=1, lora_alpha=16.0)
         gen = RngState(91).generator()
         layer = FrozenLinear(gen.normal(size=(12, 24)))
-        ad = init_layer("lora", cfg, RngState(92))
+        ad = init_layer("lora", cfg, 24, 12, RngState(92))
         ad.b[:] = gen.normal(size=ad.b.shape)
         merged = lora_merge(layer, ad, cfg)
         worst = 0.0

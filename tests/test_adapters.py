@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from _setup import balance_setup, geometry_slots
 from talklora import linalg
 from talklora.adapters import (
     _c_mix,
+    ADAPTER_FIELDS,
     AdapterConfig,
     AdapterLayer,
     FrozenLinear,
@@ -35,7 +37,7 @@ from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, 
 
 
 def small_cfg(**kw):
-    base = dict(total_rank=4, experts=2, input_dim=8, output_dim=8, lora_alpha=4.0)
+    base = dict(total_rank=4, experts=2, lora_alpha=4.0)
     base.update(kw)
     return AdapterConfig(**base)
 
@@ -45,13 +47,13 @@ class TestAdapterConfig:
         cfg = small_cfg(lora_alpha=16.0)
         assert cfg.scaling == 4.0
 
+    def test_fields_are_the_adapter_section(self):
+        # a run config's adapter section and a checkpoint header hold exactly these
+        assert [f.name for f in fields(AdapterConfig)] == [name for name, _, _ in ADAPTER_FIELDS]
+
     def test_low_rank_regime_enforced(self):
         with pytest.raises(ValueError, match="low-rank"):
-            AdapterConfig(total_rank=16, experts=2, input_dim=8, output_dim=8)
-
-    def test_dims_must_come_together(self):
-        with pytest.raises(ValueError):
-            AdapterConfig(total_rank=4, experts=2, input_dim=8)
+            init_layer("talklora", AdapterConfig(total_rank=16, experts=2), 8, 8, RngState(0))
 
 
 class TestFrozenLinear:
@@ -122,23 +124,19 @@ class TestLoRAForward:
     def test_fresh_init_preserves_output(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(np.eye(8))
-        ad = init_layer("lora", cfg, RngState(0))
+        ad = init_layer("lora", cfg, 8, 8, RngState(0))
         assert np.array_equal(ad.b, np.zeros((1, 8, 4)))
         x = RngState(1).generator().normal(size=8)
         assert np.array_equal(forward_one(layer, ad, x, cfg)[0], x)
 
     def test_identity_chain(self):
-        cfg = AdapterConfig(
-            total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
-        )  # alpha/r = 1
+        cfg = AdapterConfig(total_rank=2, experts=1, lora_alpha=2.0)  # alpha/r = 1
         layer = FrozenLinear(np.zeros((2, 2)))
         ad = AdapterLayer(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(forward_one(layer, ad, [3.0, 4.0], cfg)[0], [3.0, 4.0])
 
     def test_against_dense_chain_oracle(self):
-        cfg = AdapterConfig(
-            total_rank=4, experts=1, input_dim=4, output_dim=4, lora_alpha=8.0
-        )
+        cfg = AdapterConfig(total_rank=4, experts=1, lora_alpha=8.0)
         gen = RngState(2).generator()
         w0 = gen.normal(size=(4, 4))
         layer = FrozenLinear(w0)
@@ -150,12 +148,12 @@ class TestLoRAForward:
     def test_dimension_mismatch_rejected(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(np.eye(8))
-        ad = init_layer("lora", cfg, RngState(0))
+        ad = init_layer("lora", cfg, 8, 8, RngState(0))
         with pytest.raises(ValueError):
             forward_one(layer, ad, np.ones(5), cfg)
 
     def test_router_gates_rejects_a_routerless_layer(self):
-        ad = init_layer("lora", small_cfg(experts=1), RngState(0))
+        ad = init_layer("lora", small_cfg(experts=1), 8, 8, RngState(0))
         with pytest.raises(ValueError, match="router_gates needs a gated layer, "
                                              "one that holds router_wg"):
             router_gates(ad, np.ones((2, 8)))
@@ -165,21 +163,17 @@ class TestLoRAMerge:
     def test_zero_b_merge_is_w0(self):
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(RngState(3).generator().normal(size=(8, 8)))
-        ad = init_layer("lora", cfg, RngState(3))
+        ad = init_layer("lora", cfg, 8, 8, RngState(3))
         assert np.array_equal(lora_merge(layer, ad, cfg), layer.w0)
 
     def test_identity_chain_merge(self):
-        cfg = AdapterConfig(
-            total_rank=2, experts=1, input_dim=2, output_dim=2, lora_alpha=2.0
-        )
+        cfg = AdapterConfig(total_rank=2, experts=1, lora_alpha=2.0)
         layer = FrozenLinear(np.diag([2.0, 3.0]))
         ad = AdapterLayer(a=np.eye(2)[None], b=np.eye(2)[None])
         assert np.array_equal(lora_merge(layer, ad, cfg), np.diag([3.0, 4.0]))
 
     def test_merged_matches_forward_on_50_inputs(self):
-        cfg = AdapterConfig(
-            total_rank=3, experts=1, input_dim=6, output_dim=5, lora_alpha=7.0
-        )
+        cfg = AdapterConfig(total_rank=3, experts=1, lora_alpha=7.0)
         gen = RngState(4).generator()
         layer = FrozenLinear(gen.normal(size=(5, 6)))
         ad = AdapterLayer(a=gen.normal(size=(1, 3, 6)), b=gen.normal(size=(1, 5, 3)))
@@ -194,14 +188,14 @@ class TestLoRAMerge:
         cfg = small_cfg()
         with pytest.raises(ValueError, match=r"^lora_merge needs a LoRA layer, one that holds "
                                              r"no router_wg$"):
-            lora_merge(FrozenLinear(np.eye(8)), init_layer(method, cfg, RngState(49)), cfg)
+            lora_merge(FrozenLinear(np.eye(8)), init_layer(method, cfg, 8, 8, RngState(49)), cfg)
 
 
 class TestMoELoRAForward:
     def test_zero_init_preserves_output(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(5).generator().normal(size=(8, 8)))
-        ml = init_layer("moelora", cfg, RngState(5))
+        ml = init_layer("moelora", cfg, 8, 8, RngState(5))
         gen = RngState(6).generator()
         for _ in range(20):
             x = gen.normal(size=8)
@@ -213,8 +207,8 @@ class TestMoELoRAForward:
         cfg = small_cfg(experts=1)
         layer = FrozenLinear(RngState(7).generator().normal(size=(8, 8)))
         rng = RngState(8)
-        ml = init_layer("moelora", cfg, rng)
-        ad = init_layer("lora", cfg, rng)  # same stream labels => same A draw
+        ml = init_layer("moelora", cfg, 8, 8, rng)
+        ad = init_layer("lora", cfg, 8, 8, rng)  # same stream labels => same A draw
         assert np.array_equal(ml.a, ad.a)
         gen = RngState(9).generator()
         ml.b[0][:] = gen.normal(size=(8, 4))
@@ -225,12 +219,10 @@ class TestMoELoRAForward:
         assert np.array_equal(y_moe, forward_one(layer, ad, x, cfg)[0])
 
     def test_hand_set_two_expert_oracle(self):
-        cfg = AdapterConfig(
-            total_rank=2, experts=2, input_dim=2, output_dim=2, lora_alpha=2.0
-        )
+        cfg = AdapterConfig(total_rank=2, experts=2, lora_alpha=2.0)
         w0 = np.array([[0.5, -0.25], [1.0, 0.75]])
         layer = FrozenLinear(w0)
-        ml = init_layer("moelora", cfg, RngState(10))
+        ml = init_layer("moelora", cfg, 2, 2, RngState(10))
         ml.a[0][:] = [[1.0, 2.0]]
         ml.a[1][:] = [[-1.0, 0.5]]
         ml.b[0][:] = [[0.3], [-0.2]]
@@ -272,7 +264,7 @@ class TestTalkLoRAForward:
     def test_fresh_init_preserves_output(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(14).generator().normal(size=(8, 8)))
-        tl = init_layer("talklora", cfg, RngState(14))
+        tl = init_layer("talklora", cfg, 8, 8, RngState(14))
         gen = RngState(15).generator()
         for _ in range(20):
             x = gen.normal(size=8)
@@ -285,7 +277,7 @@ class TestTalkLoRAForward:
         # float64 softmax underflows to exact zero gates on a large input
         cfg = small_cfg()
         layer = FrozenLinear(RngState(14).generator().normal(size=(8, 8)))
-        tl = init_layer("talklora", cfg, RngState(14))
+        tl = init_layer("talklora", cfg, 8, 8, RngState(14))
         _, trace = forward_one(layer, tl, 1e3 * np.ones(8), cfg)
         assert (trace.gates >= 0).all()
         assert (trace.gates == 0).any()
@@ -295,7 +287,7 @@ class TestTalkLoRAForward:
     def test_router_gates_match_batch_forward_bitwise(self, talking):
         cfg = small_cfg(talking_enabled=talking)
         gen = RngState(26).generator()
-        tl = init_layer("talklora", cfg, RngState(26))
+        tl = init_layer("talklora", cfg, 8, 8, RngState(26))
         tl.b[:] = gen.normal(size=tl.b.shape)
         x = gen.normal(size=(16, 8))
         cache = batch_forward(gen.normal(size=(8, 8)), tl, x, cfg)
@@ -305,7 +297,7 @@ class TestTalkLoRAForward:
         cfg_on = small_cfg(talking_enabled=True)
         cfg_off = small_cfg(talking_enabled=False)
         layer = FrozenLinear(RngState(16).generator().normal(size=(8, 8)))
-        tl = init_layer("talklora", cfg_on, RngState(16))
+        tl = init_layer("talklora", cfg_on, 8, 8, RngState(16))
         gen = RngState(17).generator()
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
@@ -319,12 +311,10 @@ class TestTalkLoRAForward:
             assert np.array_equal(tr_on.h_tilde, tr_off.h_tilde)
 
     def test_hand_set_oracle(self):
-        cfg = AdapterConfig(
-            total_rank=2, experts=2, input_dim=2, output_dim=2, lora_alpha=2.0
-        )
+        cfg = AdapterConfig(total_rank=2, experts=2, lora_alpha=2.0)
         w0 = np.array([[1.0, 0.0], [0.2, -0.5]])
         layer = FrozenLinear(w0)
-        tl = init_layer("talklora", cfg, RngState(18))
+        tl = init_layer("talklora", cfg, 2, 2, RngState(18))
         tl.a[0][:] = [[0.6, -0.3]]
         tl.a[1][:] = [[-0.2, 0.9]]
         tl.e[0][:] = [[1.5]]
@@ -356,7 +346,7 @@ class TestTalkLoRAForward:
     def test_diagonal_c_expert_isolation(self):
         cfg = small_cfg()
         layer = FrozenLinear(RngState(19).generator().normal(size=(8, 8)))
-        tl = init_layer("talklora", cfg, RngState(19))
+        tl = init_layer("talklora", cfg, 8, 8, RngState(19))
         gen = RngState(20).generator()
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
@@ -376,7 +366,7 @@ class TestTalkLoRAForward:
         gen = RngState(22).generator()
         cfg1 = small_cfg(lora_alpha=3.7)
         cfg2 = small_cfg(lora_alpha=7.4)
-        tl = init_layer("talklora", cfg1, RngState(21))
+        tl = init_layer("talklora", cfg1, 8, 8, RngState(21))
         for b_i in tl.b:
             b_i[:] = gen.normal(size=b_i.shape)
         for _ in range(10):
@@ -433,10 +423,9 @@ class TestTalkLoRAGeneralizesMoELoRA:
     def _pair(self, seed):
         """A TalkLoRA layer with C = I, E = I and random B; the stacked A; a
         frozen weight; 200 inputs."""
-        cfg = AdapterConfig(total_rank=self.R, experts=self.N, input_dim=self.D,
-                            output_dim=self.K)
+        cfg = AdapterConfig(total_rank=self.R, experts=self.N)
         gen = RngState(seed).generator()
-        tl = init_layer("talklora", cfg, RngState(seed))
+        tl = init_layer("talklora", cfg, self.D, self.K, RngState(seed))
         tl.b[:] = gen.normal(size=tl.b.shape)
         tl.c[:] = np.eye(self.N)
         tl.e[:] = np.eye(self.R // self.N)
@@ -505,9 +494,7 @@ class TestBuildAdapterStack:
         (lambda: build_stack_from_slots("lora", small_cfg(), [], RngState(0)),
          "^at least one slot is required$"),
         (lambda: build_frozen_stack(8, 8, 0, RngState(0)), "^depth must be positive, got 0$"),
-        (lambda: init_layer("lora", small_cfg(input_dim=None, output_dim=None), RngState(0)),
-         "^init_layer needs input_dim/output_dim on the config$"),
-    ], ids=["stack_without_slots", "host_of_depth_0", "layer_without_dims"])
+    ], ids=["stack_without_slots", "host_of_depth_0"])
     def test_construction_input_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -575,20 +562,19 @@ class TestLayerShapeRule:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_adapter_of_other_dims_rejected_naming_the_array(self, method):
-        ad = init_layer(method, small_cfg(input_dim=16, output_dim=16), RngState(40))
+        ad = init_layer(method, small_cfg(), 16, 16, RngState(40))
         shape, implied = ("(1, 4, 16)", "(1, 4, 8)") if method == "lora" else ("(2, 2, 16)",
                                                                               "(2, 2, 8)")
         expected = (rf"^{method} layer's a has shape {re.escape(shape)}, but w0 \(8, 8\) "
                     rf"at total_rank 4, experts 2 implies {re.escape(implied)}$")
         with pytest.raises(ValueError, match=expected):
-            forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg(input_dim=None,
-                                                                           output_dim=None))
+            forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), small_cfg())
 
     @pytest.mark.parametrize("method", METHODS)
     def test_each_array_is_checked(self, method):
         cfg = small_cfg()
         for field in layer_layout(method, cfg, 8, 8):
-            ad = init_layer(method, cfg, RngState(41))
+            ad = init_layer(method, cfg, 8, 8, RngState(41))
             held = field.shape[:-1] + (field.shape[-1] + 1,)
             setattr(ad, field.name, np.zeros(held))
             expected = (rf"^{method} layer's {field.name} has shape {re.escape(str(held))}, "
@@ -601,7 +587,7 @@ class TestLayerShapeRule:
     def test_each_non_finite_array_is_rejected_naming_it(self, method, bad):
         cfg = small_cfg()
         for field in layer_layout(method, cfg, 8, 8):
-            ad = init_layer(method, cfg, RngState(42))
+            ad = init_layer(method, cfg, 8, 8, RngState(42))
             getattr(ad, field.name).flat[-1] = bad
             with pytest.raises(ValueError, match=rf"^{method} layer's {field.name} contains "
                                                  "non-finite entries$"):
@@ -619,7 +605,7 @@ class TestLayerShapeRule:
         # C makes a layer TalkLoRA, else a router makes it MoELoRA: a missing
         # or stray array is reported against that family's layout
         cfg = small_cfg(total_rank=8, experts=experts)
-        ad = init_layer(held, cfg, RngState(47))
+        ad = init_layer(held, cfg, 8, 8, RngState(47))
         setattr(ad, name, array)
         with pytest.raises(ValueError, match=message):
             forward_one(FrozenLinear(np.eye(8)), ad, np.ones(8), cfg)
@@ -629,7 +615,7 @@ class TestLayerShapeRule:
     def test_forward_one_is_row_0_of_batch_forward(self, method, talking):
         cfg = small_cfg(talking_enabled=talking)
         gen = RngState(48).generator()
-        ad = init_layer(method, cfg, RngState(48))
+        ad = init_layer(method, cfg, 8, 8, RngState(48))
         ad.b[:] = gen.normal(size=ad.b.shape)
         layer, x = FrozenLinear(gen.normal(size=(8, 8))), gen.normal(size=8)
         y, trace = forward_one(layer, ad, x, cfg)
@@ -646,23 +632,15 @@ class TestLayerShapeRule:
             assert trace.gates.tobytes() == cache.gates[0].tobytes()
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
-        ad = init_layer("lora", small_cfg(experts=1, output_dim=6, input_dim=6), RngState(42))
+        ad = init_layer("lora", small_cfg(experts=1), 6, 6, RngState(42))
         with pytest.raises(ValueError, match=r"^lora layer's a has shape \(1, 4, 6\), but w0 "
                                              r"\(8, 8\) at total_rank 4, experts 1 implies "
                                              r"\(1, 4, 8\)$"):
-            lora_merge(FrozenLinear(np.eye(8)), ad, small_cfg(experts=1, input_dim=None,
-                                                                output_dim=None))
-
-    def test_config_dims_must_match_w0(self):
-        cfg = small_cfg(output_dim=6)
-        with pytest.raises(ValueError,
-                           match=r"config dims \(8, 6\) do not match w0's d_in 8, d_out 8"):
-            forward_one(FrozenLinear(np.eye(8)), init_layer("lora", small_cfg(), RngState(43)),
-                        np.ones(8), cfg)
+            lora_merge(FrozenLinear(np.eye(8)), ad, small_cfg(experts=1))
 
     def test_experts_must_divide_rank(self):
         # the config takes it, since LoRA ignores experts; a gated layout rejects it
-        cfg = AdapterConfig(total_rank=6, experts=4, input_dim=8, output_dim=8)
+        cfg = AdapterConfig(total_rank=6, experts=4)
         assert [field.shape for field in layer_layout("lora", cfg, 8, 8)] == [(1, 6, 8), (1, 8, 6)]
         for method in ("moelora", "talklora"):
             with pytest.raises(LowRankError,
@@ -677,8 +655,8 @@ class TestLayerShapeRule:
         with pytest.raises(LowRankError, match=message.format(r"slot L01\.Q")):
             build_stack_from_slots("talklora", cfg, [LayerSlot(0, "Q", 8, 8),
                                                      LayerSlot(1, "Q", 4, 8)], RngState(44))
-        with pytest.raises(LowRankError, match=message.format("the config")):
-            AdapterConfig(total_rank=8, experts=4, input_dim=4, output_dim=4)
+        with pytest.raises(LowRankError, match=message.format(r"slot L00\.layer")):
+            init_layer("talklora", AdapterConfig(total_rank=8, experts=4), 4, 4, RngState(44))
         with pytest.raises(LowRankError, match=message.format("the layer")):
             layer_layout("moelora", cfg, 8, 4)
         big = AdapterConfig(total_rank=2048, experts=4)
@@ -705,7 +683,7 @@ class TestZeroInitContractAllFamilies:
         cfg = small_cfg()
         gen = RngState(28).generator()
         layer = FrozenLinear(gen.normal(size=(8, 8)))
-        ad = init_layer(method, cfg, RngState(29))
+        ad = init_layer(method, cfg, 8, 8, RngState(29))
         for _ in range(50):
             x = gen.normal(size=8)
             assert np.array_equal(forward_one(layer, ad, x, cfg)[0], layer.w0 @ x)
@@ -756,7 +734,7 @@ class TestInPlaceBuild:
     def test_single_layers_draw_as_a_one_slot_stack(self):
         cfg, rng, slot = small_cfg(), RngState(31), LayerSlot(0, "Q", 8, 8)
         for method in METHODS:
-            layer = init_layer(method, cfg, rng.split("init.L00.Q"))
+            layer = init_layer(method, cfg, 8, 8, rng.split("init.L00.Q"))
             (built,) = build_stack_from_slots(method, cfg, [slot], rng).adapters
             for field in layer_layout(method, cfg, 8, 8):
                 assert getattr(layer, field.name).tobytes() == getattr(built, field.name).tobytes()

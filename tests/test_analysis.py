@@ -131,11 +131,8 @@ class TestCountParams:
 
 
 def _layer(seed=0, d=12, r=4, n=2, clip=None):
-    cfg = AdapterConfig(
-        total_rank=r, experts=n, input_dim=d, output_dim=d,
-        lora_alpha=8.0, spectral_clip_c=clip,
-    )
-    return init_layer("talklora", cfg, RngState(seed)), cfg
+    cfg = AdapterConfig(total_rank=r, experts=n, lora_alpha=8.0, spectral_clip_c=clip)
+    return init_layer("talklora", cfg, d, d, RngState(seed)), cfg
 
 
 class TestBundledGeometry:
@@ -248,8 +245,8 @@ class TestStabilityCertificate:
     def test_moelora_layer_rejected(self, talking):
         # the proof needs g = softmax(W_g (C kron I) A x), and a MoELoRA router
         # reads x itself: with talking off the bound would not hold for it
-        cfg = AdapterConfig(total_rank=8, experts=4, input_dim=16, output_dim=16)
-        ml = init_layer("moelora", cfg, RngState(9))
+        cfg = AdapterConfig(total_rank=8, experts=4)
+        ml = init_layer("moelora", cfg, 16, 16, RngState(9))
         with pytest.raises(ValueError, match=r"^stability_certificate needs a TalkLoRA layer"):
             stability_certificate(ml, trials=16, delta_scale=0.1, rng=RngState(9),
                                   talking_enabled=talking)
@@ -412,8 +409,8 @@ class TestDegeneracyCheck:
             degeneracy_check(tl, trials=10, rng=RngState(42))
 
     def test_moelora_layer_rejected(self):
-        cfg = AdapterConfig(total_rank=4, experts=2, input_dim=12, output_dim=12)
-        ml = init_layer("moelora", cfg, RngState(43))
+        cfg = AdapterConfig(total_rank=4, experts=2)
+        ml = init_layer("moelora", cfg, 12, 12, RngState(43))
         with pytest.raises(ValueError, match=r"^degeneracy_check needs a TalkLoRA layer"):
             degeneracy_check(ml, trials=10, rng=RngState(43))
 
@@ -471,10 +468,8 @@ class TestBatchedDegeneracyProbes:
     @example(n=4, r_e=4, extra_d=0, trials=100, seed=3, diagonal=False)
     def test_equals_per_trial_loop_bitwise(self, n, r_e, extra_d, trials, seed, diagonal):
         d = n * r_e + extra_d
-        cfg = AdapterConfig(
-            total_rank=n * r_e, experts=n, input_dim=d, output_dim=d, lora_alpha=8.0
-        )
-        tl = init_layer("talklora", cfg, RngState(seed))
+        cfg = AdapterConfig(total_rank=n * r_e, experts=n, lora_alpha=8.0)
+        tl = init_layer("talklora", cfg, d, d, RngState(seed))
         c = RngState(seed).split("c").generator().normal(size=(n, n))
         tl.c[:] = np.diag(np.diag(c)) if diagonal else c
         report = degeneracy_check(tl, trials, RngState(seed).split("probes"))

@@ -41,6 +41,7 @@ def _trained_stack(method):
 
 def _assert_stacks_equal(a, b):
     assert a.method == b.method
+    assert a.cfg == b.cfg
     assert a.handles == b.handles
     for (h1, p1), (h2, p2) in zip(a.named_parameters(), b.named_parameters()):
         assert h1 == h2

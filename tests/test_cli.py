@@ -757,9 +757,10 @@ class TestGradcheckCommand:
         # lora_alpha 1e308 overflows the oracle's loss: its gradient, and so
         # the relative error, is NaN, which must fail rather than pass
         ({"adapter": {"lora_alpha": 1e308}, "task": {}}, "relative error nan at L"),
-        # the production cross-entropy loss itself overflows on one sample
-        ({"adapter": {**TestConfigTypes.ADAPTER, "lora_alpha": 1e3},
-          "task": TestConfigTypes.TASK, "model_depth": 1, "loss": "softmax-cross-entropy"},
+        # the production cross-entropy loss itself overflows on one sample:
+        # alpha near the float64 maximum makes the logits themselves infinite
+        ({"method": "lora", "adapter": {"total_rank": 1, "experts": 1, "lora_alpha": 1.7e308},
+          "model_depth": 1, "loss": "softmax-cross-entropy", "task": TestConfigTypes.TASK},
          "non-finite loss at sample index 1\n"),
     ], ids=["relative_error_nan", "non_finite_loss"])
     def test_non_finite_error_exits_3_writing_no_file(self, tmp_path, config, failure):
@@ -770,6 +771,19 @@ class TestGradcheckCommand:
         assert code == 3
         assert err.startswith("numerical failure: gradcheck lora share_b=True "
                               f"talking_enabled=True: {failure}")
+
+    def test_cross_entropy_of_a_target_far_behind_the_max_passes(self, tmp_path):
+        # at lora_alpha 1e3 a target's logit trails the row max by more than
+        # 745, so its softmax probability underflows to 0 while the loss,
+        # log-sum-exp minus the target's logit, stays finite
+        doc = {"method": "talklora", "output_dir": str(tmp_path / "out"),
+               "adapter": {**TestConfigTypes.ADAPTER, "lora_alpha": 1e3},
+               "task": TestConfigTypes.TASK, "model_depth": 1, "loss": "softmax-cross-entropy"}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["max_relative_error"] < 1e-8
 
     def test_error_above_tolerance_exits_3_writing_no_file(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -1,7 +1,7 @@
 """Demos 01-04 print the stdout whose SHA-256 ``fixtures/demos-sha256.json`` holds.
 
-Each demo runs as CI's Demos step runs it, ``python -W error <demo>``, in a
-subprocess.  Like the other digests under ``fixtures``, these assume the
+Each demo runs as ``python -W error <demo>`` in a subprocess, as CI's
+Demos step runs demo 05.  Like the other digests under ``fixtures``, these assume the
 numpy build they were recorded with (2.4.6).  Demo 05 takes seconds, so
 it runs only in CI's Demos step.
 """
