@@ -676,6 +676,19 @@ class TestLayerShapeRule:
         stack = build_stack_from_slots("talklora", cfg, slots, RngState(46))
         assert stack.slot_cfg(0) is stack.slot_cfg(1) is stack.cfg is cfg
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_stack_layer_runs_alone_under_the_stack_config(self, method):
+        # w0 is a layer's one source of dims: the stack's own layer and config
+        # pass the single-sample check at every slot, square or not
+        cfg = small_cfg()
+        frozen = build_frozen_stack(16, 6, 2, RngState(49))
+        stack = build_stack_from_slots(method, cfg, frozen_stack_slots(frozen), RngState(50))
+        x = RngState(51).generator().normal(size=16)
+        for layer, ad in zip(frozen, stack.adapters):
+            y, _ = forward_one(layer, ad, x, stack.cfg)
+            assert y.tobytes() == batch_forward(layer.w0, ad, x[None, :], stack.cfg).z[0].tobytes()
+            x = np.tanh(y)
+
 
 class TestZeroInitContractAllFamilies:
     @pytest.mark.parametrize("method", METHODS)
