@@ -257,7 +257,13 @@ class ForwardTrace:
 
 @dataclass
 class LayerCache:
-    """Batched forward intermediates retained for the backward pass."""
+    """Batched forward intermediates retained for the backward pass.
+
+    ``autodiff.backward`` touches only the caches of its own forward: it
+    drops ``delta`` and ``z`` as that forward returns, writes the gate
+    gradients over ``yexp`` and then drops it, and drops each cache once
+    the sweep is past it.  A cache any other caller gets keeps every field.
+    """
 
     x: np.ndarray  # (B, d) clean layer input
     xa: np.ndarray  # (B, d) adapter-path input (after dropout, == x otherwise)

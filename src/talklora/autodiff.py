@@ -12,6 +12,11 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
+A step's temporaries stay few without moving a bit: the sweep writes each
+gated layer's gradients over the (n, B, k) expert outputs of its own
+forward and frees every value after its last reader, and AdamW writes
+into two flat-sized scratch arrays.
+
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
 naive forward kept deliberately independent of the production path and
@@ -65,6 +70,9 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
     # reported with the offending sample index
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "mean-squared-error":
+            if targets.shape != z.shape:  # a broadcast would give a meaningless loss
+                raise ValueError(f"mean-squared-error needs targets of the output's shape "
+                                 f"{z.shape}, got {targets.shape}")
             return np.mean((z - targets) ** 2, axis=1)
         batch, k = z.shape
         if not (targets.shape == (batch,) and np.issubdtype(targets.dtype, np.integer)
@@ -139,10 +147,14 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
 
 
 def _gate_backward(cache, gd):
-    """Gradients at the gate logits (B, n) and at each expert's output (n, B, k)."""
-    g_gates = (gd * cache.yexp).sum(axis=2).T  # (B, n)
+    """Gradients at the gate logits (B, n) and at each expert's output (n, B, k).
+
+    Both (n, B, k) values are written over ``cache.yexp``, its last reader,
+    so ``cache`` must be one that :func:`backward` built for itself.
+    """
+    g_gates = np.multiply(gd, cache.yexp, out=cache.yexp).sum(axis=2).T  # (B, n)
     g_logits = _softmax_backward(cache.gates, g_gates)
-    return g_logits, cache.gates.T[:, :, None] * gd
+    return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=cache.yexp)
 
 
 def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx):
@@ -162,6 +174,8 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx)
         grads = {"router_wg": g_logits.T @ cache.router_in}
     gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
     grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p)
+    del gd, gy  # their last readers are done: free them before the (n, B, d) terms
+    cache.yexp = None
     if layer.e is not None:
         grads["e"] = gh.transpose(0, 2, 1) @ cache.h
         gh = gh @ layer.e
@@ -176,13 +190,16 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx)
     grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
     if not want_gx:
         return None, grads
-    terms = gh @ layer.a  # (n, B, d)
     if layer.router_wg is None:  # the one expert's term, as its output is the delta
-        return terms[0], grads
-    if layer.c is None:
-        # the router read xa: its term first, then each expert's in order,
-        # a fixed float summation order
-        terms = np.concatenate(((g_logits @ layer.router_wg)[None], terms))
+        return (gh @ layer.a)[0], grads
+    if layer.c is not None:
+        return (gh @ layer.a).sum(axis=0), grads  # (n, B, d) terms summed
+    # the router read xa: its term first, then each expert's in order, a
+    # fixed float summation order, all formed in one (n + 1, B, d) array
+    n, batch, _ = gh.shape
+    terms = np.empty((n + 1, batch, layer.a.shape[2]))
+    np.matmul(g_logits, layer.router_wg, out=terms[0])
+    np.matmul(gh, layer.a, out=terms[1:])
     return terms.sum(axis=0), grads
 
 
@@ -209,13 +226,17 @@ def backward(
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError("batch inputs must be a nonempty (batch, d) array")
     z, caches = model_forward(frozen_layers, stack, inputs, dropout_scales)
-    value, gz = loss_and_grad(z, np.asarray(targets), loss)
+    for cache in caches:  # no backward reads them; the last z is held below
+        cache.delta = cache.z = None
+    value, gx = loss_and_grad(z, np.asarray(targets), loss)
+    del z
     grad = np.zeros_like(stack.flat)
-    gx = gz
     for i in reversed(range(len(frozen_layers))):
         if i < len(frozen_layers) - 1:
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
+            caches[i + 1] = None  # its last reader is done
             gx = gx * (1.0 - act * act)
+            del act
         gxa, layer_grads = _layer_backward(stack.adapters[i], stack.cfg, caches[i], gx,
                                            want_gx=i > 0)
         for name, g in layer_grads.items():
@@ -432,13 +453,18 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
     state.step += 1
     bc1 = 1.0 - ADAMW_BETA1**state.step
     bc2 = 1.0 - ADAMW_BETA2**state.step
+    # flat -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)), with every
+    # temporary written into one of two flat-sized scratch arrays
+    t, u = np.empty_like(stack.flat), np.empty_like(stack.flat)
     state.m *= ADAMW_BETA1
-    state.m += (1.0 - ADAMW_BETA1) * grad
+    state.m += np.multiply(1.0 - ADAMW_BETA1, grad, out=t)
     state.v *= ADAMW_BETA2
-    state.v += (1.0 - ADAMW_BETA2) * (grad * grad)
-    stack.flat -= hyper.lr * ((state.m / bc1) / (np.sqrt(state.v / bc2) + ADAMW_EPS))
+    state.v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(grad, grad, out=t), out=t)
+    np.divide(state.m, bc1, out=t)
+    np.add(np.sqrt(np.divide(state.v, bc2, out=u), out=u), ADAMW_EPS, out=u)
+    stack.flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
     if hyper.weight_decay != 0.0:
-        stack.flat -= hyper.lr * hyper.weight_decay * stack.flat
+        stack.flat -= np.multiply(hyper.lr * hyper.weight_decay, stack.flat, out=t)
 
 
 def apply_spectral_clip(stack: AdapterStack) -> None:

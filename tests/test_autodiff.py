@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import re
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from _setup import make_setup, near_degenerate_c
-from talklora import autodiff
+from talklora import autodiff, tasks
 from talklora.adapters import (
     AdapterConfig,
     FrozenLinear,
@@ -27,6 +30,7 @@ from talklora.autodiff import (
     backward,
     finite_difference_oracle,
     gradcheck,
+    loss_and_grad,
     loss_value,
     model_forward,
     stack_adamw_step,
@@ -62,6 +66,19 @@ class TestLossSpec:
         z = RngState(3).generator().normal(size=(4, 8))
         with pytest.raises(ValueError, match=r"one integer class index in \[0, 8\) per row"):
             loss_value(z, targets, CE)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (8, 1), (8,)],
+                             ids=["one_row", "row_vector", "column", "one_per_row"])
+    def test_mean_squared_error_targets_must_have_the_output_shape(self, shape):
+        # the first three would broadcast against the (8, 4) output into a
+        # loss and gradient of nothing in particular
+        z = RngState(3).generator().normal(size=(8, 4))
+        message = f"mean-squared-error needs targets of the output's shape (8, 4), got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss_and_grad(z, np.zeros(shape), MSE)
+        frozen, stack, x, _ = make_setup("talklora", d=4, k=4, batch=8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            backward(stack, frozen, (x, np.zeros(shape)), MSE)
 
 
 class TestBackwardStructure:
@@ -149,6 +166,67 @@ class TestBackwardStructure:
         assert [fl.reads for fl in counting] == [1, 2, 2]
         assert got[0] == expected[0]
         assert np.array_equal(got[1], expected[1])
+
+
+def _cache_bytes(caches):
+    """Each field of each cache as bytes (None where the field is None)."""
+    return [{f.name: None if getattr(cache, f.name) is None else getattr(cache, f.name).tobytes()
+             for f in fields(cache)} for cache in caches]
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("dropout", [False, True], ids=["clean", "dropout"])
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_backward_changes_nothing_its_caller_sees(self, method, dropout):
+        # backward writes over and drops arrays of the caches its own forward
+        # built; caches a caller got from a forward of its own stay as they were
+        frozen, stack, x, t = make_setup(method, seed=9, depth=3)
+        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=10) if dropout else None
+        labels = np.zeros(x.shape[0], dtype=int)
+        data = tasks.ClusterDataset(x, t, labels, x, t, labels)
+        _, direct = model_forward(frozen, stack, x, scales)
+        _, evaluated = tasks.evaluate(stack, frozen, data, MSE)
+        held = [x, t, stack.flat, *(scales or [])]
+        before = [a.tobytes() for a in held], _cache_bytes(direct), _cache_bytes(evaluated)
+        first = backward(stack, frozen, (x, t), MSE, scales)
+        second = backward(stack, frozen, (x, t), MSE, scales)
+        after = [a.tobytes() for a in held], _cache_bytes(direct), _cache_bytes(evaluated)
+        assert after == before
+        assert first[0] == second[0]
+        assert first[1].tobytes() == second[1].tobytes()
+
+    @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
+    def test_step_allocation_budget(self, method, n):
+        """The peak a second step (backward, then AdamW) allocates, d = k = 256.
+
+        The most (B, k) arrays a step must hold at once are in the forward,
+        at the last of two layers: layer 0's cache (n expert outputs, delta
+        and z), the last layer's input, its n expert outputs, and what mixes
+        them into z, at most max(n + 1, 3) at once (the gated product and
+        its sum; LoRA's delta, x w0^T and z).  The sweep holds fewer (B, k)
+        arrays than that, plus the flat gradient; AdamW holds the gradient
+        and two flat scratch arrays.  So (2n + 3 + max(n + 1, 3)) (B, k)
+        arrays and three flat vectors bound the step, with room to spare
+        for the arrays narrower than k.  A sweep that forms the gate
+        gradients beside the expert outputs and keeps every cache to its
+        end, holds more and fails it.
+        """
+        frozen, stack, x, t = make_setup(method, d=256, k=256, r=16, n=n, batch=32)
+        state, hyper = AdamWState(stack), AdamWHyper(lr=1e-3)
+
+        def step():
+            _, grad = backward(stack, frozen, (x, t), MSE)
+            stack_adamw_step(stack, grad, state, hyper)
+
+        step()  # one-time allocations of the first step are not the step's
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = (2 * n + 3 + max(n + 1, 3)) * t.nbytes + 3 * stack.flat.nbytes
+        assert peak < budget
 
 
 # SHA-256 of the gradient vector of make_setup(method, share_b, talking,
