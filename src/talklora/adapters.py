@@ -219,10 +219,12 @@ def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
     """Every array of a ``method`` stack over ``slots`` as a :class:`Site`, lazily.
 
     Sites come in buffer order and allocate nothing, so a caller can stop
-    at the first one that disagrees with what it holds.  A slot whose dims
-    break :func:`layer_layout`'s rule, a slot repeated, or a tag whose slots
-    imply different shapes for a shared array, raises.
+    at the first one that disagrees with what it holds.  No slot at all, a
+    slot whose dims break :func:`layer_layout`'s rule, a slot repeated, or a
+    tag whose slots imply different shapes for a shared array, raises.
     """
+    if not slots:
+        raise ValueError("at least one slot is required")
     holders = {}  # (owner, attribute) -> the site that holds the array
     for i, slot in enumerate(slots):
         for field in layer_layout(method, cfg, slot.d_in, slot.d_out, f"slot {slot.name}"):
@@ -530,8 +532,6 @@ def build_stack_from_slots(
     method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot], rng: RngState
 ) -> AdapterStack:
     """Construct fresh adapters for every slot, slot i drawing from ``init.<slot name>``."""
-    if not slots:
-        raise ValueError("at least one slot is required")
     slots = list(slots)
     return _init_stack(method, cfg, slots, [rng.split(f"init.{s.name}") for s in slots])
 

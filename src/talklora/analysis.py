@@ -282,16 +282,10 @@ def degeneracy_check(
     if n < 2:
         raise ValueError("degeneracy probes need at least 2 experts")
     gen = rng.generator()
-    # each trial's draws in a fixed order: x, j, the A_j noise, the A_2 delta
-    x = np.empty((trials, d))
-    j = np.empty(trials, dtype=np.intp)
-    noise = np.empty((trials, r_e, d))
-    delta_a2 = np.empty((trials, r_e, d))
-    for t in range(trials):
-        x[t] = gen.normal(size=d)
-        j[t] = gen.integers(0, n)
-        noise[t] = gen.normal(size=(r_e, d))
-        delta_a2[t] = gen.normal(size=(r_e, d))
+    x = gen.normal(size=(trials, d))
+    j = gen.integers(0, n, size=trials)
+    noise = gen.normal(size=(trials, r_e, d))
+    delta_a2 = gen.normal(size=(trials, r_e, d))
 
     c = as_matrix(tl.c, "c")
     eye = np.eye(n)

@@ -49,7 +49,7 @@ from .adapters import (
     frozen_stack_slots,
     layer_layout,
 )
-from .autodiff import LossSpec, NumericalError, gradcheck, model_forward
+from .autodiff import LossSpec, NumericalError, gradcheck
 from .checkpoint import (
     CorruptCheckpointError,
     encode_checkpoint,
@@ -466,23 +466,17 @@ def run_gradcheck_suite(config: RunConfig) -> dict:
     rng = RngState(config.seed)
     gen = rng.split("gradcheck.data").generator()
     x = gen.normal(size=(4, d))
-    target_noise = gen.normal(size=(4, k))
+    mse_targets = gen.normal(size=(4, k))  # drawn apart from the model output
     class_targets = gen.integers(0, k, size=4)
+    targets = mse_targets if config.loss.kind == "mean-squared-error" else class_targets
     combos = []
     for method, share_b, talking in plan:
-        cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking,
-                      spectral_clip_c=None)
+        cfg = replace(config.adapter, share_b=share_b, talking_enabled=talking)
         stack = build_stack_from_slots(method, cfg, frozen_stack_slots(frozen), rng)
         for handle, arr in stack.named_parameters():
             if ".B" in handle:  # nonzero B so every path carries gradient
                 g = rng.split(f"fill.{method}.{share_b}.{talking}.{handle}")
                 arr[:] = 0.3 * g.generator().normal(size=arr.shape)
-        if config.loss.kind == "mean-squared-error":
-            # targets near the model output: a small loss, with gradient on every path
-            z0, _ = model_forward(frozen, stack, x)
-            targets = z0 + 0.3 * target_noise
-        else:
-            targets = class_targets
         combo = {"method": method, "share_b": share_b, "talking_enabled": talking}
         try:
             report = gradcheck(stack, frozen, (x, targets), config.loss)

@@ -421,9 +421,14 @@ class TestDegeneracyCheck:
 
 
 def _per_trial_degeneracy(tl, trials, rng):
-    """The three probes one trial at a time through ``_c_mix``: the reference."""
-    n, _, d = tl.a.shape
+    """The three probes one trial at a time through ``_c_mix``: the reference.
+    Its inputs are the same four whole-array draws as ``degeneracy_check``'s."""
+    n, r_e, d = tl.a.shape
     gen = rng.generator()
+    xs = gen.normal(size=(trials, d))
+    js = gen.integers(0, n, size=trials)
+    noises = gen.normal(size=(trials, r_e, d))
+    deltas = gen.normal(size=(trials, r_e, d))
     identity_max = 0.0
     isolation_max = 0.0
     cross_min = np.inf
@@ -432,20 +437,17 @@ def _per_trial_degeneracy(tl, trials, rng):
     cross_c = tl.c.copy()
     if not np.any(cross_c - np.diag(np.diag(cross_c))):
         cross_c[0, 1] = 1.0
-    for _ in range(trials):
-        x = gen.normal(size=d)
+    for x, j, noise, delta_a2 in zip(xs, js, noises, deltas):
         h = tl.a @ x
         identity_max = max(identity_max, float(np.abs(_c_mix(eye, h) - h).max()))
-        j = int(gen.integers(0, n))
         perturbed = tl.a.copy()
-        perturbed[j] += gen.normal(size=perturbed[j].shape)
+        perturbed[j] += noise
         before = _c_mix(diagonal_c, h)
         after = _c_mix(diagonal_c, perturbed @ x)
         others = [i for i in range(n) if i != j]
         isolation_max = max(
             isolation_max, float(np.abs(after[others] - before[others]).max())
         )
-        delta_a2 = gen.normal(size=tl.a[1].shape)
         h_cross = h.copy()
         h_cross[1] = (tl.a[1] + delta_a2) @ x
         change = np.abs(_c_mix(cross_c, h_cross)[0] - _c_mix(cross_c, h)[0])

@@ -16,7 +16,7 @@ from _setup import (
     overflow_router_checkpoint,
     run_cli,
 )
-from talklora import analysis, cli
+from talklora import analysis, autodiff, cli
 from talklora.checkpoint import _PREFIX, load_checkpoint, read_header, save_checkpoint
 from talklora.cli import parse_run_config
 from talklora.linalg import RngState
@@ -701,7 +701,7 @@ class TestConfigEcho:
 class TestDegeneracyReport:
     def test_report_of_the_benchmark_session_is_pinned(self, tmp_path):
         # the talklora run of the benchmark's CLI session at seed 0; the
-        # fixture was written by the one-trial-at-a-time probe loop
+        # fixture was written by the probes' four whole-array draws
         doc = {"method": "talklora", "seed": 0, "output_dir": str(tmp_path / "out"),
                "task": {}, "adapter": {"spectral_clip_c": 1.0}}
         cfg = tmp_path / "config.json"
@@ -753,17 +753,46 @@ class TestGradcheckCommand:
         assert code == 0
         assert json.loads(out)["max_relative_error"] < 1e-8
 
-    @pytest.mark.parametrize("config, failure", [
-        # lora_alpha 1e308 overflows the oracle's loss: its gradient, and so
-        # the relative error, is NaN, which must fail rather than pass
-        ({"adapter": {"lora_alpha": 1e308}, "task": {}}, "relative error nan at L"),
+    @pytest.mark.parametrize("lora_alpha", [1e10, 1e50])
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_large_outputs_keep_the_error_small(self, tmp_path, method, lora_alpha):
+        # depth 1 has no tanh, so only the targets can fail here: outputs are
+        # of order lora_alpha, and targets drawn near them would round away
+        doc = {"method": method, "seed": 0, "output_dir": str(tmp_path / "out"),
+               "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": lora_alpha},
+               "task": {"clusters": 2, "input_dim": 8, "output_dim": 8,
+                        "samples_per_cluster": 40},
+               "model_depth": 1}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run_cli(tmp_path, "gradcheck", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["max_relative_error"] < 1e-8
+
+    @pytest.mark.parametrize("config, nan_in_oracle, failure", [
+        # an oracle gradient that holds one NaN makes that relative error
+        # NaN, which must fail rather than pass
+        ({"task": {}}, True, "relative error nan at L00.16x16.A0\n"),
+        # lora_alpha 1e308 overflows the production mean-squared-error loss
+        ({"adapter": {"lora_alpha": 1e308}, "task": {}}, False,
+         "non-finite loss at sample index 0\n"),
         # the production cross-entropy loss itself overflows on one sample:
         # alpha near the float64 maximum makes the logits themselves infinite
         ({"method": "lora", "adapter": {"total_rank": 1, "experts": 1, "lora_alpha": 1.7e308},
           "model_depth": 1, "loss": "softmax-cross-entropy", "task": TestConfigTypes.TASK},
-         "non-finite loss at sample index 1\n"),
-    ], ids=["relative_error_nan", "non_finite_loss"])
-    def test_non_finite_error_exits_3_writing_no_file(self, tmp_path, config, failure):
+         False, "non-finite loss at sample index 1\n"),
+    ], ids=["relative_error_nan", "non_finite_mse_loss", "non_finite_loss"])
+    def test_non_finite_error_exits_3_writing_no_file(self, tmp_path, monkeypatch, config,
+                                                      nan_in_oracle, failure):
+        if nan_in_oracle:
+            oracle = autodiff.finite_difference_oracle
+
+            def nan_first(*args):
+                grad = oracle(*args)
+                grad[0] = np.nan
+                return grad
+
+            monkeypatch.setattr(autodiff, "finite_difference_oracle", nan_first)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"method": "talklora", "output_dir": str(tmp_path / "out"),
                                    **config}))
@@ -898,6 +927,22 @@ class TestCkptCommand:
         assert code == 4
         assert err == ("artifact corruption: malformed header: the header must be an object, "
                        "got list\n")
+
+    @pytest.mark.parametrize("argv", [("ckpt", "roundtrip"), ("analyze", "--report", "heatmap")],
+                             ids=["roundtrip", "heatmap"])
+    def test_header_without_slots_exits_4(self, tmp_path, argv):
+        # no slots, no records, no aliases and no payload: a layout that holds nothing
+        raw = (FIXTURES / "talklora-v1.tlkl").read_bytes()
+        magic, version, header_len = _PREFIX.unpack_from(raw)
+        header = json.loads(raw[_PREFIX.size:_PREFIX.size + header_len])
+        header.update(slots=[], tensors=[], alias_table={})
+        body = json.dumps(header, sort_keys=True).encode()
+        ckpt = tmp_path / "empty.tlkl"
+        ckpt.write_bytes(_PREFIX.pack(magic, version, len(body)) + body)
+        code, _, err = run_cli(tmp_path, *argv, "--checkpoint", str(ckpt), *(
+            ("--out", str(tmp_path / "reports")) if argv[0] == "analyze" else ()))
+        assert code == 4
+        assert err == "artifact corruption: malformed header: at least one slot is required\n"
 
     def test_tensor_record_beyond_the_slots_exits_4_on_roundtrip(self, tmp_path):
         ckpt = tmp_path / "extra.tlkl"

@@ -288,8 +288,8 @@ class TestCliContract:
            weight_decay=_edge_floats(lambda v: v >= 0),
            dropout=_edge_floats(lambda v: 0 <= v < 1),
            samples_per_cluster=st.sampled_from([1, 4]), batch_size=st.sampled_from([2, 9]))
-    # the oracle's forward and backward round apart at this scaling: exit 3
-    @example(method="talklora", experts=2, expert_rank=1, lora_alpha=1e10, spectral_clip_c=None,
+    # the backward's tanh derivative, 1 - act * act, cancels at this scaling: exit 3
+    @example(method="talklora", experts=2, expert_rank=1, lora_alpha=1e3, spectral_clip_c=None,
              noise_std=1.0, lr=1.0, weight_decay=0.0, dropout=0.0, samples_per_cluster=4,
              batch_size=2)
     def test_edge_floats_and_counts_keep_the_contract(
