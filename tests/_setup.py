@@ -1,10 +1,8 @@
 """Shared builders for small adapted models used across the test suite."""
 
 import contextlib
-import hashlib
 import io
 import json
-import shutil
 import struct
 import warnings
 import zlib
@@ -19,10 +17,12 @@ from talklora.adapters import (
     build_stack_from_slots,
     frozen_stack_slots,
 )
-from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK
+from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK, BALANCE_TRAIN
+from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
 from talklora.checkpoint import _PREFIX, load_checkpoint, save_checkpoint
 from talklora.cli import main
 from talklora.linalg import RngState
+from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
 
 def make_setup(
@@ -77,6 +77,36 @@ def balance_setup(seed):
     return frozen, build_stack_from_slots("talklora", cfg, frozen_stack_slots(frozen), rng)
 
 
+def fixed_dropout_scales(frozen, batch, seed, p=0.25):
+    """Fixed inverted-dropout factors, one (batch, d_in) array per layer."""
+    gen = RngState(seed).generator()
+    return [(gen.uniform(size=(batch, fl.d_in)) >= p) / (1.0 - p) for fl in frozen]
+
+
+def trained_stack(method):
+    """Three clipped AdamW steps from ``make_setup``: the stack the
+    ``<method>-v1.tlkl`` fixtures were saved from."""
+    frozen, stack, x, t = make_setup(method, depth=2, seed=12, spectral_clip_c=1.0)
+    state = AdamWState(stack)
+    for _ in range(3):
+        _, grads = backward(stack, frozen, (x, t), LossSpec())
+        stack_adamw_step(stack, grads, state, AdamWHyper(lr=1e-2))
+    return stack
+
+
+def train_fixture_stack():
+    """Two epochs of ``train`` at the balance dims, with dropout, clip and
+    decay: the stack ``talklora-train-v1.tlkl`` was saved from."""
+    seed = 3
+    data = generate_cluster_task(ClusterTaskSpec(seed=seed, **BALANCE_TASK))
+    frozen, stack = balance_setup(seed)
+    tc = TrainConfig(
+        seed=seed, **{**BALANCE_TRAIN, "epochs": 2, "dropout": 0.05}, weight_decay=0.01
+    )
+    train(stack, frozen, data, tc, LossSpec())
+    return stack
+
+
 def geometry_slots(geom, targets):
     """One slot per (layer, target projection) of a geometry, layer-major,
     targets in the geometry's projection order."""
@@ -124,56 +154,6 @@ def forge_checkpoint(src, dst, edit=None, values=()):
         edit(header)
     body = json.dumps(header, sort_keys=True).encode("utf-8")
     Path(dst).write_bytes(_PREFIX.pack(magic, version, len(body)) + body + payload)
-
-
-ARTIFACT_FIXTURES = (
-    "lora-v1.tlkl", "moelora-v1.tlkl", "talklora-v1.tlkl", "talklora-train-v1.tlkl",
-)
-
-
-def _artifact_session(fixtures):
-    """(label, argv, output dir or None) of each command of the artifact session."""
-    commands = []
-    for name in ARTIFACT_FIXTURES:
-        shutil.copy(fixtures / name, name)
-        for action in ("inspect", "roundtrip"):
-            commands.append((f"ckpt {action} {name}", ["ckpt", action, "--checkpoint", name], None))
-        if name.startswith("talklora"):
-            for report in ("nonexpansive", "heatmap"):
-                out = f"analyze-{name}-{report}"
-                commands.append((f"analyze {name} {report}", ["analyze", "--checkpoint", name,
-                                 "--report", report, "--out", out], out))
-    for method in ("lora", "moelora", "talklora"):
-        for geometry in ("llama2-7b", "llama3-8b", "qwen2.5-7b"):
-            out = f"params-{method}-{geometry}"
-            Path(f"{out}.json").write_text(json.dumps({
-                "method": method, "geometry": geometry, "output_dir": out,
-                "targets": ["Q", "K", "V", "Up", "Down"],
-                "adapter": {"total_rank": 16, "experts": 4}}))
-            commands.append((f"params {method} {geometry}", ["params", "--config", f"{out}.json"],
-                             out))
-    # its router overflows, but the degeneracy probes read only A and C
-    overflow_router_checkpoint("overflow-router.tlkl")
-    commands.append(("analyze overflow-router.tlkl degeneracy", [
-        "analyze", "--checkpoint", "overflow-router.tlkl", "--report", "degeneracy",
-        "--out", "analyze-overflow-router"], "analyze-overflow-router"))
-    reports = {"lora": (), "moelora": ("routing",),
-               "talklora": ("stability", "nonexpansive", "routing", "heatmap", "degeneracy")}
-    for method, method_reports in reports.items():
-        out = f"train-{method}"
-        clip = 1.0 if method == "talklora" else None
-        Path(f"{out}.json").write_text(json.dumps({
-            "method": method, "seed": 3, "output_dir": out, "model_depth": 2,
-            "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "spectral_clip_c": clip},
-            "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
-            "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "warmup_steps": 2,
-                      "eval_every": 4}}))
-        commands.append((f"train {method}", ["train", "--config", f"{out}.json"], out))
-        for report in method_reports:
-            commands.append((f"analyze {out} {report}", ["analyze", "--checkpoint",
-                             f"{out}/checkpoint.tlkl", "--report", report,
-                             "--out", f"{out}-{report}"], f"{out}-{report}"))
-    return commands
 
 
 EXIT_PREFIXES = {  # a failing exit code -> the prefixes of its one stderr line
@@ -235,30 +215,6 @@ def run_cli(root, *argv):
             cells = {cell for line in after[path].decode().splitlines() for cell in line.split(",")}
             assert not cells & {"nan", "inf", "-inf"}, (argv, path)
     return code, out, err
-
-
-def artifact_digests(fixtures):
-    """SHA-256 of every output of one CLI session, run in the working directory.
-
-    The session copies the v1 checkpoints from ``fixtures`` and runs
-    ``ckpt inspect`` and ``ckpt roundtrip`` on each, and the nonexpansive
-    and heatmap reports on the TalkLoRA ones; the degeneracy report on
-    :func:`overflow_router_checkpoint`; ``params`` for three methods
-    on the three bundled geometries; and one small ``train`` per family,
-    with every report that its checkpoint supports.  Keys are
-    ``<command>: stdout`` and ``<command>: <file>`` for each file the
-    command writes.  Every path is relative to the working directory, so
-    no digest depends on where the session runs.
-    """
-    digests = {}
-    for label, argv, out in _artifact_session(Path(fixtures)):
-        code, stdout, _ = run_cli(".", *argv)
-        if code != 0:
-            raise AssertionError(f"{label} exited {code}")
-        digests[f"{label}: stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-        for path in sorted(Path(out).iterdir()) if out else ():
-            digests[f"{label}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
 
 
 def overflow_router_checkpoint(path):

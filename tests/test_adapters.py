@@ -1,14 +1,12 @@
-import hashlib
-import json
 import re
 import tracemalloc
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _setup import balance_setup, geometry_slots
+import pins
+from _setup import geometry_slots
 from talklora import linalg
 from talklora.adapters import (
     _c_mix,
@@ -702,47 +700,25 @@ class TestZeroInitContractAllFamilies:
             assert np.array_equal(forward_one(layer, ad, x, cfg)[0], layer.w0 @ x)
 
 
-FLAT_DIGESTS = json.loads(
-    (Path(__file__).parent / "fixtures" / "stack-flat-sha256.json").read_text()
-)
-TWO_TAG_SLOTS = [LayerSlot(0, "Q", 8, 8), LayerSlot(0, "V", 8, 4),
-                 LayerSlot(1, "Q", 8, 8), LayerSlot(1, "V", 8, 4)]
-FAMILY_CASES = [(m, share_b) for m in ("lora", "moelora", "talklora") for share_b in (True, False)]
-
-
-def _two_tag_stack(method, share_b):
-    cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=share_b)
-    return build_stack_from_slots(method, cfg, TWO_TAG_SLOTS, RngState(21))
-
-
-def _sha256(stack):
-    return hashlib.sha256(stack.flat.tobytes()).hexdigest()
-
-
 class TestInPlaceBuild:
     """Stacks are drawn straight into ``flat``, bit for bit as before.
 
-    ``tests/fixtures/stack-flat-sha256.json`` holds the SHA-256 of ``flat``
-    for ``_two_tag_stack(method, share_b)`` (key ``<method>-share_b-<on>``)
-    and ``balance_setup(seed)`` (key ``balance-seed<seed>``), written by the
-    code that drew each layer's arrays on their own and concatenated them.
+    The pins ``flat/<method>-share_b-<on>`` and ``flat/balance-seed<seed>``
+    of ``tests/pins.py`` hold the SHA-256 of ``flat`` for
+    ``two_tag_stack(method, share_b)`` and ``balance_setup(seed)``, first
+    recorded by the code that drew each layer's arrays on their own and
+    concatenated them.
     """
 
-    @pytest.mark.parametrize("method,share_b", FAMILY_CASES)
-    def test_flat_matches_recorded_digest(self, method, share_b):
-        key = f"{method}-share_b-{share_b}".lower()
-        assert _sha256(_two_tag_stack(method, share_b)) == FLAT_DIGESTS[key]
+    @pytest.mark.parametrize("key", list(pins.flat_pins()))
+    def test_flat_matches_recorded_digest(self, key):
+        pins.assert_pinned(key)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_balance_flat_matches_recorded_digest(self, seed):
-        assert _sha256(balance_setup(seed)[1]) == FLAT_DIGESTS[f"balance-seed{seed}"]
-
-    @pytest.mark.parametrize("method,share_b", FAMILY_CASES)
-    def test_digest_holds_when_every_draw_is_cut_into_chunks(self, monkeypatch, method, share_b):
+    @pytest.mark.parametrize("key", [key for key in pins.flat_pins() if "share_b" in key])
+    def test_digest_holds_when_every_draw_is_cut_into_chunks(self, monkeypatch, key):
         monkeypatch.setattr(linalg, "_FILL_CHUNK", 4)
         monkeypatch.setattr(linalg, "_fill_threads", lambda: 3)
-        key = f"{method}-share_b-{share_b}".lower()
-        assert _sha256(_two_tag_stack(method, share_b)) == FLAT_DIGESTS[key]
+        pins.assert_pinned(key)
 
     def test_single_layers_draw_as_a_one_slot_stack(self):
         cfg, rng, slot = small_cfg(), RngState(31), LayerSlot(0, "Q", 8, 8)

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import re
 import tracemalloc
@@ -7,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from _setup import make_setup, near_degenerate_c
+import pins
+from _setup import fixed_dropout_scales, make_setup, near_degenerate_c
 from talklora import autodiff, tasks
 from talklora.adapters import (
     AdapterConfig,
@@ -159,7 +159,7 @@ class TestBackwardStructure:
         # the forward reads each w0 once; the backward reads it again only
         # to pass the gradient below a layer, which layer 0 never needs
         frozen, stack, x, t = make_setup(method, seed=17, depth=3)
-        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=18)
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=18)
         expected = backward(stack, frozen, (x, t), MSE, scales)
         counting = [_CountingFrozen(fl) for fl in frozen]
         got = backward(stack, counting, (x, t), MSE, scales)
@@ -181,7 +181,7 @@ class TestStepBuffers:
         # backward writes over and drops arrays of the caches its own forward
         # built; caches a caller got from a forward of its own stay as they were
         frozen, stack, x, t = make_setup(method, seed=9, depth=3)
-        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=10) if dropout else None
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=10) if dropout else None
         labels = np.zeros(x.shape[0], dtype=int)
         data = tasks.ClusterDataset(x, t, labels, x, t, labels)
         _, direct = model_forward(frozen, stack, x, scales)
@@ -229,29 +229,14 @@ class TestStepBuffers:
         assert peak < budget
 
 
-# SHA-256 of the gradient vector of make_setup(method, share_b, talking,
-# seed=5, depth=3, batch=8) under _fixed_dropout_scales(seed=6), recorded
-# while MoELoRA and TalkLoRA still ran separate backward functions: the one
-# gated backward must reproduce each family's gradient bit for bit
-GRADIENT_DIGESTS = {
-    ("lora", True, True): "adac2c08f9b666f6f9be1ce3aaf95a02c409e3b6a70622e0e339f440c98c95af",
-    ("moelora", True, True): "9609b5072fdce665694b906e580870cf207064071b67ba5c5ed69cd7ec5d2b75",
-    ("talklora", True, True): "6c22ea6a3eca34b8b4a06611fbc8c38d3dc2d46a90478df1c32171d9c6ffd8a1",
-    ("talklora", False, True): "b24bc6caae07bd0342c9faf63b0861750ea1d439168a0c52b88c8e504226bedd",
-    ("talklora", True, False): "09a99975e840211d37a4a2603ff1b02449242be0343f8fecbf730512f387a09a",
-    ("talklora", False, False): "190fab7a532e2a13360757dbe617994166e091c366808dbe06a66a242afdd0d6",
-}
-
-
 class TestGradientDigests:
-    @pytest.mark.parametrize("method, share_b, talking", list(GRADIENT_DIGESTS))
-    def test_gradient_matches_recorded_digest(self, method, share_b, talking):
-        frozen, stack, x, t = make_setup(method, share_b=share_b, talking=talking, seed=5,
-                                         depth=3, batch=8)
-        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=6)
-        _, grad = backward(stack, frozen, (x, t), MSE, scales)
-        digest = hashlib.sha256(grad.tobytes()).hexdigest()
-        assert digest == GRADIENT_DIGESTS[method, share_b, talking]
+    """The pins ``gradient/<config>`` of ``tests/pins.py``: the gradient of
+    each family and flag setting, first recorded while MoELoRA and TalkLoRA
+    still ran separate backward functions."""
+
+    @pytest.mark.parametrize("key", list(pins.gradient_pins()))
+    def test_gradient_matches_recorded_digest(self, key):
+        pins.assert_pinned(key)
 
 
 class _CountingFrozen:
@@ -265,12 +250,6 @@ class _CountingFrozen:
     def w0(self):
         self.reads += 1
         return self._w0
-
-
-def _fixed_dropout_scales(frozen, batch, seed, p=0.25):
-    """Fixed inverted-dropout factors, one (batch, d_in) array per layer."""
-    gen = RngState(seed).generator()
-    return [(gen.uniform(size=(batch, fl.d_in)) >= p) / (1.0 - p) for fl in frozen]
 
 
 def _fresh():
@@ -350,7 +329,7 @@ def _grid_case(method, depth, share_b, talking, dropout, kind, d=4, k=4, r=2):
     if kind == CE.kind:
         t = RngState(5).generator().integers(0, k, size=x.shape[0])
     scales = (
-        _fixed_dropout_scales(frozen, x.shape[0], seed=7, p=dropout) if dropout else None
+        fixed_dropout_scales(frozen, x.shape[0], seed=7, p=dropout) if dropout else None
     )
     return stack, frozen, (x, t), LossSpec(kind), scales
 
@@ -498,7 +477,7 @@ class TestGradcheck:
 
     def test_fixed_dropout_masks(self):
         frozen, stack, x, t = make_setup("talklora", seed=14)
-        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=15)
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=15)
         report = gradcheck(stack, frozen, (x, t), MSE, dropout_scales=scales)
         assert report.max_relative_error < 1e-6, report.worst_handle
 
@@ -506,7 +485,7 @@ class TestGradcheck:
     def test_depth_one_with_dropout(self, method):
         # the only layer is layer 0, where the sweep stops
         frozen, stack, x, t = make_setup(method, seed=19, depth=1)
-        scales = _fixed_dropout_scales(frozen, x.shape[0], seed=20)
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=20)
         report = gradcheck(stack, frozen, (x, t), MSE, dropout_scales=scales)
         assert report.max_relative_error < 1e-6, report.worst_handle
 

@@ -7,36 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _setup import balance_setup, forge_checkpoint, make_setup, run_cli
+import pins
+from _setup import forge_checkpoint, make_setup, run_cli, train_fixture_stack, trained_stack
 from talklora import linalg
 from talklora.adapters import AdapterConfig, LayerSlot, build_stack_from_slots
-from talklora.analysis import BALANCE_TASK, BALANCE_TRAIN
 from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
 from talklora.checkpoint import (
     _PREFIX,
     CorruptCheckpointError,
     FORMAT_VERSION,
     MAGIC,
-    encode_checkpoint,
     load_checkpoint,
     read_header,
     save_checkpoint,
 )
 from talklora.linalg import RngState
-from talklora.tasks import ClusterTaskSpec, TrainConfig, generate_cluster_task, train
 
 RUN_CONFIG = {"method": "talklora", "seed": 7, "note": "fixture"}
+TRAIN_RUN_CONFIG = {"method": "talklora", "seed": 3, "note": "train fixture"}
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _trained_stack(method):
-    """Three clipped AdamW steps from ``make_setup``: the stack of the v1 fixtures."""
-    frozen, stack, x, t = make_setup(method, depth=2, seed=12, spectral_clip_c=1.0)
-    state = AdamWState(stack)
-    for _ in range(3):
-        _, grads = backward(stack, frozen, (x, t), LossSpec())
-        stack_adamw_step(stack, grads, state, AdamWHyper(lr=1e-2))
-    return stack
 
 
 def _assert_stacks_equal(a, b):
@@ -216,28 +205,60 @@ class TestCorruptionDetection:
         _assert_stacks_equal(stack, load_checkpoint(path)[0])
 
 
-class TestFormatV1Fixtures:
-    """Format v1 checkpoints written by earlier code.
+V1_RUN_CONFIGS = {"lora-v1.tlkl": RUN_CONFIG, "moelora-v1.tlkl": RUN_CONFIG,
+                  "talklora-v1.tlkl": RUN_CONFIG, "talklora-train-v1.tlkl": TRAIN_RUN_CONFIG}
 
-    Each ``tests/fixtures/<method>-v1.tlkl`` is ``save_checkpoint(path,
-    _trained_stack(method), RUN_CONFIG)``.  The lora and moelora files come
-    from the code that kept every expert in its own array.  The talklora
-    file was rewritten when the C clip moved from power iteration to the
-    exact spectral norm, which moves every clipped tensor by up to 2e-13
-    relative; the old file still loaded and re-saved byte for byte.
-    Loading one must give today's ``_trained_stack`` bit for bit, and
-    re-saving must give the same file.
+
+class TestFormatV1Fixtures:
+    """Format v1 checkpoints written by earlier code: format evidence only.
+
+    The lora and moelora files come from the code that kept every expert
+    in its own array; ``talklora-train-v1.tlkl`` from the code that still
+    drew one dropout mask per layer, clipped each C with its own SVD and
+    gathered a handle-keyed gradient dict for AdamW.  ``talklora-v1.tlkl``
+    was rewritten once, when the C clip moved from power iteration to the
+    exact spectral norm; the old file still loaded and re-saved byte for
+    byte.  No change rewrites them now.  Each must load, re-save byte for byte, and hold the ``flat``
+    that its pin ``fixture/<file>`` of ``tests/pins.py`` records.  What
+    today's training computes is pinned apart, by ``TestTrainingPins``.
     """
 
-    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
-    def test_fixture_loads_bit_identically(self, tmp_path, method):
-        path = FIXTURES / f"{method}-v1.tlkl"
+    @pytest.mark.parametrize("name", list(V1_RUN_CONFIGS))
+    def test_fixture_loads_and_resaves_byte_for_byte(self, tmp_path, name):
+        path = FIXTURES / name
         loaded, run_config = load_checkpoint(path)
-        assert run_config == RUN_CONFIG
-        _assert_stacks_equal(_trained_stack(method), loaded)
+        assert run_config == V1_RUN_CONFIGS[name]
         resaved = tmp_path / "resaved.tlkl"
         save_checkpoint(resaved, loaded, run_config)
         assert resaved.read_bytes() == path.read_bytes()
+        pins.assert_pinned(f"fixture/{name}")
+
+
+class TestTrainingPins:
+    """Today's training reproduces the stacks the v1 fixtures were saved from.
+
+    The pins ``trained/<method>`` hold the ``flat`` of
+    ``trained_stack(method)``, three clipped AdamW steps, and
+    ``trained/talklora-train`` that of ``train_fixture_stack()``, which
+    covers the dropout draw, AdamW with weight decay and the C clip through
+    the training loop.  Each stack keeps its fixture's method, config and
+    handles.  They hold the fixture keys' values until a change moves
+    training bits; then the recorder rewrites these keys and no file.
+    """
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_trained_stack_matches_its_pin(self, method):
+        self._check(trained_stack(method), f"{method}-v1.tlkl", f"trained/{method}")
+
+    def test_train_matches_its_pin(self):
+        self._check(train_fixture_stack(), "talklora-train-v1.tlkl", "trained/talklora-train")
+
+    @staticmethod
+    def _check(stack, fixture, key):
+        loaded, _ = load_checkpoint(FIXTURES / fixture)
+        assert (stack.method, stack.cfg, stack.handles) == (loaded.method, loaded.cfg,
+                                                             loaded.handles)
+        pins.assert_digests({key: pins.flat_digest(stack)})
 
 
 class TestLoRAHeaderExperts:
@@ -262,11 +283,6 @@ V1_FIXTURES = sorted(FIXTURES.glob("*-v1.tlkl"))
 
 class TestLoadIntoFlat:
     """A load reads the payload into ``flat`` in one pass and draws nothing."""
-
-    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.name)
-    def test_fixture_resaves_byte_for_byte(self, path):
-        loaded, run_config = load_checkpoint(path)
-        assert b"".join(encode_checkpoint(loaded, run_config)) == path.read_bytes()
 
     @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.name)
     def test_load_makes_no_draw(self, monkeypatch, path):
@@ -382,44 +398,13 @@ class TestNonFinitePayload:
 
     @pytest.mark.parametrize("handle", ["L00.8x8.A1", "shared.8x8.B0", "L01.8x8.C"])
     def test_save_refuses_before_opening_the_file(self, tmp_path, handle):
-        stack = _trained_stack("talklora")
+        stack = trained_stack("talklora")
         stack.parameter(handle)[0, -1] = np.nan
         path = tmp_path / "nan.tlkl"
         message = f"^tensor {re.escape(repr(handle))} holds a non-finite value$"
         with pytest.raises(ValueError, match=message):
             save_checkpoint(path, stack, RUN_CONFIG)
         assert not path.exists()
-
-
-TRAIN_RUN_CONFIG = {"method": "talklora", "seed": 3, "note": "train fixture"}
-
-
-def _train_fixture_stack():
-    """Two epochs of ``train`` at the balance dims, with dropout, clip and decay."""
-    seed = TRAIN_RUN_CONFIG["seed"]
-    data = generate_cluster_task(ClusterTaskSpec(seed=seed, **BALANCE_TASK))
-    frozen, stack = balance_setup(seed)
-    tc = TrainConfig(
-        seed=seed, **{**BALANCE_TRAIN, "epochs": 2, "dropout": 0.05}, weight_decay=0.01
-    )
-    train(stack, frozen, data, tc, LossSpec())
-    return stack
-
-
-class TestTrainFixture:
-    """``tests/fixtures/talklora-train-v1.tlkl`` pins what ``train`` computes.
-
-    The file is ``save_checkpoint(path, _train_fixture_stack(),
-    TRAIN_RUN_CONFIG)``, written by the code that still drew one dropout
-    mask per layer, clipped each C with its own SVD and gathered a
-    handle-keyed gradient dict for AdamW.  It covers the dropout draw,
-    AdamW with weight decay and the C clip through the training loop.
-    """
-
-    def test_train_reproduces_fixture_bit_for_bit(self, tmp_path):
-        path = tmp_path / "train.tlkl"
-        save_checkpoint(path, _train_fixture_stack(), TRAIN_RUN_CONFIG)
-        assert path.read_bytes() == (FIXTURES / "talklora-train-v1.tlkl").read_bytes()
 
 
 class TestHeader:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import shutil
@@ -9,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pins
 from _setup import (
-    artifact_digests,
     forge_checkpoint,
     make_setup,
     overflow_router_checkpoint,
@@ -20,11 +19,8 @@ from talklora import analysis, autodiff, cli
 from talklora.checkpoint import _PREFIX, load_checkpoint, read_header, save_checkpoint
 from talklora.cli import parse_run_config
 from talklora.linalg import RngState
-from test_autodiff import GRADIENT_DIGESTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# written by the code that still formatted each artifact in its own function
-ARTIFACT_DIGESTS = json.loads((FIXTURES / "artifacts-sha256.json").read_text())
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -633,8 +629,8 @@ class TestAnalyzeLibraryCheckpoints:
         assert code == 0
         assert json.loads(stdout)["report"] == report
         artifact = self.STACK_REPORTS[report]
-        digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
-        assert digest == ARTIFACT_DIGESTS[f"analyze {fixture} {report}: {artifact}"]
+        pins.assert_digests({f"session/analyze {fixture} {report}: {artifact}":
+                             pins.sha256((out / artifact).read_bytes())})
 
     @pytest.mark.parametrize("fixture", CHECKPOINTS)
     @pytest.mark.parametrize("report", ["stability", "degeneracy", "routing"])
@@ -699,19 +695,10 @@ class TestConfigEcho:
 
 
 class TestDegeneracyReport:
-    def test_report_of_the_benchmark_session_is_pinned(self, tmp_path):
+    def test_report_of_the_benchmark_session_is_pinned(self):
         # the talklora run of the benchmark's CLI session at seed 0; the
-        # fixture was written by the probes' four whole-array draws
-        doc = {"method": "talklora", "seed": 0, "output_dir": str(tmp_path / "out"),
-               "task": {}, "adapter": {"spectral_clip_c": 1.0}}
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(doc))
-        assert run_cli(tmp_path, "train", "--config", str(cfg))[0] == 0
-        ckpt = tmp_path / "out" / "checkpoint.tlkl"
-        assert run_cli(tmp_path, "analyze", "--checkpoint", str(ckpt),
-                       "--report", "degeneracy")[0] == 0
-        expected = (FIXTURES / "degeneracy-talklora-seed0.json").read_bytes()
-        assert (tmp_path / "out" / "degeneracy.json").read_bytes() == expected
+        # pin was last recorded after the probes' four whole-array draws
+        pins.assert_pinned("degeneracy/talklora-seed0")
 
 
 class TestGradcheckCommand:
@@ -729,7 +716,7 @@ class TestGradcheckCommand:
         # generalizes once: the configurations whose gradients are pinned
         assert len(report["combinations"]) == 6
         keys = [(c["method"], c["share_b"], c["talking_enabled"]) for c in report["combinations"]]
-        assert sorted(keys) == sorted(GRADIENT_DIGESTS)
+        assert sorted(keys) == sorted(pins.GRADIENT_CONFIGS)
 
     def test_single_expert_collapse_config_passes(self, tmp_path):
         cfg = write_config(
@@ -994,9 +981,10 @@ class TestCkptCommand:
 
 
 class TestArtifacts:
-    def test_session_outputs_match_recorded_digests(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert artifact_digests(FIXTURES) == ARTIFACT_DIGESTS
+    def test_session_outputs_match_recorded_digests(self):
+        # first recorded by the code that still formatted each artifact in
+        # its own function
+        pins.assert_pinned(*pins.session_pins())
 
     @pytest.mark.parametrize("report,code,message", [
         ("stability", 3, "stability.json: certificates[0].beta is inf"),
