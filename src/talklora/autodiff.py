@@ -190,17 +190,10 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx)
     grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
     if not want_gx:
         return None, grads
-    if layer.router_wg is None:  # the one expert's term, as its output is the delta
-        return (gh @ layer.a)[0], grads
-    if layer.c is not None:
-        return (gh @ layer.a).sum(axis=0), grads  # (n, B, d) terms summed
-    # the router read xa: its term first, then each expert's in order, a
-    # fixed float summation order, all formed in one (n + 1, B, d) array
-    n, batch, _ = gh.shape
-    terms = np.empty((n + 1, batch, layer.a.shape[2]))
-    np.matmul(g_logits, layer.router_wg, out=terms[0])
-    np.matmul(gh, layer.a, out=terms[1:])
-    return terms.sum(axis=0), grads
+    gx = (gh @ layer.a).sum(axis=0)  # the (n, B, d) expert terms summed
+    if layer.router_wg is not None and layer.c is None:  # the router read xa
+        gx += g_logits @ layer.router_wg
+    return gx, grads
 
 
 def backward(
