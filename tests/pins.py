@@ -275,8 +275,8 @@ def fixture_pins():
 
 
 def trained_pins():
-    """``flat`` of ``trained_stack(method)`` and of ``train_fixture_stack()``,
-    which equal the v1 files' until a change moves training bits."""
+    """``flat`` of ``trained_stack(method)`` and of ``train_fixture_stack()``:
+    a change that moves training bits moves these keys, never a v1 file."""
     pins = {f"trained/{method}": lambda method=method: flat_digest(trained_stack(method))
             for method in METHODS}
     pins["trained/talklora-train"] = lambda: flat_digest(train_fixture_stack())
@@ -340,8 +340,8 @@ def assert_pinned(*keys):
 
 
 def main(argv=None, manifest=MANIFEST, kinds=KINDS):
-    parser = argparse.ArgumentParser(prog="python tests/pins.py", description=__doc__.split(
-        "\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="python tests/pins.py",
+                                     description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check", help="print the keys whose digest moved; exit 1 if any moved")
     record = sub.add_parser("record", help="rewrite the manifest if exactly the declared "

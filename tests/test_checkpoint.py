@@ -218,9 +218,10 @@ class TestFormatV1Fixtures:
     gathered a handle-keyed gradient dict for AdamW.  ``talklora-v1.tlkl``
     was rewritten once, when the C clip moved from power iteration to the
     exact spectral norm; the old file still loaded and re-saved byte for
-    byte.  No change rewrites them now.  Each must load, re-save byte for byte, and hold the ``flat``
-    that its pin ``fixture/<file>`` of ``tests/pins.py`` records.  What
-    today's training computes is pinned apart, by ``TestTrainingPins``.
+    byte.  No change rewrites them now.  Each must load, re-save byte for
+    byte, and hold the ``flat`` that its pin ``fixture/<file>`` of
+    ``tests/pins.py`` records.  What today's training computes is pinned
+    apart, by ``TestTrainingPins``.
     """
 
     @pytest.mark.parametrize("name", list(V1_RUN_CONFIGS))
@@ -235,15 +236,15 @@ class TestFormatV1Fixtures:
 
 
 class TestTrainingPins:
-    """Today's training reproduces the stacks the v1 fixtures were saved from.
+    """Today's training of the stacks the v1 fixtures were saved from.
 
     The pins ``trained/<method>`` hold the ``flat`` of
     ``trained_stack(method)``, three clipped AdamW steps, and
     ``trained/talklora-train`` that of ``train_fixture_stack()``, which
     covers the dropout draw, AdamW with weight decay and the C clip through
     the training loop.  Each stack keeps its fixture's method, config and
-    handles.  They hold the fixture keys' values until a change moves
-    training bits; then the recorder rewrites these keys and no file.
+    handles.  A change that moves training bits re-records these keys
+    through the recorder and rewrites no file.
     """
 
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])

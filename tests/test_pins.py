@@ -9,15 +9,12 @@ import pins
 
 def test_manifest_keys_are_the_pinned_keys():
     # key lists only: no pin is computed
-    recorded = pins.read_manifest()["pins"]
+    manifest = pins.read_manifest()
+    assert set(manifest) == {"stamp", "pins"} and set(manifest["stamp"]) == {"numpy", "blas"}
     listed = pins.pin_functions()
-    assert sorted(recorded.keys() - listed.keys()) == []  # no orphan
-    assert sorted(listed.keys() - recorded.keys()) == []  # no unpinned value
+    assert sorted(manifest["pins"].keys() - listed.keys()) == []  # no orphan
+    assert sorted(listed.keys() - manifest["pins"].keys()) == []  # no unpinned value
     assert len(listed) == sum(len(kind()) for kind in pins.KINDS)  # no key in two kinds
-
-
-def test_manifest_stamps_the_build():
-    assert set(pins.read_manifest()["stamp"]) == {"numpy", "blas"}
 
 
 def _stub_kind(**digests):
