@@ -261,10 +261,14 @@ class ForwardTrace:
 class LayerCache:
     """Batched forward intermediates retained for the backward pass.
 
+    It holds no (n, B, k) expert outputs: the forward mixes them into
+    ``delta`` and drops them, and :func:`_expert_outputs` forms them again
+    from ``h`` or ``p``, bit for bit, for whoever reads them later.
     ``autodiff.backward`` touches only the caches of its own forward: it
-    drops ``delta`` and ``z`` as that forward returns, writes the gate
-    gradients over ``yexp`` and then drops it, and drops each cache once
-    the sweep is past it.  A cache any other caller gets keeps every field.
+    drops ``delta`` and ``z`` as that forward returns, writes the tanh
+    derivative over a layer's ``x`` once that layer's backward is done,
+    and drops each cache once the sweep is past it.  A cache any other
+    caller gets keeps every field.
     """
 
     x: np.ndarray  # (B, d) clean layer input
@@ -273,15 +277,15 @@ class LayerCache:
     router_in: Optional[np.ndarray]  # what router_wg multiplied, (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n); both None for a layer without a router
     p: Optional[np.ndarray]  # (n, B, r_e) E_i h_i when the layer holds E
-    yexp: np.ndarray  # (n, B, k) unweighted expert outputs
-    delta: np.ndarray  # (B, k)
-    z: np.ndarray  # (B, k) = x @ w0.T + delta
+    delta: Optional[np.ndarray] = None  # (B, k)
+    z: Optional[np.ndarray] = None  # (B, k) = x @ w0.T + delta
 
 
-def _gate_mix(gates: np.ndarray, yexp: np.ndarray) -> np.ndarray:
-    """sum_i g_i y_i for (B, n) gates and (n, B, k) expert outputs."""
-    # added along the expert axis in expert order, as a loop over experts would
-    return (gates.T[:, :, None] * yexp).sum(axis=0)
+def _expert_outputs(layer: AdapterLayer, cache: LayerCache) -> np.ndarray:
+    """The (n, B, k) unweighted expert outputs B_i E_i h_i (B_i h_i without E),
+    a fresh array: the one product that forms them, in the forward and again
+    in the backward, so both read the same bits."""
+    return (cache.h if cache.p is None else cache.p) @ layer.b.transpose(0, 2, 1)
 
 
 def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
@@ -291,23 +295,30 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     The arrays the layer holds set what differs: each expert reads its
     h_i, or p_i = E_i h_i when the layer holds E; a layer with a router
     mixes the experts by the gates of what :func:`_router_input` gives,
-    and one without (LoRA's one expert) adds that expert's output.
+    and one without (LoRA's one expert) adds that expert's output.  The
+    expert outputs are mixed in place and dropped before z is formed.
     """
     xa = x if xa is None else xa
     h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
     # experts use the uncommunicated h
     p = None if layer.e is None else h @ layer.e.transpose(0, 2, 1)
-    yexp = (h if p is None else p) @ layer.b.transpose(0, 2, 1)  # (n, B, k)
     router_in = gates = None
     if layer.router_wg is not None:
         router_in = _router_input(layer, xa, h, cfg.talking_enabled)
         gates = softmax_rows(router_in @ layer.router_wg.T)
-    delta = cfg.scaling * (yexp[0] if gates is None else _gate_mix(gates, yexp))
-    return LayerCache(
-        x=x, xa=xa,
-        h=h, router_in=router_in, gates=gates, p=p, yexp=yexp,
-        delta=delta, z=x @ w0.T + delta,
-    )
+    cache = LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p)
+    yexp = _expert_outputs(layer, cache)  # (n, B, k)
+    if gates is None:
+        cache.delta = np.multiply(cfg.scaling, yexp, out=yexp)[0]
+    else:
+        # sum_i g_i y_i, added along the expert axis in expert order, as a
+        # loop over experts would
+        cache.delta = np.multiply(gates.T[:, :, None], yexp, out=yexp).sum(axis=0)
+        cache.delta *= cfg.scaling
+    del yexp
+    cache.z = x @ w0.T
+    cache.z += cache.delta
+    return cache
 
 
 def lora_batch_forward(w0: np.ndarray, ad: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
@@ -382,7 +393,8 @@ def forward_one(layer: FrozenLinear, adapter: AdapterLayer, x,
     h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
     gates = None if cache.gates is None else cache.gates[0].copy()
     return cache.z[0], ForwardTrace(h=h, h_tilde=h_tilde, gates=gates,
-                                    expert_outputs=cache.yexp[:, 0], delta=cache.delta[0])
+                                    expert_outputs=_expert_outputs(adapter, cache)[:, 0],
+                                    delta=cache.delta[0])
 
 
 def lora_merge(layer: FrozenLinear, ad: AdapterLayer, cfg: AdapterConfig) -> np.ndarray:

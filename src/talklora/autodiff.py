@@ -12,10 +12,13 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
-A step's temporaries stay few without moving a bit: the sweep writes each
-gated layer's gradients over the (n, B, k) expert outputs of its own
-forward and frees every value after its last reader, and AdamW writes
-into two flat-sized scratch arrays.
+A step's temporaries stay few without moving a bit.  No layer's (n, B, k)
+expert outputs outlive its forward: the sweep forms them again from the
+cached h or E h, by the forward's own product, and writes the gate
+gradients over them.  It writes the tanh derivative over the activation
+it is taken from, frees every value after its last reader, and AdamW
+runs in blocks of ``ADAMW_BLOCK`` scalars with two block-sized scratch
+arrays.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -42,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterLayer, AdapterStack, _c_mix, batch_forward
+from .adapters import (AdapterConfig, AdapterLayer, AdapterStack, _c_mix, _expert_outputs,
+                       batch_forward)
 from .linalg import _all_finite, softmax_rows, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
@@ -146,15 +150,17 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
     return gates * (g_gates - inner)
 
 
-def _gate_backward(cache, gd):
+def _gate_backward(layer: AdapterLayer, cache, gd):
     """Gradients at the gate logits (B, n) and at each expert's output (n, B, k).
 
-    Both (n, B, k) values are written over ``cache.yexp``, its last reader,
-    so ``cache`` must be one that :func:`backward` built for itself.
+    The expert outputs are formed again by :func:`~talklora.adapters._expert_outputs`,
+    the forward's own product, so they match its bits; both (n, B, k)
+    values are written over that fresh array, and ``cache`` is only read.
     """
-    g_gates = np.multiply(gd, cache.yexp, out=cache.yexp).sum(axis=2).T  # (B, n)
+    yexp = _expert_outputs(layer, cache)
+    g_gates = np.multiply(gd, yexp, out=yexp).sum(axis=2).T  # (B, n)
     g_logits = _softmax_backward(cache.gates, g_gates)
-    return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=cache.yexp)
+    return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=yexp)
 
 
 def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx):
@@ -170,12 +176,11 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx)
     if layer.router_wg is None:
         gy, grads = gd[None], {}  # (1, B, k) at the one expert's output
     else:
-        g_logits, gy = _gate_backward(cache, gd)
+        g_logits, gy = _gate_backward(layer, cache, gd)
         grads = {"router_wg": g_logits.T @ cache.router_in}
     gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
     grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p)
     del gd, gy  # their last readers are done: free them before the (n, B, d) terms
-    cache.yexp = None
     if layer.e is not None:
         grads["e"] = gh.transpose(0, 2, 1) @ cache.h
         gh = gh @ layer.e
@@ -228,16 +233,20 @@ def backward(
         if i < len(frozen_layers) - 1:
             act = caches[i + 1].x  # tanh(z_i), stored as the next layer's input
             caches[i + 1] = None  # its last reader is done
-            gx = gx * (1.0 - act * act)
+            # 1 - act * act, written over act, which this forward made and nothing else holds
+            gx *= np.subtract(1.0, np.multiply(act, act, out=act), out=act)
             del act
         gxa, layer_grads = _layer_backward(stack.adapters[i], stack.cfg, caches[i], gx,
                                            want_gx=i > 0)
         for name, g in layer_grads.items():
             grad[stack.ranges[i][name]] += g.reshape(-1)
+        del g, layer_grads
         if i > 0:
             if dropout_scales is not None:
-                gxa = gxa * dropout_scales[i]  # back through the adapter path's dropout
-            gx = gx @ frozen_layers[i].w0 + gxa
+                gxa *= dropout_scales[i]  # back through the adapter path's dropout
+            gx = gx @ frozen_layers[i].w0
+            gx += gxa
+            del gxa
     return value, grad
 
 
@@ -415,6 +424,11 @@ ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
 
+# Scalars per AdamW block: the update's vector ops run over blocks of this
+# many scalars, so its two scratch arrays stay cache-sized (256 KiB each)
+# however large ``flat`` is.  Each scalar's arithmetic is the same either way.
+ADAMW_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class AdamWHyper:
@@ -431,13 +445,29 @@ class AdamWState:
         self.v = np.zeros_like(stack.flat)
 
 
+def _adamw_update(p, g, m, v, t, u, bc1: float, bc2: float, hyper: AdamWHyper) -> None:
+    """p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)) after the moment updates,
+    then the decay, over equal-length spans; every temporary is written
+    into the scratch ``t`` or ``u``."""
+    m *= ADAMW_BETA1
+    m += np.multiply(1.0 - ADAMW_BETA1, g, out=t)
+    v *= ADAMW_BETA2
+    v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(g, g, out=t), out=t)
+    np.divide(m, bc1, out=t)
+    np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAMW_EPS, out=u)
+    p -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
+    if hyper.weight_decay != 0.0:
+        p -= np.multiply(hyper.lr * hyper.weight_decay, p, out=t)
+
+
 def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) -> None:
     """One decoupled-weight-decay Adam update, in place on ``stack.flat``.
 
     ``grad`` is the gradient vector laid out like ``stack.flat``, as
     :func:`backward` returns it.  Weight decay multiplies parameters by
     (1 - lr * wd) after the gradient step, independent of the adaptive
-    scaling.
+    scaling.  The update runs over blocks of ``ADAMW_BLOCK`` scalars, and a
+    buffer no larger than one block over its whole arrays, unsliced.
     """
     if grad.shape != stack.flat.shape:
         raise ValueError(
@@ -446,18 +476,15 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
     state.step += 1
     bc1 = 1.0 - ADAMW_BETA1**state.step
     bc2 = 1.0 - ADAMW_BETA2**state.step
-    # flat -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)), with every
-    # temporary written into one of two flat-sized scratch arrays
-    t, u = np.empty_like(stack.flat), np.empty_like(stack.flat)
-    state.m *= ADAMW_BETA1
-    state.m += np.multiply(1.0 - ADAMW_BETA1, grad, out=t)
-    state.v *= ADAMW_BETA2
-    state.v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(grad, grad, out=t), out=t)
-    np.divide(state.m, bc1, out=t)
-    np.add(np.sqrt(np.divide(state.v, bc2, out=u), out=u), ADAMW_EPS, out=u)
-    stack.flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
-    if hyper.weight_decay != 0.0:
-        stack.flat -= np.multiply(hyper.lr * hyper.weight_decay, stack.flat, out=t)
+    size = stack.flat.size
+    t, u = np.empty((2, min(size, ADAMW_BLOCK)))
+    if size <= ADAMW_BLOCK:
+        _adamw_update(stack.flat, grad, state.m, state.v, t, u, bc1, bc2, hyper)
+        return
+    for lo in range(0, size, ADAMW_BLOCK):
+        span, n = slice(lo, lo + ADAMW_BLOCK), min(ADAMW_BLOCK, size - lo)
+        _adamw_update(stack.flat[span], grad[span], state.m[span], state.v[span], t[:n], u[:n],
+                      bc1, bc2, hyper)
 
 
 def apply_spectral_clip(stack: AdapterStack) -> None:

@@ -10,6 +10,7 @@ from _setup import geometry_slots
 from talklora import linalg
 from talklora.adapters import (
     _c_mix,
+    _expert_outputs,
     ADAPTER_FIELDS,
     AdapterConfig,
     AdapterLayer,
@@ -622,7 +623,7 @@ class TestLayerShapeRule:
         assert y.tobytes() == cache.z[0].tobytes()
         assert trace.h.tobytes() == cache.h[:, 0].tobytes()
         assert trace.h_tilde.tobytes() == h_tilde[:, 0].tobytes()
-        assert trace.expert_outputs.tobytes() == cache.yexp[:, 0].tobytes()
+        assert trace.expert_outputs.tobytes() == _expert_outputs(ad, cache)[:, 0].tobytes()
         assert trace.delta.tobytes() == cache.delta[0].tobytes()
         if method == "lora":
             assert trace.gates is None

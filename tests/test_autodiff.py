@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from talklora.adapters import (
 from talklora.autodiff import (
     ADAMW_BETA1,
     ADAMW_BETA2,
+    ADAMW_BLOCK,
     ADAMW_EPS,
     AdamWHyper,
     AdamWState,
@@ -195,21 +197,55 @@ class TestStepBuffers:
         assert first[0] == second[0]
         assert first[1].tobytes() == second[1].tobytes()
 
+    @pytest.mark.parametrize("dropout", [False, True], ids=["clean", "dropout"])
+    @pytest.mark.parametrize("method, n", [("moelora", 2), ("talklora", 2), ("talklora", 4)])
+    def test_no_cache_holds_expert_outputs(self, method, n, dropout):
+        # at d = k every other cached array is narrower than the (n, B, k)
+        # expert outputs, which the backward forms again instead
+        frozen, stack, x, t = make_setup(method, n=n, depth=3, seed=13)
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=14) if dropout else None
+        _, caches = model_forward(frozen, stack, x, scales)
+        stack_size = n * t.size
+        for cache in caches:
+            for f in fields(cache):
+                arr = getattr(cache, f.name)
+                while arr is not None and arr.base is not None:  # a view holds its base
+                    arr = arr.base
+                assert arr is None or arr.size < stack_size, f.name
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
+    def test_layer_backward_only_reads_its_cache(self, method):
+        frozen, stack, x, _ = make_setup(method, seed=15, depth=1)
+        _, caches = model_forward(frozen, stack, x)
+        gz = RngState(16).generator().normal(size=caches[0].z.shape)
+        before = _cache_bytes(caches)
+        runs = []
+        for _ in range(2):
+            gx, grads = autodiff._layer_backward(stack.adapters[0], stack.cfg, caches[0], gz,
+                                                 want_gx=True)
+            runs.append((gx.tobytes(), {name: g.tobytes() for name, g in grads.items()}))
+        assert runs[0] == runs[1]
+        assert _cache_bytes(caches) == before
+
     @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
     def test_step_allocation_budget(self, method, n):
         """The peak a second step (backward, then AdamW) allocates, d = k = 256.
 
-        The most (B, k) arrays a step must hold at once are in the forward,
-        at the last of two layers: layer 0's cache (n expert outputs, delta
-        and z), the last layer's input, its n expert outputs, and what mixes
-        them into z, at most max(n + 1, 3) at once (the gated product and
-        its sum; LoRA's delta, x w0^T and z).  The sweep holds fewer (B, k)
-        arrays than that, plus the flat gradient; AdamW holds the gradient
-        and two flat scratch arrays.  So (2n + 3 + max(n + 1, 3)) (B, k)
-        arrays and three flat vectors bound the step, with room to spare
-        for the arrays narrower than k.  A sweep that forms the gate
-        gradients beside the expert outputs and keeps every cache to its
-        end, holds more and fails it.
+        The sweep holds at most one (n, B, k) stack and one (n, B, d) term
+        at a time.  At the last of two layers it holds the flat gradient,
+        the output gradient and the layer input (which is also xa and
+        MoELoRA's router input), then either gd and the n expert outputs
+        formed again, or the n (B, d) expert terms of the input gradient,
+        their sum and the layer's A and B gradients (2 r d scalars, one
+        (B, k) array here): n + 4 (B, k) arrays and one flat vector.  The
+        forward, at that layer, holds layer 0's delta and z, the layer
+        input, its n expert outputs and their sum: n + 4 again.  AdamW
+        holds the gradient and two scratch arrays no larger than it, and
+        two flat vectors are under n + 6 (B, k) arrays here.  So (n + 6)
+        (B, k) arrays and one flat vector bound the step, with two arrays
+        to spare for those narrower than k.  A step that holds every
+        layer's expert outputs from the forward to the backward holds n
+        more and fails it.
         """
         frozen, stack, x, t = make_setup(method, d=256, k=256, r=16, n=n, batch=32)
         state, hyper = AdamWState(stack), AdamWHyper(lr=1e-3)
@@ -225,7 +261,7 @@ class TestStepBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget = (2 * n + 3 + max(n + 1, 3)) * t.nbytes + 3 * stack.flat.nbytes
+        budget = (n + 6) * t.nbytes + stack.flat.nbytes
         assert peak < budget
 
 
@@ -650,6 +686,27 @@ class TestAdamW:
                              AdamWHyper(lr=0.1))
         assert not isinstance(exc.value, ValueError)
         assert np.isnan(stack.flat[0]) and stack.flat[1] == 2.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("size", [ADAMW_BLOCK - 1, ADAMW_BLOCK, ADAMW_BLOCK + 1,
+                                      2 * ADAMW_BLOCK + 3])
+    def test_blocks_match_the_whole_array_update_bitwise(self, size, weight_decay):
+        gen = RngState(24).generator()
+        stack = SimpleNamespace(flat=gen.normal(size=size))  # all adamw_step reads of a stack
+        state = AdamWState(stack)
+        flat, m, v = stack.flat.copy(), np.zeros(size), np.zeros(size)
+        for step in range(1, 4):
+            hyper = AdamWHyper(lr=1e-2 * step, weight_decay=weight_decay)
+            g = gen.normal(size=size)
+            adamw_step(stack, g, state, hyper)
+            bc1, bc2 = 1.0 - ADAMW_BETA1**step, 1.0 - ADAMW_BETA2**step
+            m = ADAMW_BETA1 * m + (1.0 - ADAMW_BETA1) * g
+            v = ADAMW_BETA2 * v + (1.0 - ADAMW_BETA2) * (g * g)
+            flat = flat - hyper.lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS))
+            if weight_decay:
+                flat = flat - hyper.lr * weight_decay * flat
+            got = state.m.tobytes(), state.v.tobytes(), stack.flat.tobytes()
+            assert got == (m.tobytes(), v.tobytes(), flat.tobytes()), step
 
     def test_gradient_of_another_shape_rejected(self):
         stack = _scalar_stack(1.0, 2.0)
