@@ -277,15 +277,15 @@ class LayerCache:
     router_in: Optional[np.ndarray]  # what router_wg multiplied, (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n); both None for a layer without a router
     p: Optional[np.ndarray]  # (n, B, r_e) E_i h_i when the layer holds E
-    delta: Optional[np.ndarray] = None  # (B, k)
-    z: Optional[np.ndarray] = None  # (B, k) = x @ w0.T + delta
+    delta: np.ndarray  # (B, k)
+    z: np.ndarray  # (B, k) = x @ w0.T + delta
 
 
-def _expert_outputs(layer: AdapterLayer, cache: LayerCache) -> np.ndarray:
+def _expert_outputs(layer: AdapterLayer, h: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
     """The (n, B, k) unweighted expert outputs B_i E_i h_i (B_i h_i without E),
     a fresh array: the one product that forms them, in the forward and again
     in the backward, so both read the same bits."""
-    return (cache.h if cache.p is None else cache.p) @ layer.b.transpose(0, 2, 1)
+    return (h if p is None else p) @ layer.b.transpose(0, 2, 1)
 
 
 def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
@@ -306,19 +306,18 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     if layer.router_wg is not None:
         router_in = _router_input(layer, xa, h, cfg.talking_enabled)
         gates = softmax_rows(router_in @ layer.router_wg.T)
-    cache = LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p)
-    yexp = _expert_outputs(layer, cache)  # (n, B, k)
+    yexp = _expert_outputs(layer, h, p)  # (n, B, k)
     if gates is None:
-        cache.delta = np.multiply(cfg.scaling, yexp, out=yexp)[0]
+        delta = np.multiply(cfg.scaling, yexp, out=yexp)[0]
     else:
         # sum_i g_i y_i, added along the expert axis in expert order, as a
         # loop over experts would
-        cache.delta = np.multiply(gates.T[:, :, None], yexp, out=yexp).sum(axis=0)
-        cache.delta *= cfg.scaling
+        delta = np.multiply(gates.T[:, :, None], yexp, out=yexp).sum(axis=0)
+        delta *= cfg.scaling
     del yexp
-    cache.z = x @ w0.T
-    cache.z += cache.delta
-    return cache
+    z = x @ w0.T
+    z += delta
+    return LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p, delta=delta, z=z)
 
 
 def lora_batch_forward(w0: np.ndarray, ad: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
@@ -393,7 +392,7 @@ def forward_one(layer: FrozenLinear, adapter: AdapterLayer, x,
     h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
     gates = None if cache.gates is None else cache.gates[0].copy()
     return cache.z[0], ForwardTrace(h=h, h_tilde=h_tilde, gates=gates,
-                                    expert_outputs=_expert_outputs(adapter, cache)[:, 0],
+                                    expert_outputs=_expert_outputs(adapter, cache.h, cache.p)[:, 0],
                                     delta=cache.delta[0])
 
 

@@ -17,8 +17,7 @@ expert outputs outlive its forward: the sweep forms them again from the
 cached h or E h, by the forward's own product, and writes the gate
 gradients over them.  It writes the tanh derivative over the activation
 it is taken from, frees every value after its last reader, and AdamW
-runs in blocks of ``ADAMW_BLOCK`` scalars with two block-sized scratch
-arrays.
+writes into two flat-sized scratch arrays.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -157,7 +156,7 @@ def _gate_backward(layer: AdapterLayer, cache, gd):
     the forward's own product, so they match its bits; both (n, B, k)
     values are written over that fresh array, and ``cache`` is only read.
     """
-    yexp = _expert_outputs(layer, cache)
+    yexp = _expert_outputs(layer, cache.h, cache.p)
     g_gates = np.multiply(gd, yexp, out=yexp).sum(axis=2).T  # (B, n)
     g_logits = _softmax_backward(cache.gates, g_gates)
     return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=yexp)
@@ -424,11 +423,6 @@ ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
 
-# Scalars per AdamW block: the update's vector ops run over blocks of this
-# many scalars, so its two scratch arrays stay cache-sized (256 KiB each)
-# however large ``flat`` is.  Each scalar's arithmetic is the same either way.
-ADAMW_BLOCK = 2**15
-
 
 @dataclass(frozen=True)
 class AdamWHyper:
@@ -445,29 +439,13 @@ class AdamWState:
         self.v = np.zeros_like(stack.flat)
 
 
-def _adamw_update(p, g, m, v, t, u, bc1: float, bc2: float, hyper: AdamWHyper) -> None:
-    """p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)) after the moment updates,
-    then the decay, over equal-length spans; every temporary is written
-    into the scratch ``t`` or ``u``."""
-    m *= ADAMW_BETA1
-    m += np.multiply(1.0 - ADAMW_BETA1, g, out=t)
-    v *= ADAMW_BETA2
-    v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(g, g, out=t), out=t)
-    np.divide(m, bc1, out=t)
-    np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAMW_EPS, out=u)
-    p -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
-    if hyper.weight_decay != 0.0:
-        p -= np.multiply(hyper.lr * hyper.weight_decay, p, out=t)
-
-
 def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) -> None:
     """One decoupled-weight-decay Adam update, in place on ``stack.flat``.
 
     ``grad`` is the gradient vector laid out like ``stack.flat``, as
     :func:`backward` returns it.  Weight decay multiplies parameters by
     (1 - lr * wd) after the gradient step, independent of the adaptive
-    scaling.  The update runs over blocks of ``ADAMW_BLOCK`` scalars, and a
-    buffer no larger than one block over its whole arrays, unsliced.
+    scaling.
     """
     if grad.shape != stack.flat.shape:
         raise ValueError(
@@ -476,15 +454,18 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
     state.step += 1
     bc1 = 1.0 - ADAMW_BETA1**state.step
     bc2 = 1.0 - ADAMW_BETA2**state.step
-    size = stack.flat.size
-    t, u = np.empty((2, min(size, ADAMW_BLOCK)))
-    if size <= ADAMW_BLOCK:
-        _adamw_update(stack.flat, grad, state.m, state.v, t, u, bc1, bc2, hyper)
-        return
-    for lo in range(0, size, ADAMW_BLOCK):
-        span, n = slice(lo, lo + ADAMW_BLOCK), min(ADAMW_BLOCK, size - lo)
-        _adamw_update(stack.flat[span], grad[span], state.m[span], state.v[span], t[:n], u[:n],
-                      bc1, bc2, hyper)
+    # flat -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)), with every
+    # temporary written into one of two flat-sized scratch arrays
+    t, u = np.empty_like(stack.flat), np.empty_like(stack.flat)
+    state.m *= ADAMW_BETA1
+    state.m += np.multiply(1.0 - ADAMW_BETA1, grad, out=t)
+    state.v *= ADAMW_BETA2
+    state.v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(grad, grad, out=t), out=t)
+    np.divide(state.m, bc1, out=t)
+    np.add(np.sqrt(np.divide(state.v, bc2, out=u), out=u), ADAMW_EPS, out=u)
+    stack.flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
+    if hyper.weight_decay != 0.0:
+        stack.flat -= np.multiply(hyper.lr * hyper.weight_decay, stack.flat, out=t)
 
 
 def apply_spectral_clip(stack: AdapterStack) -> None:

@@ -623,12 +623,18 @@ class TestLayerShapeRule:
         assert y.tobytes() == cache.z[0].tobytes()
         assert trace.h.tobytes() == cache.h[:, 0].tobytes()
         assert trace.h_tilde.tobytes() == h_tilde[:, 0].tobytes()
-        assert trace.expert_outputs.tobytes() == _expert_outputs(ad, cache)[:, 0].tobytes()
+        assert trace.expert_outputs.tobytes() == (
+            _expert_outputs(ad, cache.h, cache.p)[:, 0].tobytes())
         assert trace.delta.tobytes() == cache.delta[0].tobytes()
+        # the trace's expert outputs are the ones that formed delta, by the
+        # forward's own operations at B = 1
         if method == "lora":
             assert trace.gates is None
+            mixed = trace.expert_outputs[0]
         else:
             assert trace.gates.tobytes() == cache.gates[0].tobytes()
+            mixed = (trace.gates[:, None] * trace.expert_outputs).sum(axis=0)
+        assert (mixed * cfg.scaling).tobytes() == trace.delta.tobytes()
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
         ad = init_layer("lora", small_cfg(experts=1), 6, 6, RngState(42))
