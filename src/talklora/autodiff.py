@@ -15,9 +15,10 @@ model input.  The gradient is one float64 vector laid out like
 A step's temporaries stay few without moving a bit.  No layer's (n, B, k)
 expert outputs outlive its forward: the sweep forms them again from the
 cached h or E h, by the forward's own product, and writes the gate
-gradients over them.  It writes the tanh derivative over the activation
-it is taken from, frees every value after its last reader, and AdamW
-writes into two flat-sized scratch arrays.
+gradients over them.  It adds each parameter gradient into the flat
+vector as soon as it is formed, writes the tanh derivative over the
+activation it is taken from, and frees every value after its last
+reader; AdamW writes into two scratch arrays of one block each.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -27,7 +28,8 @@ to rounding; its one +ih copy per scalar is packed across handles into
 blocks of ``ORACLE_BLOCK``, one call per block, and its gradient is laid
 out as ``backward``'s.  ``gradcheck`` compares the two vectors.
 ``adamw_step`` is the decoupled-weight-decay update of the training loop:
-one vector update of ``flat`` from that gradient.  ``apply_spectral_clip`` then projects every
+one vector update of ``flat`` from that gradient, run over blocks of
+``ADAMW_BLOCK`` scalars.  ``apply_spectral_clip`` then projects every
 communication matrix, with the spectral norms of all of them taken in one
 batched SVD.  ``stack_adamw_step`` runs the two, and between them raises
 :class:`NumericalError` if the update left ``flat`` non-finite.
@@ -46,7 +48,7 @@ import numpy as np
 
 from .adapters import (AdapterConfig, AdapterLayer, AdapterStack, _c_mix, _expert_outputs,
                        batch_forward)
-from .linalg import _all_finite, softmax_rows, spectral_norms
+from .linalg import _all_finite, spectral_norms
 
 LOSS_KINDS = ("mean-squared-error", "softmax-cross-entropy")
 
@@ -68,7 +70,9 @@ class NumericalError(ArithmeticError):
     or in the CLI a failed gradcheck or a non-finite value bound for an output."""
 
 
-def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np.ndarray:
+def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec):
+    """Per-sample losses, and the intermediate the gradient reuses:
+    z - targets (MSE) or exp(z - row max) (cross-entropy)."""
     # overflow to inf is fine here: non-finite losses are detected and
     # reported with the offending sample index
     with np.errstate(over="ignore", invalid="ignore"):
@@ -76,7 +80,8 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
             if targets.shape != z.shape:  # a broadcast would give a meaningless loss
                 raise ValueError(f"mean-squared-error needs targets of the output's shape "
                                  f"{z.shape}, got {targets.shape}")
-            return np.mean((z - targets) ** 2, axis=1)
+            residual = z - targets
+            return np.mean(residual ** 2, axis=1), residual
         batch, k = z.shape
         if not (targets.shape == (batch,) and np.issubdtype(targets.dtype, np.integer)
                 and ((targets >= 0) & (targets < k)).all()):
@@ -87,30 +92,33 @@ def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> np
         # log-sum-exp minus the target's logit, both shifted by the row max,
         # stays finite where the target's softmax probability underflows
         shifted = z - z.max(axis=1, keepdims=True)
-        return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(batch), targets]
+        e = np.exp(shifted)
+        return np.log(e.sum(axis=1)) - shifted[np.arange(batch), targets], e
 
 
-def loss_value(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> float:
-    per_sample = _per_sample_losses(z, targets, spec)
+def _mean_loss(per_sample: np.ndarray) -> float:
     if not np.isfinite(per_sample).all():
         index = int(np.argmax(~np.isfinite(per_sample)))
         raise NumericalError(f"non-finite loss at sample index {index}")
     return float(per_sample.mean())
 
 
+def loss_value(z: np.ndarray, targets: np.ndarray, spec: LossSpec) -> float:
+    return _mean_loss(_per_sample_losses(z, targets, spec)[0])
+
+
 def loss_and_grad(
     z: np.ndarray, targets: np.ndarray, spec: LossSpec
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient with respect to the model output."""
-    value = loss_value(z, targets, spec)
+    per_sample, intermediate = _per_sample_losses(z, targets, spec)
+    value = _mean_loss(per_sample)
     batch = z.shape[0]
     if spec.kind == "mean-squared-error":
-        grad = 2.0 * (z - targets) / (batch * z.shape[1])
-    else:
-        probs = softmax_rows(z)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(batch), targets.astype(int)] = 1.0
-        grad = (probs - onehot) / batch
+        return value, 2.0 * intermediate / (batch * z.shape[1])
+    grad = intermediate / intermediate.sum(axis=1, keepdims=True)  # the softmax
+    grad[np.arange(batch), targets] -= 1.0  # minus the one-hot target
+    grad /= batch
     return value, grad
 
 
@@ -162,42 +170,55 @@ def _gate_backward(layer: AdapterLayer, cache, gd):
     return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=yexp)
 
 
-def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, want_gx):
-    """Parameter gradients of one layer and, if ``want_gx``, the adapter
-    path's gradient at its (dropped-out) input ``xa`` (``None`` otherwise).
+def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, grad, ranges,
+                    want_gx):
+    """Add one layer's parameter gradients into ``grad`` and return, if
+    ``want_gx``, the adapter path's gradient at its (dropped-out) input
+    ``xa`` (``None`` otherwise).
+
+    ``grad`` is laid out like ``stack.flat`` and ``ranges`` maps the
+    layer's field names to their slices (``stack.ranges[i]``).  Each
+    parameter gradient is added into its slice as soon as it is formed and
+    dropped there, so none is held beside the (n, B, d) input-gradient
+    terms; a shared B slice sums the contributions of the layers that
+    add into it.
 
     Every family, read off the arrays the layer holds, as the forward
     does: gates when it holds ``router_wg`` (without one, the delta is the
     one expert's output), E when it holds ``e``, and a router that read
     the (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa.
     """
+    def add(name, g):
+        grad[ranges[name]] += g.reshape(-1)
+
     gd = cfg.scaling * gz
     if layer.router_wg is None:
-        gy, grads = gd[None], {}  # (1, B, k) at the one expert's output
+        gy = gd[None]  # (1, B, k) at the one expert's output
     else:
         g_logits, gy = _gate_backward(layer, cache, gd)
-        grads = {"router_wg": g_logits.T @ cache.router_in}
+        add("router_wg", g_logits.T @ cache.router_in)
+    del gd  # a gated layer's last reader is done (LoRA's gy is a view of it)
     gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
-    grads["b"] = gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p)
-    del gd, gy  # their last readers are done: free them before the (n, B, d) terms
+    add("b", gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p))
+    del gy  # its last readers are done: free it before the (n, B, d) terms
     if layer.e is not None:
-        grads["e"] = gh.transpose(0, 2, 1) @ cache.h
+        add("e", gh.transpose(0, 2, 1) @ cache.h)
         gh = gh @ layer.e
     if layer.c is not None:
         n, batch, r_e = cache.h.shape
         ght = g_logits @ layer.router_wg  # (B, r) gradient at the router input
         ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
         if cfg.talking_enabled:  # without talking, C gets no gradient and keeps its zero
-            grads["c"] = ght.reshape(n, -1) @ cache.h.reshape(n, -1).T
+            add("c", ght.reshape(n, -1) @ cache.h.reshape(n, -1).T)
             ght = _c_mix(layer.c.T, ght)
         gh = ght + gh
-    grads["a"] = gh.transpose(0, 2, 1) @ cache.xa
+    add("a", gh.transpose(0, 2, 1) @ cache.xa)
     if not want_gx:
-        return None, grads
+        return None
     gx = (gh @ layer.a).sum(axis=0)  # the (n, B, d) expert terms summed
     if layer.router_wg is not None and layer.c is None:  # the router read xa
         gx += g_logits @ layer.router_wg
-    return gx, grads
+    return gx
 
 
 def backward(
@@ -210,9 +231,10 @@ def backward(
     """Loss value and the exact analytic gradient of every trainable scalar.
 
     The gradient is a fresh float64 vector laid out like ``stack.flat``
-    (``stack.views(grad)`` names its slices by handle); a shared B slice
-    holds the sum of all aliasing layers' contributions, accumulated in
-    fixed layer order.
+    (``stack.views(grad)`` names its slices by handle).  Each layer adds
+    its gradients into it as they form, from the last layer to the first,
+    so a shared B slice holds the sum of all aliasing layers'
+    contributions, accumulated in that fixed order.
 
     Only the adapters train, so the sweep stops at layer 0: it forms no
     gradient with respect to the model input (neither the frozen
@@ -235,11 +257,8 @@ def backward(
             # 1 - act * act, written over act, which this forward made and nothing else holds
             gx *= np.subtract(1.0, np.multiply(act, act, out=act), out=act)
             del act
-        gxa, layer_grads = _layer_backward(stack.adapters[i], stack.cfg, caches[i], gx,
-                                           want_gx=i > 0)
-        for name, g in layer_grads.items():
-            grad[stack.ranges[i][name]] += g.reshape(-1)
-        del g, layer_grads
+        gxa = _layer_backward(stack.adapters[i], stack.cfg, caches[i], gx, grad,
+                              stack.ranges[i], want_gx=i > 0)
         if i > 0:
             if dropout_scales is not None:
                 gxa *= dropout_scales[i]  # back through the adapter path's dropout
@@ -423,6 +442,11 @@ ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
 
+# Scalars per block of ``adamw_step``: one block of each vector the update
+# touches (flat, grad, m, v and two scratch arrays) is 1.5 MB, which stays in
+# cache across the block's passes.
+ADAMW_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class AdamWHyper:
@@ -446,6 +470,11 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
     :func:`backward` returns it.  Weight decay multiplies parameters by
     (1 - lr * wd) after the gradient step, independent of the adaptive
     scaling.
+
+    The update runs over blocks of ``ADAMW_BLOCK`` scalars, each through
+    the whole ufunc sequence while it is in cache, with every temporary
+    written into one of two block-sized scratch arrays.  Every operation is
+    elementwise, so the blocks give the bits of one whole-array pass.
     """
     if grad.shape != stack.flat.shape:
         raise ValueError(
@@ -454,18 +483,21 @@ def adamw_step(stack, grad: np.ndarray, state: AdamWState, hyper: AdamWHyper) ->
     state.step += 1
     bc1 = 1.0 - ADAMW_BETA1**state.step
     bc2 = 1.0 - ADAMW_BETA2**state.step
-    # flat -= lr * ((m / bc1) / (sqrt(v / bc2) + eps)), with every
-    # temporary written into one of two flat-sized scratch arrays
-    t, u = np.empty_like(stack.flat), np.empty_like(stack.flat)
-    state.m *= ADAMW_BETA1
-    state.m += np.multiply(1.0 - ADAMW_BETA1, grad, out=t)
-    state.v *= ADAMW_BETA2
-    state.v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(grad, grad, out=t), out=t)
-    np.divide(state.m, bc1, out=t)
-    np.add(np.sqrt(np.divide(state.v, bc2, out=u), out=u), ADAMW_EPS, out=u)
-    stack.flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
-    if hyper.weight_decay != 0.0:
-        stack.flat -= np.multiply(hyper.lr * hyper.weight_decay, stack.flat, out=t)
+    scratch = np.empty((2, min(stack.flat.size, ADAMW_BLOCK)))
+    for lo in range(0, stack.flat.size, ADAMW_BLOCK):
+        block = slice(lo, lo + ADAMW_BLOCK)
+        flat, g, m, v = stack.flat[block], grad[block], state.m[block], state.v[block]
+        t, u = scratch[0, :flat.size], scratch[1, :flat.size]
+        # flat -= lr * ((m / bc1) / (sqrt(v / bc2) + eps))
+        m *= ADAMW_BETA1
+        m += np.multiply(1.0 - ADAMW_BETA1, g, out=t)
+        v *= ADAMW_BETA2
+        v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(g, g, out=t), out=t)
+        np.divide(m, bc1, out=t)
+        np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAMW_EPS, out=u)
+        flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
+        if hyper.weight_decay != 0.0:
+            flat -= np.multiply(hyper.lr * hyper.weight_decay, flat, out=t)
 
 
 def apply_spectral_clip(stack: AdapterStack) -> None:

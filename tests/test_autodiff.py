@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from talklora.adapters import (
 from talklora.autodiff import (
     ADAMW_BETA1,
     ADAMW_BETA2,
+    ADAMW_BLOCK,
     ADAMW_EPS,
     AdamWHyper,
     AdamWState,
@@ -219,9 +221,10 @@ class TestStepBuffers:
         before = _cache_bytes(caches)
         runs = []
         for _ in range(2):
-            gx, grads = autodiff._layer_backward(stack.adapters[0], stack.cfg, caches[0], gz,
-                                                 want_gx=True)
-            runs.append((gx.tobytes(), {name: g.tobytes() for name, g in grads.items()}))
+            grad = np.zeros_like(stack.flat)
+            gx = autodiff._layer_backward(stack.adapters[0], stack.cfg, caches[0], gz, grad,
+                                          stack.ranges[0], want_gx=True)
+            runs.append((gx.tobytes(), grad.tobytes()))
         assert runs[0] == runs[1]
         assert _cache_bytes(caches) == before
 
@@ -230,20 +233,24 @@ class TestStepBuffers:
         """The peak a second step (backward, then AdamW) allocates, d = k = 256.
 
         The sweep holds at most one (n, B, k) stack and one (n, B, d) term
-        at a time.  At the last of two layers it holds the flat gradient,
-        the output gradient and the layer input (which is also xa and
-        MoELoRA's router input), then either gd and the n expert outputs
-        formed again, or the n (B, d) expert terms of the input gradient,
-        their sum and the layer's A and B gradients (2 r d scalars, one
-        (B, k) array here): n + 4 (B, k) arrays and one flat vector.  The
-        forward, at that layer, holds layer 0's delta and z, the layer
-        input, its n expert outputs and their sum: n + 4 again.  AdamW
-        holds the gradient and two scratch arrays of its size, and
+        at a time, and no parameter gradient: each goes into the flat
+        gradient as it forms.  At the last of two layers it holds the flat
+        gradient, the output gradient and the layer input (which is also xa
+        and MoELoRA's router input), then either gd and the n expert outputs
+        formed again, or the n (B, d) expert terms of the input gradient and
+        their sum: n + 3 (B, k) arrays and one flat vector.  The forward, at
+        that layer, holds layer 0's delta and z, the layer input, its n
+        expert outputs and their sum: n + 4.  AdamW holds the gradient and
+        two scratch arrays of one block each, here of the flat's size, and
         two flat vectors are under n + 6 (B, k) arrays here.  So (n + 6)
-        (B, k) arrays and one flat vector bound the step, with two arrays
-        to spare for those narrower than k.  A step that holds every
-        layer's expert outputs from the forward to the backward holds n
-        more and fails it.
+        (B, k) arrays and one flat vector bound the step, with three arrays
+        to spare in the sweep: those narrower than k, and numpy's 64 KB
+        ufunc buffer for the gate gradients' broadcast multiply, one (B, k)
+        array at this k.  That buffer keeps a gated peak within a fifth of
+        an array of a sweep that also holds the A and B gradients, so no
+        tighter bound tells the two apart.  A step that holds every layer's
+        expert outputs from the forward to the backward holds n more and
+        fails it.
         """
         frozen, stack, x, t = make_setup(method, d=256, k=256, r=16, n=n, batch=32)
         state, hyper = AdamWState(stack), AdamWHyper(lr=1e-3)
@@ -558,6 +565,23 @@ def _scalar_grads(a, b):
     return np.array([a, b])
 
 
+def _whole_array_adamw(flat, grad, m, v, step, hyper):
+    """``adamw_step``'s update in one pass over the whole arrays, into two
+    scratch arrays of their size: the update as it ran before blocking."""
+    bc1 = 1.0 - ADAMW_BETA1**step
+    bc2 = 1.0 - ADAMW_BETA2**step
+    t, u = np.empty_like(flat), np.empty_like(flat)
+    m *= ADAMW_BETA1
+    m += np.multiply(1.0 - ADAMW_BETA1, grad, out=t)
+    v *= ADAMW_BETA2
+    v += np.multiply(1.0 - ADAMW_BETA2, np.multiply(grad, grad, out=t), out=t)
+    np.divide(m, bc1, out=t)
+    np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAMW_EPS, out=u)
+    flat -= np.multiply(hyper.lr, np.divide(t, u, out=t), out=t)
+    if hyper.weight_decay != 0.0:
+        flat -= np.multiply(hyper.lr * hyper.weight_decay, flat, out=t)
+
+
 class TestAdamW:
     def test_zero_gradient_no_decay_is_identity(self):
         stack = _scalar_stack(1.0, -2.0)
@@ -690,3 +714,37 @@ class TestAdamW:
         with pytest.raises(ValueError, match="gradient shape"):
             adamw_step(stack, np.zeros(3), AdamWState(stack), AdamWHyper(lr=0.1))
         assert np.array_equal(stack.flat, [1.0, 2.0])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01], ids=["no-decay", "decay"])
+    @pytest.mark.parametrize(
+        "size", [1, ADAMW_BLOCK - 1, ADAMW_BLOCK, ADAMW_BLOCK + 1, 3 * ADAMW_BLOCK + 5]
+    )
+    def test_blocks_match_one_whole_array_pass(self, size, weight_decay):
+        gen = RngState(26).generator()
+        stack = SimpleNamespace(flat=gen.normal(size=size))  # adamw_step reads only flat
+        state = AdamWState(stack)
+        flat, m, v = stack.flat.copy(), np.zeros(size), np.zeros(size)
+        for step in range(1, 6):
+            hyper = AdamWHyper(lr=1e-2 * step, weight_decay=weight_decay)
+            grad = gen.normal(scale=10.0 ** gen.integers(-6, 3, size=size))
+            adamw_step(stack, grad, state, hyper)
+            _whole_array_adamw(flat, grad, m, v, step, hyper)
+            assert stack.flat.tobytes() == flat.tobytes(), step
+            assert state.m.tobytes() == m.tobytes(), step
+            assert state.v.tobytes() == v.tobytes(), step
+
+    def test_inf_in_the_last_block_raises_after_every_block_updated(self):
+        d_in = (3 * ADAMW_BLOCK + 5) // 2  # A0 (1, d_in) and B0 (d_out, 1) fill four blocks
+        slot = LayerSlot(0, "wide", d_in, 3 * ADAMW_BLOCK + 5 - d_in)
+        cfg = AdapterConfig(total_rank=1, lora_alpha=1.0, share_b=False)
+        stack = build_stack_from_slots("lora", cfg, [slot], RngState(27))
+        grad = RngState(28).generator().normal(size=stack.flat.size)
+        grad[-1] = np.inf
+        flat, m, v = stack.flat.copy(), np.zeros_like(grad), np.zeros_like(grad)
+        hyper = AdamWHyper(lr=0.1)
+        with np.errstate(invalid="ignore"):
+            _whole_array_adamw(flat, grad, m, v, 1, hyper)
+            with pytest.raises(NumericalError):
+                stack_adamw_step(stack, grad, AdamWState(stack), hyper)
+        assert np.isnan(stack.flat[-1]) and np.isfinite(stack.flat[:-1]).all()
+        assert stack.flat.tobytes() == flat.tobytes()
