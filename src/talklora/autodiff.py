@@ -18,7 +18,9 @@ cached h or E h, by the forward's own product, and writes the gate
 gradients over them.  It adds each parameter gradient into the flat
 vector as soon as it is formed, writes the tanh derivative over the
 activation it is taken from, and frees every value after its last
-reader; AdamW writes into two scratch arrays of one block each.
+reader; AdamW writes into two scratch arrays of one block each.  The
+loss gradient is written over the residual or exponentials the loss
+formed.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -70,8 +72,10 @@ class NumericalError(ArithmeticError):
     or in the CLI a failed gradcheck or a non-finite value bound for an output."""
 
 
-def _per_sample_losses(z: np.ndarray, targets: np.ndarray, spec: LossSpec):
-    """Per-sample losses, and the intermediate the gradient reuses:
+def _per_sample_losses(
+    z: np.ndarray, targets: np.ndarray, spec: LossSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses, and a fresh array the gradient is written over:
     z - targets (MSE) or exp(z - row max) (cross-entropy)."""
     # overflow to inf is fine here: non-finite losses are detected and
     # reported with the offending sample index
@@ -111,12 +115,14 @@ def loss_and_grad(
     z: np.ndarray, targets: np.ndarray, spec: LossSpec
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient with respect to the model output."""
-    per_sample, intermediate = _per_sample_losses(z, targets, spec)
+    per_sample, grad = _per_sample_losses(z, targets, spec)
     value = _mean_loss(per_sample)
     batch = z.shape[0]
     if spec.kind == "mean-squared-error":
-        return value, 2.0 * intermediate / (batch * z.shape[1])
-    grad = intermediate / intermediate.sum(axis=1, keepdims=True)  # the softmax
+        grad *= 2.0
+        grad /= batch * z.shape[1]
+        return value, grad
+    grad /= grad.sum(axis=1, keepdims=True)  # the softmax
     grad[np.arange(batch), targets] -= 1.0  # minus the one-hot target
     grad /= batch
     return value, grad

@@ -229,6 +229,37 @@ class TestStepBuffers:
         assert _cache_bytes(caches) == before
 
     @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
+    def test_layer_backward_holds_no_parameter_gradient(self, method, n):
+        """The peak one ``_layer_backward`` allocates, d = k = 1024, r = 16.
+
+        It forms gd (one (B, k) array) and, in a gated layer, the n expert
+        outputs formed again, with numpy's 64 KB buffer for the broadcast
+        multiply (a quarter of an array at this k); then the n (B, d)
+        input-gradient terms and their sum.  The A and B gradients are r d
+        scalars each, half an array each here, and go into ``grad`` as they
+        form.  So n + 1.5 arrays bound it; a layer that held its A and B
+        gradients beside the (n, B, d) terms would peak at n + 2.
+        """
+        frozen, stack, x, _ = make_setup(method, d=1024, k=1024, r=16, n=n, batch=32,
+                                         depth=1, seed=15)
+        _, caches = model_forward(frozen, stack, x)
+        gz = RngState(16).generator().normal(size=caches[0].z.shape)
+        grad = np.zeros_like(stack.flat)
+
+        def layer_backward():
+            return autodiff._layer_backward(stack.adapters[0], stack.cfg, caches[0], gz, grad,
+                                            stack.ranges[0], want_gx=True)
+
+        layer_backward()  # one-time allocations of the first call are not the layer's
+        tracemalloc.start()
+        try:
+            layer_backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1.5) * gz.nbytes
+
+    @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
     def test_step_allocation_budget(self, method, n):
         """The peak a second step (backward, then AdamW) allocates, d = k = 256.
 
@@ -248,9 +279,10 @@ class TestStepBuffers:
         ufunc buffer for the gate gradients' broadcast multiply, one (B, k)
         array at this k.  That buffer keeps a gated peak within a fifth of
         an array of a sweep that also holds the A and B gradients, so no
-        tighter bound tells the two apart.  A step that holds every layer's
-        expert outputs from the forward to the backward holds n more and
-        fails it.
+        tighter bound tells the two apart here; the layer test above does,
+        at a k where the buffer is a quarter of an array.  A step that
+        holds every layer's expert outputs from the forward to the backward
+        holds n more and fails it.
         """
         frozen, stack, x, t = make_setup(method, d=256, k=256, r=16, n=n, batch=32)
         state, hyper = AdamWState(stack), AdamWHyper(lr=1e-3)
