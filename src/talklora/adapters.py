@@ -32,7 +32,11 @@ layout at w0's dims, or one holding NaN or infinity.  Every family
 stacks its experts along a leading axis, one array per role: A (n, r_e,
 d), E (n, r_e, r_e) and B (n, k, r_e), with n = 1 and r_e = r for LoRA.
 Forwards (and the backward in :mod:`talklora.autodiff`) batch over that
-axis with ``np.matmul``, so neither loops over experts.
+axis with ``np.matmul``, so neither loops over experts.  The gate mix
+runs in rank space, before B: with u_i = E_i h_i (h_i without E), delta =
+scaling [g_1 u_1 ... g_n u_n] @ [B_1 ... B_n]^T is one (B, r) @ (r, k)
+product, so no batched pass forms the (n, B, k) expert outputs; only
+:func:`forward_one`'s trace does.
 An :class:`AdapterStack` keeps one config and every trainable scalar in
 one float64 buffer ``flat``; layer arrays are views of it, a shared B is
 stored once, and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name
@@ -261,9 +265,9 @@ class ForwardTrace:
 class LayerCache:
     """Batched forward intermediates retained for the backward pass.
 
-    It holds no (n, B, k) expert outputs: the forward mixes them into
-    ``delta`` and drops them, and :func:`_expert_outputs` forms them again
-    from ``h`` or ``p``, bit for bit, for whoever reads them later.
+    It holds no (n, B, k) expert outputs, and no pass forms them: the
+    forward mixes the experts in rank space, and the backward takes the
+    gate and B gradients there, from ``h`` or ``p`` and the gates.
     ``autodiff.backward`` touches only the caches of its own forward: it
     drops ``delta`` and ``z`` as that forward returns, writes the tanh
     derivative over a layer's ``x`` once that layer's backward is done,
@@ -283,9 +287,14 @@ class LayerCache:
 
 def _expert_outputs(layer: AdapterLayer, h: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
     """The (n, B, k) unweighted expert outputs B_i E_i h_i (B_i h_i without E),
-    a fresh array: the one product that forms them, in the forward and again
-    in the backward, so both read the same bits."""
+    a fresh array, for :func:`forward_one`'s trace; no batched pass forms them."""
     return (h if p is None else p) @ layer.b.transpose(0, 2, 1)
+
+
+def _gated(u: np.ndarray, gates: Optional[np.ndarray]) -> np.ndarray:
+    """g_i u_i of the stacked (n, B, r_e) ``u``, or u itself without gates
+    (LoRA's one expert)."""
+    return u if gates is None else u * gates.T[:, :, None]
 
 
 def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
@@ -293,10 +302,12 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     """The batched forward of every family.
 
     The arrays the layer holds set what differs: each expert reads its
-    h_i, or p_i = E_i h_i when the layer holds E; a layer with a router
-    mixes the experts by the gates of what :func:`_router_input` gives,
-    and one without (LoRA's one expert) adds that expert's output.  The
-    expert outputs are mixed in place and dropped before z is formed.
+    h_i, or u_i = p_i = E_i h_i when the layer holds E; a layer with a
+    router weighs the experts by the gates of what :func:`_router_input`
+    gives, and one without (LoRA's one expert) takes its expert whole.
+    The experts are mixed in rank space, before B: delta = scaling (U_g
+    @ B_cat^T), one (B, r) @ (r, k) product, so no (n, B, k) expert
+    outputs are formed.
     """
     xa = x if xa is None else xa
     h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
@@ -306,15 +317,11 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     if layer.router_wg is not None:
         router_in = _router_input(layer, xa, h, cfg.talking_enabled)
         gates = softmax_rows(router_in @ layer.router_wg.T)
-    yexp = _expert_outputs(layer, h, p)  # (n, B, k)
-    if gates is None:
-        delta = np.multiply(cfg.scaling, yexp, out=yexp)[0]
-    else:
-        # sum_i g_i y_i, added along the expert axis in expert order, as a
-        # loop over experts would
-        delta = np.multiply(gates.T[:, :, None], yexp, out=yexp).sum(axis=0)
-        delta *= cfg.scaling
-    del yexp
+    # U_g = [g_1 u_1 ... g_n u_n] (B, r) and B_cat = [B_1 ... B_n] (k, r), a
+    # copy of the stacked B (a view of LoRA's one)
+    ug = _gated(h if p is None else p, gates).transpose(1, 0, 2).reshape(x.shape[0], -1)
+    delta = ug @ layer.b.transpose(1, 0, 2).reshape(w0.shape[0], -1).T
+    delta *= cfg.scaling
     z = x @ w0.T
     z += delta
     return LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p, delta=delta, z=z)

@@ -12,15 +12,16 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
-A step's temporaries stay few without moving a bit.  No layer's (n, B, k)
-expert outputs outlive its forward: the sweep forms them again from the
-cached h or E h, by the forward's own product, and writes the gate
-gradients over them.  It adds each parameter gradient into the flat
-vector as soon as it is formed, writes the tanh derivative over the
-activation it is taken from, and frees every value after its last
-reader; AdamW writes into two scratch arrays of one block each.  The
-loss gradient is written over the residual or exponentials the loss
-formed.
+A step's temporaries stay few.  The gate mix runs backward in rank
+space, as the forward ran it, so no pass forms a layer's (n, B, k)
+expert outputs or its n (B, d) input-gradient terms: the gate and B
+gradients come from the cached h or E h and the gates, and the input
+gradient is one (B, r) @ (r, d) product.  The sweep adds each parameter
+gradient into the flat vector as soon as it is formed, writes the tanh
+derivative over the activation it is taken from, and frees every value
+after its last reader; AdamW writes into two scratch arrays of one block
+each.  The loss gradient is written over the residual or exponentials
+the loss formed.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -48,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import (AdapterConfig, AdapterLayer, AdapterStack, _c_mix, _expert_outputs,
+from .adapters import (AdapterConfig, AdapterLayer, AdapterStack, _c_mix, _gated,
                        batch_forward)
 from .linalg import _all_finite, spectral_norms
 
@@ -163,19 +164,6 @@ def _softmax_backward(gates: np.ndarray, g_gates: np.ndarray) -> np.ndarray:
     return gates * (g_gates - inner)
 
 
-def _gate_backward(layer: AdapterLayer, cache, gd):
-    """Gradients at the gate logits (B, n) and at each expert's output (n, B, k).
-
-    The expert outputs are formed again by :func:`~talklora.adapters._expert_outputs`,
-    the forward's own product, so they match its bits; both (n, B, k)
-    values are written over that fresh array, and ``cache`` is only read.
-    """
-    yexp = _expert_outputs(layer, cache.h, cache.p)
-    g_gates = np.multiply(gd, yexp, out=yexp).sum(axis=2).T  # (B, n)
-    g_logits = _softmax_backward(cache.gates, g_gates)
-    return g_logits, np.multiply(cache.gates.T[:, :, None], gd, out=yexp)
-
-
 def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, grad, ranges,
                     want_gx):
     """Add one layer's parameter gradients into ``grad`` and return, if
@@ -184,34 +172,38 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, grad, ra
 
     ``grad`` is laid out like ``stack.flat`` and ``ranges`` maps the
     layer's field names to their slices (``stack.ranges[i]``).  Each
-    parameter gradient is added into its slice as soon as it is formed and
-    dropped there, so none is held beside the (n, B, d) input-gradient
-    terms; a shared B slice sums the contributions of the layers that
-    add into it.
+    parameter gradient is added into its slice as soon as it is formed; a
+    shared B slice sums the contributions of the layers that add into it.
 
-    Every family, read off the arrays the layer holds, as the forward
-    does: gates when it holds ``router_wg`` (without one, the delta is the
-    one expert's output), E when it holds ``e``, and a router that read
-    the (C kron I)-mixed h (h with talking off) when it holds ``c``, else xa.
+    The gate mix runs backward in rank space, as the forward ran it: with
+    gd the gradient at delta / scaling and u_i what B_i multiplied (h_i,
+    or p_i = E_i h_i), t_i = gd B_i is the gradient at g_i u_i (t = gd
+    B_cat, held per expert as (n, B, r_e)), so dB_i = gd^T (g_i u_i),
+    dg_i = <t_i, u_i> per row and the gradient at u_i is g_i t_i.  The
+    input gradient is one (B, r) @ (r, d) product with the stacked A seen
+    as (r, d), a view.  Every family, read off the arrays the layer holds,
+    as the forward does: gates when it holds ``router_wg`` (without one,
+    t is the one expert's gradient), E when it holds ``e``, and a router
+    that read the (C kron I)-mixed h (h with talking off) when it holds
+    ``c``, else xa.
     """
     def add(name, g):
         grad[ranges[name]] += g.reshape(-1)
 
+    u = cache.h if cache.p is None else cache.p  # (n, B, r_e): what each B_i multiplied
+    n, batch, r_e = u.shape
     gd = cfg.scaling * gz
-    if layer.router_wg is None:
-        gy = gd[None]  # (1, B, k) at the one expert's output
-    else:
-        g_logits, gy = _gate_backward(layer, cache, gd)
+    add("b", gd.T @ _gated(u, cache.gates))  # gd^T (g_i u_i), expert by expert
+    gh = gd @ layer.b  # (n, B, r_e): t_i = gd B_i, at each g_i u_i
+    del gd
+    if layer.router_wg is not None:
+        g_logits = _softmax_backward(cache.gates, (gh * u).sum(axis=2).T)  # <t_i, u_i>
         add("router_wg", g_logits.T @ cache.router_in)
-    del gd  # a gated layer's last reader is done (LoRA's gy is a view of it)
-    gh = gy @ layer.b  # (n, B, r_e) at each expert's input: h, or p = E h
-    add("b", gy.transpose(0, 2, 1) @ (cache.h if layer.e is None else cache.p))
-    del gy  # its last readers are done: free it before the (n, B, d) terms
+        gh *= cache.gates.T[:, :, None]  # g_i t_i at u_i
     if layer.e is not None:
         add("e", gh.transpose(0, 2, 1) @ cache.h)
         gh = gh @ layer.e
     if layer.c is not None:
-        n, batch, r_e = cache.h.shape
         ght = g_logits @ layer.router_wg  # (B, r) gradient at the router input
         ght = ght.reshape(batch, n, r_e).transpose(1, 0, 2)  # (n, B, r_e)
         if cfg.talking_enabled:  # without talking, C gets no gradient and keeps its zero
@@ -221,7 +213,7 @@ def _layer_backward(layer: AdapterLayer, cfg: AdapterConfig, cache, gz, grad, ra
     add("a", gh.transpose(0, 2, 1) @ cache.xa)
     if not want_gx:
         return None
-    gx = (gh @ layer.a).sum(axis=0)  # the (n, B, d) expert terms summed
+    gx = gh.transpose(1, 0, 2).reshape(batch, -1) @ layer.a.reshape(n * r_e, -1)
     if layer.router_wg is not None and layer.c is None:  # the router read xa
         gx += g_logits @ layer.router_wg
     return gx

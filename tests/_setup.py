@@ -18,7 +18,8 @@ from talklora.adapters import (
     frozen_stack_slots,
 )
 from talklora.analysis import BALANCE_ADAPTER, BALANCE_DEPTH, BALANCE_TASK, BALANCE_TRAIN
-from talklora.autodiff import AdamWHyper, AdamWState, LossSpec, backward, stack_adamw_step
+from talklora.autodiff import (_COMPLEX_STEP, AdamWHyper, AdamWState, LossSpec, _reference_loss,
+                               backward, stack_adamw_step)
 from talklora.checkpoint import _PREFIX, load_checkpoint, save_checkpoint
 from talklora.cli import main
 from talklora.linalg import RngState
@@ -126,6 +127,29 @@ def near_degenerate_c(seed=0):
     q1, _ = np.linalg.qr(gen.normal(size=(4, 4)))
     q2, _ = np.linalg.qr(gen.normal(size=(4, 4)))
     return 1.5 * (q1 * np.array([1.0, 1.0 - 1e-3, 0.5, 0.1])) @ q2.T
+
+
+def directional_errors(stack, frozen, batch, loss, dropout_scales, grad, seed=0):
+    """Per handle, the relative error of ``grad`` (laid out like ``stack.flat``)
+    along one Gaussian direction v: |<slice, v> - D_v| / max(1e-8, |<slice, v>| + |D_v|).
+
+    D_v = Im f(theta + i*h*v) / h is the complex-step directional derivative,
+    with f ``autodiff._reference_loss`` in complex128 and only that handle
+    moved: one reference forward per handle, however many scalars it holds,
+    so it checks ``backward`` at widths where the per-scalar oracle would
+    need a copy per scalar.  v comes from ``RngState(seed)``'s stream
+    ``direction.<handle>``.
+    """
+    x, targets = np.asarray(batch[0], dtype=np.float64), np.asarray(batch[1])
+    base = {h: arr.astype(np.complex128) for h, arr in stack.named_parameters()}
+    errors = {}
+    for handle, g in stack.views(grad).items():
+        v = RngState(seed).split(f"direction.{handle}").generator().normal(size=g.shape)
+        params = dict(base, **{handle: base[handle] + 1j * _COMPLEX_STEP * v})
+        f = _reference_loss(stack, frozen, params, x, targets, loss, dropout_scales)
+        numeric, analytic = float(f.imag) / _COMPLEX_STEP, float(np.dot(g.ravel(), v.ravel()))
+        errors[handle] = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+    return errors
 
 
 def forge_checkpoint(src, dst, edit=None, values=()):

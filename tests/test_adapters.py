@@ -626,15 +626,24 @@ class TestLayerShapeRule:
         assert trace.expert_outputs.tobytes() == (
             _expert_outputs(ad, cache.h, cache.p)[:, 0].tobytes())
         assert trace.delta.tobytes() == cache.delta[0].tobytes()
-        # the trace's expert outputs are the ones that formed delta, by the
-        # forward's own operations at B = 1
+        # delta mixes the experts in rank space: scaling (U_g @ B_cat^T), with
+        # U_g = [g_1 u_1 ... g_n u_n] and B_cat = [B_1 ... B_n], bit for bit
         if method == "lora":
             assert trace.gates is None
-            mixed = trace.expert_outputs[0]
+            gates = np.ones(1)
         else:
             assert trace.gates.tobytes() == cache.gates[0].tobytes()
-            mixed = (trace.gates[:, None] * trace.expert_outputs).sum(axis=0)
-        assert (mixed * cfg.scaling).tobytes() == trace.delta.tobytes()
+            gates = trace.gates
+        u = (cache.h if cache.p is None else cache.p)[:, 0]  # (n, r_e): what B_i multiplies
+        ug = (gates[:, None] * u).reshape(1, -1)
+        b_cat = np.concatenate(list(ad.b), axis=1)
+        assert ((ug @ b_cat.T)[0] * cfg.scaling).tobytes() == trace.delta.tobytes()
+        # and equals the gated sum of the trace's expert outputs to rounding:
+        # each side sums the r products g_i u_ij B_i[:, j] in its own order
+        mixed = (gates[:, None] * trace.expert_outputs).sum(axis=0) * cfg.scaling
+        magnitude = cfg.scaling * (np.abs(ug) @ np.abs(b_cat).T)[0]
+        bound = 2 * (ug.size + 1) * np.finfo(float).eps * magnitude
+        assert (np.abs(mixed - trace.delta) <= bound).all()
 
     def test_merge_rejects_an_adapter_of_other_dims(self):
         ad = init_layer("lora", small_cfg(experts=1), 6, 6, RngState(42))

@@ -382,7 +382,7 @@ class TestTrain:
         "seed": 0,
         "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "spectral_clip_c": 1.0},
         "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
-        "train": {"epochs": 5, "batch_size": 16, "lr": 1e50, "warmup_steps": 1,
+        "train": {"epochs": 5, "batch_size": 16, "lr": 1e40, "warmup_steps": 1,
                   "eval_every": 4},
     }
 

@@ -205,7 +205,7 @@ class TestTrain:
 
     def test_overflowing_gradient_aborts_with_step_index(self):
         # at step 7 the gradient overflows while the loss is still finite
-        data, frozen, stack, tc = self._overflow_setup(lr=1e50)
+        data, frozen, stack, tc = self._overflow_setup(lr=1e40)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(stack, frozen, data, tc, MSE)
         assert exc.value.step == 7
@@ -213,7 +213,7 @@ class TestTrain:
 
     def test_divergence_warns_nothing(self):
         # the step loop runs under one errstate; the checks name the step
-        data, frozen, stack, tc = self._overflow_setup(lr=1e50)
+        data, frozen, stack, tc = self._overflow_setup(lr=1e40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as exc:
