@@ -38,16 +38,15 @@ scaling [g_1 u_1 ... g_n u_n] @ [B_1 ... B_n]^T is one (B, r) @ (r, k)
 product, so no batched pass forms the (n, B, k) expert outputs; only
 :func:`forward_one`'s trace does.
 An :class:`AdapterStack` keeps one config and every trainable scalar in
-one float64 buffer ``flat``; layer arrays are views of it, a shared B is
-stored once, and per-expert handles (``L00.Q.A1``, ``shared.Q.B0``) name
-views ``a[j]``.
+one float64 buffer ``flat``, where :func:`stack_layout`, the one map of
+it, places each array; layer arrays and per-expert handles (``L00.Q.A1``,
+``shared.Q.B0``) are views of their slices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -155,13 +154,6 @@ class Field(NamedTuple):
     shape: tuple
     shared: bool = False
 
-    def parts(self):
-        """(handle role, shape) per handle, lazily: one per expert of a stacked
-        (n, ...) array (``A0``, ``A1``, ...), else the role (``C``, ``Wg``)."""
-        if len(self.shape) == 3:
-            return ((f"{self.role}{j}", self.shape[1:]) for j in range(self.shape[0]))
-        return iter([(self.role, self.shape)])
-
 
 def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
                  site: str = "the layer") -> tuple:
@@ -201,42 +193,50 @@ def layer_layout(method: str, cfg: AdapterConfig, d_in: int, d_out: int,
 class Site(NamedTuple):
     """``field`` of ``slot``, the ``index``-th slot, with handles under ``owner``:
     ``shared.<tag>`` for a shared array, else the slot name.  ``first`` is
-    False for a shared array that an earlier slot of its tag holds."""
+    False for a shared array that an earlier slot of its tag holds, and
+    ``span`` is the array's slice of ``flat``, its holder's for such a site."""
 
     index: int
     slot: LayerSlot
     field: Field
     owner: str
     first: bool
+    span: slice
 
     def handles(self):
-        """(role, handle, shape) per handle of the array, lazily."""
-        return ((role, f"{self.owner}.{role}", shape) for role, shape in self.field.parts())
-
-    @property
-    def size(self) -> int:
-        """Scalars of the array: its share of ``flat`` where this site holds it."""
-        return math.prod(self.field.shape)
+        """(role, handle, shape, span) per handle of the array, lazily, ``span``
+        the handle's slice of ``flat``: one per expert of a stacked (n, ...)
+        array (``A0``, ``A1``, ...), else the role (``C``, ``Wg``)."""
+        shape = self.field.shape[-2:]
+        size = math.prod(shape)
+        for j, start in enumerate(range(self.span.start, self.span.stop, size)):
+            role = f"{self.field.role}{j}" if len(self.field.shape) == 3 else self.field.role
+            yield role, f"{self.owner}.{role}", shape, slice(start, start + size)
 
 
 def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
     """Every array of a ``method`` stack over ``slots`` as a :class:`Site`, lazily.
 
-    Sites come in buffer order and allocate nothing, so a caller can stop
-    at the first one that disagrees with what it holds.  No slot at all, a
-    slot whose dims break :func:`layer_layout`'s rule, a slot repeated, or a
-    tag whose slots imply different shapes for a shared array, raises.
+    The sites are the one map of ``flat``, in buffer order: a first holder
+    takes the next offset, a later site of a shared array its holder's
+    span.  Nothing is allocated, so a caller can stop at the first site
+    that disagrees with what it holds.  No slot at all, a slot whose dims
+    break :func:`layer_layout`'s rule, a slot repeated, or a tag whose
+    slots imply different shapes for a shared array, raises.
     """
     if not slots:
         raise ValueError("at least one slot is required")
-    holders = {}  # (owner, attribute) -> the site that holds the array
+    holders, end = {}, 0  # (owner, attribute) -> the site that holds the array
     for i, slot in enumerate(slots):
         for field in layer_layout(method, cfg, slot.d_in, slot.d_out, f"slot {slot.name}"):
             owner = f"shared.{slot.tag}" if field.shared else slot.name
-            site = Site(i, slot, field, owner, (owner, field.name) not in holders)
-            earlier = holders.setdefault((owner, field.name), site)
-            if not site.first and (not field.shared or earlier.field.shape != field.shape):
-                (_, handle, shape), had = next(site.handles()), next(earlier.handles())
+            earlier = holders.get((owner, field.name))
+            span = slice(end, end + math.prod(field.shape)) if earlier is None else earlier.span
+            site = Site(i, slot, field, owner, earlier is None, span)
+            if site.first:
+                holders[owner, field.name], end = site, span.stop
+            elif not field.shared or earlier.field.shape != field.shape:
+                (_, handle, shape, _), had = next(site.handles()), next(earlier.handles())
                 raise ValueError(
                     f"slot {slot.name} (d_in {slot.d_in}, d_out {slot.d_out}) implies "
                     f"{handle} {shape}, which an earlier slot gave shape {had[2]}"
@@ -244,10 +244,15 @@ def stack_layout(method: str, cfg: AdapterConfig, slots: Sequence[LayerSlot]):
             yield site
 
 
+def _flat_size(layout) -> int:
+    """Scalars of a ``flat`` that ``layout`` maps: where its last array ends."""
+    return max(site.span.stop for site in layout)
+
+
 def alias_table(sites) -> dict:
     """Each layer-level name of a shared tensor (``L01.Q.B0``) -> its handle (``shared.Q.B0``)."""
     return {f"{site.slot.name}.{role}": handle
-            for site in sites if site.field.shared for role, handle, _ in site.handles()}
+            for site in sites if site.field.shared for role, handle, _, _ in site.handles()}
 
 
 @dataclass
@@ -452,14 +457,14 @@ class LayerSlot:
 class AdapterStack:
     """All adapters of one method over a list of slots, in one parameter buffer.
 
-    ``flat`` (C-contiguous float64) holds every trainable scalar in the
-    order of ``layout``, the list of :func:`stack_layout` over ``slots``.
-    ``cfg`` is every layer's one config; a layer's dims are its slot's.
-    The stack adopts ``flat`` as it is, filled or not: each layer array is
-    a view of it, and ``ranges[i]`` maps slot i's field names to their
-    slices.  A shared array has one slice and view for all layers of its
-    tag, taken from the first, and its handles (``shared.<tag>.B<i>``)
-    appear once.  Forwards never mutate parameters; optimizers update ``flat``.
+    ``flat`` (C-contiguous float64) holds every trainable scalar where
+    ``layout``, the list of :func:`stack_layout` over ``slots``, places it;
+    the stack adopts it as it is, filled or not.  ``by_handle`` maps each
+    handle, in buffer order and a shared one once, to its (slice, view) of
+    ``flat``; ``ranges[i]`` maps slot i's field names to their spans, and a
+    shared array has one view object for all layers of its tag.  ``cfg``
+    is every layer's one config; a layer's dims are its slot's.  Forwards
+    never mutate parameters; optimizers update ``flat``.
     """
 
     def __init__(self, method: str, cfg: AdapterConfig, slots: list, layout: list,
@@ -471,23 +476,19 @@ class AdapterStack:
         self.flat = flat
         self.ranges = [{} for _ in slots]
         self._slot_handles = [[] for _ in slots]
-        self._by_handle = {}  # shared handles once, from the first slot of their tag
+        self.by_handle = {}
         arrays = [{} for _ in slots]
-        held, end = {}, 0  # (owner, attribute) -> (slice, view) of the holding site
+        held = {}  # (owner, attribute) -> view of the holding site
         for site in layout:
             name = site.field.name
-            if site.first:
-                span = slice(end, end + site.size)
-                held[site.owner, name] = span, flat[span].reshape(site.field.shape)
-                end = span.stop
-            span, view = held[site.owner, name]
-            self.ranges[site.index][name] = span
+            view = held.setdefault((site.owner, name), flat[site.span].reshape(site.field.shape))
+            self.ranges[site.index][name] = site.span
             arrays[site.index][name] = view
-            for (role, handle, _), arr in zip(site.handles(), view if view.ndim == 3 else [view]):
+            for role, handle, shape, span in site.handles():
+                arr = flat[span].reshape(shape)
                 self._slot_handles[site.index].append((role, handle, arr))
-                if site.first:
-                    self._by_handle[handle] = arr
-        if end != flat.size:
+                self.by_handle.setdefault(handle, (span, arr))  # a shared one from its holder
+        if (end := _flat_size(layout)) != flat.size:
             raise ValueError(f"the layout holds {end} scalars, flat {flat.size}")
         self.adapters = [AdapterLayer(**held) for held in arrays]
 
@@ -502,21 +503,19 @@ class AdapterStack:
 
     def named_parameters(self) -> list:
         """(handle, array) pairs in buffer order; shared tensors once."""
-        return list(self._by_handle.items())
+        return [(handle, arr) for handle, (_, arr) in self.by_handle.items()]
 
     def parameter(self, handle: str) -> np.ndarray:
-        return self._by_handle[handle]
+        return self.by_handle[handle][1]
 
     @property
     def handles(self) -> list:
-        return list(self._by_handle)
+        return list(self.by_handle)
 
     def views(self, buf: np.ndarray) -> dict:
-        """handle -> view of ``buf``, an array laid out like :attr:`flat`."""
-        params = self._by_handle.items()
-        ends = accumulate(arr.size for arr in self._by_handle.values())
-        return {handle: buf[end - arr.size:end].reshape(arr.shape)
-                for (handle, arr), end in zip(params, ends)}
+        """handle -> its slice of ``buf``, an array laid out like :attr:`flat`."""
+        return {handle: buf[span].reshape(arr.shape)
+                for handle, (span, arr) in self.by_handle.items()}
 
 
 def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -> AdapterStack:
@@ -529,7 +528,7 @@ def _init_stack(method: str, cfg: AdapterConfig, slots: list, slot_rngs: list) -
     the slot's stream ``slot_rngs[i]``.
     """
     layout = list(stack_layout(method, cfg, slots))
-    flat = np.zeros(sum(site.size for site in layout if site.first))
+    flat = np.zeros(_flat_size(layout))
     stack = AdapterStack(method, cfg, slots, layout, flat)
     for i, rng in enumerate(slot_rngs):
         for role, _, arr in stack.slot_handles(i):

@@ -376,12 +376,12 @@ def finite_difference_oracle(
     rounding for any small h, and this one uses a fixed h = 1e-40.
 
     Each scalar needs one copy.  The copies go through ``_reference_loss``
-    in blocks of ``ORACLE_BLOCK``, packed in handle order across handles:
-    every handle the block touches carries a leading (m, ...) axis with
-    one scalar moved in each of its rows, and the others stay plain.  So
-    one call serves up to ``ORACLE_BLOCK`` scalars, and memory stays
-    bounded by the block, not the handles' sizes.  A scalar the forward
-    never reads (C with talking off) gets an exact +0.
+    in blocks of ``ORACLE_BLOCK`` consecutive scalars of ``flat``: every
+    handle whose ``stack.by_handle`` slice the block touches carries a
+    leading (m, ...) axis with one scalar moved in each of its rows, and
+    the others stay plain, so memory stays bounded by the block, not the
+    handles' sizes.  A scalar the forward never reads (C with talking off)
+    gets an exact +0.
 
     Shared parameters are perturbed once; the handle-keyed lookup aliases
     their effect into every layer, which is exactly the summed gradient
@@ -391,20 +391,18 @@ def finite_difference_oracle(
     x = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets)
     base = {h: arr.astype(np.complex128) for h, arr in stack.named_parameters()}
-    ends = np.cumsum([arr.size for arr in base.values()])  # base is in flat's order
-    spans = [(handle, end - arr.size, end) for (handle, arr), end in zip(base.items(), ends)]
     grad = np.zeros(stack.flat.size)
     for lo in range(0, grad.size, ORACLE_BLOCK):
         hi = min(lo + ORACLE_BLOCK, grad.size)
         m = hi - lo
         params = dict(base)
-        for handle, start, end in spans:
-            if start < hi and end > lo:
-                first, last = max(start, lo), min(end, hi)
+        for handle, (span, _) in stack.by_handle.items():
+            if span.start < hi and span.stop > lo:
+                first, last = max(span.start, lo), min(span.stop, hi)
                 arr = base[handle]
                 copies = np.repeat(arr.reshape(1, -1), m, axis=0)
                 copies[np.arange(first - lo, last - lo),
-                       np.arange(first - start, last - start)] += 1j * _COMPLEX_STEP
+                       np.arange(first - span.start, last - span.start)] += 1j * _COMPLEX_STEP
                 params[handle] = copies.reshape(m, *arr.shape)
         f = _reference_loss(stack, frozen_layers, params, x, targets, loss, dropout_scales)
         grad[lo:hi] = np.broadcast_to(f, (m,)).imag / _COMPLEX_STEP

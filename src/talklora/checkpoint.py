@@ -17,7 +17,6 @@ still bit-reproducible.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import zlib
@@ -28,7 +27,7 @@ import numpy as np
 
 from ._fields import REQUIRED, read_fields
 from .adapters import (
-    ADAPTER_FIELDS, AdapterConfig, AdapterStack, LayerSlot, alias_table, stack_layout,
+    ADAPTER_FIELDS, AdapterConfig, AdapterStack, LayerSlot, _flat_size, alias_table, stack_layout,
 )
 from .linalg import _all_finite
 
@@ -149,13 +148,13 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
     """The header's adapter config, slots and layout, checked before anything
     is allocated.
 
-    Method, config and slots imply every tensor's handle and shape and the
-    alias table (:func:`stack_layout`, which also checks each slot's dims).
-    The records must list exactly those handles and shapes in order, the
-    alias table must be the implied one, and the records must account for
-    every payload byte.  The walk stops at the first implied handle that no
-    record matches, so a forged size is reported here, not by a failed
-    allocation of the size it names.
+    Method, config and slots imply every tensor's handle and shape, the
+    alias table and the payload's size (:func:`stack_layout`, which also
+    checks each slot's dims).  The records must list exactly those handles
+    and shapes in order, the alias table must be the implied one, and the
+    payload must end where the layout does.  The walk stops at the first
+    implied handle that no record matches, so a forged size is reported
+    here, not by a failed allocation of the size it names.
     """
     cfg = AdapterConfig(**header["adapter_config"])
     slots = [LayerSlot(**slot) for slot in header["slots"]]
@@ -163,7 +162,7 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
     sites, i = [], 0
     for site in stack_layout(header["method"], cfg, slots):
         sites.append(site)
-        for _, handle, shape in site.handles() if site.first else ():
+        for _, handle, shape, _ in site.handles() if site.first else ():
             if i == len(records) or records[i] != (handle, shape):
                 found = " ".join(map(str, records[i])) if i < len(records) else "missing"
                 raise CorruptCheckpointError(
@@ -176,7 +175,7 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
         raise CorruptCheckpointError(f"tensor record {i} is not implied by the slots")
     if header["alias_table"] != alias_table(sites):
         raise CorruptCheckpointError("alias table does not match the one the slots imply")
-    recorded = 8 * sum(math.prod(shape) for _, shape in records)
+    recorded = 8 * _flat_size(sites)
     if recorded != payload_bytes:
         problem = "truncated payload" if payload_bytes < recorded else "trailing bytes"
         raise CorruptCheckpointError(
@@ -189,12 +188,13 @@ def _check_layout(header: dict, payload_bytes: int) -> tuple:
 def load_checkpoint(path) -> tuple[AdapterStack, dict]:
     """Read the payloads into a new ``flat`` and build the stack on it.
 
-    The records are in buffer order, so once :func:`_check_layout` has
-    checked them, the whole payload is read into ``flat`` in one pass and
-    each record's CRC-32 is checked over its own slice.  The stack adopts
-    that buffer; nothing is drawn, and the roundtrip is bit-identical.  A
-    header with a missing, ill-typed or rejected field, or a payload that
-    holds NaN or infinity, is reported as corrupt.
+    Once :func:`_check_layout` has matched the records to the layout, the
+    whole payload is read into ``flat`` in one pass and the stack adopts
+    it; each record's CRC-32 is then checked, in record order, over its
+    handle's slice in ``stack.by_handle``.  Nothing is drawn, and the
+    roundtrip is bit-identical.  A header with a missing, ill-typed or
+    rejected field, or a payload that holds NaN or infinity, is reported
+    as corrupt.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
@@ -206,13 +206,11 @@ def load_checkpoint(path) -> tuple[AdapterStack, dict]:
         flat = np.empty(payload_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != payload_bytes:
             raise CorruptCheckpointError("truncated payload: the file shrank while it was read")
-    start = 0
+    # astype is a no-op on little-endian hosts; the checksums read the file's bytes
+    stack = AdapterStack(header["method"], cfg, slots, layout, flat.astype(np.float64, copy=False))
     for rec in header["tensors"]:
-        stop = start + rec["rows"] * rec["cols"]
-        if (zlib.crc32(flat[start:stop]) & 0xFFFFFFFF) != rec["crc32"]:
+        span, _ = stack.by_handle[rec["handle"]]
+        if (zlib.crc32(flat[span]) & 0xFFFFFFFF) != rec["crc32"]:
             raise CorruptCheckpointError(f"checksum mismatch for tensor {rec['handle']!r}")
-        start = stop
-    flat = flat.astype(np.float64, copy=False)  # a no-op on little-endian hosts
-    stack = AdapterStack(header["method"], cfg, slots, layout, flat)
     _check_finite(stack, CorruptCheckpointError)
     return stack, header["run_config"]

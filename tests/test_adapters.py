@@ -489,6 +489,38 @@ class TestBuildAdapterStack:
         assert params.tobytes() == stack.flat.tobytes()
         assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
 
+    @pytest.mark.parametrize("host", ["two_tags", "depth_3"])
+    @pytest.mark.parametrize("share_b", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_handle_slices_tile_flat(self, method, share_b, host):
+        cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, share_b=share_b)
+        slots = frozen_stack_slots(build_frozen_stack(8, 4, 3, RngState(0)))  # 8x8, 8x8, 8x4
+        if host == "two_tags":
+            slots = [LayerSlot(i, tag, 8, k) for i in range(2) for tag, k in (("Q", 8), ("V", 4))]
+        stack = build_stack_from_slots(method, cfg, slots, RngState(29))
+        assert list(stack.by_handle) == stack.handles
+        spans = [span for span, _ in stack.by_handle.values()]
+        # in handle order from 0, each slice starts where the one before it ends
+        assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
+        assert spans[-1].stop == stack.flat.size
+        address = stack.flat.__array_interface__["data"][0]
+        for handle, (span, view) in stack.by_handle.items():
+            assert span.stop > span.start, handle
+            assert view.__array_interface__["data"][0] == address + 8 * span.start, handle
+            assert view.size == span.stop - span.start and view.flags.c_contiguous, handle
+        # each layer's handles are views of those slices, a shared one stored once
+        for i in range(len(slots)):
+            for _, handle, arr in stack.slot_handles(i):
+                view = stack.by_handle[handle][1]
+                assert arr.__array_interface__ == view.__array_interface__, handle
+        shared = [h for h in stack.handles if h.startswith("shared.")]
+        tags = {slot.tag for slot in slots}
+        assert len(shared) == (2 * len(tags) if method == "talklora" and share_b else 0)
+        for handle in shared:  # at the slice its tag's first slot placed, after its own arrays
+            holder = next(slot for slot in slots if handle.startswith(f"shared.{slot.tag}."))
+            before = stack.handles[stack.handles.index(handle) - 1]
+            assert before.startswith((f"{holder.name}.", f"shared.{holder.tag}.")), handle
+
     @pytest.mark.parametrize("build, message", [
         (lambda: build_stack_from_slots("lora", small_cfg(), [], RngState(0)),
          "^at least one slot is required$"),

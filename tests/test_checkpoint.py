@@ -37,6 +37,14 @@ def _assert_stacks_equal(a, b):
         assert np.array_equal(p1, p2), h1
 
 
+def _flip_record_byte(raw: bytearray, records: list, handle: str) -> None:
+    """Flip one bit in the middle of ``handle``'s payload in the file bytes ``raw``;
+    the payloads end the file, in record order."""
+    index = [rec["handle"] for rec in records].index(handle)
+    sizes = [8 * rec["rows"] * rec["cols"] for rec in records]
+    raw[len(raw) - sum(sizes[index:]) + sizes[index] // 2] ^= 0x01
+
+
 class TestRoundtrip:
     def test_fresh_stack_roundtrip_bit_identical(self, tmp_path):
         _, stack, _, _ = make_setup("talklora", depth=3, seed=1)
@@ -332,15 +340,32 @@ class TestLoadIntoFlat:
         source = FIXTURES / "talklora-v1.tlkl"
         records = read_header(source)["tensors"]
         index = {"first": 0, "middle": len(records) // 2, "last": len(records) - 1}[which]
-        sizes = [8 * r["rows"] * r["cols"] for r in records]
+        handle = records[index]["handle"]
         raw = bytearray(source.read_bytes())
-        # the payloads end the file, in record order
-        raw[len(raw) - sum(sizes[index:]) + sizes[index] // 2] ^= 0x01
+        _flip_record_byte(raw, records, handle)
         path = tmp_path / "flipped.tlkl"
         path.write_bytes(bytes(raw))
-        handle = records[index]["handle"]
         with pytest.raises(CorruptCheckpointError,
                            match=f"^checksum mismatch for tensor {re.escape(repr(handle))}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("flipped, named", [
+        (["shared.V.B1"], "shared.V.B1"),
+        (["L01.Q.Wg", "L00.V.A1"], "L00.V.A1"),
+    ], ids=["shared_b_second_expert", "two_records"])
+    def test_first_bad_record_is_named_on_two_tags(self, tmp_path, flipped, named):
+        # L01's B records are L00's, stored once, so L01.Q follows shared.V.B1
+        cfg = AdapterConfig(total_rank=4, experts=2, share_b=True)
+        slots = [LayerSlot(i, tag, 8, k) for i in range(2) for tag, k in (("Q", 8), ("V", 4))]
+        path = tmp_path / "two-tags.tlkl"
+        save_checkpoint(path, build_stack_from_slots("talklora", cfg, slots, RngState(5)), {})
+        records = read_header(path)["tensors"]
+        raw = bytearray(path.read_bytes())
+        for handle in flipped:
+            _flip_record_byte(raw, records, handle)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError,
+                           match=f"^checksum mismatch for tensor {re.escape(repr(named))}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

@@ -378,11 +378,16 @@ class TestTrain:
         assert code == 3
         assert "step" in err
 
-    OVERFLOWING = {  # config overrides whose gradient overflows while the loss is finite
+    # config overrides whose gradient overflows while the loss is finite: B starts
+    # at zero and the host's output is bounded, so the first loss is about the
+    # targets' square (1e300), and the scaling 1e170 times that residual
+    # overflows B's gradient at step 1
+    OVERFLOWING = {
         "seed": 0,
-        "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 8.0, "spectral_clip_c": 1.0},
-        "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40},
-        "train": {"epochs": 5, "batch_size": 16, "lr": 1e40, "warmup_steps": 1,
+        "adapter": {"total_rank": 4, "experts": 2, "lora_alpha": 4e170, "spectral_clip_c": 1.0},
+        "task": {"clusters": 2, "input_dim": 8, "output_dim": 8, "samples_per_cluster": 40,
+                 "noise_std": 1e150},
+        "train": {"epochs": 5, "batch_size": 16, "lr": 1e-3, "warmup_steps": 1,
                   "eval_every": 4},
     }
 
@@ -400,11 +405,10 @@ class TestTrain:
         assert err == "numerical failure: training diverged (non-finite eval loss) at step 1\n"
 
     def test_overflowing_gradient_exits_3_naming_step(self, tmp_path):
-        # the loss is still finite at step 7 when the gradient overflows
         cfg = write_config(tmp_path, **self.OVERFLOWING)
         code, _, err = run_cli(tmp_path, "train", "--config", str(cfg))
         assert code == 3
-        assert err == "numerical failure: training diverged (non-finite parameters) at step 7\n"
+        assert err == "numerical failure: training diverged (non-finite parameters) at step 1\n"
 
     def test_non_finite_task_data_exits_2_in_one_line(self, tmp_path):
         # the task's data overflow, so nothing is trained: a config error,

@@ -192,33 +192,38 @@ class TestTrain:
         assert exc.value.step == 11
         assert str(exc.value) == "training diverged (non-finite eval loss) at step 11"
 
+    # B starts at zero and the host's output is bounded, so the first loss is
+    # about the targets' square, 1e300 and finite, while the scaling 1e170 times
+    # that residual overflows B's first gradient: step 1 by magnitude, at lr and
+    # lora_alpha x0.5 and x2, seeds 0-4
+    OVERFLOWING = {"noise_std": 1e150, "lora_alpha": 4e170, "lr": 1e-3}
+
     @staticmethod
-    def _overflow_setup(**train_fields):
-        """The small talklora run of the CLI's diverged-run config, at seed 0."""
+    def _overflow_setup(noise_std=0.3, lora_alpha=8.0, **train_fields):
+        """The small talklora run of the CLI's diverged-run configs, at seed 0."""
         spec = ClusterTaskSpec(clusters=2, input_dim=8, output_dim=8,
-                               samples_per_cluster=40, noise_std=0.3)
+                               samples_per_cluster=40, noise_std=noise_std)
         frozen = build_frozen_stack(8, 8, 2, RngState(0))
-        cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=8.0, spectral_clip_c=1.0)
+        cfg = AdapterConfig(total_rank=4, experts=2, lora_alpha=lora_alpha, spectral_clip_c=1.0)
         stack = build_stack_from_slots("talklora", cfg, frozen_stack_slots(frozen), RngState(0))
         tc = TrainConfig(epochs=5, batch_size=16, warmup_steps=1, eval_every=4, **train_fields)
         return generate_cluster_task(spec), frozen, stack, tc
 
     def test_overflowing_gradient_aborts_with_step_index(self):
-        # at step 7 the gradient overflows while the loss is still finite
-        data, frozen, stack, tc = self._overflow_setup(lr=1e40)
+        data, frozen, stack, tc = self._overflow_setup(**self.OVERFLOWING)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(stack, frozen, data, tc, MSE)
-        assert exc.value.step == 7
+        assert exc.value.step == 1
         assert "non-finite parameters" in str(exc.value)
 
     def test_divergence_warns_nothing(self):
         # the step loop runs under one errstate; the checks name the step
-        data, frozen, stack, tc = self._overflow_setup(lr=1e40)
+        data, frozen, stack, tc = self._overflow_setup(**self.OVERFLOWING)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as exc:
                 train(stack, frozen, data, tc, MSE)
-        assert exc.value.step == 7
+        assert exc.value.step == 1
 
     def test_overflowing_update_aborts_with_step_index(self):
         # lr * weight_decay overflows, so the first update is not finite
