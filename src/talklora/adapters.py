@@ -35,8 +35,8 @@ Forwards (and the backward in :mod:`talklora.autodiff`) batch over that
 axis with ``np.matmul``, so neither loops over experts.  The gate mix
 runs in rank space, before B: with u_i = E_i h_i (h_i without E), delta =
 scaling [g_1 u_1 ... g_n u_n] @ [B_1 ... B_n]^T is one (B, r) @ (r, k)
-product, so no batched pass forms the (n, B, k) expert outputs; only
-:func:`forward_one`'s trace does.
+product, so no pass forms the (n, B, k) expert outputs.  The caller
+adds that delta to the frozen product w0 x (``autodiff.model_forward``).
 An :class:`AdapterStack` keeps one config and every trainable scalar in
 one float64 buffer ``flat``, where :func:`stack_layout`, the one map of
 it, places each array; layer arrays and per-expert handles (``L00.Q.A1``,
@@ -262,22 +262,20 @@ class ForwardTrace:
     h: np.ndarray  # (n, r_e) per-expert low-rank representations
     h_tilde: np.ndarray  # (n, r_e) communicated representations (== h without talking)
     gates: Optional[np.ndarray]  # (n,) softmax routing weights; None for LoRA (no router)
-    expert_outputs: np.ndarray  # (n, k), unweighted B_i E_i h_i (or B_i A_i x)
     delta: np.ndarray  # (k,) adapter contribution, y - w0 @ x computed exactly
 
 
 @dataclass
 class LayerCache:
-    """Batched forward intermediates retained for the backward pass.
+    """What one layer's backward reads of its batched forward, and no more.
 
     It holds no (n, B, k) expert outputs, and no pass forms them: the
     forward mixes the experts in rank space, and the backward takes the
-    gate and B gradients there, from ``h`` or ``p`` and the gates.
+    gate and B gradients there, from ``h`` or ``p`` and the gates.  The
+    delta goes to the caller, which adds it to the frozen product.
     ``autodiff.backward`` touches only the caches of its own forward: it
-    drops ``delta`` and ``z`` as that forward returns, writes the tanh
-    derivative over a layer's ``x`` once that layer's backward is done,
-    and drops each cache once the sweep is past it.  A cache any other
-    caller gets keeps every field.
+    writes the tanh derivative over a layer's ``x`` once that layer's
+    backward is done, and drops each cache once the sweep is past it.
     """
 
     x: np.ndarray  # (B, d) clean layer input
@@ -286,14 +284,6 @@ class LayerCache:
     router_in: Optional[np.ndarray]  # what router_wg multiplied, (B, r) or (B, d)
     gates: Optional[np.ndarray]  # (B, n); both None for a layer without a router
     p: Optional[np.ndarray]  # (n, B, r_e) E_i h_i when the layer holds E
-    delta: np.ndarray  # (B, k)
-    z: np.ndarray  # (B, k) = x @ w0.T + delta
-
-
-def _expert_outputs(layer: AdapterLayer, h: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
-    """The (n, B, k) unweighted expert outputs B_i E_i h_i (B_i h_i without E),
-    a fresh array, for :func:`forward_one`'s trace; no batched pass forms them."""
-    return (h if p is None else p) @ layer.b.transpose(0, 2, 1)
 
 
 def _gated(u: np.ndarray, gates: Optional[np.ndarray]) -> np.ndarray:
@@ -302,9 +292,9 @@ def _gated(u: np.ndarray, gates: Optional[np.ndarray]) -> np.ndarray:
     return u if gates is None else u * gates.T[:, :, None]
 
 
-def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
-                   xa: Optional[np.ndarray]) -> LayerCache:
-    """The batched forward of every family.
+def _layer_forward(layer: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
+                   xa: Optional[np.ndarray]) -> tuple[np.ndarray, LayerCache]:
+    """(delta, cache): the batched adapter forward of every family.
 
     The arrays the layer holds set what differs: each expert reads its
     h_i, or u_i = p_i = E_i h_i when the layer holds E; a layer with a
@@ -312,7 +302,7 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     gives, and one without (LoRA's one expert) takes its expert whole.
     The experts are mixed in rank space, before B: delta = scaling (U_g
     @ B_cat^T), one (B, r) @ (r, k) product, so no (n, B, k) expert
-    outputs are formed.
+    outputs are formed.  The frozen product is the caller's.
     """
     xa = x if xa is None else xa
     h = xa @ layer.a.transpose(0, 2, 1)  # (n, B, r_e)
@@ -325,26 +315,24 @@ def _layer_forward(w0: np.ndarray, layer: AdapterLayer, x: np.ndarray, cfg: Adap
     # U_g = [g_1 u_1 ... g_n u_n] (B, r) and B_cat = [B_1 ... B_n] (k, r), a
     # copy of the stacked B (a view of LoRA's one)
     ug = _gated(h if p is None else p, gates).transpose(1, 0, 2).reshape(x.shape[0], -1)
-    delta = ug @ layer.b.transpose(1, 0, 2).reshape(w0.shape[0], -1).T
+    delta = ug @ layer.b.transpose(1, 0, 2).reshape(layer.b.shape[1], -1).T
     delta *= cfg.scaling
-    z = x @ w0.T
-    z += delta
-    return LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p, delta=delta, z=z)
+    return delta, LayerCache(x=x, xa=xa, h=h, router_in=router_in, gates=gates, p=p)
 
 
-def lora_batch_forward(w0: np.ndarray, ad: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
-                       xa: Optional[np.ndarray] = None) -> LayerCache:
-    return _layer_forward(w0, ad, x, cfg, xa)
+def lora_batch_forward(ad: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
+                       xa: Optional[np.ndarray] = None) -> tuple[np.ndarray, LayerCache]:
+    return _layer_forward(ad, x, cfg, xa)
 
 
-def moelora_batch_forward(w0: np.ndarray, ml: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
-                          xa: Optional[np.ndarray] = None) -> LayerCache:
-    return _layer_forward(w0, ml, x, cfg, xa)
+def moelora_batch_forward(ml: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
+                          xa: Optional[np.ndarray] = None) -> tuple[np.ndarray, LayerCache]:
+    return _layer_forward(ml, x, cfg, xa)
 
 
-def talklora_batch_forward(w0: np.ndarray, tl: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
-                           xa: Optional[np.ndarray] = None) -> LayerCache:
-    return _layer_forward(w0, tl, x, cfg, xa)
+def talklora_batch_forward(tl: AdapterLayer, x: np.ndarray, cfg: AdapterConfig,
+                           xa: Optional[np.ndarray] = None) -> tuple[np.ndarray, LayerCache]:
+    return _layer_forward(tl, x, cfg, xa)
 
 
 def _family(adapter: AdapterLayer) -> str:
@@ -355,15 +343,15 @@ def _family(adapter: AdapterLayer) -> str:
     return "lora" if adapter.router_wg is None else "moelora"
 
 
-def batch_forward(w0, adapter: AdapterLayer, x, cfg, xa=None) -> LayerCache:
-    """:func:`_layer_forward` through the entry point of the layer's
-    :func:`_family`."""
+def batch_forward(adapter: AdapterLayer, x, cfg, xa=None) -> tuple[np.ndarray, LayerCache]:
+    """:func:`_layer_forward`, (delta, cache), through the entry point of
+    the layer's :func:`_family`."""
     family = _family(adapter)
     if family == "talklora":
-        return talklora_batch_forward(w0, adapter, x, cfg, xa)
+        return talklora_batch_forward(adapter, x, cfg, xa)
     if family == "moelora":
-        return moelora_batch_forward(w0, adapter, x, cfg, xa)
-    return lora_batch_forward(w0, adapter, x, cfg, xa)
+        return moelora_batch_forward(adapter, x, cfg, xa)
+    return lora_batch_forward(adapter, x, cfg, xa)
 
 
 def _check_layer(method: str, layer: FrozenLinear, adapter, cfg: AdapterConfig) -> None:
@@ -393,19 +381,21 @@ def forward_one(layer: FrozenLinear, adapter: AdapterLayer, x,
     router reads x (MoELoRA) or the C-mixed h~ (TalkLoRA, h itself with
     talking off); the experts always use h.  Checks ``x``, and the adapter
     against w0 under the family its arrays imply (:func:`_check_layer`).
+    y is ``x[None, :] @ w0.T``, the product ``model_forward`` forms on a
+    one-row batch, plus :func:`batch_forward`'s delta: that batch's row 0.
     """
     x = as_vector(x, "x")
     if x.shape[0] != layer.d_in:
         raise ValueError(f"input length {x.shape[0]} does not match w0 input dim {layer.d_in}")
     _check_layer(_family(adapter), layer, adapter, cfg)
-    cache = batch_forward(layer.w0, adapter, x[None, :], cfg)
+    delta, cache = batch_forward(adapter, x[None, :], cfg)
+    y = x[None, :] @ layer.w0.T
+    y += delta
     h = cache.h[:, 0]
     # h~ is what the router read when the layer holds E; without communication it mirrors h
     h_tilde = h.copy() if cache.p is None else cache.router_in[0].reshape(h.shape)
     gates = None if cache.gates is None else cache.gates[0].copy()
-    return cache.z[0], ForwardTrace(h=h, h_tilde=h_tilde, gates=gates,
-                                    expert_outputs=_expert_outputs(adapter, cache.h, cache.p)[:, 0],
-                                    delta=cache.delta[0])
+    return y[0], ForwardTrace(h=h, h_tilde=h_tilde, gates=gates, delta=delta[0])
 
 
 def lora_merge(layer: FrozenLinear, ad: AdapterLayer, cfg: AdapterConfig) -> np.ndarray:

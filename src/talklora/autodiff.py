@@ -12,16 +12,17 @@ so the sweep stops at layer 0 and forms no gradient with respect to the
 model input.  The gradient is one float64 vector laid out like
 ``stack.flat``; callers that read it by handle build ``stack.views(grad)``.
 
-A step's temporaries stay few.  The gate mix runs backward in rank
-space, as the forward ran it, so no pass forms a layer's (n, B, k)
-expert outputs or its n (B, d) input-gradient terms: the gate and B
-gradients come from the cached h or E h and the gates, and the input
-gradient is one (B, r) @ (r, d) product.  The sweep adds each parameter
-gradient into the flat vector as soon as it is formed, writes the tanh
-derivative over the activation it is taken from, and frees every value
-after its last reader; AdamW writes into two scratch arrays of one block
-each.  The loss gradient is written over the residual or exponentials
-the loss formed.
+A step's temporaries stay few.  ``model_forward`` adds each adapter delta
+to the frozen product and keeps only the layers' caches and the output.
+The gate mix runs backward in rank space, as the forward ran it, so no
+pass forms a layer's (n, B, k) expert outputs or its n (B, d)
+input-gradient terms: the gate and B gradients come from the cached h or
+E h and the gates, and the input gradient is one (B, r) @ (r, d) product.
+The sweep adds each parameter gradient into the flat vector as soon as
+it is formed, writes the tanh derivative over the activation it is taken
+from, and frees every value after its last reader; AdamW writes into two
+scratch arrays of one block each.  The loss gradient is written over the
+residual or exponentials the loss formed.
 
 ``finite_difference_oracle`` recomputes the same gradients by the complex
 step, g_j = Im f(theta + i*h*e_j) / h, through ``_reference_loss``, a
@@ -137,6 +138,8 @@ def model_forward(
 ) -> tuple[np.ndarray, list]:
     """Adapted forward through the frozen stack; tanh between layers.
 
+    (output, one cache per layer): each layer forms z = h @ w0.T plus the
+    delta of ``batch_forward``, and frees both once tanh z is the next h.
     ``dropout_scales`` optionally holds one (batch, d_layer) array of
     mask/(1-p) factors per layer applied to the adapter-path input only;
     the frozen path always sees the clean activations.
@@ -152,9 +155,12 @@ def model_forward(
     for i, fl in enumerate(frozen_layers):
         scale = dropout_scales[i] if dropout_scales is not None else None
         xa = h * scale if scale is not None else None
-        cache = batch_forward(fl.w0, stack.adapters[i], h, stack.cfg, xa=xa)
+        delta, cache = batch_forward(stack.adapters[i], h, stack.cfg, xa=xa)
         caches.append(cache)
-        h = cache.z if i == last else np.tanh(cache.z)
+        z = h @ fl.w0.T
+        z += delta
+        h = z if i == last else np.tanh(z)
+        del delta, z  # a layer leaves only its cache and its output behind
     return h, caches
 
 
@@ -243,8 +249,6 @@ def backward(
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError("batch inputs must be a nonempty (batch, d) array")
     z, caches = model_forward(frozen_layers, stack, inputs, dropout_scales)
-    for cache in caches:  # no backward reads them; the last z is held below
-        cache.delta = cache.z = None
     value, gx = loss_and_grad(z, np.asarray(targets), loss)
     del z
     grad = np.zeros_like(stack.flat)

@@ -121,7 +121,7 @@ def _read_header(fh) -> dict:
         raise CorruptCheckpointError("truncated header")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int, a deep nest
         raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise _malformed(f"the header must be an object, got {type(header).__name__}")

@@ -190,7 +190,7 @@ def _load_config_file(path: str, seed_override: Optional[int]) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_run_config(doc, seed_override)
 

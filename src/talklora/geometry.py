@@ -74,7 +74,11 @@ def geometry_from_dict(doc: dict) -> ModelGeometry:
 def load_geometry(path: str | Path) -> ModelGeometry:
     """Load a geometry fixture from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return geometry_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise _bad_fixture(f"{path} is not valid JSON: {exc}") from exc
+    return geometry_from_dict(doc)
 
 
 def bundled_geometry(name: str) -> ModelGeometry:

@@ -10,7 +10,6 @@ from _setup import geometry_slots
 from talklora import linalg
 from talklora.adapters import (
     _c_mix,
-    _expert_outputs,
     ADAPTER_FIELDS,
     AdapterConfig,
     AdapterLayer,
@@ -289,7 +288,7 @@ class TestTalkLoRAForward:
         tl = init_layer("talklora", cfg, 8, 8, RngState(26))
         tl.b[:] = gen.normal(size=tl.b.shape)
         x = gen.normal(size=(16, 8))
-        cache = batch_forward(gen.normal(size=(8, 8)), tl, x, cfg)
+        _, cache = batch_forward(tl, x, cfg)
         assert np.array_equal(router_gates(tl, x, talking), cache.gates)
 
     def test_identity_c_equals_talking_disabled_bitwise(self):
@@ -356,7 +355,7 @@ class TestTalkLoRAForward:
         _, after = forward_one(layer, tl, x, cfg)
         # expert 0 untouched: structural zeros keep its path bit-identical
         assert np.array_equal(before.h_tilde[0], after.h_tilde[0])
-        assert np.array_equal(before.expert_outputs[0], after.expert_outputs[0])
+        assert np.array_equal(before.h[0], after.h[0])
         # only the gate vector may move (router sees the concatenated input)
         assert not np.array_equal(before.gates, after.gates)
 
@@ -420,43 +419,46 @@ class TestTalkLoRAGeneralizesMoELoRA:
     EPS = np.finfo(np.float64).eps
 
     def _pair(self, seed):
-        """A TalkLoRA layer with C = I, E = I and random B; the stacked A; a
-        frozen weight; 200 inputs."""
+        """A TalkLoRA layer with C = I, E = I and random B; the stacked A; 200
+        inputs, drawn after a (k, d) draw that once was the frozen weight."""
         cfg = AdapterConfig(total_rank=self.R, experts=self.N)
         gen = RngState(seed).generator()
         tl = init_layer("talklora", cfg, self.D, self.K, RngState(seed))
         tl.b[:] = gen.normal(size=tl.b.shape)
         tl.c[:] = np.eye(self.N)
         tl.e[:] = np.eye(self.R // self.N)
-        w0, x = gen.normal(size=(self.K, self.D)), gen.normal(size=(200, self.D))
-        return cfg, tl, tl.a.reshape(self.R, self.D), w0, x, gen
+        gen.normal(size=(self.K, self.D))
+        x = gen.normal(size=(200, self.D))
+        return cfg, tl, tl.a.reshape(self.R, self.D), x, gen
 
     @staticmethod
-    def _gap(tl_cache, ml_cache):
-        """Largest relative difference of the adapter outputs and of the gates."""
-        return max(np.abs(tl_cache.delta - ml_cache.delta).max() / np.abs(ml_cache.delta).max(),
+    def _gap(tl_forward, ml_forward):
+        """Largest relative difference of the adapter outputs and of the gates,
+        given each layer's (delta, cache)."""
+        (tl_delta, tl_cache), (ml_delta, ml_cache) = tl_forward, ml_forward
+        return max(np.abs(tl_delta - ml_delta).max() / np.abs(ml_delta).max(),
                    np.abs(tl_cache.gates - ml_cache.gates).max())
 
     def test_identity_talklora_is_moelora_with_router_wg_a_stack(self):
-        cfg, tl, a_stack, w0, x, _ = self._pair(seed=3)
+        cfg, tl, a_stack, x, _ = self._pair(seed=3)
         ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=tl.router_wg @ a_stack)
-        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(tl, x, cfg), batch_forward(ml, x, cfg))
         assert gap < 32 * self.EPS  # the two logit products associate differently
 
     def test_rowspace_moelora_is_talklora_with_router_wg_pinv(self):
-        cfg, tl, a_stack, w0, x, gen = self._pair(seed=4)
+        cfg, tl, a_stack, x, gen = self._pair(seed=4)
         ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.R)) @ a_stack)
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)
-        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(tl, x, cfg), batch_forward(ml, x, cfg))
         assert gap < 64 * np.linalg.cond(a_stack) * self.EPS
 
     def test_generic_router_leaves_a_residual_outside_the_rowspace(self):
-        cfg, tl, a_stack, w0, x, gen = self._pair(seed=5)
+        cfg, tl, a_stack, x, gen = self._pair(seed=5)
         ml = AdapterLayer(a=tl.a, b=tl.b, router_wg=gen.normal(size=(self.N, self.D)))
         tl.router_wg[:] = ml.router_wg @ np.linalg.pinv(a_stack)  # its nearest TalkLoRA router
         residual = ml.router_wg - tl.router_wg @ a_stack
         assert np.linalg.norm(residual) / np.linalg.norm(ml.router_wg) > 0.1
-        gap = self._gap(batch_forward(w0, tl, x, cfg), batch_forward(w0, ml, x, cfg))
+        gap = self._gap(batch_forward(tl, x, cfg), batch_forward(ml, x, cfg))
         assert gap > 1e-3
 
 
@@ -650,14 +652,12 @@ class TestLayerShapeRule:
         ad.b[:] = gen.normal(size=ad.b.shape)
         layer, x = FrozenLinear(gen.normal(size=(8, 8))), gen.normal(size=8)
         y, trace = forward_one(layer, ad, x, cfg)
-        cache = batch_forward(layer.w0, ad, x[None, :], cfg)
+        delta, cache = batch_forward(ad, x[None, :], cfg)
         h_tilde = cache.h if method != "talklora" else cache.router_in.reshape(cache.h.shape)
-        assert y.tobytes() == cache.z[0].tobytes()
+        assert y.tobytes() == (x[None, :] @ layer.w0.T + delta)[0].tobytes()
         assert trace.h.tobytes() == cache.h[:, 0].tobytes()
         assert trace.h_tilde.tobytes() == h_tilde[:, 0].tobytes()
-        assert trace.expert_outputs.tobytes() == (
-            _expert_outputs(ad, cache.h, cache.p)[:, 0].tobytes())
-        assert trace.delta.tobytes() == cache.delta[0].tobytes()
+        assert trace.delta.tobytes() == delta[0].tobytes()
         # delta mixes the experts in rank space: scaling (U_g @ B_cat^T), with
         # U_g = [g_1 u_1 ... g_n u_n] and B_cat = [B_1 ... B_n], bit for bit
         if method == "lora":
@@ -670,9 +670,10 @@ class TestLayerShapeRule:
         ug = (gates[:, None] * u).reshape(1, -1)
         b_cat = np.concatenate(list(ad.b), axis=1)
         assert ((ug @ b_cat.T)[0] * cfg.scaling).tobytes() == trace.delta.tobytes()
-        # and equals the gated sum of the trace's expert outputs to rounding:
+        # and equals the gated sum of the expert outputs B_i u_i to rounding:
         # each side sums the r products g_i u_ij B_i[:, j] in its own order
-        mixed = (gates[:, None] * trace.expert_outputs).sum(axis=0) * cfg.scaling
+        expert_outputs = (u[:, None, :] @ ad.b.transpose(0, 2, 1))[:, 0]  # (n, k)
+        mixed = (gates[:, None] * expert_outputs).sum(axis=0) * cfg.scaling
         magnitude = cfg.scaling * (np.abs(ug) @ np.abs(b_cat).T)[0]
         bound = 2 * (ug.size + 1) * np.finfo(float).eps * magnitude
         assert (np.abs(mixed - trace.delta) <= bound).all()
@@ -732,7 +733,8 @@ class TestLayerShapeRule:
         x = RngState(51).generator().normal(size=16)
         for layer, ad in zip(frozen, stack.adapters):
             y, _ = forward_one(layer, ad, x, stack.cfg)
-            assert y.tobytes() == batch_forward(layer.w0, ad, x[None, :], stack.cfg).z[0].tobytes()
+            delta, _ = batch_forward(ad, x[None, :], stack.cfg)
+            assert y.tobytes() == (x[None, :] @ layer.w0.T + delta)[0].tobytes()
             x = np.tanh(y)
 
 

@@ -216,8 +216,8 @@ class TestStepBuffers:
     @pytest.mark.parametrize("method", ["lora", "moelora", "talklora"])
     def test_layer_backward_only_reads_its_cache(self, method):
         frozen, stack, x, _ = make_setup(method, seed=15, depth=1)
-        _, caches = model_forward(frozen, stack, x)
-        gz = RngState(16).generator().normal(size=caches[0].z.shape)
+        z, caches = model_forward(frozen, stack, x)
+        gz = RngState(16).generator().normal(size=z.shape)
         before = _cache_bytes(caches)
         runs = []
         for _ in range(2):
@@ -245,8 +245,8 @@ class TestStepBuffers:
         """
         frozen, stack, x, _ = make_setup(method, d=1024, k=1024, r=16, n=n, batch=32,
                                          depth=1, seed=15)
-        _, caches = model_forward(frozen, stack, x)
-        gz = RngState(16).generator().normal(size=caches[0].z.shape)
+        z, caches = model_forward(frozen, stack, x)
+        gz = RngState(16).generator().normal(size=z.shape)
         grad = np.zeros_like(stack.flat)
 
         def layer_backward():
@@ -262,6 +262,27 @@ class TestStepBuffers:
             tracemalloc.stop()
         router_term = 1 if method == "moelora" else 0
         assert peak < (1.75 + router_term) * gz.nbytes
+
+    @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
+    def test_forward_holds_only_layer_inputs_and_output(self, method, n):
+        """What one ``model_forward`` leaves allocated, d = k = 1024, depth 3.
+
+        The caches hold each layer's input, and those after the first are
+        the forward's own (B, k) arrays; the rank-sized h, E h and router
+        input (B r scalars each, a sixty-fourth of an array here) stay under
+        half an array together.  With the output that is depth + 0.5 (B, k)
+        arrays; a forward that kept a layer's delta or pre-activation fails it.
+        """
+        frozen, stack, x, _ = make_setup(method, d=1024, k=1024, r=16, n=n, batch=32,
+                                         depth=3, seed=17)
+        model_forward(frozen, stack, x)  # one-time allocations of the first call
+        tracemalloc.start()
+        try:
+            z, caches = model_forward(frozen, stack, x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < (len(frozen) + 0.5) * z.nbytes
 
     @pytest.mark.parametrize("method, n", [("lora", 1), ("moelora", 4), ("talklora", 4)])
     def test_step_allocation_budget(self, method, n):

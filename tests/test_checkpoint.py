@@ -200,6 +200,25 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptCheckpointError, match=match):
             load_checkpoint(path)
 
+    DEEP = 100_000  # a JSON nest far past the decoder's recursion limit
+    UNPARSABLE = {  # a header the JSON decoder refuses -> the start of its reason
+        "nested_too_deep": ("[" * DEEP + "]" * DEEP, "maximum recursion depth exceeded"),
+        "integer_too_long": ('{"format_version": %s}' % ("9" * 5000),
+                             "Exceeds the limit (4300 digits)"),
+    }
+
+    @pytest.mark.parametrize("argv", [["ckpt", "inspect"], ["ckpt", "roundtrip"],
+                                      ["analyze", "--report", "heatmap"]],
+                             ids=["inspect", "roundtrip", "analyze"])
+    @pytest.mark.parametrize("header", list(UNPARSABLE))
+    def test_unparsable_header_exits_4(self, tmp_path, header, argv):
+        body, reason = self.UNPARSABLE[header]
+        path = tmp_path / "forged.tlkl"
+        path.write_bytes(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(body)) + body.encode("ascii"))
+        code, _, err = run_cli(tmp_path, *argv, "--checkpoint", str(path))
+        assert code == 4
+        assert err.startswith(f"artifact corruption: unreadable header: {reason}"), err
+
     def test_payload_found_by_stored_header_length(self, tmp_path):
         _, stack, _, _ = make_setup("talklora", depth=2, seed=9)
         path = tmp_path / "indented.tlkl"

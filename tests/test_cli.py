@@ -250,13 +250,28 @@ class TestInputErrors:
     TASK = TestConfigTypes.TASK
     TRAIN = {"epochs": 1, "batch_size": 16, "warmup_steps": 10, "eval_every": 4}
     CONFIG = ["train", "--config", "{config}"]
+    DEEP = 100_000  # a JSON nest far past the decoder's recursion limit
     # case -> (argv, the config's overrides or its text, the stderr line's start);
-    # "{tmp}" is the test's directory and "{config}" the config file there
+    # "{tmp}" is the test's directory and "{config}" the config file there, and
+    # "{tmp}/nested.json" holds an array nested DEEP times
     CASES = {
         "config_file_missing": (["train", "--config", "{tmp}/absent.json"], {},
                                 "config error: config file not found: {tmp}/absent.json\n"),
         "config_not_json": (CONFIG, "{method: lora}",
                             "config error: config file {config} is not valid JSON: "),
+        "config_array_nested_too_deep": (
+            CONFIG, '{"method": "lora", "task": %s}' % ("[" * DEEP + "]" * DEEP),
+            "config error: config file {config} is not valid JSON: maximum recursion depth "
+            "exceeded while decoding a JSON array"),
+        "config_object_nested_too_deep": (
+            ["gradcheck", "--config", "{config}"], '{"a": ' * DEEP + "1" + "}" * DEEP,
+            "config error: config file {config} is not valid JSON: maximum recursion depth "
+            "exceeded while decoding a JSON object"),
+        "geometry_nested_too_deep": (
+            ["params", "--config", "{config}"],
+            json.dumps({"method": "lora", "geometry": "{tmp}/nested.json", "targets": ["Q"]}),
+            "config error: geometry fixture {tmp}/nested.json is not valid JSON: maximum "
+            "recursion depth exceeded while decoding a JSON array"),
         "analyze_checkpoint_missing": (
             ["analyze", "--checkpoint", "{tmp}/absent.tlkl", "--report", "heatmap"], {},
             "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
@@ -332,6 +347,9 @@ class TestInputErrors:
     def test_exits_2_naming_the_field(self, tmp_path, case):
         argv, config, line = self.CASES[case]
         if isinstance(config, str):
+            if "{tmp}/nested.json" in config:
+                (tmp_path / "nested.json").write_text("[" * self.DEEP + "]" * self.DEEP)
+                config = config.replace("{tmp}", str(tmp_path))
             path = tmp_path / "config.json"
             path.write_text(config)
         else:
