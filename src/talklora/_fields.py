@@ -1,5 +1,5 @@
-"""The one typed reader of the JSON documents the program reads: the run
-config, the geometry fixture and the checkpoint header.
+"""The one decoder and typed reader of the JSON documents the program reads:
+the run config, the geometry fixture and the checkpoint header.
 
 A field table lists each field's (name, JSON kind, default).  A kind is
 ``bool``, ``int``, ``float``, ``str``, ``dict`` (an object), ``list[str]``,
@@ -8,6 +8,7 @@ A field table lists each field's (name, JSON kind, default).  A kind is
 
 from __future__ import annotations
 
+import json
 import math
 
 REQUIRED = object()  # the default of a field that must be present
@@ -28,6 +29,14 @@ def _fits(value, kind) -> bool:
     if kind in (list[str], list[dict]):
         return isinstance(value, list) and all(isinstance(v, kind.__args__) for v in value)
     return isinstance(value, kind)
+
+
+def read_json(raw: bytes, error, what: str):
+    """The JSON value that strict-UTF-8 ``raw`` holds, else ``error(f"{what}: {reason}")``."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, a huge integer, a deep nest
+        raise error(f"{what}: {exc}") from exc
 
 
 def read_fields(doc: dict, fields, where: str, error, required: bool = False) -> dict:

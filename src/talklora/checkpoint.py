@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import REQUIRED, read_fields
+from ._fields import REQUIRED, read_fields, read_json
 from .adapters import (
     ADAPTER_FIELDS, AdapterConfig, AdapterStack, LayerSlot, _flat_size, alias_table, stack_layout,
 )
@@ -119,10 +119,7 @@ def _read_header(fh) -> dict:
     raw = fh.read(header_len)
     if len(raw) != header_len:
         raise CorruptCheckpointError("truncated header")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int, a deep nest
-        raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
+    header = read_json(raw, CorruptCheckpointError, "unreadable header")
     if not isinstance(header, dict):
         raise _malformed(f"the header must be an object, got {type(header).__name__}")
     header = read_fields(header, _HEADER_FIELDS, "", _malformed)

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from ._fields import REQUIRED, read_fields
+from ._fields import REQUIRED, read_fields, read_json
 from .adapters import (
     ADAPTER_FIELDS,
     METHODS,
@@ -188,10 +188,7 @@ def _load_config_file(path: str, seed_override: Optional[int]) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(p.read_bytes(), ConfigError, f"config file {path} is not valid JSON")
     return parse_run_config(doc, seed_override)
 
 

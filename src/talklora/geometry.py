@@ -10,12 +10,11 @@ cards / config files).  Each rule on a geometry names its field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ._fields import REQUIRED, read_fields
+from ._fields import REQUIRED, read_fields, read_json
 
 BUNDLED_GEOMETRIES = ("llama3-8b", "llama2-7b", "qwen2.5-7b")
 
@@ -56,8 +55,9 @@ def _bad_fixture(message: str) -> ValueError:
     return ValueError(f"geometry fixture {message}")
 
 
-def geometry_from_dict(doc: dict) -> ModelGeometry:
-    """Build a geometry from a parsed fixture document, checking every field's type."""
+def _read_fixture(raw: bytes, name) -> ModelGeometry:
+    """Build a geometry from the bytes of fixture ``name``, checking every field's type."""
+    doc = read_json(raw, _bad_fixture, f"{name} is not valid JSON")
     if not isinstance(doc, dict):
         raise _bad_fixture(f"must be an object, got {type(doc).__name__}")
     fields = read_fields(doc, _FIXTURE_FIELDS, "", _bad_fixture)
@@ -73,12 +73,7 @@ def geometry_from_dict(doc: dict) -> ModelGeometry:
 
 def load_geometry(path: str | Path) -> ModelGeometry:
     """Load a geometry fixture from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise _bad_fixture(f"{path} is not valid JSON: {exc}") from exc
-    return geometry_from_dict(doc)
+    return _read_fixture(Path(path).read_bytes(), path)
 
 
 def bundled_geometry(name: str) -> ModelGeometry:
@@ -90,4 +85,4 @@ def bundled_geometry(name: str) -> ModelGeometry:
         raise KeyError(f"no bundled geometry {name!r}; "
                        f"available: {', '.join(BUNDLED_GEOMETRIES)}")
     ref = resources.files("talklora.fixtures").joinpath(key + ".json")
-    return geometry_from_dict(json.loads(ref.read_text(encoding="utf-8")))
+    return _read_fixture(ref.read_bytes(), f"{key}.json")

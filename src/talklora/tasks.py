@@ -132,8 +132,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "eval_every", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.lr_schedule != "linear":
             raise ValueError(f"lr_schedule must be 'linear', got {self.lr_schedule!r}")
         if not 0.0 <= self.dropout < 1.0:

@@ -40,14 +40,18 @@ def make_setup(
     alpha=8.0,
     randomize_b=True,
     spectral_clip_c=None,
+    frozen=None,
 ):
     """Frozen stack + adapter stack + one random batch, all seeded.
 
     B matrices start at zero by contract; ``randomize_b`` fills them with
-    small values afterwards so gradients flow through every path.
+    small values afterwards so gradients flow through every path.  The host
+    depends only on ``seed``, ``d``, ``k`` and ``depth``, so ``frozen``, a
+    host an earlier call returned for them, is reused as it is.
     """
     rng = RngState(seed)
-    frozen = build_frozen_stack(d, k, depth, rng)
+    if frozen is None:
+        frozen = build_frozen_stack(d, k, depth, rng)
     cfg = AdapterConfig(
         total_rank=r,
         experts=n,

@@ -19,6 +19,8 @@ The kinds:
   ``train`` per family, and the reports of each trained checkpoint);
 - ``flat/<stack>``: the ``flat`` of a freshly built stack;
 - ``gradient/<config>``: the gradient of one ``backward``;
+- ``gradient/<family>-slot4096``: the gradient of one ``backward`` at the
+  slot4096 benchmark's shapes, where BLAS blocks the products otherwise;
 - ``demo/<script>``: the stdout of demos 01-04;
 - ``degeneracy/<run>``: ``degeneracy.json`` of a default TalkLoRA run;
 - ``fixture/<file>``: the ``flat`` of a v1 checkpoint as it loads.  The
@@ -225,6 +227,30 @@ def gradient_pins():
             for config in GRADIENT_CONFIGS}
 
 
+# -- gradient/<family>-slot4096: one backward per family at geometry scale --
+
+@functools.cache
+def _slot4096_gradient_digests():
+    """The gradient digest of each family, keyed by pin, on one host that is
+    freed on return."""
+    frozen, digests = None, {}
+    for method in METHODS:
+        frozen, stack, x, t = make_setup(method, d=4096, k=4096, r=16, n=4, batch=32, depth=2,
+                                         seed=21, frozen=frozen)
+        scales = fixed_dropout_scales(frozen, x.shape[0], seed=22)
+        _, grad = backward(stack, frozen, (x, t), LossSpec(), scales)
+        digests[f"gradient/{method}-slot4096"] = sha256(grad.tobytes())
+    return digests
+
+
+def geometry_gradient_pins():
+    """The gradient vector of ``make_setup(method, d=4096, k=4096, r=16, n=4,
+    batch=32, depth=2, seed=21)`` under ``fixed_dropout_scales(seed=22)``,
+    the setup of CI's directional gradcheck at geometry scale."""
+    keys = [f"gradient/{method}-slot4096" for method in METHODS]
+    return {key: lambda key=key: _slot4096_gradient_digests()[key] for key in keys}
+
+
 # -- demo/: stdout of the demos that run in seconds -------------------------
 
 DEMOS = ("01_adapter_family_tour.py", "02_parameter_budgets.py",
@@ -283,8 +309,8 @@ def trained_pins():
     return pins
 
 
-KINDS = (session_pins, flat_pins, gradient_pins, demo_pins, degeneracy_pins, fixture_pins,
-         trained_pins)
+KINDS = (session_pins, flat_pins, gradient_pins, geometry_gradient_pins, demo_pins,
+         degeneracy_pins, fixture_pins, trained_pins)
 
 
 def pin_functions(kinds=KINDS):

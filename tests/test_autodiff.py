@@ -330,6 +330,11 @@ class TestGradientDigests:
     def test_gradient_matches_recorded_digest(self, key):
         pins.assert_pinned(key)
 
+    @pytest.mark.parametrize("key", list(pins.geometry_gradient_pins()))
+    def test_gradient_at_geometry_scale_matches_recorded_digest(self, key):
+        # d = k = 4096: BLAS blocks these products unlike the d = 8 pins'
+        pins.assert_pinned(key)
+
 
 class _CountingFrozen:
     """Stand-in for a ``FrozenLinear`` that counts reads of ``w0``."""

@@ -251,9 +251,15 @@ class TestInputErrors:
     TRAIN = {"epochs": 1, "batch_size": 16, "warmup_steps": 10, "eval_every": 4}
     CONFIG = ["train", "--config", "{config}"]
     DEEP = 100_000  # a JSON nest far past the decoder's recursion limit
-    # case -> (argv, the config's overrides or its text, the stderr line's start);
-    # "{tmp}" is the test's directory and "{config}" the config file there, and
-    # "{tmp}/nested.json" holds an array nested DEEP times
+    LONG = "1" + "0" * 4999  # an integer past Python's 4300-digit conversion limit
+    PARAMS = (["params", "--config", "{config}"],
+              json.dumps({"method": "lora", "geometry": "{tmp}/geometry.json", "targets": ["Q"]}))
+    # case -> (argv, the config's overrides, its text or its bytes, the stderr
+    # line's start); "{tmp}" is the test's directory and "{config}" the config
+    # file there, and "{tmp}/geometry.json" holds the case's GEOMETRY bytes
+    GEOMETRY = {"geometry_nested_too_deep": b"[" * DEEP + b"]" * DEEP,
+                "geometry_not_utf8": b'{"name": "caf\xe9"}',
+                "geometry_integer_too_long": b'{"layers": %s}' % LONG.encode()}
     CASES = {
         "config_file_missing": (["train", "--config", "{tmp}/absent.json"], {},
                                 "config error: config file not found: {tmp}/absent.json\n"),
@@ -267,11 +273,21 @@ class TestInputErrors:
             ["gradcheck", "--config", "{config}"], '{"a": ' * DEEP + "1" + "}" * DEEP,
             "config error: config file {config} is not valid JSON: maximum recursion depth "
             "exceeded while decoding a JSON object"),
+        "config_not_utf8": (CONFIG, b'{"method": "lora", "output_dir": "caf\xe9"}',
+                            "config error: config file {config} is not valid JSON: 'utf-8' "
+                            "codec can't decode byte 0xe9 in position 37"),
+        "config_integer_too_long": (CONFIG, '{"method": "lora", "seed": %s}' % LONG,
+                                    "config error: config file {config} is not valid JSON: "
+                                    "Exceeds the limit (4300 digits)"),
         "geometry_nested_too_deep": (
-            ["params", "--config", "{config}"],
-            json.dumps({"method": "lora", "geometry": "{tmp}/nested.json", "targets": ["Q"]}),
-            "config error: geometry fixture {tmp}/nested.json is not valid JSON: maximum "
-            "recursion depth exceeded while decoding a JSON array"),
+            *PARAMS, "config error: geometry fixture {tmp}/geometry.json is not valid JSON: "
+            "maximum recursion depth exceeded while decoding a JSON array"),
+        "geometry_not_utf8": (
+            *PARAMS, "config error: geometry fixture {tmp}/geometry.json is not valid JSON: "
+            "'utf-8' codec can't decode byte 0xe9 in position 13"),
+        "geometry_integer_too_long": (
+            *PARAMS, "config error: geometry fixture {tmp}/geometry.json is not valid JSON: "
+            "Exceeds the limit (4300 digits)"),
         "analyze_checkpoint_missing": (
             ["analyze", "--checkpoint", "{tmp}/absent.tlkl", "--report", "heatmap"], {},
             "input not found: [Errno 2] No such file or directory: '{tmp}/absent.tlkl'\n"),
@@ -322,6 +338,9 @@ class TestInputErrors:
                                "got 0\n"),
         "train.lr": (CONFIG, {"train": {**TRAIN, "lr": -1.0}},
                      "config error: config.train.lr must be nonnegative, got -1.0\n"),
+        "train.weight_decay": (CONFIG, {"train": {**TRAIN, "weight_decay": -1.0}},
+                               "config error: config.train.weight_decay must be nonnegative, "
+                               "got -1.0\n"),
         "train.lr_schedule": (CONFIG, {"train": {**TRAIN, "lr_schedule": "cosine"}},
                               "config error: config.train.lr_schedule must be 'linear', "
                               "got 'cosine'\n"),
@@ -346,12 +365,13 @@ class TestInputErrors:
     @pytest.mark.parametrize("case", list(CASES))
     def test_exits_2_naming_the_field(self, tmp_path, case):
         argv, config, line = self.CASES[case]
+        if case in self.GEOMETRY:
+            (tmp_path / "geometry.json").write_bytes(self.GEOMETRY[case])
         if isinstance(config, str):
-            if "{tmp}/nested.json" in config:
-                (tmp_path / "nested.json").write_text("[" * self.DEEP + "]" * self.DEEP)
-                config = config.replace("{tmp}", str(tmp_path))
+            config = config.replace("{tmp}", str(tmp_path)).encode()
+        if isinstance(config, bytes):
             path = tmp_path / "config.json"
-            path.write_text(config)
+            path.write_bytes(config)
         else:
             path = write_config(tmp_path, **config)
         names = {"tmp": str(tmp_path), "config": str(path)}

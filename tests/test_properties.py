@@ -310,3 +310,28 @@ class TestCliContract:
                       "eval_every": 2, "weight_decay": weight_decay, "dropout": dropout}})
         assert stored == ([0, 0] if trained == 0 else [])
         assert checked in (0, 3)
+
+    @PROPERTY
+    @given(raw=st.binary(max_size=48) | st.lists(_JSONISH | st.integers(0, 255)).map(bytes))
+    @example(raw=b'{"method": "caf\xe9"}')  # one byte that is not UTF-8, in valid JSON
+    @example(raw=b'{"seed": 1%s}' % (b"0" * 4999))  # past Python's 4300-digit limit
+    def test_undecodable_bytes_exit_2_naming_the_file(self, raw):
+        try:
+            json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError):
+            pass
+        else:
+            return  # a document that decodes is held to the field tests' contract
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config, fixture, params = root / "config.json", root / "geometry.json", root / "p.json"
+            config.write_bytes(raw)
+            fixture.write_bytes(raw)
+            params.write_text(json.dumps({"method": "lora", "geometry": str(fixture),
+                                          "targets": ["Q"], "output_dir": str(root / "out")}))
+            for argv, line in ((["train", "--config", str(config)],
+                                f"config error: config file {config} is not valid JSON: "),
+                               (["params", "--config", str(params)],
+                                f"config error: geometry fixture {fixture} is not valid JSON: ")):
+                code, _, err = run_cli(root, *argv)
+                assert code == 2 and err.startswith(line), (argv, err)
